@@ -1,29 +1,21 @@
 let get_ctx ctx inst = match ctx with Some c -> c | None -> Exist_pack.ctx inst
 
-let count_gen ~strict ?ctx inst ~bound =
-  let c = get_ctx ctx inst in
-  let value = Rating.eval inst.Instance.value in
-  let n = ref 0 in
-  Exist_pack.iter_valid c (fun pkg ->
-      let v = value pkg in
-      if (if strict then v > bound else v >= bound) then incr n);
-  !n
+let count ?ctx inst ~bound = Exist_pack.count ~bound (get_ctx ctx inst)
 
-let count ?ctx inst ~bound = count_gen ~strict:false ?ctx inst ~bound
-let count_strict ?ctx inst ~bound = count_gen ~strict:true ?ctx inst ~bound
+let count_strict ?ctx inst ~bound =
+  Exist_pack.count ~strict:true ~bound (get_ctx ctx inst)
 
 let count_budgeted ?budget ?ctx inst ~bound =
   (* The enumeration is sequential and only ever increments [n] after fully
      validating a package, so on exhaustion [n] is a verified lower bound
-     on the true count. *)
+     on the true count (0 while a stored index is being searched). *)
   let value = Rating.eval inst.Instance.value in
   let n = ref 0 in
   Robust.Budget.run ?budget
     ~partial:(fun _ -> Some !n)
     (fun () ->
-      let c = get_ctx ctx inst in
-      Exist_pack.iter_valid c (fun pkg -> if value pkg >= bound then incr n);
-      !n)
+      Exist_pack.count ~bound (get_ctx ctx inst) ~visit:(fun pkg ->
+          if value pkg >= bound then incr n))
 
 (* C(n, j) as a float (the strata can be astronomically large).  Overflows
    to [infinity] past ~1.8e308; callers must handle that — [log_choose]

@@ -46,13 +46,14 @@ let items_valid (inst : Instance.t) =
   in
   List.filter (fun p -> cost p <= inst.Instance.budget) pkgs
 
+(* Rated once per package, then sorted: (value, package) pairs. *)
 let by_value_desc (inst : Instance.t) pkgs =
   let value = Rating.eval inst.Instance.value in
   List.sort
-    (fun a b ->
-      let cv = Float.compare (value b) (value a) in
+    (fun (va, a) (vb, b) ->
+      let cv = Float.compare vb va in
       if cv <> 0 then cv else Package.compare a b)
-    pkgs
+    (List.map (fun p -> (value p, p)) pkgs)
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
@@ -61,7 +62,7 @@ let topk inst ~k =
   | Items_path ->
       let valid = items_valid inst in
       if List.length valid < k then None
-      else Some (take k (by_value_desc inst valid))
+      else Some (take k (List.map snd (by_value_desc inst valid)))
   | Const_bound_path _ | Generic_path -> Frp.enumerate inst ~k
 
 (* ------------------------------------------------------------------ *)
@@ -149,9 +150,7 @@ let max_bound inst ~k =
   | Items_path ->
       let valid = items_valid inst in
       if List.length valid < k then None
-      else
-        let value = Rating.eval inst.Instance.value in
-        Some (value (List.nth (by_value_desc inst valid) (k - 1)))
+      else Some (fst (List.nth (by_value_desc inst valid) (k - 1)))
   | Const_bound_path _ | Generic_path -> Mbp.max_bound inst ~k
 
 let count inst ~bound =

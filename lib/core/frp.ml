@@ -3,22 +3,7 @@ module Value = Relational.Value
 
 let get_ctx ctx inst = match ctx with Some c -> c | None -> Exist_pack.ctx inst
 
-let topk_of_valid inst ~k all =
-  let value = Rating.eval inst.Instance.value in
-  if List.length all < k then None
-  else
-    let sorted =
-      List.sort
-        (fun a b ->
-          let cv = Float.compare (value b) (value a) in
-          if cv <> 0 then cv else Package.compare a b)
-        all
-    in
-    Some (List.filteri (fun i _ -> i < k) sorted)
-
-let enumerate ?ctx inst ~k =
-  let c = get_ctx ctx inst in
-  topk_of_valid inst ~k (Exist_pack.all_valid c)
+let enumerate ?ctx inst ~k = Exist_pack.topk (get_ctx ctx inst) ~k
 
 let enumerate_budgeted ?budget ?ctx inst ~k =
   let value = Rating.eval inst.Instance.value in
@@ -32,19 +17,14 @@ let enumerate_budgeted ?budget ?ctx inst ~k =
              so answers and telemetry are byte-identical to [enumerate]. *)
           enumerate ?ctx inst ~k
       | Some _ ->
-          (* Anytime path: sequential enumeration, recording the best valid
-             package seen so far.  The final sort/take matches [enumerate]
-             because [iter_valid] visits exactly the packages
-             [all_valid] materializes. *)
-          let c = get_ctx ctx inst in
-          let acc = ref [] in
-          Exist_pack.iter_valid c (fun pkg ->
+          (* Anytime path: a walk runs sequentially, recording the best
+             valid package seen so far; a stored index is read as
+             [enumerate] reads it. *)
+          Exist_pack.topk (get_ctx ctx inst) ~k ~visit:(fun pkg ->
               let v = value pkg in
-              (match !best with
+              match !best with
               | Some (_, bv) when bv >= v -> ()
-              | _ -> best := Some (pkg, v));
-              acc := pkg :: !acc);
-          topk_of_valid inst ~k (List.rev !acc))
+              | _ -> best := Some (pkg, v)))
 
 (* ------------------------------------------------------------------ *)
 (* The paper's oracle-driven algorithm (Theorem 5.1).
@@ -219,28 +199,7 @@ let branch_and_bound ?ctx ?(compat_antimonotone = false) inst ~item_value ~k =
            pkg)
          !best)
 
-let stream ?ctx inst =
-  let c = get_ctx ctx inst in
-  let value = Rating.eval inst.Instance.value in
-  let sorted =
-    lazy
-      (List.sort
-         (fun a b ->
-           let cv = Float.compare (value b) (value a) in
-           if cv <> 0 then cv else Package.compare a b)
-         (Exist_pack.all_valid c))
-  in
-  Seq.of_dispenser
-    (let remaining = ref None in
-     fun () ->
-       let l = match !remaining with None -> Lazy.force sorted | Some l -> l in
-       match l with
-       | [] ->
-           remaining := Some [];
-           None
-       | p :: rest ->
-           remaining := Some rest;
-           Some p)
+let stream ?ctx inst = Exist_pack.ranked (get_ctx ctx inst)
 
 let greedy ?ctx inst ~k =
   let c = get_ctx ctx inst in

@@ -2,8 +2,10 @@
 
     Three solvers:
 
-    - {!enumerate}: the baseline — materialize every valid package, sort by
-      rating, take the k best.  Simple and obviously correct; exponential.
+    - {!enumerate}: the baseline — enumerate every valid package, rank by
+      rating, take the k best.  Simple and obviously correct; exponential
+      in the first call on an instance, which stores the ranking
+      ({!Exist_pack.topk}); later calls read k entries of it.
     - {!oracle}: the paper's function algorithm — a polynomial-time driver
       around the EXISTPACK≥ oracle: binary search over the rating interval
       for the best achievable bound B, then a tuple-by-tuple package
@@ -33,7 +35,9 @@ val enumerate_budgeted :
     budget the enumeration runs sequentially so that on exhaustion
     [Partial] can report the best valid package found so far (always a
     sound answer: valid, within budget, rated ≤ the true optimum), or
-    [None] when none was reached. *)
+    [None] when none was reached.  When the instance already stores its
+    valid-package index the answer is read from it, and an exhaustion
+    there reports [None]. *)
 
 val oracle :
   ?ctx:Exist_pack.ctx ->
@@ -74,6 +78,6 @@ val stream : ?ctx:Exist_pack.ctx -> Instance.t -> Package.t Seq.t
 (** Ranked enumeration: every valid package exactly once, in non-increasing
     rating order (ties broken deterministically) — the "retrieve the top-k
     answers one at a time" interface of the incremental top-k literature the
-    paper discusses.  The valid-package set is materialized on first
-    demand; consumption is lazy.  [Frp.enumerate inst ~k] equals the first
+    paper discusses.  The valid-package index is obtained on first
+    demand; each package is rebuilt only when the sequence reaches it.  [Frp.enumerate inst ~k] equals the first
     k elements whenever at least k exist. *)

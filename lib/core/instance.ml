@@ -10,6 +10,10 @@ let c_compat_miss = Observe.counter "memo.compat_miss"
 let c_compat_capped = Observe.counter "memo.compat_capped"
 let c_cands_kept = Observe.counter "memo.candidates_kept"
 let c_compat_kept = Observe.counter "memo.compat_kept"
+let c_valid_hit = Observe.counter "memo.valid_hit"
+let c_valid_miss = Observe.counter "memo.valid_miss"
+let c_valid_capped = Observe.counter "memo.valid_capped"
+let c_valid_kept = Observe.counter "memo.valid_kept"
 
 type compat =
   | No_constraint
@@ -18,33 +22,59 @@ type compat =
 
 module Pmap = Map.Make (Package)
 
-(* Per-instance memo: Q(D) and the per-package compatibility verdicts.
-   Attached as a fresh value by every constructor ([make], [with_db],
-   [with_select]), which is what invalidates it when the database or the
-   query changes.  Guarded by a mutex — the package search fans out over
-   domains and they all share the instance.  Computation happens outside
-   the lock (a duplicated first computation is harmless; holding the lock
-   through a query evaluation would serialize the domains). *)
+(* The compat memos belong to one constraint; a record update that swaps
+   [compat] must not read the old one's verdicts.  Queries compare by
+   physical identity, functions too. *)
+let same_compat a b =
+  a == b
+  || match (a, b) with Compat_query q, Compat_query q' -> q == q' | _ -> false
+
+(* What the valid-package index was computed for.  The ratings and the
+   constraint compare physically: reductions derive instances with
+   [{ base with value; cost }] that share the memo.  [v_max_size] is the
+   size bound capped at |Q(D)|, so a [Poly] bound that moves with |D|
+   only misses when it actually cuts into the candidates. *)
+type valid_key = {
+  v_cost : Rating.t;
+  v_value : Rating.t;
+  v_compat : compat;
+  v_budget : float;
+  v_max_size : int;
+}
+
+(* Per-instance memo: Q(D), the per-package compatibility verdicts and
+   the valid-package index.  Attached as a fresh value by every
+   constructor ([make], [with_db], [with_select]), which is what
+   invalidates it when the database or the query changes.  Guarded by a
+   mutex — the package search fans out over domains and they all share
+   the instance.  Computation happens outside the lock (a duplicated
+   first computation is harmless; holding the lock through a query
+   evaluation would serialize the domains). *)
 type memo = {
   lock : Mutex.t;
   mutable cands : Relational.Relation.t option;
+  mutable compat_owner : compat;  (* whose verdicts and delta these are *)
   mutable compat_memo : bool Pmap.t;
   mutable compat_n : int;
   mutable compat_delta : Qlang.Engine.delta option;
+  mutable valid : (valid_key * Valid_index.t) option;
 }
 
-let fresh_memo () =
+let fresh_memo compat_owner =
   {
     lock = Mutex.create ();
     cands = None;
+    compat_owner;
     compat_memo = Pmap.empty;
     compat_n = 0;
     compat_delta = None;
+    valid = None;
   }
 
 (* Past this many entries new verdicts are recomputed rather than stored;
    the searches this cache serves revisit the same packages across oracle
-   calls, so the hot set is reached long before the cap. *)
+   calls, so the hot set is reached long before the cap.  The
+   valid-package index stores at most as many packages. *)
 let compat_memo_cap = 1 lsl 16
 
 type t = {
@@ -73,7 +103,7 @@ let make ~db ~select ?(compat = No_constraint) ~cost ~value ~budget
     size_bound;
     dist;
     answer_rel;
-    memo = fresh_memo ();
+    memo = fresh_memo compat;
   }
 
 let language inst = Qlang.Query.language inst.select
@@ -124,9 +154,23 @@ let candidates inst =
               m.cands <- Some c;
               c)
 
+(* Under the lock: hand the compat memos to [inst]'s constraint, dropping
+   another constraint's verdicts and prepared delta. *)
+let claim_compat m inst =
+  if not (same_compat m.compat_owner inst.compat) then begin
+    m.compat_owner <- inst.compat;
+    m.compat_memo <- Pmap.empty;
+    m.compat_n <- 0;
+    m.compat_delta <- None
+  end
+
 let memo_compat inst pkg compute =
   let m = inst.memo in
-  match Mutex.protect m.lock (fun () -> Pmap.find_opt pkg m.compat_memo) with
+  match
+    Mutex.protect m.lock (fun () ->
+        claim_compat m inst;
+        Pmap.find_opt pkg m.compat_memo)
+  with
   | Some verdict ->
       Observe.bump c_compat_hit;
       verdict
@@ -137,7 +181,10 @@ let memo_compat inst pkg compute =
       Robust.Fault.hit "memo.compat";
       let verdict = compute () in
       Mutex.protect m.lock (fun () ->
-          if not (Pmap.mem pkg m.compat_memo) then begin
+          if
+            same_compat m.compat_owner inst.compat
+            && not (Pmap.mem pkg m.compat_memo)
+          then begin
             if m.compat_n < compat_memo_cap then begin
               m.compat_memo <- Pmap.add pkg verdict m.compat_memo;
               m.compat_n <- m.compat_n + 1
@@ -165,7 +212,11 @@ let compat_delta inst =
       if Qlang.Query.is_empty_query qc then None
       else
         let m = inst.memo in
-        (match Mutex.protect m.lock (fun () -> m.compat_delta) with
+        (match
+           Mutex.protect m.lock (fun () ->
+               claim_compat m inst;
+               m.compat_delta)
+         with
         | Some d -> Some d
         | None ->
             let d =
@@ -177,7 +228,8 @@ let compat_delta inst =
                    match m.compat_delta with
                    | Some d' -> d'
                    | None ->
-                       m.compat_delta <- Some d;
+                       if same_compat m.compat_owner inst.compat then
+                         m.compat_delta <- Some d;
                        d)))
 
 (* Warm every shared structure a served request would otherwise build on
@@ -197,8 +249,57 @@ let prewarm inst =
 let max_package_size inst =
   Size_bound.max_size inst.size_bound ~db_size:(Database.size inst.db)
 
-let with_db inst db = { inst with db; memo = fresh_memo () }
-let with_select inst select = { inst with select; memo = fresh_memo () }
+let with_db inst db = { inst with db; memo = fresh_memo inst.compat }
+
+let with_select inst select =
+  { inst with select; memo = fresh_memo inst.compat }
+
+(* ------------------------------------------------------------------ *)
+(* The valid-package index                                             *)
+(* ------------------------------------------------------------------ *)
+
+let valid_key inst ~max_size =
+  {
+    v_cost = inst.cost;
+    v_value = inst.value;
+    v_compat = inst.compat;
+    v_budget = inst.budget;
+    v_max_size = max_size;
+  }
+
+let key_matches k inst ~max_size =
+  k.v_cost == inst.cost && k.v_value == inst.value
+  && same_compat k.v_compat inst.compat
+  && Float.equal k.v_budget inst.budget
+  && k.v_max_size = max_size
+
+let valid_index inst ~max_size =
+  let m = inst.memo in
+  match
+    Mutex.protect m.lock (fun () ->
+        match m.valid with
+        | Some (k, ix) when key_matches k inst ~max_size -> Some ix
+        | _ -> None)
+  with
+  | Some _ as hit ->
+      Observe.bump c_valid_hit;
+      hit
+  | None ->
+      Observe.bump c_valid_miss;
+      None
+
+let store_valid_index inst ~max_size ~count build =
+  if count > compat_memo_cap then begin
+    Observe.bump c_valid_capped;
+    None
+  end
+  else begin
+    let ix = build () in
+    let m = inst.memo in
+    Mutex.protect m.lock (fun () ->
+        m.valid <- Some (valid_key inst ~max_size, ix));
+    Some ix
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Mutation: principled per-relation memo invalidation                 *)
@@ -237,7 +338,7 @@ let update_db ?(adom_preserved = false) inst db' =
       | Compat_fn _ -> false (* opaque: every relation is a dependency *)
     in
     let m = inst.memo in
-    let memo = fresh_memo () in
+    let memo = fresh_memo inst.compat in
     Mutex.protect m.lock (fun () ->
         if keep_cands && m.cands <> None then begin
           memo.cands <- m.cands;
@@ -246,9 +347,17 @@ let update_db ?(adom_preserved = false) inst db' =
         if keep_compat then begin
           if m.compat_n > 0 || m.compat_delta <> None then
             Observe.bump c_compat_kept;
+          memo.compat_owner <- m.compat_owner;
           memo.compat_memo <- m.compat_memo;
           memo.compat_n <- m.compat_n;
           memo.compat_delta <- m.compat_delta
+        end;
+        (* The valid packages depend on Q(D) and on the verdicts, and on
+           nothing else the update can change (the key re-checks the size
+           bound, which may move with |D|). *)
+        if keep_cands && keep_compat && m.valid <> None then begin
+          memo.valid <- m.valid;
+          Observe.bump c_valid_kept
         end);
     { inst with db = db'; memo }
   end

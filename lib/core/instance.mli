@@ -15,8 +15,11 @@ type compat =
 
 type memo
 (** Per-instance evaluation cache (Q(D), per-package compatibility
-    verdicts).  Opaque; a fresh one is attached by every constructor, so
-    [with_db] / [with_select] never observe stale results. *)
+    verdicts, the valid-package index).  Opaque; a fresh one is attached
+    by every constructor, so [with_db] / [with_select] never observe
+    stale results.  Record updates ([{ inst with value; cost }]) share
+    it: the verdicts are keyed on the compatibility constraint and the
+    index on everything that decides validity, so sharing is safe. *)
 
 type t = {
   db : Relational.Database.t;
@@ -72,10 +75,27 @@ val memo_compat : t -> Package.t -> (unit -> bool) -> bool
     verdict for [pkg], running [compute] (outside the memo lock) on a
     miss.  Used by {!Validity.compatible}; the memo is bounded by
     {!compat_memo_cap}, so a cold miss beyond the cap simply recomputes
-    (and bumps the [memo.compat_capped] counter). *)
+    (and bumps the [memo.compat_capped] counter).  The verdicts belong to
+    one constraint (a [Compat_query] by the physical identity of its
+    query): asking under another constraint drops them first. *)
 
 val compat_memo_cap : int
-(** Size bound of the per-package verdict memo (2¹⁶ entries). *)
+(** Size bound of the per-package verdict memo (2¹⁶ entries), and of the
+    valid-package index (in packages). *)
+
+val valid_index : t -> max_size:int -> Valid_index.t option
+(** The stored valid-package index, when it was computed for this
+    instance's cost, val(), constraint (all by physical identity), budget
+    and [max_size] (the package-size bound capped at |Q(D)|).  Counted by
+    [memo.valid_hit] / [memo.valid_miss]. *)
+
+val store_valid_index :
+  t -> max_size:int -> count:int -> (unit -> Valid_index.t) -> Valid_index.t option
+(** [store_valid_index inst ~max_size ~count build] stores [build ()]
+    under this instance's key, replacing any index stored before, and
+    returns it.  Callers store only the result of a walk that ran to
+    completion.  Past {!compat_memo_cap} packages nothing is built or
+    stored: [None], and [memo.valid_capped] is bumped. *)
 
 val compat_delta : t -> Qlang.Engine.delta option
 (** The compatibility query prepared for delta re-evaluation over
@@ -112,9 +132,11 @@ val update_db : ?adom_preserved:bool -> t -> Relational.Database.t -> t
     changed are diffed, and each memo entry survives iff its query mentions
     none of them and is either adom-insensitive ({!Qlang.Query.adom_sensitive})
     or covered by the caller's promise [~adom_preserved] (default [false])
-    that the update did not change the database's active domain.  A
-    revision-identical database keeps the whole memo.  Retention is counted
-    by [memo.candidates_kept] / [memo.compat_kept]. *)
+    that the update did not change the database's active domain.  The
+    valid-package index survives exactly when both the candidates and the
+    verdicts do.  A revision-identical database keeps the whole memo.
+    Retention is counted by [memo.candidates_kept] / [memo.compat_kept] /
+    [memo.valid_kept]. *)
 
 val insert_tuple : t -> string -> Relational.Tuple.t -> t
 (** {!update_db} after [Database.insert_tuple], deriving [~adom_preserved]

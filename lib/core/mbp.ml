@@ -9,14 +9,7 @@ let is_max_bound ?ctx inst ~k ~bound =
   Option.is_some (Exist_pack.find_k_distinct ~bound ~k c)
   && Option.is_none (Exist_pack.find_k_distinct ~strict:true ~bound ~k c)
 
-let max_bound ?ctx inst ~k =
-  let c = get_ctx ctx inst in
-  let value = Rating.eval inst.Instance.value in
-  let vals =
-    List.sort (fun a b -> Float.compare b a)
-      (List.map value (Exist_pack.all_valid c))
-  in
-  List.nth_opt vals (k - 1)
+let max_bound ?ctx inst ~k = Exist_pack.kth_value (get_ctx ctx inst) ~k
 
 let max_bound_budgeted ?budget ?ctx inst ~k =
   (* A partially explored search says nothing sound about the k-th largest

@@ -21,6 +21,16 @@ val eval : t -> Package.t -> float
 
 val is_monotone : t -> bool
 
+val additive : t -> (Relational.Tuple.t -> float) option
+(** The per-item contribution [f] of an additive rating: [Some f] means
+    that on every non-empty package [N], [eval r N = Σ_{t ∈ N} f t].
+    [count], [card_or_infinite] and [sum_col] are additive, and [add],
+    [sub], [scale], [neg] and [on_empty] keep additivity; [of_fun],
+    [const], [min_col], [max_col], [avg_col] and [clamp_min] report
+    [None].  A search may read it to certify monotonicity on a given set
+    of items (every contribution [>= 0]) that the rating does not
+    declare. *)
+
 val of_fun : ?monotone:bool -> string -> (Package.t -> float) -> t
 
 val const : float -> t

@@ -14,6 +14,7 @@ let sites =
     "maxsat.node";
     "memo.candidates";
     "memo.compat";
+    "memo.valid";
     "rel.maintain";
     "datalog.round";
     "cq.join";
@@ -84,5 +85,7 @@ let hit site =
   match Atomic.get armed with
   | None -> ()
   | Some spec as cur ->
+      (* Exactly the nth hit fires: two domains that both read the spec
+         before the disarm below must not both fire. *)
       if String.equal spec.site site then
-        if Atomic.fetch_and_add spec.hits 1 + 1 >= spec.nth then fire spec cur
+        if Atomic.fetch_and_add spec.hits 1 + 1 = spec.nth then fire spec cur

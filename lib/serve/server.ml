@@ -103,6 +103,7 @@ type conn = {
   fd : Unix.file_descr;
   wlock : Mutex.t;  (* response lines are written whole, one at a time *)
   rbuf : Buffer.t;  (* partial line carried between reads (I/O domain only) *)
+  mutable skipping : bool;  (* dropping an overlong line up to its newline *)
   mutable reof : bool;
   outstanding : int Atomic.t;  (* queued requests not yet responded *)
   mutable dead : bool;  (* a write failed; stop writing, close when drained *)
@@ -601,11 +602,24 @@ let accept_conn t lfd conns =
           fd;
           wlock = Mutex.create ();
           rbuf = Buffer.create 256;
+          skipping = false;
           reof = false;
           outstanding = Atomic.make 0;
           dead = false;
         }
         :: !conns
+
+let max_line_bytes = 1 lsl 20
+
+(* An overlong line is refused once, as it crosses the cap, and its
+   remaining bytes are dropped up to its newline; the connection then
+   carries on.  The partial line never grows past the cap. *)
+let refuse_long_line t conn =
+  Buffer.reset conn.rbuf;
+  Observe.bump c_requests;
+  ignore
+    (deliver t conn ~id:(-1) ~verb:"?" ~status:Proto.Error
+       ~reason:"line_too_long" ~ms:0. ~data:"{}" ())
 
 let read_conn t conn =
   let bytes = Bytes.create 4096 in
@@ -616,22 +630,33 @@ let read_conn t conn =
   | exception Unix.Unix_error (_, _, _) -> conn.reof <- true
   | 0 -> conn.reof <- true
   | n ->
-      Buffer.add_subbytes conn.rbuf bytes 0 n;
-      let s = Buffer.contents conn.rbuf in
-      let rec go start =
-        match String.index_from_opt s start '\n' with
-        | None -> begin
-            Buffer.clear conn.rbuf;
-            Buffer.add_substring conn.rbuf s start (String.length s - start)
+      (* Only the bytes just read are scanned for newlines. *)
+      let rec newline i =
+        if i >= n then None else if Bytes.get bytes i = '\n' then Some i else newline (i + 1)
+      in
+      let take start stop =
+        if not conn.skipping then begin
+          Buffer.add_subbytes conn.rbuf bytes start (stop - start);
+          if Buffer.length conn.rbuf > max_line_bytes then begin
+            refuse_long_line t conn;
+            conn.skipping <- true
           end
+        end
+      in
+      let rec go start =
+        match newline start with
+        | None -> take start n
         | Some j ->
-            let line = String.sub s start (j - start) in
-            let line =
-              let n = String.length line in
-              if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
-              else line
-            in
-            handle_line t conn line;
+            take start j;
+            if conn.skipping then conn.skipping <- false
+            else begin
+              let line = Buffer.contents conn.rbuf in
+              Buffer.clear conn.rbuf;
+              let len = String.length line in
+              handle_line t conn
+                (if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1)
+                 else line)
+            end;
             go (j + 1)
       in
       go 0

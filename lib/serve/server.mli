@@ -40,6 +40,14 @@ val default_config : config
 (** [domains = Parallel.Pool.default_domains ()], [queue_cap = 64], no
     deadlines, no fuel, no trace. *)
 
+val max_line_bytes : int
+(** Longest request line the daemon reads (1 MiB, the newline
+    excluded).  A longer line is answered with an [error] response whose
+    reason is [line_too_long] (id [-1]) as soon as it crosses the cap;
+    the rest of it is discarded unread up to its newline, and the
+    connection keeps being served.  A client that never sends a newline
+    thus holds at most this many bytes of daemon memory. *)
+
 type t
 
 val create : ?config:config -> (string * Core.Instance.t) list -> t

@@ -150,13 +150,18 @@ let test_frp_budgeted_sound () =
     | Some [ p ] -> value p
     | _ -> Alcotest.fail "small instance has a top-1"
   in
+  (* [inst] has its valid-package index stored by now (replays); a fresh
+     instance walks. *)
   for fuel = 1 to 40 do
-    match Frp.enumerate_budgeted ~budget:(Budget.make ~fuel ()) inst ~k:1 with
-    | Budget.Exact r -> check "exact run matches enumerate" true (topk_equal r exact)
-    | Budget.Partial { best_so_far = Some p; _ } ->
-        check "partial package is valid" true (Validity.valid inst p);
-        check "partial rating ≤ optimum" true (value p <= opt)
-    | Budget.Partial { best_so_far = None; _ } -> ()
+    List.iter
+      (fun inst ->
+        match Frp.enumerate_budgeted ~budget:(Budget.make ~fuel ()) inst ~k:1 with
+        | Budget.Exact r -> check "exact run matches enumerate" true (topk_equal r exact)
+        | Budget.Partial { best_so_far = Some p; _ } ->
+            check "partial package is valid" true (Validity.valid inst p);
+            check "partial rating ≤ optimum" true (value p <= opt)
+        | Budget.Partial { best_so_far = None; _ } -> ())
+      [ inst; small_inst () ]
   done;
   (* An unlimited explicit budget forces the anytime (sequential) path;
      the answer must still match the default path exactly. *)
@@ -171,12 +176,15 @@ let test_cpp_budgeted_lower_bound () =
   | Budget.Exact n -> check_int "unlimited budget is exact" exact n
   | Budget.Partial _ -> Alcotest.fail "unlimited budget must be Exact");
   for fuel = 1 to 30 do
-    match Cpp.count_budgeted ~budget:(Budget.make ~fuel ()) inst ~bound:4. with
-    | Budget.Exact n -> check_int "exact count" exact n
-    | Budget.Partial { best_so_far = Some n; _ } ->
-        check "verified lower bound" true (0 <= n && n <= exact)
-    | Budget.Partial { best_so_far = None; _ } ->
-        Alcotest.fail "CPP partial always carries the count so far"
+    List.iter
+      (fun inst ->
+        match Cpp.count_budgeted ~budget:(Budget.make ~fuel ()) inst ~bound:4. with
+        | Budget.Exact n -> check_int "exact count" exact n
+        | Budget.Partial { best_so_far = Some n; _ } ->
+            check "verified lower bound" true (0 <= n && n <= exact)
+        | Budget.Partial { best_so_far = None; _ } ->
+            Alcotest.fail "CPP partial always carries the count so far")
+      [ inst; small_inst () ]
   done
 
 let test_mbp_budgeted_unknown () =
@@ -247,21 +255,29 @@ let counters snap =
 
 let test_nonbinding_budget_equivalence () =
   with_tracing @@ fun () ->
-  let inst = small_inst () in
-  (* Warm Q(D) so both runs hit the instance memo identically. *)
-  ignore (Instance.candidates inst);
-  Observe.reset ();
-  let plain = Frp.enumerate inst ~k:2 in
-  let s_plain = counters (Observe.snapshot ()) in
-  Observe.reset ();
-  let budgeted =
-    Frp.enumerate_budgeted ~budget:(Budget.make ~fuel:10_000_000 ()) inst ~k:2
+  (* Both runs must find the instance memo in the same state: first two
+     instances with Q(D) warm (both runs walk and store the valid-package
+     index), then one with the index stored (both runs replay it). *)
+  let same_state ~what inst_plain inst_budgeted =
+    Observe.reset ();
+    let plain = Frp.enumerate inst_plain ~k:2 in
+    let s_plain = counters (Observe.snapshot ()) in
+    Observe.reset ();
+    let budgeted =
+      Frp.enumerate_budgeted ~budget:(Budget.make ~fuel:10_000_000 ())
+        inst_budgeted ~k:2
+    in
+    let s_budgeted = counters (Observe.snapshot ()) in
+    (match budgeted with
+    | Budget.Exact r -> check ("answers unchanged, " ^ what) true (topk_equal r plain)
+    | Budget.Partial _ -> Alcotest.fail "non-binding budget must be Exact");
+    check ("telemetry totals unchanged, " ^ what) true (s_plain = s_budgeted)
   in
-  let s_budgeted = counters (Observe.snapshot ()) in
-  (match budgeted with
-  | Budget.Exact r -> check "answers unchanged" true (topk_equal r plain)
-  | Budget.Partial _ -> Alcotest.fail "non-binding budget must be Exact");
-  check "telemetry totals unchanged" true (s_plain = s_budgeted)
+  let a = small_inst () and b = small_inst () in
+  ignore (Instance.candidates a);
+  ignore (Instance.candidates b);
+  same_state ~what:"walk" a b;
+  same_state ~what:"replay" a a
 
 (* ---------- advisor-driven degradation ---------- *)
 
@@ -488,6 +504,34 @@ let test_fault_memo_compat () =
   expect_injected "memo.compat" (fun () -> Validity.compatible inst p);
   check "verdict memo unpoisoned: retry computes the true verdict" true
     (Validity.compatible inst p)
+
+(* The valid-package index is stored only after its walk completed; a
+   fault at the store leaves the instance without one. *)
+let test_fault_memo_valid () =
+  let stored inst = Option.is_some (Exist_pack.index (Exist_pack.ctx inst)) in
+  let inst = small_inst () in
+  expect_injected "memo.valid" (fun () -> Frp.enumerate inst ~k:2);
+  check "an interrupted fill stores nothing" false (stored inst);
+  let retry = Frp.enumerate inst ~k:2 in
+  check "the retry stores the index" true (stored inst);
+  check "fault-then-retry equals a fresh run" true
+    (topk_equal retry (Frp.enumerate (small_inst ()) ~k:2));
+  check "replayed packages equal a fresh walk" true
+    (List.equal Package.equal
+       (Exist_pack.all_valid (Exist_pack.ctx inst))
+       (Exist_pack.all_valid (Exist_pack.ctx (small_inst ()))));
+  (* Exhaust kind through the budgeted entry point: a sound partial, and
+     still nothing stored. *)
+  let inst2 = small_inst () in
+  Fault.arm ~site:"memo.valid" ~nth:1 ~kind:Fault.Exhaust;
+  (match Frp.enumerate_budgeted ~budget:(Budget.make ()) inst2 ~k:1 with
+  | Budget.Partial { best_so_far; reason = Budget.Fault "memo.valid"; _ } -> (
+      match best_so_far with
+      | Some p -> check "partial package is valid" true (Validity.valid inst2 p)
+      | None -> ())
+  | _ -> Alcotest.fail "expected Partial fault:memo.valid");
+  Fault.disarm ();
+  check "an exhausted fill stores nothing" false (stored inst2)
 
 let graph_db =
   Database.of_relations
@@ -810,6 +854,7 @@ let fault_cases =
     ("bnb.node", test_fault_bnb_node);
     ("memo.candidates", test_fault_memo_candidates);
     ("memo.compat", test_fault_memo_compat);
+    ("memo.valid", test_fault_memo_valid);
     ("rel.maintain", test_fault_rel_maintain);
     ("datalog.round", test_fault_datalog_round);
     ("cq.join", test_fault_cq_join);

@@ -166,6 +166,36 @@ let test_per_request_errors () =
       check_str "metrics ok" "ok" (status_of (Hashtbl.find responses 4));
       check_str "healthy after errors" "ok" (status_of (Hashtbl.find responses 5)))
 
+(* A client that sends 2 MiB without a newline is refused with
+   [line_too_long] while its line is still open; other connections keep
+   being served, and the hog's connection resumes after its newline. *)
+let test_line_too_long () =
+  with_server (fun _srv path ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          (* a daemon that never answers fails the test instead of hanging it *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let chunk = Bytes.make 65536 'x' in
+          for _ = 1 to 2 * 1024 * 1024 / Bytes.length chunk do
+            ignore (Unix.write fd chunk 0 (Bytes.length chunk))
+          done;
+          let ic = Unix.in_channel_of_descr fd in
+          let resp = input_line ic in
+          check_str "refused" "error" (status_of resp);
+          check "reason line_too_long" true
+            (Proto.response_reason resp = Some "line_too_long");
+          let others = round_trip path [ "ping id=1"; "eval id=2 inst=team" ] in
+          check_str "others: ping" "ok" (status_of (Hashtbl.find others 1));
+          check_str "others: eval" "ok" (status_of (Hashtbl.find others 2));
+          let rest = Bytes.of_string "still the long line\nping id=3\n" in
+          ignore (Unix.write fd rest 0 (Bytes.length rest));
+          let resp = input_line ic in
+          check_str "the hog's next line is served" "ok" (status_of resp);
+          check "it is the ping" true (Proto.response_id resp = Some 3)))
+
 (* ---------- admission control and degradation ---------- *)
 
 let test_queue_full_shed () =
@@ -461,6 +491,8 @@ let () =
             test_end_to_end_oracle;
           Alcotest.test_case "per-request errors are contained" `Quick
             test_per_request_errors;
+          Alcotest.test_case "overlong line refused, daemon keeps serving" `Quick
+            test_line_too_long;
         ] );
       ( "degradation",
         [
