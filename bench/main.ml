@@ -13,9 +13,8 @@
    - regenerates Table 8.2 rows as data-scaling series: fixed query,
      growing database, demonstrating the constant-bound collapse to PTIME
      (Corollary 6.1) and the SP-query contrast (Corollary 6.2),
-   - runs design-choice ablations (semi-naive vs naive Datalog, greedy vs
-     textual CQ join order),
-   - registers one Bechamel micro-benchmark per table/figure (run last).
+   - runs design-choice ablations (FRP solvers, exact vs sampled
+     counting).
 
    Absolute numbers are machine-dependent; the claims reproduced are the
    *shapes*: which rows blow up with query size, which stay flat, which
@@ -23,7 +22,6 @@
 
    Run with: dune exec bench/main.exe            (full, a few minutes)
              dune exec bench/main.exe -- --quick (reduced sizes)
-             dune exec bench/main.exe -- --no-bechamel
              dune exec bench/main.exe -- --timeout=1  (per-point deadline, s)
 
    With --timeout=S every scaling point runs under a [Robust.Budget]
@@ -36,7 +34,6 @@ module Gen = Solvers.Gen
 open Core
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
-let no_bechamel = Array.exists (( = ) "--no-bechamel") Sys.argv
 
 (* --timeout=S: per-point wall-clock deadline in seconds (fractions ok). *)
 let timeout_flag =
@@ -574,44 +571,6 @@ let corollary_6_2 () =
 
 let ablations () =
   header "Ablations — design choices called out in DESIGN.md";
-  let chain_sizes = if quick then [ 20; 40 ] else [ 20; 40; 80 ] in
-  series ~experiment:"Datalog TC: semi-naive evaluation" ~paper:"(engine ablation)"
-    ~sizes:chain_sizes (fun n ->
-      ignore
-        (Qlang.Datalog.eval ~strategy:Qlang.Datalog.Semi_naive
-           (Reductions.Membership.chain_db n)
-           Reductions.Membership.tc_program));
-  series ~experiment:"Datalog TC: naive evaluation" ~paper:"(engine ablation)"
-    ~sizes:chain_sizes (fun n ->
-      ignore
-        (Qlang.Datalog.eval ~strategy:Qlang.Datalog.Naive
-           (Reductions.Membership.chain_db n)
-           Reductions.Membership.tc_program));
-  (* CQ join order: a chain join with a selective tail. *)
-  let cq_sizes = if quick then [ 40; 80 ] else [ 40; 80; 160 ] in
-  let mk_db n =
-    let rng = rng_for n in
-    Workload.Random_db.database rng
-      ~specs:[ ("A", 2); ("B", 2); ("C", 2) ]
-      ~rows:n ~domain:(max 2 (n / 2))
-  in
-  let chain_q =
-    Qlang.Parser.parse_query
-      "Q(x, w) := exists y, z. A(x, y) & C(z, w) & B(y, z) & w = 1"
-  in
-  series ~experiment:"CQ chain join: greedy order" ~paper:"(planner ablation)"
-    ~sizes:cq_sizes (fun n ->
-      ignore (Qlang.Cq_eval.eval ~strategy:Qlang.Cq_eval.Greedy (mk_db n) chain_q));
-  series ~experiment:"CQ chain join: textual order" ~paper:"(planner ablation)"
-    ~sizes:cq_sizes (fun n ->
-      ignore (Qlang.Cq_eval.eval ~strategy:Qlang.Cq_eval.Textual (mk_db n) chain_q));
-  series ~experiment:"CQ chain join: compiled algebra plan"
-    ~paper:"(planner ablation)" ~sizes:cq_sizes (fun n ->
-      let db = mk_db n in
-      ignore (Qlang.Algebra.eval db (Qlang.Algebra.compile db chain_q)));
-  series ~experiment:"CQ chain join: generic FO evaluator"
-    ~paper:"(planner ablation)" ~sizes:cq_sizes (fun n ->
-      ignore (Qlang.Fo_eval.eval_query (mk_db n) chain_q));
   (* FRP solver comparison: exhaustive enumeration vs additive branch &
      bound vs the greedy heuristic, on an additive-rating instance of
      growing size. *)
@@ -830,48 +789,10 @@ let write_comparison_json ?extra_json file ~bench ~mismatches ~overhead series =
 let fastpath_comparison () =
   header
     (Printf.sprintf
-       "Relational fast path — before/after (indexes, caches, %d domains);\n\
+       "Relational fast path — before/after (memoized Q(D), %d domains);\n\
         writes BENCH_relational.json" domains_flag);
 
-  (* 1. CQ evaluation: materialize-then-hash-join (the Greedy strategy,
-     yesterday's default) vs index-backed atom probing (Indexed, today's
-     default).  Fixed chain query with a selective constant; growing
-     database. *)
-  let cq_series =
-    let sizes = if quick then [ 250; 500 ] else [ 500; 1000; 2000; 4000 ] in
-    let reps = 5 in
-    let chain_q =
-      Qlang.Parser.parse_query
-        "Q(x, w) := exists y, z. A(x, y) & B(y, z) & C(z, w) & w = 1"
-    in
-    compare_series ~name:"CQ chain join (fixed query, growing D)"
-      ~baseline:"Greedy" ~fast:"Indexed" ~sizes (fun n ->
-        let db =
-          Workload.Random_db.database (rng_for n)
-            ~specs:[ ("A", 2); ("B", 2); ("C", 2) ]
-            ~rows:n ~domain:(max 4 (2 * n))
-        in
-        let run strategy =
-          time_ms (fun () ->
-              for _ = 1 to reps do
-                ignore (Qlang.Cq_eval.eval ~strategy db chain_q)
-              done)
-        in
-        let base_ms = run Qlang.Cq_eval.Greedy in
-        let fast_ms = run Qlang.Cq_eval.Indexed in
-        let ok =
-          Relational.Relation.equal
-            (Qlang.Cq_eval.eval ~strategy:Qlang.Cq_eval.Greedy db chain_q)
-            (Qlang.Cq_eval.eval ~strategy:Qlang.Cq_eval.Indexed db chain_q)
-        in
-        let counters =
-          traced_counters (fun () ->
-              Qlang.Cq_eval.eval ~strategy:Qlang.Cq_eval.Indexed db chain_q)
-        in
-        (base_ms, fast_ms, ok, counters))
-  in
-
-  (* 2. Candidate computation: the validity checks along every solver path
+  (* 1. Candidate computation: the validity checks along every solver path
      ask for Q(D) once per package probe.  Baseline re-evaluates the
      selection query each time (the pre-memo behaviour, kept as
      [candidates_uncached]); fast path hits the per-instance memo. *)
@@ -926,7 +847,7 @@ let fastpath_comparison () =
         (base_ms, fast_ms, ok, counters))
   in
 
-  (* 3. Package enumeration fan-out: the same Exist_pack search on one
+  (* 2. Package enumeration fan-out: the same Exist_pack search on one
      domain vs [domains_flag] domains, on a team instance whose CQ
      compatibility constraint makes each validity check cost a query
      evaluation.  The answer lists must be identical element-for-element
@@ -959,7 +880,7 @@ let fastpath_comparison () =
         (base_ms, fast_ms, List.equal Package.equal !r1 !rn, counters))
   in
 
-  let series = [ cq_series; cache_series; par_series ] in
+  let series = [ cache_series; par_series ] in
   let overhead = observe_overhead () in
   write_comparison_json "BENCH_relational.json" ~bench:"relational-fastpath"
     ~mismatches:(List.length !fastpath_mismatches)
@@ -975,7 +896,7 @@ let fastpath_comparison () =
         (List.rev ms))
 
 (* ------------------------------------------------------------------ *)
-(* Plan engine: compiled-plan cache and delta re-evaluation             *)
+(* Plan engine: delta re-evaluation                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Before/after for the physical-plan engine, same harness discipline as
@@ -984,12 +905,12 @@ let fastpath_comparison () =
    (the delta series must beat full recompute). *)
 let plan_comparison () =
   header
-    "Physical-plan engine — compiled-plan cache and delta re-evaluation;\n\
-     writes BENCH_plan.json";
+    "Physical-plan engine — delta re-evaluation; writes BENCH_plan.json";
   let before_mismatches = List.length !fastpath_mismatches in
 
-  (* The three benchmarked queries, shared with the static-verification
-     step below: every plan this bench times must pass [Plan_check]. *)
+  (* The timed oracle-loop query [qc], plus a chain CQ and a transitive
+     closure program: the static-verification step below checks all three
+     plans, which together reach every plan-interpreter fault site. *)
   let query =
     Qlang.Query.Fo
       (Qlang.Parser.parse_query
@@ -1022,47 +943,13 @@ let plan_comparison () =
     }
   in
 
-  (* 1. Repeated evaluation of a fixed query: the legacy evaluator redoes
-     its strategy work (ordering, flattening) on every call; the engine
-     compiles the physical plan once and replays it from the cache. *)
-  let cache_series =
-    let sizes = if quick then [ 250; 500 ] else [ 500; 1000; 2000 ] in
-    let reps = 30 in
-    compare_series
-      ~name:(Printf.sprintf "repeated CQ eval (%d calls, fixed query)" reps)
-      ~baseline:"legacy Cq_eval" ~fast:"cached plan" ~sizes (fun n ->
-        let db =
-          Workload.Random_db.database (rng_for n)
-            ~specs:[ ("A", 2); ("B", 2); ("C", 2) ]
-            ~rows:n ~domain:(max 4 (2 * n))
-        in
-        let base_ms =
-          time_ms (fun () ->
-              for _ = 1 to reps do
-                ignore (Qlang.Query.eval_legacy db query)
-              done)
-        in
-        let fast_ms =
-          time_ms (fun () ->
-              for _ = 1 to reps do
-                ignore (Qlang.Engine.eval db query)
-              done)
-        in
-        let ok =
-          Relational.Relation.equal
-            (Qlang.Query.eval_legacy db query)
-            (Qlang.Engine.eval db query)
-        in
-        let counters = traced_counters (fun () -> Qlang.Engine.eval db query) in
-        (base_ms, fast_ms, ok, counters))
-  in
-
-  (* 2. The compatibility oracle loop: "is Qc(D ⊕ N) empty?" for many
+  (* The compatibility oracle loop: "is Qc(D ⊕ N) empty?" for many
      candidate packages N over one fixed base D.  Qc joins A and B in a
      component that never mentions the package relation, so delta
      preparation evaluates that join once and freezes it; each oracle call
      then only patches the RQ-dependent part.  The baseline re-evaluates
-     Qc over D ⊕ N from scratch, redoing the A ⋈ B join per package. *)
+     Qc over D ⊕ N from scratch through the same engine ([Query.eval]),
+     redoing the A ⋈ B join per package. *)
   let delta_series =
     let sizes = if quick then [ 250; 500 ] else [ 500; 1000; 2000 ] in
     let packages = 30 in
@@ -1086,9 +973,7 @@ let plan_comparison () =
                 (fun rq ->
                   ignore
                     (Relational.Relation.is_empty
-                       (Qlang.Query.eval_legacy
-                          (Relational.Database.add rq db)
-                          qc)))
+                       (Qlang.Query.eval (Relational.Database.add rq db) qc)))
                 rqs)
         in
         (* Preparation happens inside the timer: the fast path pays one
@@ -1118,40 +1003,7 @@ let plan_comparison () =
         (base_ms, fast_ms, ok, counters))
   in
 
-  (* 3. Datalog: the legacy semi-naive evaluator vs the compiled fixpoint
-     plan replayed from the cache across repeated calls. *)
-  let datalog_series =
-    let sizes = if quick then [ 40; 80 ] else [ 80; 160; 320 ] in
-    let reps = 10 in
-    compare_series
-      ~name:(Printf.sprintf "TC fixpoint (%d calls, growing graph)" reps)
-      ~baseline:"Datalog.eval semi-naive" ~fast:"compiled fixpoint plan"
-      ~sizes (fun n ->
-        let db = Workload.Random_db.graph (rng_for n) ~nodes:n ~edges:(3 * n) in
-        let base_ms =
-          time_ms (fun () ->
-              for _ = 1 to reps do
-                ignore (Qlang.Datalog.eval db tc)
-              done)
-        in
-        let fast_ms =
-          time_ms (fun () ->
-              for _ = 1 to reps do
-                ignore (Qlang.Engine.eval db (Qlang.Query.Dl tc))
-              done)
-        in
-        let ok =
-          Relational.Relation.equal (Qlang.Datalog.eval db tc)
-            (Qlang.Engine.eval db (Qlang.Query.Dl tc))
-        in
-        let counters =
-          traced_counters (fun () ->
-              ignore (Qlang.Engine.eval db (Qlang.Query.Dl tc)))
-        in
-        (base_ms, fast_ms, ok, counters))
-  in
-
-  let series = [ cache_series; delta_series; datalog_series ] in
+  let series = [ delta_series ] in
 
   (* Static verification of every benchmarked plan shape: each must pass
      all [Plan_check] passes and carry a rewrite-soundness certificate,
@@ -1172,14 +1024,11 @@ let plan_comparison () =
     in
     let graph_db = Workload.Random_db.graph (rng_for 99) ~nodes:16 ~edges:40 in
     let cases =
-      List.concat_map
-        (fun policy ->
-          [
-            (cq_db, query, Qlang.Query.plan ~policy cq_db query);
-            (delta_db, qc, Qlang.Query.plan ~policy delta_db qc);
-          ])
-        [ Qlang.Plan.Textual; Qlang.Plan.Greedy; Qlang.Plan.Stats ]
-      @ [ (graph_db, Qlang.Query.Dl tc, Qlang.Query.plan graph_db (Qlang.Query.Dl tc)) ]
+      [
+        (cq_db, query, Qlang.Query.plan cq_db query);
+        (delta_db, qc, Qlang.Query.plan delta_db qc);
+        (graph_db, Qlang.Query.Dl tc, Qlang.Query.plan graph_db (Qlang.Query.Dl tc));
+      ]
     in
     let errors = ref 0 and certified = ref 0 in
     List.iter
@@ -1206,207 +1055,6 @@ let plan_comparison () =
   if List.length !fastpath_mismatches = before_mismatches then
     Format.printf
       "all cross-checks passed; measurements in BENCH_plan.json@.@."
-
-(* ------------------------------------------------------------------ *)
-(* Columnar storage engine vs the tuple-at-a-time plan operators        *)
-(* ------------------------------------------------------------------ *)
-
-(* Same compiler, same join order, same policy — only the physical
-   operators differ: [~columnar:false] is the PR-5 engine (Scan/Probe),
-   the default compile uses column scans, bitmap filters, index-only
-   scans and adaptive joins.  Both plans are compiled outside the
-   timers, so the series measure operator execution, not compilation.
-   Measurements go to BENCH_columnar.json; CI asserts the speedup
-   block's [target_met]. *)
-let columnar_comparison () =
-  header
-    "Columnar engine — int-column scans, bitmap filters, covering\n\
-     indexes, adaptive hash joins; writes BENCH_columnar.json";
-  let before_mismatches = List.length !fastpath_mismatches in
-
-  let run_pair db q ~reps =
-    let fo = Qlang.Parser.parse_query q in
-    let base_plan = Qlang.Plan.compile_fo ~columnar:false db fo in
-    let fast_plan = Qlang.Plan.compile_fo db fo in
-    (* one untimed run per engine builds the persistent per-relation
-       caches (tuple indexes vs column store + bitmaps), so the timers
-       measure steady-state operator execution on both sides *)
-    ignore (Qlang.Plan.run db base_plan);
-    ignore (Qlang.Plan.run db fast_plan);
-    let base_ms =
-      time_ms (fun () ->
-          for _ = 1 to reps do
-            ignore (Qlang.Plan.run db base_plan)
-          done)
-    in
-    let fast_ms =
-      time_ms (fun () ->
-          for _ = 1 to reps do
-            ignore (Qlang.Plan.run db fast_plan)
-          done)
-    in
-    let reference = Qlang.Query.eval_legacy db (Qlang.Query.Fo fo) in
-    let ok =
-      Relational.Relation.equal reference (Qlang.Plan.run db base_plan)
-      && Relational.Relation.equal reference (Qlang.Plan.run db fast_plan)
-    in
-    let counters = traced_counters (fun () -> Qlang.Plan.run db fast_plan) in
-    (base_ms, fast_ms, ok, counters)
-  in
-
-  (* 1. Wide covering scan: the SP-candidate shape — a six-column relation
-     scanned for one output column.  The tuple engine materializes and
-     pattern-matches every full tuple; the columnar engine compiles to an
-     index-only scan that reads a single int column. *)
-  let wide_series =
-    let sizes = if quick then [ 2000; 4000 ] else [ 4000; 8000; 16000 ] in
-    let reps = 20 in
-    compare_series
-      ~name:(Printf.sprintf "wide covering scan (arity 6, %d calls)" reps)
-      ~baseline:"tuple scan" ~fast:"index-only column scan" ~sizes (fun n ->
-        let db =
-          Relational.Database.of_relations
-            [
-              Relational.Relation.of_int_rows
-                (Relational.Schema.make "W"
-                   [ "a"; "b"; "c"; "d"; "e"; "f" ])
-                (List.init n (fun i ->
-                     [ i; i mod 10; i mod 3; 2 * i; i mod 7; i mod 5 ]));
-            ]
-        in
-        run_pair db "Q(a) := exists b, c, d, e, f. W(a, b, c, d, e, f)" ~reps)
-  in
-
-  (* 2. Low-cardinality conjunctive filter: two constants on 8-value
-     columns, each keeping n/8 rows but jointly n/64.  The tuple engine
-     probes one index and re-checks the other constant tuple by tuple;
-     the bitmap engine ANDs two row bitmaps word-parallel first. *)
-  let filter_series =
-    let sizes = if quick then [ 2000; 4000 ] else [ 4000; 8000; 16000 ] in
-    let reps = 50 in
-    compare_series
-      ~name:
-        (Printf.sprintf "low-cardinality filter (2 consts, %d calls)" reps)
-      ~baseline:"index select + residual check" ~fast:"bitmap AND" ~sizes
-      (fun n ->
-        let db =
-          Relational.Database.of_relations
-            [
-              Relational.Relation.of_int_rows
-                (Relational.Schema.make "F" [ "k1"; "v"; "k2" ])
-                (List.init n (fun i -> [ i mod 8; i; i / 8 mod 8 ]));
-            ]
-        in
-        run_pair db "Q(v) := F(3, v, 5)" ~reps)
-  in
-
-  (* 3. Chain join: Scan+Probe+Probe vs the adaptive join, whose build
-     sides cross the hash threshold at every benchmarked size. *)
-  let chain_series =
-    let sizes = if quick then [ 500; 1000 ] else [ 1000; 2000; 4000 ] in
-    let reps = 10 in
-    compare_series
-      ~name:(Printf.sprintf "chain join A-B-C (%d calls)" reps)
-      ~baseline:"index nested-loop probes" ~fast:"adaptive hash joins"
-      ~sizes (fun n ->
-        let db =
-          Workload.Random_db.database (rng_for n)
-            ~specs:[ ("A", 2); ("B", 2); ("C", 2) ]
-            ~rows:n ~domain:(max 4 (n / 2))
-        in
-        run_pair db "Q(x, w) := exists y, z. A(x, y) & B(y, z) & C(z, w)"
-          ~reps)
-  in
-
-  (* 4. The compatibility-oracle loop: per-package delta probes with the
-     frozen join shared by both engines — isolates the cost of the
-     package-dependent plan fragment. *)
-  let oracle_series =
-    let sizes = if quick then [ 500; 1000 ] else [ 1000; 2000; 4000 ] in
-    let packages = 30 in
-    let rq_schema = Relational.Schema.make "RQ" [ "a" ] in
-    let qc =
-      Qlang.Parser.parse_query
-        "Qc(p) := exists x, y, z. A(x, y) & B(y, z) & RQ(p)"
-    in
-    compare_series
-      ~name:(Printf.sprintf "oracle loop delta probes (%d packages)" packages)
-      ~baseline:"tuple delta probes" ~fast:"columnar delta probes" ~sizes
-      (fun n ->
-        let db =
-          Workload.Random_db.database (rng_for n)
-            ~specs:[ ("A", 2); ("B", 2) ]
-            ~rows:n ~domain:(max 4 (n / 2))
-        in
-        let rqs =
-          List.init packages (fun i ->
-              Relational.Relation.of_int_rows rq_schema [ [ i ] ])
-        in
-        let base_d =
-          Qlang.Engine.delta_prepare ~columnar:false db ~rel:"RQ"
-            ~schema:rq_schema (Qlang.Query.Fo qc)
-        in
-        let fast_d =
-          Qlang.Engine.delta_prepare db ~rel:"RQ" ~schema:rq_schema
-            (Qlang.Query.Fo qc)
-        in
-        let probe d =
-          List.iter (fun rq -> ignore (Qlang.Engine.delta_is_empty d rq)) rqs
-        in
-        probe base_d;
-        probe fast_d;
-        let base_ms = time_ms (fun () -> probe base_d) in
-        let fast_ms = time_ms (fun () -> probe fast_d) in
-        let ok =
-          List.for_all
-            (fun rq ->
-              Relational.Relation.equal
-                (Qlang.Engine.delta_eval base_d rq)
-                (Qlang.Engine.delta_eval fast_d rq)
-              && Relational.Relation.equal
-                   (Qlang.Query.eval_legacy
-                      (Relational.Database.add rq db)
-                      (Qlang.Query.Fo qc))
-                   (Qlang.Engine.delta_eval fast_d rq))
-            rqs
-        in
-        let counters = traced_counters (fun () -> probe fast_d) in
-        (base_ms, fast_ms, ok, counters))
-  in
-
-  let series = [ wide_series; filter_series; chain_series; oracle_series ] in
-
-  (* The speedup block CI asserts on: the acceptance target is >= 2x on
-     the low-cardinality filter or the chain join at the largest
-     completed point, cross-checked against the legacy oracle. *)
-  let last_speedup s =
-    let live = List.filter (fun p -> not p.fp_timed_out) s.fs_points in
-    match List.rev live with p :: _ -> speedup p | [] -> 0.
-  in
-  let wide = last_speedup wide_series in
-  let filter = last_speedup filter_series in
-  let chain = last_speedup chain_series in
-  let oracle = last_speedup oracle_series in
-  let target_met = filter >= 2.0 || chain >= 2.0 in
-  let columnar_json =
-    Printf.sprintf
-      "{\"wide_scan\": %.2f, \"low_card_filter\": %.2f, \"chain_join\": \
-       %.2f, \"oracle_delta\": %.2f, \"join_threshold\": %d, \"target\": \
-       2.0, \"target_met\": %b}"
-      wide filter chain oracle
-      (Qlang.Plan.join_threshold ())
-      target_met
-  in
-  Format.printf "columnar speedups: %s@." columnar_json;
-
-  let overhead = observe_overhead () in
-  write_comparison_json "BENCH_columnar.json" ~bench:"columnar-engine"
-    ~extra_json:("columnar", columnar_json)
-    ~mismatches:(List.length !fastpath_mismatches - before_mismatches)
-    ~overhead series;
-  if List.length !fastpath_mismatches = before_mismatches then
-    Format.printf
-      "all cross-checks passed; measurements in BENCH_columnar.json@.@."
 
 (* ------------------------------------------------------------------ *)
 (* Mutable databases: incremental maintenance under tuple churn        *)
@@ -1637,64 +1285,6 @@ let churn_comparison () =
     ~overhead series;
   if List.length !fastpath_mismatches = before_mismatches then
     Format.printf "all cross-checks passed; measurements in BENCH_churn.json@.@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure            *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let fig41 =
-    Test.make ~name:"fig-4.1/gadget-db"
-      (Staged.stage (fun () ->
-           ignore (Relational.Database.active_domain Reductions.Gadgets.db)))
-  in
-  let t81 =
-    let phi = Gen.ea_dnf (rng_for 1) ~m:2 ~n:2 ~nterms:3 in
-    let inst, pkgs = Reductions.Sigma2.rpp_instance phi in
-    Test.make ~name:"table-8.1/rpp-cq-sigma2"
-      (Staged.stage (fun () -> ignore (Rpp.is_topk inst pkgs)))
-  in
-  let t82 =
-    let cnf = Gen.cnf3 (rng_for 2) ~nvars:4 ~nclauses:4 in
-    let inst, pkgs = Reductions.Np_data.rpp_instance cnf in
-    Test.make ~name:"table-8.2/rpp-data-np"
-      (Staged.stage (fun () -> ignore (Rpp.is_topk inst pkgs)))
-  in
-  let c62 =
-    let db = Workload.Teams.random_db (rng_for 3) ~nexperts:100 ~nconflicts:25 in
-    let q = Workload.Teams.experts_with_skill "backend" in
-    Test.make ~name:"cor-6.2/sp-single-scan"
-      (Staged.stage (fun () -> ignore (Special.eval_sp db q)))
-  in
-  Test.make_grouped ~name:"paper" ~fmt:"%s/%s" [ fig41; t81; t82; c62 ]
-
-let run_bechamel () =
-  header "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun measure tbl ->
-      Format.printf "@.measure: %s@." measure;
-      let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) tbl [] in
-      List.iter
-        (fun (name, ols) ->
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> Format.printf "  %-34s %12.1f ns/run@." name est
-          | _ -> Format.printf "  %-34s (no estimate)@." name)
-        (List.sort compare rows))
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Serve mode: replay benchmark for the recommendation daemon.
@@ -2416,9 +2006,7 @@ let () =
   ablations ();
   fastpath_comparison ();
   plan_comparison ();
-  columnar_comparison ();
   churn_comparison ();
-  if not no_bechamel then run_bechamel ();
   (match timeout_flag with
   | Some s ->
       Format.printf "@.%d point(s) timed out (per-point deadline %gs)@."

@@ -54,16 +54,16 @@ type summary = {
 let acc resource level =
   { resource; level; synchronized = resource_synchronized resource }
 
-(* Scans and probes materialize tuple arrays, by-column indexes and
-   membership tables on first touch (a synchronized lazy write) and intern
-   the probed values; the columnar operators likewise build the int-column
-   store and bitmap indexes under the per-relation mutex, and the adaptive
-   join reaches both access paths.  Everything else works on binding sets
+(* Scans materialize tuple arrays, by-column indexes and membership tables
+   on first touch (a synchronized lazy write) and intern the scanned
+   values; the columnar operators likewise build the int-column store and
+   bitmap indexes under the per-relation mutex, and the adaptive join
+   reaches both access paths.  Everything else works on binding sets
    already in hand.  [Cached] leaves replay frozen bindings — pure by
    construction. *)
 let op_accesses = function
   | Plan.Scan _ | Plan.Column_scan _ | Plan.Bitmap_filter _
-  | Plan.Index_only_scan _ | Plan.Probe _ | Plan.Adaptive_join _ ->
+  | Plan.Index_only_scan _ | Plan.Adaptive_join _ ->
       [ acc Relation_caches Writes_shared; acc Intern_pool Writes_shared ]
   | Plan.Tt | Plan.Ff | Plan.Hash_join _ | Plan.Filter _ | Plan.Builtin _
   | Plan.Extend _ | Plan.Project _ | Plan.Union _ | Plan.Complement _

@@ -67,9 +67,10 @@ type summary = {
 }
 
 val op_accesses : Qlang.Plan.op -> access list
-(** Shared-state accesses of evaluating one node of this kind.  [Scan] and
-    [Probe] build (write) relation caches and intern values; everything
-    else computes over already-materialized bindings.  Total over [op]. *)
+(** Shared-state accesses of evaluating one node of this kind.  Atom
+    leaves and [Adaptive_join] build (write) relation caches and intern
+    values; everything else computes over already-materialized bindings.
+    Total over [op]. *)
 
 val compile_accesses : access list
 (** Accesses of fetching the plan through the compiled-plan cache

@@ -33,7 +33,6 @@ let rec check_node env diags n =
   | Plan.Column_scan a
   | Plan.Bitmap_filter a
   | Plan.Index_only_scan (a, _)
-  | Plan.Probe (_, a)
   | Plan.Adaptive_join (_, a) -> (
       match Smap.find_opt a.Ast.rel env with
       | None ->
@@ -204,7 +203,6 @@ let rec node_atoms n =
     | Plan.Column_scan a
     | Plan.Bitmap_filter a
     | Plan.Index_only_scan (a, _)
-    | Plan.Probe (_, a)
     | Plan.Adaptive_join (_, a) ->
         [ (a.Ast.rel, List.length a.Ast.args) ]
     | _ -> []
@@ -461,7 +459,7 @@ let budget_lint t =
                       outside the cooperative budget cannot be interrupted"
                kind);
         (match n.Plan.op with
-        | Plan.Probe _ | Plan.Adaptive_join _ ->
+        | Plan.Adaptive_join _ ->
             if guard_sites gs = [] then
               err ~context "P020"
                 "join loop declares no fault site; robustness tests cannot \

@@ -6,7 +6,7 @@
 
     {b Schema/arity typing} ({!typecheck}) — infers the output variable set
     of every node and rejects plans the interpreter would abort on:
-    - [P001] (error) scan/probe/identity of an unknown relation
+    - [P001] (error) scan/join/identity of an unknown relation
     - [P002] (error) atom arity differs from the relation's arity
     - [P003] (error) node variable metadata differs from what its shape
       binds (including frozen [Cached] bindings that disagree)
@@ -22,7 +22,7 @@
       (the covering projection would raise at run time)
 
     {b Rewrite-soundness certification} ({!certify_diags}, {!certify}) —
-    structurally verifies that the policies' predicate pushdown and join
+    structurally verifies that the planner's predicate pushdown and join
     reordering preserved the source query:
     - [P010] (error) atom multiset (relation, arity) not preserved
     - [P011] (error) built-in predicate count not preserved

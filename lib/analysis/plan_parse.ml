@@ -161,9 +161,6 @@ let rec parse_node depth lines =
         | "adaptive-join" ->
             let c, rest = child1 rest in
             (Plan.Adaptive_join (c, parse_atom l.ln arg), rest)
-        | "probe" ->
-            let c, rest = child1 rest in
-            (Plan.Probe (c, parse_atom l.ln arg), rest)
         | "hash-join" ->
             let a, b, rest = child2 rest in
             (Plan.Hash_join (a, b), rest)
@@ -219,7 +216,6 @@ let parse_answer ln head_text lines =
         { Ast.name = head_atom.Ast.rel; head = head_vars; body = Ast.True };
       fp_schema = Relational.Schema.make head_atom.Ast.rel head_vars;
       fp_head = head_atom.Ast.args;
-      fp_policy = Plan.Textual;
       fp_fragment = Fragment.Fo;
       fp_disjuncts;
     }

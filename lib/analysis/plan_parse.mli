@@ -13,11 +13,12 @@
         rule reach(x, y)    # the rule's single child is its full body
     v}
 
-    Nodes: [true], [false], [scan R(t, ...)], [probe R(t, ...)] (one
-    child), [hash-join] (two children), [filter t OP t],
-    [builtin t OP t] (OP one of [= != < <= > >=]), [extend [v, ...]],
-    [project [v, ...]] (one child each), [union] (two children),
-    [complement] (one child).  Terms: integers and double-quoted strings
+    Nodes: [true], [false], [scan R(t, ...)], [column-scan R(t, ...)],
+    [bitmap-filter R(t, ...)], [index-only R(t, ...) keep [v, ...]],
+    [adaptive-join R(t, ...)] (one child), [hash-join] (two children),
+    [filter t OP t], [builtin t OP t] (OP one of [= != < <= > >=]),
+    [extend [v, ...]], [project [v, ...]] (one child each), [union] (two
+    children), [complement] (one child).  Terms: integers and double-quoted strings
     are constants, anything else a variable.  A node line may end with
     [vars [a, b]] to override the recomputed variable metadata (for
     ill-typed fixtures).

@@ -86,7 +86,7 @@ val freshen : formula -> formula
 (** Renames every quantified variable to a globally fresh name (of the form
     ["_vN"]), so that no two quantifiers bind the same name and no bound name
     collides with a free one.  Flattening transformations (e.g. pulling ∃ out
-    of ∧ in {!Cq_eval}) are only sound after freshening. *)
+    of ∧ in the plan compiler's CQ splitter) are only sound after freshening. *)
 
 val equal_formula : formula -> formula -> bool
 

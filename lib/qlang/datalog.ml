@@ -312,8 +312,6 @@ let answer_schema p =
   | Some n -> idb_schema p.answer n
   | None -> invalid_arg ("Datalog.answer_schema: unknown predicate " ^ p.answer)
 
-type strategy = Naive | Semi_naive
-
 let program_constants p =
   let of_terms ts =
     List.filter_map (function Const v -> Some v | Var _ -> None) ts
@@ -329,17 +327,13 @@ let program_constants p =
     p.rules
 
 (* Evaluate one rule body against [db'] (the database extended with current
-   IDB relations, possibly with renamed atom sources), returning the derived
-   head tuples. *)
-let eval_rule ~adom db' rename head body =
+   IDB relations), returning the derived head tuples. *)
+let eval_rule ~adom db' head body =
   let body_formula =
     conj
       (List.map
          (function
-           | Rel a -> (
-               match List.assoc_opt a.rel rename with
-               | Some r' -> Atom { a with rel = r' }
-               | None -> Atom a)
+           | Rel a -> Atom a
            (* Stratified negation: a negated atom refers to an EDB relation
               or an IDB of a strictly lower stratum, both fully computed in
               [db'] by the time this rule fires, so plain FO complement over
@@ -352,7 +346,7 @@ let eval_rule ~adom db' rename head body =
   let sch = idb_schema head.rel (List.length head.args) in
   Bindings.to_relation ~adom:(lazy adom) sch ~head:head.args b
 
-let eval_all ?(strategy = Semi_naive) db p =
+let eval db p =
   (match check db p with
   | Ok () -> ()
   | Error msg -> failwith ("Datalog.eval: " ^ msg));
@@ -384,116 +378,36 @@ let eval_all ?(strategy = Semi_naive) db p =
   let max_stratum =
     List.fold_left (fun acc n -> max acc (idb_stratum n)) 0 (idb_predicates p)
   in
-  (* One stratum: the existing naive / semi-naive fixpoint, restricted to
-     the rules whose head lives in this stratum. *)
+  (* One stratum: the naive fixpoint, restricted to the rules whose head
+     lives in this stratum — every round re-fires every rule against the
+     current IDB extensions until no IDB grows. *)
   let eval_stratum db rules idbs =
-    let empty_idb =
-      List.map (fun n -> (n, Relation.empty (idb_schema n (arity n)))) idbs
+    let rec iterate idb_rels =
+      Robust.Budget.check ();
+      Robust.Fault.hit "datalog.round";
+      let db' = with_idb db idb_rels in
+      let idb_rels' =
+        List.map
+          (fun (name, rel) ->
+            let derived =
+              List.filter_map
+                (fun r ->
+                  if r.head.rel = name then
+                    Some (eval_rule ~adom db' r.head r.body)
+                  else None)
+                rules
+            in
+            (name, List.fold_left Relation.union rel derived))
+          idb_rels
+      in
+      let grew =
+        List.exists2
+          (fun (_, a) (_, b) -> Relation.cardinal a <> Relation.cardinal b)
+          idb_rels idb_rels'
+      in
+      if grew then iterate idb_rels' else idb_rels'
     in
-    match strategy with
-    | Naive ->
-        let rec iterate idb_rels =
-          Robust.Budget.check ();
-          Robust.Fault.hit "datalog.round";
-          let db' = with_idb db idb_rels in
-          let idb_rels' =
-            List.map
-              (fun (name, rel) ->
-                let derived =
-                  List.filter_map
-                    (fun r ->
-                      if r.head.rel = name then
-                        Some (eval_rule ~adom db' [] r.head r.body)
-                      else None)
-                    rules
-                in
-                (name, List.fold_left Relation.union rel derived))
-              idb_rels
-          in
-          let grew =
-            List.exists2
-              (fun (_, a) (_, b) -> Relation.cardinal a <> Relation.cardinal b)
-              idb_rels idb_rels'
-          in
-          if grew then iterate idb_rels' else idb_rels'
-        in
-        iterate empty_idb
-    | Semi_naive ->
-        (* Only same-stratum IDB literals participate in the delta rewrite:
-           lower-stratum IDBs are fully computed and behave as EDBs here. *)
-        let is_idb n = List.mem n idbs in
-        (* Round 0: rules fire on empty IDBs (so rules whose bodies are pure
-           EDB seed the deltas). *)
-        let db0 = with_idb db empty_idb in
-        let derive_initial name =
-          List.fold_left
-            (fun acc r ->
-              if r.head.rel = name then
-                Relation.union acc (eval_rule ~adom db0 [] r.head r.body)
-              else acc)
-            (Relation.empty (idb_schema name (arity name)))
-            rules
-        in
-        let full0 = List.map (fun n -> (n, derive_initial n)) idbs in
-        let delta_name n = n ^ "@delta" in
-        let rec iterate full delta =
-          Robust.Budget.check ();
-          Robust.Fault.hit "datalog.round";
-          if List.for_all (fun (_, r) -> Relation.is_empty r) delta then full
-          else begin
-            (* db with full IDBs and delta relations installed *)
-            let db' =
-              List.fold_left
-                (fun d (n, r) ->
-                  Database.add
-                    (Relation.rename (idb_schema (delta_name n) (arity n)) r)
-                    d)
-                (with_idb db full) delta
-            in
-            let new_full_delta =
-              List.map
-                (fun (name, full_rel) ->
-                  (* For each rule deriving [name] and each IDB body-literal
-                     occurrence, fire the rule with that occurrence reading the
-                     delta.  (The classic "old/new" refinement is skipped: using
-                     full relations for the other occurrences is sound, merely
-                     re-deriving some tuples.) *)
-                  let derived =
-                    List.concat_map
-                      (fun r ->
-                        if r.head.rel <> name then []
-                        else
-                          List.concat
-                            (List.mapi
-                               (fun i l ->
-                                 match l with
-                                 | Rel a when is_idb a.rel ->
-                                     let body' =
-                                       List.mapi
-                                         (fun j l' ->
-                                           if i = j then
-                                             Rel { a with rel = delta_name a.rel }
-                                           else l')
-                                         r.body
-                                     in
-                                     [ eval_rule ~adom db' [] r.head body' ]
-                                 | Rel _ | Neg _ | Builtin _ -> [])
-                               r.body))
-                      rules
-                  in
-                  let all_new =
-                    List.fold_left Relation.union
-                      (Relation.empty (idb_schema name (arity name)))
-                      derived
-                  in
-                  let fresh = Relation.diff all_new full_rel in
-                  ((name, Relation.union full_rel fresh), (name, fresh)))
-                full
-            in
-            iterate (List.map fst new_full_delta) (List.map snd new_full_delta)
-          end
-        in
-        iterate full0 full0
+    iterate (List.map (fun n -> (n, Relation.empty (idb_schema n (arity n)))) idbs)
   in
   let rec strata_loop db s =
     if s > max_stratum then db
@@ -502,7 +416,4 @@ let eval_all ?(strategy = Semi_naive) db p =
       let rules = List.filter (fun r -> idb_stratum r.head.rel = s) p.rules in
       strata_loop (with_idb db (eval_stratum db rules idbs)) (s + 1)
   in
-  strata_loop db 0
-
-let eval ?strategy db p =
-  Database.find (eval_all ?strategy db p) p.answer
+  Database.find (strata_loop db 0) p.answer

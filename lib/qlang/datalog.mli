@@ -5,8 +5,10 @@
     A program whose dependency graph is acyclic is nonrecursive (DATALOGnr);
     otherwise it is recursive (DATALOG), evaluated as an inflationary
     fixpoint — which for positive programs coincides with the least
-    fixpoint.  Two evaluators are provided (naive and semi-naive); they
-    always agree and are compared in the ablation benchmark. *)
+    fixpoint.  {!eval} is the naive reference evaluator, written for
+    obviousness rather than speed: production evaluation compiles programs
+    to semi-naive fixpoint plans ({!Plan.compile_datalog}), and this
+    evaluator is the oracle they are tested against. *)
 
 type literal =
   | Rel of Ast.atom  (** EDB or IDB atom *)
@@ -74,24 +76,11 @@ val is_nonrecursive : program -> bool
 (** Whether the dependency graph is acyclic, i.e. the program is in
     DATALOGnr. *)
 
-type strategy = Naive | Semi_naive
-
-val eval :
-  ?strategy:strategy ->
-  Relational.Database.t ->
-  program ->
-  Relational.Relation.t
-(** Stratum-by-stratum least-fixpoint evaluation; returns the answer
-    predicate's relation.  Raises [Failure] if {!check} fails (including
-    unstratifiable programs). *)
-
-val eval_all :
-  ?strategy:strategy ->
-  Relational.Database.t ->
-  program ->
-  Relational.Database.t
-(** Like {!eval} but returns the database extended with every IDB
-    relation. *)
+val eval : Relational.Database.t -> program -> Relational.Relation.t
+(** Stratum-by-stratum naive least-fixpoint evaluation (every round
+    re-fires every rule of the stratum through {!Fo_eval}); returns the
+    answer predicate's relation.  Raises [Failure] if {!check} fails
+    (including unstratifiable programs). *)
 
 val answer_schema : program -> Relational.Schema.t
 (** Schema of the answer relation: attributes [a0, ..., a{n-1}]. *)

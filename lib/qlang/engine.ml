@@ -10,7 +10,7 @@ let eval ?dist db q =
   Query.eval ?dist db q
 
 let plan = Query.plan
-let explain ?dist ?policy db q = Plan.explain ?dist db (Query.plan ?policy db q)
+let explain ?dist db q = Plan.explain ?dist db (Query.plan db q)
 
 type delta =
   | D_plan of Plan.delta
@@ -20,10 +20,9 @@ type delta =
           evaluation time, like the legacy [Query.eval] *)
   | D_empty of Schema.t
 
-let delta_prepare ?dist ?policy ?columnar db ~rel ~schema q =
+let delta_prepare ?dist db ~rel ~schema q =
   match q with
-  | Query.Fo fq ->
-      D_plan (Plan.delta_prepare ?dist ?policy ?columnar db ~rel ~schema fq)
+  | Query.Fo fq -> D_plan (Plan.delta_prepare ?dist db ~rel ~schema fq)
   | Query.Dl p -> D_plan (Plan.delta_prepare_datalog ?dist db ~rel ~schema p)
   | Query.Identity r ->
       if r = rel then D_rq

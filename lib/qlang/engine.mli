@@ -9,14 +9,14 @@
 
 val eval :
   ?dist:Dist.env -> Relational.Database.t -> Query.t -> Relational.Relation.t
-(** [Q(D)] through the plan interpreter (same answers as
+(** [Q(D)] through the plan interpreter ({!Query.eval}), counted in the
+    [engine.evals] counter.  Answers equal the reference semantics
     {!Query.eval_legacy}; the differential property is tested in
-    [test/test_plan.ml]). *)
+    [test/test_plan.ml]. *)
 
-val plan : ?policy:Plan.policy -> Relational.Database.t -> Query.t -> Plan.t
+val plan : Relational.Database.t -> Query.t -> Plan.t
 
-val explain :
-  ?dist:Dist.env -> ?policy:Plan.policy -> Relational.Database.t -> Query.t -> string
+val explain : ?dist:Dist.env -> Relational.Database.t -> Query.t -> string
 (** Runs the (cached) plan and renders it with estimated vs actual row
     counts; backs the [--explain] CLI flag. *)
 
@@ -28,8 +28,6 @@ type delta
 
 val delta_prepare :
   ?dist:Dist.env ->
-  ?policy:Plan.policy ->
-  ?columnar:bool ->
   Relational.Database.t ->
   rel:string ->
   schema:Relational.Schema.t ->

@@ -1,9 +1,14 @@
-(** Bottom-up first-order query evaluation under active-domain semantics.
+(** Bottom-up first-order query evaluation under active-domain semantics:
+    the reference evaluator for FO queries.
 
     Handles every non-Datalog language of the paper (SP, CQ, UCQ, ∃FO⁺, FO),
     including the [Dist] atoms produced by query relaxation.  Quantifiers
     range over the active domain of the database extended with the constants
-    of the formula ([adom(Q, D)] in the paper). *)
+    of the formula ([adom(Q, D)] in the paper).  It is written for
+    obviousness rather than speed: production evaluation goes through
+    {!Plan}, and this module is the oracle the plan interpreter is tested
+    against (through {!Query.eval_legacy}), as well as the body evaluator of
+    the naive {!Datalog.eval}. *)
 
 val active_domain :
   Relational.Database.t -> Ast.formula -> Relational.Value.t list

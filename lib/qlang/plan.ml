@@ -7,16 +7,6 @@ module Stats = Relational.Stats
 module Column = Relational.Column
 module Bitmap = Relational.Bitmap
 
-type policy = Textual | Greedy | Stats
-
-
-let default_policy = Stats
-
-let policy_to_string = function
-  | Textual -> "textual"
-  | Greedy -> "greedy"
-  | Stats -> "stats"
-
 let c_compiles = Observe.counter "plan.compiles"
 let c_execs = Observe.counter "plan.execs"
 let c_scans = Observe.counter "plan.scans"
@@ -89,7 +79,6 @@ type op =
   | Index_only_scan of atom * string list
       (** covering scan: like [Column_scan] but emitting only the listed
           variables (the ones consumed above), reading only their columns *)
-  | Probe of node * atom  (** index nested-loop join of child with atom *)
   | Adaptive_join of node * atom
       (** nested-loop probe that switches to a hash build when the
           observed build side crosses {!join_threshold} *)
@@ -115,15 +104,15 @@ and node = {
 type disjunct = {
   d_node : node;
   d_consts : Value.t list;
-      (** the disjunct's own constants: its active domain is the database's
-          plus these (the legacy evaluators compute adom per disjunct) *)
+      (** the query's constants: the disjunct's active domain is the
+          database's plus these — [adom(Q, D)] of the paper, the same for
+          every disjunct *)
 }
 
 type fo_plan = {
   fp_query : Ast.fo_query;
   fp_schema : Schema.t;
   fp_head : term list;
-  fp_policy : policy;
   fp_fragment : Fragment.t;
   fp_disjuncts : disjunct list;
 }
@@ -269,7 +258,7 @@ let mk cx op =
       let est, dst = scan_est cx a in
       let nv = List.filter (fun v -> List.mem v keep) (atom_vars_sorted a) in
       mk_node op nv est (List.filter (fun (v, _) -> List.mem v nv) dst)
-  | Probe (n, a) | Adaptive_join (n, a) ->
+  | Adaptive_join (n, a) ->
       let s_est, s_dst = scan_est cx a in
       let vars, est, dst =
         join_est (n.nvars, n.est, n.dst) (atom_vars_sorted a, s_est, s_dst)
@@ -318,7 +307,6 @@ let children n =
   | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
   | Builtin _ ->
       []
-  | Probe (c, _)
   | Adaptive_join (c, _)
   | Filter (_, c)
   | Extend (_, c)
@@ -337,16 +325,15 @@ type guard = Budget_tick | Fault_site of string
 (* The interpreter's robustness obligations per node kind, declared next
    to the IR so the static budget lint can check them without running
    anything.  [run_node] ticks the budget before every node, so every kind
-   carries [Budget_tick]; the per-row join loop of [exec_probe] is the one
-   node-level fault site.  A new operator added to [op] is a compile error
-   here until its guards are declared, which is exactly when the lint
-   should start covering it. *)
+   carries [Budget_tick]; the adaptive join's probe loop and hash build are
+   the node-level fault sites.  A new operator added to [op] is a compile
+   error here until its guards are declared, which is exactly when the
+   lint should start covering it. *)
 let op_guards = function
   | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
   | Builtin _ | Filter _ | Extend _ | Project _ | Hash_join _ | Union _
   | Complement _ | Cached _ ->
       [ Budget_tick ]
-  | Probe _ -> [ Budget_tick; Fault_site "plan.join" ]
   | Adaptive_join _ ->
       (* nested-loop mode delegates to the probe loop, hash mode arms the
          build: both sites must stay reachable from this operator *)
@@ -366,7 +353,7 @@ let op_vars = function
   | Scan a | Column_scan a | Bitmap_filter a -> atom_vars_sorted a
   | Index_only_scan (a, keep) ->
       List.filter (fun v -> List.mem v keep) (atom_vars_sorted a)
-  | Probe (n, a) | Adaptive_join (n, a) ->
+  | Adaptive_join (n, a) ->
       List.sort_uniq String.compare (n.nvars @ atom_vars_sorted a)
   | Hash_join (x, y) | Union (x, y) ->
       List.sort_uniq String.compare (x.nvars @ y.nvars)
@@ -437,7 +424,7 @@ let check_arity a r =
 (* Satisfying assignments of an atom.  Tuples are fetched through a
    by-column index when the pattern pins a column to a constant; each tuple
    is then matched against the pattern (constants must coincide, repeated
-   variables must agree), exactly like the legacy [Fo_eval.eval_atom]. *)
+   variables must agree), exactly like the reference [Fo_eval]. *)
 let exec_scan st a =
   Observe.bump c_scans;
   let r = lookup_relation st.env a in
@@ -598,7 +585,7 @@ let exec_index_only st a keep =
 (* Index nested-loop step: join the child binding set against the atom's
    relation, probing a by-column index on a shared (already bound) variable,
    or an index selection on a constant column, falling back to a full scan.
-   A direct port of the legacy [Cq_eval.join_atom]. *)
+   The nested-loop arm of [Adaptive_join]. *)
 let exec_probe st b a =
   Robust.Fault.hit "plan.join";
   let r = lookup_relation st.env a in
@@ -869,7 +856,6 @@ let rec run_node st n =
     | Column_scan a -> exec_column_scan st a
     | Bitmap_filter a -> exec_bitmap_filter st a
     | Index_only_scan (a, keep) -> exec_index_only st a keep
-    | Probe (c, a) -> exec_probe st (run_node st c) a
     | Adaptive_join (c, a) -> exec_adaptive st n c a
     | Hash_join (x, y) ->
         Observe.bump c_hash_joins;
@@ -930,9 +916,9 @@ and exec_adaptive st n child a =
     exec_probe st b a
   end
 
-(* Per-disjunct active domain: the caller's value set (base database, plus
-   any delta relation) extended with the disjunct's own constants — the same
-   adom the legacy evaluators compute per (sub)query. *)
+(* A disjunct's active domain: the caller's value set (base database, plus
+   any delta relation) extended with the query's constants — the
+   [adom(Q, D)] the reference evaluator computes. *)
 let disjunct_adom vset consts =
   lazy
     (Vset.elements
@@ -975,9 +961,9 @@ let answer_is_empty ~env ~dist ~vset fp =
   in
   not (List.exists nonempty fp.fp_disjuncts)
 
-(* The semi-naive stratified fixpoint, a port of [Datalog.eval_all] with
-   IDB state held in the interpreter overlay instead of derived databases
-   (so no relation renaming is needed for the ["@delta"] views). *)
+(* The semi-naive stratified fixpoint, with IDB state held in the
+   interpreter overlay instead of derived databases (so no relation
+   renaming is needed for the ["@delta"] views). *)
 let delta_name n = n ^ "@delta"
 
 (* One stratum of the semi-naive fixpoint: evaluates [stp]'s IDBs to a
@@ -1091,8 +1077,7 @@ let run ?(dist = Dist.empty) db t =
 (* Compilation: the (U)CQ fragment                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Split a (freshened) CQ body into relation atoms and built-in conjuncts;
-   see [Cq_eval.split_cq]. *)
+(* Split a (freshened) CQ body into relation atoms and built-in conjuncts. *)
 let split_cq body =
   let rec go (atoms, builtins) c =
     match c with
@@ -1126,67 +1111,6 @@ let apply_trailing cx node pending =
       let n = mk cx (Extend (cond_vars c, n)) in
       mk cx (Filter (c, n)))
     node pending
-
-(* A join chain over [atoms] in the given order: the first atom is a scan,
-   the rest join via [join_mk]; ready built-ins are pushed down after every
-   step. *)
-let build_chain cx join_mk atoms builtins =
-  match atoms with
-  | [] -> apply_trailing cx (mk cx Tt) builtins
-  | a :: rest ->
-      let node, pending = apply_ready cx (mk cx (Scan a)) builtins in
-      let node, pending =
-        List.fold_left
-          (fun (n, pending) a -> apply_ready cx (join_mk n a) pending)
-          (node, pending) rest
-      in
-      apply_trailing cx node pending
-
-let build_textual cx atoms builtins =
-  build_chain cx (fun n a -> mk cx (Hash_join (n, mk cx (Scan a)))) atoms builtins
-
-(* The legacy cardinality-greedy order of [Cq_eval.order_atoms]: seed with
-   the smallest relation, then repeatedly pick the atom sharing the most
-   bound variables (ties to the smallest relation). *)
-let order_greedy cx atoms =
-  let card a =
-    match Database.find_opt cx.cdb a.rel with
-    | Some r -> Relation.cardinal r
-    | None -> max_int
-  in
-  let rec pick bound acc = function
-    | [] -> List.rev acc
-    | remaining ->
-        let score a =
-          let shared = Sset.cardinal (Sset.inter (atom_vars_set a) bound) in
-          (-shared, card a)
-        in
-        let best =
-          List.fold_left
-            (fun best a ->
-              match best with
-              | None -> Some a
-              | Some b -> if score a < score b then Some a else best)
-            None remaining
-        in
-        let best = Option.get best in
-        let remaining = List.filter (fun a -> a != best) remaining in
-        pick (Sset.union bound (atom_vars_set best)) (best :: acc) remaining
-  in
-  let rec min_by f = function
-    | [] -> None
-    | [ x ] -> Some x
-    | x :: rest -> (
-        match min_by f rest with Some y when f y < f x -> Some y | _ -> Some x)
-  in
-  match min_by card atoms with
-  | None -> []
-  | Some seed ->
-      let rest = List.filter (fun a -> a != seed) atoms in
-      pick (atom_vars_set seed) [ seed ] rest
-
-let build_greedy cx atoms builtins =
-  build_chain cx (fun n a -> mk cx (Probe (n, a))) (order_greedy cx atoms) builtins
 
 (* Stats-driven planning.  Atoms are grouped into join-connected components
    (atoms sharing a variable, transitively); each component becomes its own
@@ -1274,32 +1198,27 @@ let order_stats cx atoms =
    it sweeps the int columns; a constant on a wide column keeps the legacy
    [Scan] (whose by-column hash index is the more selective access path).
    Unknown relations (IDB predicates, ["@delta"] views) always [Scan]. *)
-let mk_leaf cx ~columnar a =
-  if not columnar then mk cx (Scan a)
-  else
-    match stats_of cx a.rel with
-    | None -> mk cx (Scan a)
-    | Some st ->
-        let ncols = Array.length st.Stats.columns in
-        let const_cols =
-          List.mapi (fun i arg -> (i, arg)) a.args
-          |> List.filter_map (function
-               | i, Const _ when i < ncols -> Some i
-               | _ -> None)
-        in
-        if const_cols = [] then mk cx (Column_scan a)
-        else if
-          List.exists
-            (fun i ->
-              st.Stats.columns.(i).Stats.distinct <= Column.max_bitmap_distinct)
-            const_cols
-        then mk cx (Bitmap_filter a)
-        else mk cx (Scan a)
+let mk_leaf cx a =
+  match stats_of cx a.rel with
+  | None -> mk cx (Scan a)
+  | Some st ->
+      let ncols = Array.length st.Stats.columns in
+      let const_cols =
+        List.mapi (fun i arg -> (i, arg)) a.args
+        |> List.filter_map (function
+             | i, Const _ when i < ncols -> Some i
+             | _ -> None)
+      in
+      if const_cols = [] then mk cx (Column_scan a)
+      else if
+        List.exists
+          (fun i ->
+            st.Stats.columns.(i).Stats.distinct <= Column.max_bitmap_distinct)
+          const_cols
+      then mk cx (Bitmap_filter a)
+      else mk cx (Scan a)
 
-let mk_join cx ~columnar n a =
-  if columnar then mk cx (Adaptive_join (n, a)) else mk cx (Probe (n, a))
-
-let build_stats ?(columnar = true) cx atoms builtins =
+let build_stats cx atoms builtins =
   match atoms with
   | [] -> apply_trailing cx (mk cx Tt) builtins
   | _ ->
@@ -1311,10 +1230,10 @@ let build_stats ?(columnar = true) cx atoms builtins =
       let build_comp pending = function
         | [] -> (mk cx Tt, pending)
         | a :: rest ->
-            let node, pending = apply_ready cx (mk_leaf cx ~columnar a) pending in
+            let node, pending = apply_ready cx (mk_leaf cx a) pending in
             List.fold_left
               (fun (n, pending) a ->
-                apply_ready cx (mk_join cx ~columnar n a) pending)
+                apply_ready cx (mk cx (Adaptive_join (n, a))) pending)
               (node, pending) rest
       in
       let node, pending =
@@ -1353,8 +1272,7 @@ let rec compile_formula cx f =
       mk cx (Project (keep, n))
   | Forall (vs, f) -> compile_formula cx (Not (exists vs (Not f)))
 
-(* The disjuncts of a UCQ, pushing top-level ∃ through ∨; see
-   [Cq_eval.ucq_disjuncts]. *)
+(* The disjuncts of a UCQ, pushing top-level ∃ through ∨. *)
 let rec ucq_disjuncts f =
   if Fragment.is_cq f then [ f ]
   else
@@ -1379,18 +1297,13 @@ let rec prune_covering cx needed n =
       let keep = List.filter (fun v -> Sset.mem v needed) av in
       if List.compare_lengths keep av < 0 then mk cx (Index_only_scan (a, keep))
       else n
-  | Probe (c, a) | Adaptive_join (c, a) ->
+  | Adaptive_join (c, a) ->
       let cv = Sset.of_list c.nvars in
       let cneed =
         Sset.union (Sset.inter needed cv) (Sset.inter (atom_vars_set a) cv)
       in
       let c' = prune_covering cx cneed c in
-      if c' == c then n
-      else
-        mk cx
-          (match n.op with
-          | Probe _ -> Probe (c', a)
-          | _ -> Adaptive_join (c', a))
+      if c' == c then n else mk cx (Adaptive_join (c', a))
   | Filter (f, c) ->
       let c' = prune_covering cx (Sset.union needed (cond_vars_set f)) c in
       if c' == c then n else mk cx (Filter (f, c'))
@@ -1402,7 +1315,7 @@ let rec prune_covering cx needed n =
       if x' == x && y' == y then n else mk cx (Hash_join (x', y'))
   | _ -> n
 
-let compile_fo ?(policy = default_policy) ?(columnar = true) db q =
+let compile_fo db q =
   Observe.bump c_compiles;
   let cx = make_cx db in
   let frag = Fragment.classify_query q in
@@ -1410,26 +1323,19 @@ let compile_fo ?(policy = default_policy) ?(columnar = true) db q =
   let head = List.map (fun v -> Var v) q.head in
   let build_cq d =
     let atoms, builtins = split_cq (freshen d) in
-    match policy with
-    | Textual -> build_textual cx atoms builtins
-    | Greedy -> build_greedy cx atoms builtins
-    | Stats ->
-        let n = build_stats ~columnar cx atoms builtins in
-        if columnar then prune_covering cx (Sset.of_list q.head) n else n
+    prune_covering cx (Sset.of_list q.head) (build_stats cx atoms builtins)
   in
+  let d_consts = all_constants q.body in
   let disjuncts =
     if Fragment.leq frag Fragment.Ucq then
-      List.map
-        (fun d -> { d_node = build_cq d; d_consts = all_constants d })
-        (ucq_disjuncts q.body)
-    else [ { d_node = compile_formula cx q.body; d_consts = all_constants q.body } ]
+      List.map (fun d -> { d_node = build_cq d; d_consts }) (ucq_disjuncts q.body)
+    else [ { d_node = compile_formula cx q.body; d_consts } ]
   in
   Answer
     {
       fp_query = q;
       fp_schema = schema;
       fp_head = head;
-      fp_policy = policy;
       fp_fragment = frag;
       fp_disjuncts = disjuncts;
     }
@@ -1447,7 +1353,7 @@ let body_formula body =
          | Datalog.Builtin (op, t1, t2) -> Cmp (op, t1, t2))
        body)
 
-(* A rule body without negation is a CQ: plan it with the stats policy.
+(* A rule body without negation is a CQ: plan it like an FO join chain.
    With negation, lower structurally (the stratified semantics is plain
    active-domain complement by the time the rule fires). *)
 let compile_body cx body =
@@ -1470,14 +1376,14 @@ let compile_datalog db p =
   Observe.bump c_compiles;
   (match Datalog.check db p with
   | Ok () -> ()
-  | Error msg -> failwith ("Datalog.eval: " ^ msg));
+  | Error msg -> failwith ("Plan: " ^ msg));
   let strata =
     (* SCC-refined: one stratum per recursive component, so independent
        components iterate (and, under [delta_prepare_datalog], freeze)
        separately. *)
     match Datalog.refined_strata p with
     | Ok s -> s
-    | Error msg -> failwith ("Datalog.eval: " ^ msg)
+    | Error msg -> failwith ("Plan: " ^ msg)
   in
   let idb_stratum n = Option.value ~default:0 (List.assoc_opt n strata) in
   let idbs = Datalog.idb_predicates p in
@@ -1531,13 +1437,12 @@ let empty sch = Empty_plan sch
 (* Plan cache                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type cache_key = K_fo of policy * Ast.fo_query | K_dl of Datalog.program
+type cache_key = K_fo of Ast.fo_query | K_dl of Datalog.program
 
 let key_equal k1 k2 =
   match (k1, k2) with
-  | K_fo (p1, q1), K_fo (p2, q2) ->
-      p1 = p2 && q1.name = q2.name && q1.head = q2.head
-      && equal_formula q1.body q2.body
+  | K_fo q1, K_fo q2 ->
+      q1.name = q2.name && q1.head = q2.head && equal_formula q1.body q2.body
   | K_dl a, K_dl b -> a = b
   | K_fo _, K_dl _ | K_dl _, K_fo _ -> false
 
@@ -1547,7 +1452,7 @@ let key_equal k1 k2 =
    relation ([Datalog.check] forbids the collision), so their fingerprint
    entry is a constant [None]. *)
 let key_rels = function
-  | K_fo (_, q) -> relations_used q.body
+  | K_fo q -> relations_used q.body
   | K_dl (p : Datalog.program) ->
       List.sort_uniq compare
         (List.concat_map
@@ -1609,15 +1514,15 @@ let cache_add db key t =
            List.filteri (fun i _ -> i < cache_cap) entries
          else entries))
 
-let compile_fo_cached ?(policy = default_policy) db q =
-  let key = K_fo (policy, q) in
+let compile_fo_cached db q =
+  let key = K_fo q in
   match cache_find db key with
   | Some t ->
       Observe.bump c_cache_hit;
       t
   | None ->
       Observe.bump c_cache_miss;
-      let t = compile_fo ~policy db q in
+      let t = compile_fo db q in
       cache_add db key t;
       t
 
@@ -1653,7 +1558,7 @@ let rec mentions_rel rel n =
   match n.op with
   | Scan a | Column_scan a | Bitmap_filter a | Index_only_scan (a, _) ->
       a.rel = rel
-  | Probe (c, a) | Adaptive_join (c, a) -> a.rel = rel || mentions_rel rel c
+  | Adaptive_join (c, a) -> a.rel = rel || mentions_rel rel c
   | Tt | Ff | Builtin _ | Cached _ -> false
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
       mentions_rel rel c
@@ -1672,8 +1577,7 @@ let rec uses_adom n =
   | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
   | Cached _ ->
       false
-  | Probe (c, _) | Adaptive_join (c, _) | Filter (_, c) | Project (_, c) ->
-      uses_adom c
+  | Adaptive_join (c, _) | Filter (_, c) | Project (_, c) -> uses_adom c
   | Hash_join (a, b) -> uses_adom a || uses_adom b
 
 let rec count_cached n =
@@ -1688,7 +1592,7 @@ let rec node_rels acc n =
   match n.op with
   | Scan a | Column_scan a | Bitmap_filter a | Index_only_scan (a, _) ->
       a.rel :: acc
-  | Probe (c, a) | Adaptive_join (c, a) -> node_rels (a.rel :: acc) c
+  | Adaptive_join (c, a) -> node_rels (a.rel :: acc) c
   | Tt | Ff | Builtin _ -> acc
   | Cached (_, c) -> node_rels acc c
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
@@ -1746,7 +1650,6 @@ let rec rewrite_delta st rel n =
   else
     let op' =
       match n.op with
-      | Probe (c, a) -> Probe (rewrite_delta st rel c, a)
       | Adaptive_join (c, a) -> Adaptive_join (rewrite_delta st rel c, a)
       | Filter (f, c) -> Filter (f, rewrite_delta st rel c)
       | Extend (vs, c) -> Extend (vs, rewrite_delta st rel c)
@@ -1760,11 +1663,10 @@ let rec rewrite_delta st rel n =
     in
     { n with op = op' }
 
-let delta_prepare ?(dist = Dist.empty) ?(policy = default_policy) ?(columnar = true)
-    db ~rel ~schema q =
+let delta_prepare ?(dist = Dist.empty) db ~rel ~schema q =
   Observe.bump c_delta_prepares;
   let base = Database.add (Relation.empty schema) db in
-  let t = compile_fo ~policy ~columnar base q in
+  let t = compile_fo base q in
   let vset = lazy (Vset.of_list (Database.active_domain base)) in
   let t, ncached =
     match t with
@@ -1884,7 +1786,6 @@ type shape = {
   column_scans : int;
   bitmap_filters : int;
   index_only_scans : int;
-  probes : int;
   adaptive_joins : int;
   hash_joins : int;
   filters : int;
@@ -1903,7 +1804,6 @@ let empty_shape =
     column_scans = 0;
     bitmap_filters = 0;
     index_only_scans = 0;
-    probes = 0;
     adaptive_joins = 0;
     hash_joins = 0;
     filters = 0;
@@ -1924,7 +1824,6 @@ let rec node_shape acc n =
     | Bitmap_filter _ -> { acc with bitmap_filters = acc.bitmap_filters + 1 }
     | Index_only_scan _ ->
         { acc with index_only_scans = acc.index_only_scans + 1 }
-    | Probe _ -> { acc with probes = acc.probes + 1 }
     | Adaptive_join _ -> { acc with adaptive_joins = acc.adaptive_joins + 1 }
     | Hash_join _ -> { acc with hash_joins = acc.hash_joins + 1 }
     | Filter _ -> { acc with filters = acc.filters + 1 }
@@ -1997,7 +1896,6 @@ let node_label ppf n =
   | Index_only_scan (a, keep) ->
       Format.fprintf ppf "index-only %a keep [%s]" pp_atom a
         (String.concat ", " keep)
-  | Probe (_, a) -> Format.fprintf ppf "probe %a" pp_atom a
   | Adaptive_join (_, a) -> Format.fprintf ppf "adaptive-join %a" pp_atom a
   | Hash_join _ -> Format.pp_print_string ppf "hash-join"
   | Filter (c, _) -> Format.fprintf ppf "filter %a" pp_cond c
@@ -2049,11 +1947,10 @@ let pp_with record ppf t =
   | Identity_plan name -> Format.fprintf ppf "identity %s@\n" name
   | Empty_plan sch -> Format.fprintf ppf "empty %s@\n" sch.Schema.name
   | Answer fp ->
-      Format.fprintf ppf "answer %s(%s)  [%s, %s, %d disjunct(s)]@\n"
+      Format.fprintf ppf "answer %s(%s)  [%s, %d disjunct(s)]@\n"
         fp.fp_query.name
         (String.concat ", " fp.fp_query.head)
         (Fragment.to_string fp.fp_fragment)
-        (policy_to_string fp.fp_policy)
         (List.length fp.fp_disjuncts);
       List.iteri
         (fun i d ->

@@ -3,32 +3,22 @@
     A plan is compiled once from a query and interpreted against a database
     (plus an optional overlay of in-flight relations — IDB fixpoint state,
     or the candidate package [RQ] of a compatibility check).  The node
-    algebra works over {!Bindings} (named-variable binding relations), so
-    the interpreter coincides with the legacy evaluators {!Cq_eval} /
-    {!Fo_eval} / {!Datalog} by construction; those are kept as
-    differential-test oracles.
+    algebra works over {!Bindings} (named-variable binding relations), the
+    same binding sets the reference evaluators {!Fo_eval} and {!Datalog}
+    use; {!Query.eval_legacy} runs those as the differential-test oracle.
 
-    The compiler offers three construction {e policies} for the
-    (U)CQ fragment — the legacy evaluation strategies recast as plan
-    shapes — and a stats-driven default:
-
-    - {!Textual}: atoms in textual order, hash-joined full scans
-      (legacy [Cq_eval.Textual]).
-    - {!Greedy}: cardinality-greedy atom order, index nested-loop probe
-      chain (legacy [Cq_eval.Indexed]).
-    - {!Stats}: join ordering from {!Relational.Stats} selectivity
-      estimates, independent join components compiled separately (so a
-      delta rewrite can cache them wholesale), probe chains, and built-in
-      predicates pushed down to the earliest node that binds their
-      variables.
-
-    Beyond the UCQ fragment the compiler lowers structurally (negation as
-    active-domain complement, [∀] as [¬∃¬]); Datalog programs become a
-    {!Fixpoint} plan whose strata carry semi-naive rule-body plans.
+    The (U)CQ fragment is planned from {!Relational.Stats} selectivity
+    estimates: join ordering by estimated cardinality, independent join
+    components compiled separately (so a delta rewrite can cache them
+    wholesale), and built-in predicates pushed down to the earliest node
+    that binds their variables.  Beyond the UCQ fragment the compiler
+    lowers structurally (negation as active-domain complement, [∀] as
+    [¬∃¬]); Datalog programs become a {!Fixpoint} plan whose strata carry
+    semi-naive rule-body plans.
 
     Relations are additionally stored column-major as interned-int arrays
-    ({!Relational.Column}); the stats policy compiles known-relation atoms
-    to columnar operators — {!Column_scan} (int-compare sweeps),
+    ({!Relational.Column}); the compiler turns known-relation atoms
+    into columnar operators — {!Column_scan} (int-compare sweeps),
     {!Bitmap_filter} (AND of per-constant bitmaps on low-cardinality
     columns), {!Index_only_scan} (covering scans emitting only the
     variables consumed above) — and joins to {!Adaptive_join}, an index
@@ -39,13 +29,6 @@
     bumps [plan.*] {!Observe} counters, ticks {!Robust.Budget} in its
     loops, and exposes the {!Robust.Fault} sites ["plan.join"],
     ["plan.round"] and ["plan.hash_build"]. *)
-
-type policy = Textual | Greedy | Stats
-
-val default_policy : policy
-(** {!Stats}. *)
-
-val policy_to_string : policy -> string
 
 (** {1 The IR}
 
@@ -73,7 +56,6 @@ type op =
   | Index_only_scan of Ast.atom * string list
       (** covering scan: like [Column_scan] but emitting only the listed
           variables, reading only their columns *)
-  | Probe of node * Ast.atom  (** index nested-loop join of child with atom *)
   | Adaptive_join of node * Ast.atom
       (** nested-loop probe that switches to a hash build when the observed
           build side crosses {!join_threshold} *)
@@ -99,15 +81,15 @@ and node = {
 type disjunct = {
   d_node : node;
   d_consts : Relational.Value.t list;
-      (** the disjunct's own constants: its active domain is the database's
-          plus these *)
+      (** the query's constants: the disjunct's active domain is the
+          database's plus these ([adom(Q, D)], the same for every
+          disjunct) *)
 }
 
 type fo_plan = {
   fp_query : Ast.fo_query;
   fp_schema : Relational.Schema.t;
   fp_head : Ast.term list;
-  fp_policy : policy;
   fp_fragment : Fragment.t;
   fp_disjuncts : disjunct list;
 }
@@ -158,7 +140,7 @@ val raw_node : op -> string list -> node
     deliberately ill-formed) plans; the compilers never use it. *)
 
 val mentions_rel : string -> node -> bool
-(** Whether any [Scan]/[Probe] under the node (not under [Cached]) reads
+(** Whether any atom leaf or join under the node (not under [Cached]) reads
     the named relation. *)
 
 val uses_adom : node -> bool
@@ -209,18 +191,13 @@ val plan_fault_sites : string list
 
 (** {1 Compilation} *)
 
-val compile_fo :
-  ?policy:policy -> ?columnar:bool -> Relational.Database.t -> Ast.fo_query -> t
-(** Queries in the UCQ fragment compile to one join chain per disjunct;
+val compile_fo : Relational.Database.t -> Ast.fo_query -> t
+(** Queries in the UCQ fragment compile to one join chain per disjunct
+    (columnar, bitmap or covering leaves joined by adaptive joins);
     larger fragments lower structurally.  The database is consulted only
     for statistics (cardinalities, distinct counts) — compiling against a
     database where a mentioned relation is absent is allowed and simply
-    plans without estimates for it.
-
-    [columnar] (default [true], stats policy only) selects the columnar
-    operator set: columnar/bitmap/covering leaves and adaptive joins.
-    [~columnar:false] reproduces the scan/probe plans of the pre-columnar
-    engine at the same join order — the benchmark baseline. *)
+    plans without estimates for it. *)
 
 val join_threshold : unit -> int
 (** The adaptive join's nested-loop → hash-build switch point, in observed
@@ -231,8 +208,9 @@ val with_join_threshold : int -> (unit -> 'a) -> 'a
 (** Run with the threshold temporarily replaced (tests; not domain-safe). *)
 
 val compile_datalog : Relational.Database.t -> Datalog.program -> t
-(** Checks the program ({!Datalog.check}, raising [Failure] like the legacy
-    evaluator), stratifies it, and compiles every rule body — plus its
+(** Checks the program ({!Datalog.check}; an unsafe, ill-formed or
+    unstratifiable program raises [Failure] with a ["Plan: "] message),
+    stratifies it, and compiles every rule body — plus its
     semi-naive delta variants (one per same-stratum IDB body occurrence) —
     to plan nodes under a {!Fixpoint} driver. *)
 
@@ -245,9 +223,9 @@ val empty : Relational.Schema.t -> t
 (** {1 Execution} *)
 
 val run : ?dist:Dist.env -> Relational.Database.t -> t -> Relational.Relation.t
-(** Evaluate the plan.  Agrees with the legacy evaluator for the source
-    query on every database (the differential property tested in
-    [test/test_plan.ml]). *)
+(** Evaluate the plan.  Agrees with the reference semantics
+    ({!Query.eval_legacy}) for the source query on every database (the
+    differential property tested in [test/test_plan.ml]). *)
 
 (** {1 Plan cache}
 
@@ -264,7 +242,7 @@ val run : ?dist:Dist.env -> Relational.Database.t -> t -> Relational.Relation.t
     hold no databases (a fingerprint is just revision numbers), so caching
     never pins tuple storage. *)
 
-val compile_fo_cached : ?policy:policy -> Relational.Database.t -> Ast.fo_query -> t
+val compile_fo_cached : Relational.Database.t -> Ast.fo_query -> t
 val compile_datalog_cached : Relational.Database.t -> Datalog.program -> t
 
 (** {1 Delta re-evaluation}
@@ -282,8 +260,6 @@ type delta
 
 val delta_prepare :
   ?dist:Dist.env ->
-  ?policy:policy ->
-  ?columnar:bool ->
   Relational.Database.t ->
   rel:string ->
   schema:Relational.Schema.t ->
@@ -327,7 +303,6 @@ type shape = {
   column_scans : int;  (** columnar int-array sweeps *)
   bitmap_filters : int;  (** bitmap-AND selections *)
   index_only_scans : int;  (** covering scans *)
-  probes : int;  (** index nested-loop join nodes *)
   adaptive_joins : int;  (** nested-loop/hash adaptive join nodes *)
   hash_joins : int;
   filters : int;

@@ -54,7 +54,7 @@ let arity db q = Schema.arity (answer_schema db q)
 (* All six languages evaluate through the physical-plan interpreter, with
    compiled plans cached per (query, revision fingerprint of the mentioned
    relations) — updates elsewhere in the database keep entries live; the
-   legacy evaluators below remain as differential-test oracles. *)
+   reference evaluators below remain as the differential-test oracle. *)
 let eval ?dist db = function
   | Fo q -> Plan.run ?dist db (Plan.compile_fo_cached db q)
   | Dl p -> Plan.run db (Plan.compile_datalog_cached db p)
@@ -62,16 +62,13 @@ let eval ?dist db = function
   | Empty_query -> Relation.empty empty_schema
 
 let eval_legacy ?dist db = function
-  | Fo q ->
-      if Fragment.leq (Fragment.classify_query q) Fragment.Ucq then
-        Cq_eval.eval ?dist db q
-      else Fo_eval.eval_query ?dist db q
+  | Fo q -> Fo_eval.eval_query ?dist db q
   | Dl p -> Datalog.eval db p
   | Identity r -> Database.find db r
   | Empty_query -> Relation.empty empty_schema
 
-let plan ?policy db = function
-  | Fo q -> Plan.compile_fo_cached ?policy db q
+let plan db = function
+  | Fo q -> Plan.compile_fo_cached db q
   | Dl p -> Plan.compile_datalog_cached db p
   | Identity r -> Plan.identity r
   | Empty_query -> Plan.empty empty_schema

@@ -43,11 +43,11 @@ val eval : ?dist:Dist.env -> Relational.Database.t -> t -> Relational.Relation.t
 
 val eval_legacy :
   ?dist:Dist.env -> Relational.Database.t -> t -> Relational.Relation.t
-(** The pre-plan dispatch — UCQ-fragment queries through the join planner
-    {!Cq_eval}, larger fragments through {!Fo_eval}, Datalog through the
-    semi-naive engine — kept as the differential-test oracle for {!eval}. *)
+(** The reference semantics, kept as the one differential-test oracle for
+    {!eval}: every FO query through {!Fo_eval.eval_query}, every Datalog
+    program through the naive {!Datalog.eval}. *)
 
-val plan : ?policy:Plan.policy -> Relational.Database.t -> t -> Plan.t
+val plan : Relational.Database.t -> t -> Plan.t
 (** The (cached) compiled plan {!eval} would run. *)
 
 val empty_schema : Relational.Schema.t

@@ -17,7 +17,6 @@ let sites =
     "memo.valid";
     "rel.maintain";
     "datalog.round";
-    "cq.join";
     "plan.join";
     "plan.hash_build";
     "plan.round";

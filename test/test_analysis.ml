@@ -219,7 +219,7 @@ let test_sp_scan_agrees_with_generic () =
       Instance.make ~db ~select:qq ~cost:Rating.card_or_infinite
         ~value:Rating.count ~budget:10. ()
     in
-    Relation.equal (Instance.candidates inst) (Qlang.Query.eval db qq)
+    Relation.equal (Instance.candidates inst) (Qlang.Query.eval_legacy db qq)
   in
   check "SP selection" true (agree (fo "Q(x) := exists y. R(x, y) & x < 3"));
   check "SP with constant" true (agree (fo "Q(y) := R(2, y)"));

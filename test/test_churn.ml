@@ -335,7 +335,7 @@ let prop_incremental_structures =
       done;
       !ok)
 
-(* ---------- property: churn agreement, six languages × policies × engines ---------- *)
+(* ---------- property: churn agreement, six languages, cached and fresh plans ---------- *)
 
 let lang_queries =
   [
@@ -357,12 +357,10 @@ let nr_program =
 let tc_program =
   p "T(x,y) :- E(x,y). T(x,z) :- E(x,y), T(y,z). ?- T." (* DATALOG *)
 
-let policies = [ Plan.Textual; Plan.Greedy; Plan.Stats ]
-
 let prop_churn_all_languages =
   QCheck.Test.make
     ~name:
-      "churn: plan routes (3 policies) and legacy engine agree after random \
+      "churn: cached and fresh plans = Query.eval_legacy after random \
        add/remove streams, six languages"
     ~count:40 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -399,11 +397,8 @@ let prop_churn_all_languages =
             &&
             match query with
             | Query.Fo fq ->
-                List.for_all
-                  (fun policy ->
-                    Relation.equal reference
-                      (Plan.run churned (Plan.compile_fo ~policy churned fq)))
-                  policies
+                Relation.equal reference
+                  (Plan.run churned (Plan.compile_fo churned fq))
             | _ -> true)
           lang_queries
       in

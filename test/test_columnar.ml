@@ -2,8 +2,9 @@
    accessors, incremental statistics maintenance under add/remove, and
    differential properties pinning the columnar physical operators
    (column scans, bitmap filters, index-only scans, adaptive joins) to
-   the legacy evaluators across every query language.  Also covers the
-   P008/P009 typing negatives and the adaptive-join [explain] lines. *)
+   the reference oracle [Query.eval_legacy] across every query language.
+   Also covers the P008/P009 typing negatives and the adaptive-join
+   [explain] lines. *)
 
 open Qlang
 module Value = Relational.Value
@@ -180,8 +181,6 @@ let test_noop_add_remove_keep_cache () =
 
 (* ---------- differential properties: columnar = legacy ---------- *)
 
-let policies = [ Plan.Textual; Plan.Greedy; Plan.Stats ]
-
 let random_db rng =
   Workload.Random_db.database rng
     ~specs:[ ("R", 2); ("S", 2); ("T", 1) ]
@@ -221,12 +220,11 @@ let random_fo rng db =
   in
   { q1 with Ast.body = body }
 
-(* Columnar compiles under every policy and under both forced adaptive
-   modes must agree with both the legacy oracle and the tuple-at-a-time
-   plan operators ([~columnar:false], the PR-5 engine). *)
+(* Columnar compiles under the default threshold and under both forced
+   adaptive modes must agree with the reference oracle. *)
 let prop_columnar_matches_legacy =
   QCheck.Test.make
-    ~name:"CQ/UCQ/FO: columnar plan = legacy eval = non-columnar plan"
+    ~name:"CQ/UCQ/FO: columnar plan = legacy eval"
     ~count:120 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
@@ -240,13 +238,7 @@ let prop_columnar_matches_legacy =
       List.for_all
         (fun q ->
           let reference = Query.eval_legacy db (Query.Fo q) in
-          List.for_all
-            (fun policy ->
-              Relation.equal reference
-                (Plan.run db (Plan.compile_fo ~policy db q))
-              && Relation.equal reference
-                   (Plan.run db (Plan.compile_fo ~policy ~columnar:false db q)))
-            policies
+          Relation.equal reference (Plan.run db (Plan.compile_fo db q))
           && Plan.with_join_threshold 1 (fun () ->
                  Relation.equal reference (Plan.run db (Plan.compile_fo db q)))
           && Plan.with_join_threshold max_int (fun () ->
@@ -356,19 +348,16 @@ let test_plan_check_negatives () =
        (raw_check "answer Q(s)\n  bitmap-filter E(s, 2)"))
 
 (* compiled columnar plans stay fully verified: typing, rewrite
-   certificates, budget/fault lint and effects, across policies *)
+   certificates, budget/fault lint and effects *)
 let prop_columnar_plans_verify =
   QCheck.Test.make ~name:"compiled columnar plans pass Plan_check" ~count:60
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:4 in
-      List.for_all
-        (fun policy ->
-          let plan = Plan.compile_fo ~policy db q in
-          Analysis.Plan_check.ok
-            (Analysis.Plan_check.check ~db ~query:(Query.Fo q) plan))
-        policies)
+      let plan = Plan.compile_fo db q in
+      Analysis.Plan_check.ok
+        (Analysis.Plan_check.check ~db ~query:(Query.Fo q) plan))
 
 (* ---------- explain: the adaptive-join decision is printed ---------- *)
 

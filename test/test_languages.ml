@@ -185,17 +185,16 @@ let test_topk_under_datalog_compat () =
       check "certified" true (Rpp.is_topk inst [ best ])
   | _ -> Alcotest.fail "expected a top-1"
 
-(* Per-language agreement of the two FO-family evaluators on the selects. *)
+(* Per-language agreement of the plan route and the reference FO evaluator
+   on the selects. *)
 let test_evaluators_agree_on_selects () =
   List.iter
     (fun qstr ->
       let query = q qstr in
-      if Qlang.Fragment.leq (Qlang.Fragment.classify_query query) Qlang.Fragment.Ucq
-      then
-        check ("planner agrees: " ^ qstr) true
-          (Relation.equal
-             (Qlang.Cq_eval.eval db query)
-             (Qlang.Fo_eval.eval_query db query)))
+      check ("planner agrees: " ^ qstr) true
+        (Relation.equal
+           (Qlang.Query.eval db (Qlang.Query.Fo query))
+           (Qlang.Fo_eval.eval_query db query)))
     [
       "Q(n, s) := L(n, s) & s > 2";
       "Q(n, s) := exists m. E(n, m) & L(n, s)";

@@ -1,8 +1,10 @@
 (* Differential tests for the physical-plan engine: every language routes
-   through [Plan] by default, and on random databases and queries the plan
-   interpreter must agree exactly with the legacy evaluators ([Cq_eval],
-   [Fo_eval], [Datalog]), which are kept as oracles.  Also covers the plan
-   cache, delta re-evaluation, shape certification and [explain]. *)
+   through [Plan], and on random databases and queries the plan
+   interpreter must agree exactly with the reference semantics
+   [Query.eval_legacy] ([Fo_eval] for FO queries, the naive [Datalog.eval]
+   for programs), the one oracle.  Also covers the plan operators on
+   hand-written plans, compiler rejections, the plan cache, delta
+   re-evaluation, shape certification and [explain]. *)
 
 open Qlang
 module Value = Relational.Value
@@ -27,29 +29,143 @@ let with_tracing f =
   Observe.reset ();
   Fun.protect ~finally:(fun () -> Observe.set_enabled was) f
 
-let policies = [ Plan.Textual; Plan.Greedy; Plan.Stats ]
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
 let random_db rng =
   Workload.Random_db.database rng
     ~specs:[ ("R", 2); ("S", 2); ("T", 1) ]
     ~rows:8 ~domain:4
 
-(* ---------- CQ: three plan policies vs both legacy evaluators ---------- *)
+(* ---------- plan operators on hand-written plans ---------- *)
 
-let prop_cq_policies_agree =
-  QCheck.Test.make
-    ~name:"random CQ: plan (Textual|Greedy|Stats) = Cq_eval = Fo_eval"
-    ~count:120 seed_gen (fun seed ->
+let r_rel =
+  Relation.of_int_rows (Schema.make "R" [ "a"; "b" ]) [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ] ]
+
+let s_rel = Relation.of_int_rows (Schema.make "S" [ "a"; "b" ]) [ [ 2; 10 ]; [ 3; 20 ] ]
+let rs_db = Database.of_relations [ r_rel; s_rel ]
+
+(* Run a plan written in the raw notation of [Analysis.Plan_parse]. *)
+let run_raw text = Plan.run rs_db (Analysis.Plan_parse.parse text)
+
+let rows_are what expected rel =
+  check what true
+    (Relation.equal rel (Relation.of_int_rows (Relation.schema rel) expected))
+
+let test_scan_select_project () =
+  rows_are "project of a filtered scan" [ [ 3 ]; [ 4 ] ]
+    (run_raw "answer Q(b)\n  project [b]\n    filter a >= 2\n      scan R(a, b)");
+  rows_are "constant in the scanned atom" [ [ 3 ] ]
+    (run_raw "answer Q(b)\n  scan R(2, b)")
+
+let test_join () =
+  rows_are "R ⋈ S on the shared variable" [ [ 1; 2; 10 ]; [ 2; 3; 20 ] ]
+    (run_raw "answer Q(a, b, c)\n  hash-join\n    scan R(a, b)\n    scan S(b, c)")
+
+let test_product_union_diff () =
+  check_int "product" 6
+    (Relation.cardinal
+       (run_raw "answer Q(a, b, c, d)\n  hash-join\n    scan R(a, b)\n    scan S(c, d)"));
+  check_int "union" 5
+    (Relation.cardinal
+       (run_raw "answer Q(a, b)\n  union\n    scan R(a, b)\n    scan S(a, b)"));
+  let diff other =
+    run_raw
+      (Printf.sprintf
+         "answer Q(a, b)\n  hash-join\n    scan R(a, b)\n    complement\n      scan %s(a, b)"
+         other)
+  in
+  check_int "self diff" 0 (Relation.cardinal (diff "R"));
+  check_int "disjoint diff" 3 (Relation.cardinal (diff "S"))
+
+let test_pred_semantics () =
+  let filtered cond =
+    Relation.cardinal
+      (run_raw (Printf.sprintf "answer Q(a, b)\n  filter %s\n    scan R(a, b)" cond))
+  in
+  check_int "col < col" 3 (filtered "a < b");
+  check_int "col != const" 2 (filtered "a != 1");
+  check_int "col = const" 1 (filtered "b = 3");
+  (* a built-in leaf ranges over the active domain *)
+  rows_are "builtin leaf" [ [ 2 ] ] (run_raw "answer Q(x)\n  builtin x = 2")
+
+let test_plan_errors () =
+  let errors text =
+    List.map
+      (fun (d : Analysis.Diagnostic.t) -> d.Analysis.Diagnostic.code)
+      (List.filter Analysis.Diagnostic.is_error
+         (Analysis.Plan_check.check ~db:rs_db (Analysis.Plan_parse.parse text)))
+  in
+  check "unknown relation" true
+    (List.mem "P001" (errors "answer Q(x)\n  scan Zorp(x)"));
+  check "arity mismatch" true
+    (List.mem "P002" (errors "answer Q(a)\n  scan R(a)"));
+  check "filter on an unbound variable" true
+    (List.mem "P004" (errors "answer Q(a, b)\n  filter z < 3\n    scan R(a, b)"));
+  match run_raw "answer Q(x)\n  scan Zorp(x)" with
+  | _ -> Alcotest.fail "expected the unknown relation to fail at run time"
+  | exception _ -> ()
+
+let test_pp_plan () =
+  let plan =
+    Plan.compile_fo rs_db (Parser.parse_query "Q(a, c) := exists b. R(a, b) & S(b, c)")
+  in
+  let str = Format.asprintf "%a" Plan.pp plan in
+  check "mentions the join" true (contains ~sub:"adaptive-join" str);
+  check "mentions both relations" true (contains ~sub:"R(" str && contains ~sub:"S(" str)
+
+(* ---------- compiler: hand-written and random queries, rejections ---------- *)
+
+let test_compile_hand () =
+  List.iter
+    (fun qstr ->
+      let q = Parser.parse_query qstr in
+      check ("compile: " ^ qstr) true
+        (Relation.equal
+           (Plan.run rs_db (Plan.compile_fo rs_db q))
+           (Fo_eval.eval_query rs_db q)))
+    [
+      "Q(x, z) := exists y. R(x, y) & S(y, z)";
+      "Q(x) := R(x, x)";
+      "Q(y) := R(2, y)";
+      "Q(x, y) := R(x, y) & x < y & y != 3";
+      "Q(x, y) := R(x, y) | S(x, y)";
+      "Q(x) := exists y. (R(x, y) | S(x, y))";
+      "Q(x, y, x2, y2) := R(x, y) & S(x2, y2)";
+      "Q(x) := R(x, y) & 1 < x";
+      "Q(x) := not R(x, x)";
+      "Q(x, w) := R(x, y) & w = 1";
+      (* a disjunct padding over the active domain sees the other
+         disjuncts' constants too: adom(Q, D) is one set per query, and 7
+         occurs only in the second disjunct *)
+      "Q(x, w) := (exists y. R(x, y) & w != 1) | (exists y. S(x, y) & w = 7)";
+      "Q(x, w) := (exists y. R(x, y) & w = w) | (exists y. S(x, y) & w = 7)";
+    ]
+
+(* The plan compiler rejects ill-formed programs under its own name: the
+   production route never calls [Datalog.eval], so its errors must not
+   name it. *)
+let test_compile_rejections () =
+  let g = Workload.Random_db.graph (Random.State.make [| 5 |]) ~nodes:4 ~edges:6 in
+  let expect_plan_failure what text =
+    match Query.eval g (Query.Dl (Parser.parse_program text)) with
+    | _ -> Alcotest.fail ("expected rejection: " ^ what)
+    | exception Failure msg ->
+        check (what ^ " fails with a Plan: message") true
+          (String.starts_with ~prefix:"Plan: " msg)
+  in
+  expect_plan_failure "unstratifiable" "P(x) :- E(x, y), not P(x). ?- P.";
+  expect_plan_failure "unsafe head" "P(x, z) :- E(x, y). ?- P."
+
+let prop_cq_agrees =
+  QCheck.Test.make ~name:"compiled plans = reference evaluator" ~count:120
+    seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:4 in
-      let reference = Fo_eval.eval_query db q in
-      Relation.equal reference (Cq_eval.eval db q)
-      && List.for_all
-           (fun policy ->
-             Relation.equal reference
-               (Plan.run db (Plan.compile_fo ~policy db q)))
-           policies)
+      Relation.equal (Fo_eval.eval_query db q) (Plan.run db (Plan.compile_fo db q)))
 
 (* ---------- UCQ: random disjunctions ---------- *)
 
@@ -69,18 +185,12 @@ let random_ucq rng db ~disjuncts =
   { q0 with Ast.body = Ast.disj (Ast.exists [] q0.Ast.body :: bodies) }
 
 let prop_ucq_agrees =
-  QCheck.Test.make ~name:"random UCQ: plan = Cq_eval = Fo_eval" ~count:100
+  QCheck.Test.make ~name:"random UCQ: plan = Fo_eval" ~count:100
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = random_ucq rng db ~disjuncts:2 in
-      let reference = Fo_eval.eval_query db q in
-      Relation.equal reference (Cq_eval.eval db q)
-      && List.for_all
-           (fun policy ->
-             Relation.equal reference
-               (Plan.run db (Plan.compile_fo ~policy db q)))
-           policies)
+      Relation.equal (Fo_eval.eval_query db q) (Plan.run db (Plan.compile_fo db q)))
 
 (* ---------- FO: negation, comparisons, universal quantifiers ---------- *)
 
@@ -233,7 +343,7 @@ let prop_delta_matches_full =
           let rq =
             Workload.Random_db.relation rng rq_schema ~rows:3 ~domain:4
           in
-          let full = Query.eval (Database.add rq db) (Query.Fo qc) in
+          let full = Query.eval_legacy (Database.add rq db) (Query.Fo qc) in
           Relation.equal full (Engine.delta_eval d rq)
           && Engine.delta_is_empty d rq = Relation.is_empty full)
         [ (); (); () ])
@@ -262,7 +372,7 @@ let prop_delta_datalog_matches_full =
       in
       let d = Engine.delta_prepare db ~rel:"RQ" ~schema:rq_schema (Query.Dl p) in
       let rq = Workload.Random_db.relation rng rq_schema ~rows:2 ~domain:5 in
-      let full = Query.eval (Database.add rq db) (Query.Dl p) in
+      let full = Query.eval_legacy (Database.add rq db) (Query.Dl p) in
       Relation.equal full (Engine.delta_eval d rq)
       && Engine.delta_is_empty d rq = Relation.is_empty full)
 
@@ -285,7 +395,7 @@ let test_sp_single_scan () =
   check_int "one scan" 1
     (s.Plan.scans + s.Plan.column_scans + s.Plan.bitmap_filters
    + s.Plan.index_only_scans);
-  check_int "no probes" 0 (s.Plan.probes + s.Plan.adaptive_joins);
+  check_int "no joins" 0 s.Plan.adaptive_joins;
   check_int "no hash joins" 0 s.Plan.hash_joins;
   check_int "no unions" 0 s.Plan.unions;
   check_int "no complements" 0 s.Plan.complements;
@@ -366,11 +476,6 @@ let test_query_eval_uses_cache () =
 
 (* ---------- explain ---------- *)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_explain_output () =
   let text = Engine.explain flight_db (Query.Fo sp_query) in
   check "explain shows estimates" true (contains ~sub:"est" text);
@@ -438,10 +543,24 @@ let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "plan"
     [
+      ( "plans",
+        [
+          Alcotest.test_case "scan/select/project" `Quick test_scan_select_project;
+          Alcotest.test_case "hash join" `Quick test_join;
+          Alcotest.test_case "product/union/diff" `Quick test_product_union_diff;
+          Alcotest.test_case "predicate semantics" `Quick test_pred_semantics;
+          Alcotest.test_case "ill-formed plans" `Quick test_plan_errors;
+          Alcotest.test_case "plan printing" `Quick test_pp_plan;
+        ] );
+      ( "compiler",
+        [
+          Alcotest.test_case "hand-written queries" `Quick test_compile_hand;
+          Alcotest.test_case "rejections" `Quick test_compile_rejections;
+        ]
+        @ qsuite [ prop_cq_agrees ] );
       ( "differential",
         qsuite
           [
-            prop_cq_policies_agree;
             prop_ucq_agrees;
             prop_fo_agrees;
             prop_datalog_agrees;

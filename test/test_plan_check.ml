@@ -16,7 +16,6 @@ module Diagnostic = Analysis.Diagnostic
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let seed_gen = QCheck.make QCheck.Gen.(int_bound 1_000_000)
-let policies = [ Plan.Textual; Plan.Greedy; Plan.Stats ]
 
 let random_db rng =
   Workload.Random_db.database rng
@@ -70,12 +69,12 @@ let nonrec_program =
     answer = "node";
   }
 
-(* ---------- pass 1+2: every language × every policy is clean ---------- *)
+(* ---------- pass 1+2: every language is clean ---------- *)
 
 (* One representative query per language band of the paper (Table 2):
-   SP, CQ, UCQ, ∃FO⁺, FO, DATALOG.  Under every policy, the compiled plan
-   must typecheck without errors and carry a full certificate — the
-   acceptance gate of the verifier. *)
+   SP, CQ, UCQ, ∃FO⁺, FO, DATALOG.  The compiled plan must typecheck
+   without errors and carry a full certificate — the acceptance gate of
+   the verifier. *)
 let test_languages_clean () =
   let rng = Random.State.make [| 11 |] in
   let db = random_db rng in
@@ -92,19 +91,10 @@ let test_languages_clean () =
     (fun (lang, text) ->
       let fq = Parser.parse_query text in
       let q = Query.Fo fq in
-      List.iter
-        (fun policy ->
-          let plan = Plan.compile_fo ~policy db fq in
-          let ds = Check.check ~db ~query:q plan in
-          check
-            (Printf.sprintf "%s/%s clean" lang (Plan.policy_to_string policy))
-            true
-            (Check.ok ds);
-          check
-            (Printf.sprintf "%s/%s certified" lang (Plan.policy_to_string policy))
-            true
-            (Analysis.Advisor.certificate_ok (Check.certify q plan)))
-        policies)
+      let plan = Plan.compile_fo db fq in
+      check (lang ^ " clean") true (Check.ok (Check.check ~db ~query:q plan));
+      check (lang ^ " certified") true
+        (Analysis.Advisor.certificate_ok (Check.certify q plan)))
     fo_queries;
   let g = Workload.Random_db.graph rng ~nodes:6 ~edges:12 in
   List.iter
@@ -150,8 +140,7 @@ let typed_runs_clean ~name ~mk_query =
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = mk_query rng db in
-      let policy = List.nth policies (Random.State.int rng 3) in
-      let plan = Plan.compile_fo ~policy db q in
+      let plan = Plan.compile_fo db q in
       if Check.ok (Check.typecheck ~db plan) then (
         ignore (Plan.run db plan);
         true)
@@ -245,7 +234,6 @@ let test_certify_negatives () =
         | Plan.Bitmap_filter a -> Plan.Bitmap_filter { a with Ast.rel = "T" }
         | Plan.Index_only_scan (a, keep) ->
             Plan.Index_only_scan ({ a with Ast.rel = "T" }, keep)
-        | Plan.Probe (c, a) -> Plan.Probe (go c, { a with Ast.rel = "T" })
         | Plan.Adaptive_join (c, a) ->
             Plan.Adaptive_join (go c, { a with Ast.rel = "T" })
         | op -> op
@@ -377,12 +365,13 @@ let test_budget_fault () =
     (List.for_all
        (fun s -> List.mem s (Check.registry_sites ()))
        Plan.plan_fault_sites);
-  check_int "fault registry size" 23 (List.length (Check.registry_sites ()));
+  check_int "fault registry size" 22 (List.length (Check.registry_sites ()));
   (* every operator declares a budget tick — the compile-time exhaustive
      match in [Plan.op_guards] is what forces new operators to choose *)
-  check "probe declares the join fault site" true
+  check "adaptive join declares the join fault site" true
     (List.mem (Plan.Fault_site "plan.join")
-       (Plan.op_guards (Plan.Probe (Plan.raw_node Plan.Tt [], atom "R" [ "x"; "y" ]))))
+       (Plan.op_guards
+          (Plan.Adaptive_join (Plan.raw_node Plan.Tt [], atom "R" [ "x"; "y" ]))))
 
 (* ---------- effect analysis ---------- *)
 
@@ -417,8 +406,8 @@ let test_effects () =
 
 (* ---------- plan-cache key correctness (satellite) ---------- *)
 
-(* Distinct semantics never collide on (policy × query × db identity), and
-   cache hits return exactly the plan that already passed typing. *)
+(* Distinct semantics never collide on (query × db identity), and cache
+   hits return exactly the plan that already passed typing. *)
 let prop_cache_key =
   QCheck.Test.make ~count:150 ~name:"plan-cache keys: no collisions, typed hits"
     seed_gen (fun seed ->
@@ -426,35 +415,19 @@ let prop_cache_key =
       let db = random_db rng in
       let q1 = Workload.Random_db.random_cq rng db ~natoms:2 ~nvars:3 in
       let q2 = Workload.Random_db.random_cq rng db ~natoms:2 ~nvars:3 in
-      let policy = List.nth policies (Random.State.int rng 3) in
-      let p1 = Plan.compile_fo_cached ~policy db q1 in
-      let hit = Plan.compile_fo_cached ~policy db q1 in
+      let p1 = Plan.compile_fo_cached db q1 in
+      let hit = Plan.compile_fo_cached db q1 in
       (* same key → the same physical plan, still well-typed *)
       hit == p1
       && Check.ok (Check.typecheck ~db p1)
-      && (match p1 with
-         | Plan.Answer fp -> fp.Plan.fp_policy = policy
-         | _ -> false)
+      && (match p1 with Plan.Answer _ -> true | _ -> false)
       &&
       (* different query (when semantically written differently) → its own
          plan computing its own answers *)
-      let p2 = Plan.compile_fo_cached ~policy db q2 in
+      let p2 = Plan.compile_fo_cached db q2 in
       let sem_ok q p = Relation.equal (Fo_eval.eval_query db q) (Plan.run db p) in
       (Ast.equal_formula q1.Ast.body q2.Ast.body || not (p2 == p1))
       && sem_ok q1 p1 && sem_ok q2 p2)
-
-let prop_cache_policy_distinct =
-  QCheck.Test.make ~count:80 ~name:"plan-cache keys: policies do not collide"
-    seed_gen (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let db = random_db rng in
-      let q = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:4 in
-      List.for_all
-        (fun policy ->
-          match Plan.compile_fo_cached ~policy db q with
-          | Plan.Answer fp -> fp.Plan.fp_policy = policy
-          | _ -> false)
-        policies)
 
 (* ---------- dispatch verification mode ---------- *)
 
@@ -470,8 +443,7 @@ let () =
     [
       ( "typing",
         [
-          Alcotest.test_case "all languages × policies clean" `Quick
-            test_languages_clean;
+          Alcotest.test_case "all languages clean" `Quick test_languages_clean;
           Alcotest.test_case "per-code negatives (raw plans)" `Quick
             test_typing_negatives;
         ]
@@ -485,7 +457,7 @@ let () =
       ( "budget-fault",
         [ Alcotest.test_case "lint and coverage" `Quick test_budget_fault ] );
       ("effects", [ Alcotest.test_case "lattice and verdicts" `Quick test_effects ]);
-      ("cache", qsuite [ prop_cache_key; prop_cache_policy_distinct ]);
+      ("cache", qsuite [ prop_cache_key ]);
       ( "dispatch",
         [ Alcotest.test_case "verify_plans" `Quick test_dispatch_verify ] );
     ]

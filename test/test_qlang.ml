@@ -239,17 +239,16 @@ let test_eval_nullary () =
   let ans2 = eval_q "Q() := exists x, y. R(x, y) & x > 9" in
   check_int "nullary false" 0 (Relation.cardinal ans2)
 
-(* ---------- CQ planner vs FO evaluator ---------- *)
+(* ---------- CQ planner (the plan route) vs FO evaluator ---------- *)
+
+let plan_eval db query = Qlang.Query.eval db (Qlang.Query.Fo query)
 
 let test_cq_matches_fo_hand () =
   List.iter
     (fun str ->
       let query = q str in
-      let a = Qlang.Fo_eval.eval_query db query in
-      let b = Qlang.Cq_eval.eval db query in
-      let c = Qlang.Cq_eval.eval ~strategy:Qlang.Cq_eval.Textual db query in
-      check ("cq=fo: " ^ str) true (Relation.equal a b);
-      check ("greedy=textual: " ^ str) true (Relation.equal b c))
+      check ("cq=fo: " ^ str) true
+        (Relation.equal (Qlang.Fo_eval.eval_query db query) (plan_eval db query)))
     [
       "Q(x, z) := exists y. R(x, y) & S(y, z)";
       "Q(x) := R(x, y) & x != y & y <= 3";
@@ -259,16 +258,6 @@ let test_cq_matches_fo_hand () =
       "Q(x, w) := U(x) & w = 0";
       "Q(x) := (exists y. R(x, y)) & (exists y. S(x, y))";
     ]
-
-let test_cq_rejects_fo () =
-  (try
-     ignore (Qlang.Cq_eval.eval db (q "Q(x) := not U(x)"));
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Qlang.Cq_eval.eval_cq db (q "Q(x) := R(x, y) | S(x, y)"));
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
 
 let prop_cq_matches_fo =
   let rng_gen = QCheck.Gen.(int_bound 1_000_000) in
@@ -281,10 +270,7 @@ let prop_cq_matches_fo =
           ~rows:6 ~domain:4
       in
       let query = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:4 in
-      let a = Qlang.Fo_eval.eval_query db query in
-      let b = Qlang.Cq_eval.eval db query in
-      let c = Qlang.Cq_eval.eval ~strategy:Qlang.Cq_eval.Textual db query in
-      Relation.equal a b && Relation.equal b c)
+      Relation.equal (Qlang.Fo_eval.eval_query db query) (plan_eval db query))
 
 (* ---------- Datalog ---------- *)
 
@@ -327,18 +313,9 @@ let test_datalog_tc () =
   let expected =
     Relation.of_int_rows (Schema.make "T" [ "a0"; "a1" ]) (reach_reference edges)
   in
-  check "semi-naive TC" true (Relation.equal (Qlang.Datalog.eval db tc) expected);
-  check "naive TC" true
-    (Relation.equal (Qlang.Datalog.eval ~strategy:Qlang.Datalog.Naive db tc) expected)
-
-let prop_datalog_naive_eq_seminaive =
-  QCheck.Test.make ~name:"datalog: naive = semi-naive on random graphs" ~count:40
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000)) (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let db = Workload.Random_db.graph rng ~nodes:6 ~edges:10 in
-      Relation.equal
-        (Qlang.Datalog.eval ~strategy:Qlang.Datalog.Naive db tc)
-        (Qlang.Datalog.eval ~strategy:Qlang.Datalog.Semi_naive db tc))
+  check "naive TC" true (Relation.equal (Qlang.Datalog.eval db tc) expected);
+  check "plan fixpoint TC" true
+    (Relation.equal (Qlang.Query.eval db (Qlang.Query.Dl tc)) expected)
 
 let test_datalog_builtins () =
   let p =
@@ -578,7 +555,6 @@ let () =
       ( "cq_eval",
         [
           Alcotest.test_case "planner agrees with FO eval" `Quick test_cq_matches_fo_hand;
-          Alcotest.test_case "rejects non-CQ" `Quick test_cq_rejects_fo;
           QCheck_alcotest.to_alcotest prop_cq_matches_fo;
         ] );
       ( "datalog",
@@ -590,7 +566,6 @@ let () =
           Alcotest.test_case "recursion detection" `Quick test_datalog_nonrecursive_detection;
           Alcotest.test_case "agrees with FO on bounded paths" `Quick
             test_datalog_vs_fo_on_bounded_path;
-          QCheck_alcotest.to_alcotest prop_datalog_naive_eq_seminaive;
         ] );
       ( "parser",
         [
