@@ -1071,14 +1071,15 @@ let serve_cmd =
       }
     in
     let srv = Serve.Server.create ~config reg in
-    (* Once loaded, a daemon allocates per request, and the package verbs
+    (* Once loaded, a daemon's live heap barely moves: the package verbs
        allocate little once their instance stores its valid-package
-       index; the major GC is then paced by the few large requests (an
-       [eval] over a 12k-value active domain allocates ~30 MiB), whose
-       garbage sets the peak heap.  On the serve-teams benchmark (2-vCPU
-       VM) the daemon peaked at 68-74 MiB with the default space overhead
-       (120) and at ~58 MiB with 80, for a little more major-GC work. *)
-    Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
+       index, and a safe-range [eval] anti-joins without building the
+       active domain.  The peak heap is then set by how long the major GC
+       lets the steady garbage of these light requests pile up, which the
+       space overhead bounds.  On the serve-teams benchmark (2-vCPU VM)
+       the daemon peaked at 49.5 MiB with 80 and at 44.2-44.7 MiB with 60,
+       with throughput within run-to-run noise. *)
+    Gc.set { (Gc.get ()) with Gc.space_overhead = 60 };
     let lfd, where =
       match (socket, port) with
       | Some path, _ -> (Serve.Server.listen_unix path, "unix:" ^ path)

@@ -220,8 +220,9 @@ let certify_plan q plan =
           else if Datalog.is_nonrecursive p then
             Certified
               (Printf.sprintf
-                 "DATALOGnr program: %d stratum/strata, no recursion"
-                 s.Plan.strata)
+                 "DATALOGnr program: %d stratum/strata, no recursion, %d \
+                  anti-join(s), %d complement(s)"
+                 s.Plan.strata s.Plan.anti_joins s.Plan.complements)
           else
             let naive_recursive =
               (* a recursive rule evaluated only via its full body would
@@ -253,8 +254,8 @@ let certify_plan q plan =
               Certified
                 (Printf.sprintf
                    "DATALOG fixpoint over %d stratum/strata, semi-naive \
-                    (%d delta variant(s))"
-                   s.Plan.strata ndeltas)
+                    (%d delta variant(s)), %d anti-join(s), %d complement(s)"
+                   s.Plan.strata ndeltas s.Plan.anti_joins s.Plan.complements)
       | _ -> Violation "Datalog query compiled without a fixpoint plan")
   | Query.Fo fq -> (
       match Fragment.classify fq.Ast.body with
@@ -273,26 +274,27 @@ let certify_plan q plan =
                   %d join(s), %d union(s), %d complement(s)"
                  scans joins s.Plan.unions s.Plan.complements)
       | Fragment.Cq | Fragment.Ucq | Fragment.Efo_plus ->
-          (* Positive fragments never need active-domain complements. *)
-          if s.Plan.complements = 0 then
+          (* Positive fragments never negate: no active-domain complement
+             and no anti-join. *)
+          if s.Plan.complements = 0 && s.Plan.anti_joins = 0 then
             Certified
               (Printf.sprintf
-                 "positive fragment: complement-free plan (%d scan(s), %d \
-                  join(s), %d disjunct(s))"
+                 "positive fragment: negation-free plan (0 complement(s), 0 \
+                  anti-join(s), %d scan(s), %d join(s), %d disjunct(s))"
                  scans joins s.Plan.disjuncts)
           else
             Violation
               (Printf.sprintf
                  "positive fragment compiled with %d active-domain \
-                  complement(s)"
-                 s.Plan.complements)
+                  complement(s) and %d anti-join(s)"
+                 s.Plan.complements s.Plan.anti_joins)
       | Fragment.Fo ->
           if s.Plan.strata = 0 then
             Certified
               (Printf.sprintf
-                 "FO query: structural lowering (%d complement(s), %d \
-                  built-in node(s))"
-                 s.Plan.complements s.Plan.builtins)
+                 "FO query: structural lowering (%d anti-join(s), %d \
+                  complement(s), %d built-in node(s))"
+                 s.Plan.anti_joins s.Plan.complements s.Plan.builtins)
           else Violation "FO query compiled to a fixpoint plan")
 
 let candidate_route ~db ?(has_dist = fun _ -> false) q =

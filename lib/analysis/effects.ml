@@ -65,9 +65,9 @@ let op_accesses = function
   | Plan.Scan _ | Plan.Column_scan _ | Plan.Bitmap_filter _
   | Plan.Index_only_scan _ | Plan.Adaptive_join _ ->
       [ acc Relation_caches Writes_shared; acc Intern_pool Writes_shared ]
-  | Plan.Tt | Plan.Ff | Plan.Hash_join _ | Plan.Filter _ | Plan.Builtin _
-  | Plan.Extend _ | Plan.Project _ | Plan.Union _ | Plan.Complement _
-  | Plan.Cached _ ->
+  | Plan.Tt | Plan.Ff | Plan.Hash_join _ | Plan.Anti_join _ | Plan.Filter _
+  | Plan.Builtin _ | Plan.Extend _ | Plan.Project _ | Plan.Union _
+  | Plan.Complement _ | Plan.Cached _ ->
       []
 
 let compile_accesses = [ acc Plan_cache Writes_shared ]

@@ -97,6 +97,16 @@ let rec check_node env diags n =
                 "projection keeps column(s) %s its input never binds; they \
                  are silently dropped"
                 (vars_str missing)))
+  | Plan.Anti_join (x, y) ->
+      let unbound =
+        List.filter (fun v -> not (List.mem v x.Plan.nvars)) y.Plan.nvars
+      in
+      if unbound <> [] then
+        err "P015"
+          (sprintf
+             "anti-join's right input binds %s, which its left input never \
+              binds; the row restriction would raise at runtime"
+             (vars_str unbound))
   | Plan.Hash_join (x, y) ->
       if
         x.Plan.nvars <> [] && y.Plan.nvars <> []
@@ -286,14 +296,16 @@ let certify_fo q fp =
   end;
   Diagnostic.sort !diags
 
-(* Complement-stratification: inside the rules of stratum [s], a
-   complemented subtree may only read EDB relations or IDBs of strictly
-   lower strata — the stratified-negation contract the fixpoint driver
-   assumes. *)
+(* Complement-stratification: inside the rules of stratum [s], a negated
+   subtree (a complement's input or an anti-join's right input) may only
+   read EDB relations or IDBs of strictly lower strata — the
+   stratified-negation contract the fixpoint driver assumes. *)
 let rec complement_reads n =
   match n.Plan.op with
   | Plan.Complement c ->
       List.map fst (node_atoms c) @ complement_reads c
+  | Plan.Anti_join (l, r) ->
+      List.map fst (node_atoms r) @ complement_reads l @ complement_reads r
   | _ -> List.concat_map complement_reads (Plan.children n)
 
 let base_name r =
@@ -358,9 +370,9 @@ let certify_dl p dp =
                       if stratum_of b >= s && List.mem_assoc b strata then
                         err ~context:hctx "P013"
                           (sprintf
-                             "complement reads IDB %s of stratum %d from \
-                              stratum %d; stratified negation requires a \
-                              strictly lower stratum"
+                             "negation (complement or anti-join) reads IDB \
+                              %s of stratum %d from stratum %d; stratified \
+                              negation requires a strictly lower stratum"
                              b (stratum_of b) s))
                     (complement_reads node))
                 (rp.Plan.rp_full :: rp.Plan.rp_deltas))

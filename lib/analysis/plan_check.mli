@@ -20,6 +20,8 @@
       AND bitmaps over, so the node should have been a column scan
     - [P009] (error) index-only scan keeps a variable the atom never binds
       (the covering projection would raise at run time)
+    - [P015] (error) anti-join whose right input binds a variable its left
+      input does not (the row restriction would raise at run time)
 
     {b Rewrite-soundness certification} ({!certify_diags}, {!certify}) —
     structurally verifies that the planner's predicate pushdown and join
@@ -28,8 +30,9 @@
     - [P011] (error) built-in predicate count not preserved
     - [P012] (error) a free variable of the source (disjunct) is unbound
       in the compiled node
-    - [P013] (error) complement-stratification violated: a complement in a
-      stratum's rule reads a same-or-higher-stratum IDB
+    - [P013] (error) complement-stratification violated: a complement's
+      input or an anti-join's right input in a stratum's rule reads a
+      same-or-higher-stratum IDB
     - [P014] (error) coverage mismatch: disjunct/rule/stratum counts differ
       from the source, a recursive rule lacks semi-naive delta variants,
       or the plan was compiled from a different query

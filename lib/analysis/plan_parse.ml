@@ -164,6 +164,9 @@ let rec parse_node depth lines =
         | "hash-join" ->
             let a, b, rest = child2 rest in
             (Plan.Hash_join (a, b), rest)
+        | "anti-join" ->
+            let a, b, rest = child2 rest in
+            (Plan.Anti_join (a, b), rest)
         | "filter" ->
             let c, rest = child1 rest in
             (Plan.Filter (parse_cond l.ln arg, c), rest)

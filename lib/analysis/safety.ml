@@ -60,8 +60,10 @@ let check_formula f =
     | Not g ->
         add
           (Diagnostic.warning ~context:(ctx f) "A004"
-             "negated subformula is domain-dependent; it is evaluated by \
-              complementation over the active domain");
+             "negated subformula is domain-dependent on its own; unless the \
+              positive conjuncts beside it bind its free variables (an \
+              anti-join), it is evaluated by complementation over the active \
+              domain");
         go g
     | Exists (vs, g) ->
         let lim = limited g in

@@ -228,6 +228,27 @@ let complement ~adom b =
     { b with rows = Tset.diff !full b.rows }
   end
 
+(* The left rows whose restriction to the right's variables is absent from
+   the right: guarded negation, [a ∧ ¬b] with [vars b ⊆ vars a], without
+   ranging over the active domain. *)
+let anti_join a b =
+  let pos =
+    try positions a.vars b.vars
+    with Not_found ->
+      invalid_arg "Bindings.anti_join: right side binds a variable the left does not"
+  in
+  let index = Ttbl.create (max 16 (Tset.cardinal b.rows)) in
+  Tset.iter (fun row -> Ttbl.replace index row ()) b.rows;
+  {
+    a with
+    rows =
+      Tset.filter
+        (fun row ->
+          Robust.Budget.check ();
+          not (Ttbl.mem index (Array.map (fun i -> row.(i)) pos)))
+        a.rows;
+  }
+
 let project keep b =
   let keep =
     List.sort_uniq String.compare keep

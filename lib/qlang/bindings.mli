@@ -49,6 +49,12 @@ val complement : adom:Relational.Value.t list Lazy.t -> t -> t
 (** [adom^vars] minus the rows: the semantics of negation under the
     active-domain interpretation. *)
 
+val anti_join : t -> t -> t
+(** [anti_join a b]: the rows of [a] whose restriction to the variables of
+    [b] is not a row of [b] — [a ∧ ¬b] when [b]'s variables are among
+    [a]'s, with no active domain involved.  Raises [Invalid_argument] when
+    [b] binds a variable [a] does not. *)
+
 val project : string list -> t -> t
 (** Keeps only the given variables (others are projected out, i.e.
     existentially quantified).  Variables not present are ignored. *)

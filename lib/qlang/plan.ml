@@ -83,6 +83,9 @@ type op =
       (** nested-loop probe that switches to a hash build when the
           observed build side crosses {!join_threshold} *)
   | Hash_join of node * node
+  | Anti_join of node * node
+      (** the left rows whose restriction to the right's variables is
+          absent from the right: guarded negation *)
   | Filter of cond * node
   | Builtin of cond  (** active-domain built-in leaf *)
   | Extend of string list * node  (** pad missing variables over adom *)
@@ -150,14 +153,16 @@ type t =
 type cx = {
   cdb : Database.t;
   cstats : (string, Stats.relation_stats option) Hashtbl.t;
-  cadom : float;  (** estimated active-domain size *)
+  cadom : float Lazy.t;
+      (** estimated active-domain size, forced only by the estimates of
+          adom-ranging nodes: a safe-range plan never builds the domain *)
 }
 
 let make_cx db =
   {
     cdb = db;
     cstats = Hashtbl.create 16;
-    cadom = float_of_int (List.length (Database.active_domain db));
+    cadom = lazy (float_of_int (List.length (Database.active_domain db)));
   }
 
 let stats_of cx name =
@@ -267,39 +272,50 @@ let mk cx op =
   | Hash_join (x, y) ->
       let vars, est, dst = join_est (x.nvars, x.est, x.dst) (y.nvars, y.est, y.dst) in
       mk_node op vars est dst
+  | Anti_join (x, _) -> mk_node op x.nvars (x.est /. 2.) x.dst
   | Filter (_, n) -> mk_node op n.nvars (n.est /. 3.) n.dst
   | Builtin c ->
+      let cadom = Lazy.force cx.cadom in
       let vs = cond_vars c in
       let k = float_of_int (List.length vs) in
-      let base = cx.cadom ** k in
+      let base = cadom ** k in
       let est =
         match c with
-        | Cond_cmp (Eq, _, _) -> base /. Float.max 1. cx.cadom
+        | Cond_cmp (Eq, _, _) -> base /. Float.max 1. cadom
         | _ -> base /. 3.
       in
-      mk_node op vs est (List.map (fun v -> (v, cx.cadom)) vs)
+      mk_node op vs est (List.map (fun v -> (v, cadom)) vs)
   | Extend (vs, n) ->
       let missing = List.filter (fun v -> not (List.mem v n.nvars)) vs in
-      let est = n.est *. (cx.cadom ** float_of_int (List.length missing)) in
       let nv = List.sort_uniq String.compare (vs @ n.nvars) in
-      mk_node op nv est (n.dst @ List.map (fun v -> (v, cx.cadom)) missing)
+      if missing = [] then mk_node op nv n.est n.dst
+      else
+        let cadom = Lazy.force cx.cadom in
+        let est = n.est *. (cadom ** float_of_int (List.length missing)) in
+        mk_node op nv est (n.dst @ List.map (fun v -> (v, cadom)) missing)
   | Project (vs, n) ->
       let nv = List.filter (fun v -> List.mem v vs) n.nvars in
       mk_node op nv n.est (List.filter (fun (v, _) -> List.mem v vs) n.dst)
   | Union (x, y) ->
       let nv = List.sort_uniq String.compare (x.nvars @ y.nvars) in
-      let pad m = cx.cadom ** float_of_int (List.length nv - List.length m.nvars) in
+      let pad m =
+        let k = List.length nv - List.length m.nvars in
+        if k = 0 then 1. else Lazy.force cx.cadom ** float_of_int k
+      in
       let dst =
         List.map
           (fun v ->
-            let side m = if List.mem v m.nvars then dst_find m.dst v else cx.cadom in
+            let side m =
+              if List.mem v m.nvars then dst_find m.dst v else Lazy.force cx.cadom
+            in
             (v, Float.max (side x) (side y)))
           nv
       in
       mk_node op nv ((x.est *. pad x) +. (y.est *. pad y)) dst
   | Complement n ->
-      let full = cx.cadom ** float_of_int (List.length n.nvars) in
-      mk_node op n.nvars (Float.max 0. (full -. n.est)) (List.map (fun v -> (v, cx.cadom)) n.nvars)
+      let cadom = Lazy.force cx.cadom in
+      let full = cadom ** float_of_int (List.length n.nvars) in
+      mk_node op n.nvars (Float.max 0. (full -. n.est)) (List.map (fun v -> (v, cadom)) n.nvars)
   | Cached (b, n) -> mk_node op n.nvars (float_of_int (Bindings.cardinal b)) n.dst
 
 let children n =
@@ -314,7 +330,7 @@ let children n =
   | Complement c
   | Cached (_, c) ->
       [ c ]
-  | Hash_join (a, b) | Union (a, b) -> [ a; b ]
+  | Hash_join (a, b) | Anti_join (a, b) | Union (a, b) -> [ a; b ]
 
 (* ------------------------------------------------------------------ *)
 (* Static metadata: guards, variable recomputation, raw construction   *)
@@ -331,8 +347,8 @@ type guard = Budget_tick | Fault_site of string
    lint should start covering it. *)
 let op_guards = function
   | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
-  | Builtin _ | Filter _ | Extend _ | Project _ | Hash_join _ | Union _
-  | Complement _ | Cached _ ->
+  | Builtin _ | Filter _ | Extend _ | Project _ | Hash_join _ | Anti_join _
+  | Union _ | Complement _ | Cached _ ->
       [ Budget_tick ]
   | Adaptive_join _ ->
       (* nested-loop mode delegates to the probe loop, hash mode arms the
@@ -357,7 +373,7 @@ let op_vars = function
       List.sort_uniq String.compare (n.nvars @ atom_vars_sorted a)
   | Hash_join (x, y) | Union (x, y) ->
       List.sort_uniq String.compare (x.nvars @ y.nvars)
-  | Filter (_, n) | Complement n | Cached (_, n) -> n.nvars
+  | Filter (_, n) | Anti_join (n, _) | Complement n | Cached (_, n) -> n.nvars
   | Builtin c -> cond_vars c
   | Extend (vs, n) -> List.sort_uniq String.compare (vs @ n.nvars)
   | Project (vs, n) -> List.filter (fun v -> List.mem v vs) n.nvars
@@ -860,6 +876,7 @@ let rec run_node st n =
     | Hash_join (x, y) ->
         Observe.bump c_hash_joins;
         Bindings.join (run_node st x) (run_node st y)
+    | Anti_join (x, y) -> Bindings.anti_join (run_node st x) (run_node st y)
     | Filter (c, x) ->
         let holds2, t1, t2 = cond_pred st c in
         Bindings.filter
@@ -1260,7 +1277,7 @@ let rec compile_formula cx f =
   | Atom a -> mk cx (Scan a)
   | Cmp (op, t1, t2) -> mk cx (Builtin (Cond_cmp (op, t1, t2)))
   | Dist (name, t1, t2, d) -> mk cx (Builtin (Cond_dist (name, t1, t2, d)))
-  | And (f1, f2) -> mk cx (Hash_join (compile_formula cx f1, compile_formula cx f2))
+  | And _ -> compile_conj cx (conjuncts f)
   | Or (f1, f2) -> mk cx (Union (compile_formula cx f1, compile_formula cx f2))
   | Not f ->
       (* The complement must range over all free variables of f. *)
@@ -1271,6 +1288,57 @@ let rec compile_formula cx f =
       let keep = List.filter (fun v -> not (List.mem v vs)) n.nvars in
       mk cx (Project (keep, n))
   | Forall (vs, f) -> compile_formula cx (Not (exists vs (Not f)))
+
+(* A conjunction joins its positive conjuncts first.  A comparison or
+   distance whose variables they bind then becomes a [Filter], and a
+   negation [¬h] with [fv h] bound an [Anti_join] against [h]: on rows whose
+   values all lie in the active domain both agree with the adom lowering,
+   which never runs for such guarded conjuncts.  Anything else keeps that
+   lowering (a [Builtin] leaf or a padded [Complement], hash-joined in),
+   and the variables it binds may make further conjuncts attachable. *)
+and compile_conj cx fs =
+  let cond_of = function
+    | Cmp (op, t1, t2) -> Some (Cond_cmp (op, t1, t2))
+    | Dist (name, t1, t2, d) -> Some (Cond_dist (name, t1, t2, d))
+    | _ -> None
+  in
+  let is_neg = function Not _ -> true | _ -> false in
+  let guards, positives =
+    List.partition (fun f -> is_neg f || cond_of f <> None) fs
+  in
+  let join left n =
+    match left with None -> Some n | Some l -> Some (mk cx (Hash_join (l, n)))
+  in
+  let attach l f =
+    match f with
+    | Not h -> mk cx (Anti_join (l, compile_formula cx h))
+    | _ -> mk cx (Filter (Option.get (cond_of f), l))
+  in
+  let rec go left pending =
+    let bound =
+      match left with None -> Sset.empty | Some l -> Sset.of_list l.nvars
+    in
+    let ready, rest =
+      List.partition
+        (fun f -> Sset.subset (Sset.of_list (free_vars f)) bound)
+        pending
+    in
+    let conds, negs = List.partition (fun f -> not (is_neg f)) ready in
+    let left =
+      match (left, ready) with
+      | None, [] -> None
+      | _ ->
+          let l = Option.value left ~default:(mk cx Tt) in
+          Some (List.fold_left attach l (conds @ negs))
+    in
+    match rest with
+    | [] -> left
+    | f :: rest -> go (join left (compile_formula cx f)) rest
+  in
+  let left =
+    List.fold_left (fun l f -> join l (compile_formula cx f)) None positives
+  in
+  match go left guards with Some n -> n | None -> mk cx Tt
 
 (* The disjuncts of a UCQ, pushing top-level ∃ through ∨. *)
 let rec ucq_disjuncts f =
@@ -1562,7 +1630,8 @@ let rec mentions_rel rel n =
   | Tt | Ff | Builtin _ | Cached _ -> false
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
       mentions_rel rel c
-  | Hash_join (a, b) | Union (a, b) -> mentions_rel rel a || mentions_rel rel b
+  | Hash_join (a, b) | Anti_join (a, b) | Union (a, b) ->
+      mentions_rel rel a || mentions_rel rel b
 
 (* Whether the node's value depends on the active domain (which grows with
    the candidate package's values, so such nodes cannot be frozen). *)
@@ -1578,7 +1647,7 @@ let rec uses_adom n =
   | Cached _ ->
       false
   | Adaptive_join (c, _) | Filter (_, c) | Project (_, c) -> uses_adom c
-  | Hash_join (a, b) -> uses_adom a || uses_adom b
+  | Hash_join (a, b) | Anti_join (a, b) -> uses_adom a || uses_adom b
 
 let rec count_cached n =
   match n.op with
@@ -1597,7 +1666,8 @@ let rec node_rels acc n =
   | Cached (_, c) -> node_rels acc c
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
       node_rels acc c
-  | Hash_join (a, b) | Union (a, b) -> node_rels (node_rels acc a) b
+  | Hash_join (a, b) | Anti_join (a, b) | Union (a, b) ->
+      node_rels (node_rels acc a) b
 
 let rels t =
   let names =
@@ -1656,6 +1726,7 @@ let rec rewrite_delta st rel n =
       | Project (vs, c) -> Project (vs, rewrite_delta st rel c)
       | Complement c -> Complement (rewrite_delta st rel c)
       | Hash_join (a, b) -> Hash_join (rewrite_delta st rel a, rewrite_delta st rel b)
+      | Anti_join (a, b) -> Anti_join (rewrite_delta st rel a, rewrite_delta st rel b)
       | Union (a, b) -> Union (rewrite_delta st rel a, rewrite_delta st rel b)
       | (Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
         | Builtin _ | Cached _) as op ->
@@ -1788,6 +1859,7 @@ type shape = {
   index_only_scans : int;
   adaptive_joins : int;
   hash_joins : int;
+  anti_joins : int;
   filters : int;
   unions : int;
   complements : int;
@@ -1806,6 +1878,7 @@ let empty_shape =
     index_only_scans = 0;
     adaptive_joins = 0;
     hash_joins = 0;
+    anti_joins = 0;
     filters = 0;
     unions = 0;
     complements = 0;
@@ -1826,6 +1899,7 @@ let rec node_shape acc n =
         { acc with index_only_scans = acc.index_only_scans + 1 }
     | Adaptive_join _ -> { acc with adaptive_joins = acc.adaptive_joins + 1 }
     | Hash_join _ -> { acc with hash_joins = acc.hash_joins + 1 }
+    | Anti_join _ -> { acc with anti_joins = acc.anti_joins + 1 }
     | Filter _ -> { acc with filters = acc.filters + 1 }
     | Union _ -> { acc with unions = acc.unions + 1 }
     | Complement _ -> { acc with complements = acc.complements + 1 }
@@ -1898,6 +1972,7 @@ let node_label ppf n =
         (String.concat ", " keep)
   | Adaptive_join (_, a) -> Format.fprintf ppf "adaptive-join %a" pp_atom a
   | Hash_join _ -> Format.pp_print_string ppf "hash-join"
+  | Anti_join _ -> Format.pp_print_string ppf "anti-join"
   | Filter (c, _) -> Format.fprintf ppf "filter %a" pp_cond c
   | Builtin c -> Format.fprintf ppf "builtin %a" pp_cond c
   | Extend (vs, _) ->

@@ -12,8 +12,11 @@
     components compiled separately (so a delta rewrite can cache them
     wholesale), and built-in predicates pushed down to the earliest node
     that binds their variables.  Beyond the UCQ fragment the compiler
-    lowers structurally (negation as active-domain complement, [∀] as
-    [¬∃¬]); Datalog programs become a {!Fixpoint} plan whose strata carry
+    lowers structurally, [∀] as [¬∃¬].  Inside a conjunction, a comparison
+    over variables the positive conjuncts bind becomes a filter and a
+    negation over them an {!Anti_join}; only an unguarded negation or
+    comparison ranges over the active domain (a complement or a built-in
+    leaf), so a safe-range query never builds the domain.  Datalog programs become a {!Fixpoint} plan whose strata carry
     semi-naive rule-body plans.
 
     Relations are additionally stored column-major as interned-int arrays
@@ -60,6 +63,10 @@ type op =
       (** nested-loop probe that switches to a hash build when the observed
           build side crosses {!join_threshold} *)
   | Hash_join of node * node
+  | Anti_join of node * node
+      (** the rows of the left input whose restriction to the right
+          input's variables is absent from the right input: [l ∧ ¬r] for a
+          negation guarded by [l], with no active domain involved *)
   | Filter of cond * node
   | Builtin of cond  (** active-domain built-in leaf *)
   | Extend of string list * node  (** pad missing variables over adom *)
@@ -305,6 +312,7 @@ type shape = {
   index_only_scans : int;  (** covering scans *)
   adaptive_joins : int;  (** nested-loop/hash adaptive join nodes *)
   hash_joins : int;
+  anti_joins : int;  (** guarded negations *)
   filters : int;
   unions : int;
   complements : int;

@@ -224,6 +224,48 @@ let test_unrelated_mutation_keeps_memo () =
   check "retained verdicts answer from the memo" true
     (counter_value "memo.compat_hit" = vhits + 1)
 
+(* The team selection negates only variables its [expert] atom binds: it
+   plans as an anti-join, never reads the active domain, and so keeps its
+   candidates across a write that brings new values into an unrelated
+   relation (the domain changes; no relation the selection reads does). *)
+let team_db =
+  Database.of_string
+    "expert(eid, skill, salary, score)\n\
+     1, \"backend\", 50, 7\n\
+     2, \"backend\", 60, 8\n\
+     3, \"data\", 55, 6\n\
+     \n\
+     onleave(eid, week)\n\
+     2, 14\n\
+     \n\
+     E(src, dst)\n\
+     1, 2\n"
+
+let team_select =
+  Query.Fo
+    (q "Q(e, sk, sal, sc) := expert(e, sk, sal, sc) & sk = \"backend\" & not \
+        (exists w. onleave(e, w))")
+
+let test_guarded_selection_keeps_memo () =
+  with_tracing @@ fun () ->
+  check "team selection is adom-insensitive" false
+    (Query.adom_sensitive team_db team_select);
+  let inst =
+    Instance.make ~db:team_db ~select:team_select ~compat:Instance.No_constraint
+      ~cost:Rating.card_or_infinite
+      ~value:(Rating.sum_col ~nonneg:true 3)
+      ~budget:2. ()
+  in
+  let cands = Instance.candidates inst in
+  check_int "backend experts not on leave" 1 (Relation.cardinal cands);
+  let inst2 = Instance.insert_tuple inst "E" (Tuple.of_ints [ 97; 98 ]) in
+  check "candidates memo retained" true
+    (counter_value "memo.candidates_kept" = 1);
+  let chits = counter_value "memo.candidates_hit" in
+  check "same candidates" true (Relation.equal cands (Instance.candidates inst2));
+  check "answered from the memo" true
+    (counter_value "memo.candidates_hit" = chits + 1)
+
 let test_real_mutation_flips_verdict () =
   with_tracing @@ fun () ->
   let inst = churn_inst () in
@@ -430,6 +472,8 @@ let () =
             test_unrelated_mutation_keeps_memo;
           Alcotest.test_case "real mutation never serves a stale verdict"
             `Quick test_real_mutation_flips_verdict;
+          Alcotest.test_case "guarded selection keeps memo across domain growth"
+            `Quick test_guarded_selection_keeps_memo;
         ] );
       ( "differential",
         [

@@ -80,6 +80,21 @@ let test_product_union_diff () =
   check_int "self diff" 0 (Relation.cardinal (diff "R"));
   check_int "disjoint diff" 3 (Relation.cardinal (diff "S"))
 
+let test_anti_join () =
+  let anti right =
+    run_raw ("answer Q(a, b)\n  anti-join\n    scan R(a, b)\n" ^ right)
+  in
+  rows_are "R rows whose a is no S key" [ [ 1; 2 ] ]
+    (anti "    project [a]\n      scan S(a, c)");
+  rows_are "no R row is an S row" [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ] ]
+    (anti "    scan S(a, b)");
+  rows_are "nullary right side: non-empty removes every row" []
+    (anti "    project []\n      scan S(c, d)");
+  check "right side binding a variable the left lacks is refused" true
+    (match anti "    scan S(a, c)" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_pred_semantics () =
   let filtered cond =
     Relation.cardinal
@@ -239,9 +254,81 @@ let prop_fo_agrees =
       let reference = Fo_eval.eval_query db q in
       Relation.equal reference (Plan.run db (Plan.compile_fo db q)))
 
-(* ---------- Datalog: recursion and stratified negation ---------- *)
+(* ---------- guarded negation: anti-joins, no active domain ---------- *)
 
 let atom rel args = { Ast.rel; args = List.map (fun v -> Ast.Var v) args }
+
+(* A safe-range FO query over R/2, S/2, T/1: positive atoms bind a
+   variable set B; every comparison ranges over B, and every [¬h] has
+   [fv h ⊆ B] — [h] an atom, an existential, a same-variable disjunction,
+   or itself a guarded conjunction with a nested negation.  Some of B is
+   then quantified away. *)
+let guarded_fo rng =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let v x = Ast.Var x in
+  let pool = [ "x"; "y"; "z" ] in
+  let positives =
+    List.init
+      (1 + Random.State.int rng 2)
+      (fun _ ->
+        match Random.State.int rng 3 with
+        | 0 -> Ast.Atom (atom "T" [ pick pool ])
+        | 1 -> Ast.Atom (atom "R" [ pick pool; pick pool ])
+        | _ -> Ast.Atom (atom "S" [ pick pool; pick pool ]))
+  in
+  let bound = Ast.free_vars (Ast.conj positives) in
+  let b () = pick bound in
+  let negated () =
+    match Random.State.int rng 5 with
+    | 0 -> Ast.Atom (atom "T" [ b () ])
+    | 1 -> Ast.Atom (atom (pick [ "R"; "S" ]) [ b (); b () ])
+    | 2 -> Ast.Exists ([ "u" ], Ast.Atom (atom "R" [ b (); "u" ]))
+    | 3 ->
+        let w = b () in
+        Ast.Or
+          ( Ast.Atom (atom "T" [ w ]),
+            Ast.Exists ([ "u" ], Ast.Atom (atom "S" [ "u"; w ])) )
+    | _ ->
+        Ast.Exists
+          ( [ "u" ],
+            Ast.And
+              ( Ast.Atom (atom "R" [ b (); "u" ]),
+                Ast.Not (Ast.Atom (atom "T" [ "u" ])) ) )
+  in
+  let cmp_op () = pick [ Ast.Eq; Ast.Neq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
+  let guard () =
+    match Random.State.int rng 3 with
+    | 0 ->
+        Ast.Cmp (cmp_op (), v (b ()), Ast.Const (Value.Int (Random.State.int rng 4)))
+    | 1 -> Ast.Cmp (cmp_op (), v (b ()), v (b ()))
+    | _ -> Ast.Not (negated ())
+  in
+  let guards =
+    Ast.Not (negated ()) :: List.init (Random.State.int rng 3) (fun _ -> guard ())
+  in
+  let head = List.filter (fun _ -> Random.State.bool rng) bound in
+  let hidden = List.filter (fun x -> not (List.mem x head)) bound in
+  {
+    Ast.name = "Q";
+    head;
+    body = Ast.exists hidden (Ast.conj (positives @ guards));
+  }
+
+let prop_guarded_fo =
+  QCheck.Test.make
+    ~name:"guarded FO: anti-join plan, no active domain, = Query.eval_legacy"
+    ~count:200 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let db = random_db rng in
+      let q = guarded_fo rng in
+      let plan = Plan.compile_fo db q in
+      let s = Plan.shape plan in
+      s.Plan.anti_joins >= 1
+      && s.Plan.complements = 0 && s.Plan.builtins = 0 && s.Plan.extends = 0
+      && (not (Plan.adom_sensitive plan))
+      && Relation.equal (Query.eval_legacy db (Query.Fo q)) (Plan.run db plan))
+
+(* ---------- Datalog: recursion and stratified negation ---------- *)
 
 let tc_program =
   {
@@ -287,6 +374,38 @@ let prop_datalog_agrees =
           Relation.equal (Datalog.eval db p)
             (Plan.run db (Plan.compile_datalog db p)))
         [ tc_program; unreachable_program ])
+
+(* Safe Datalog negation always plans as an anti-join: every negated
+   literal's variables are bound by the rule's positive literals. *)
+let neg_programs c =
+  List.map Parser.parse_program
+    [
+      Printf.sprintf
+        "reach(x, y) :- E(x, y).\n\
+         reach(x, z) :- reach(x, y), E(y, z).\n\
+         oneway(x, y) :- E(x, y), not reach(y, x), x != %d.\n\
+         ?- oneway."
+        c;
+      Printf.sprintf
+        "src(x) :- E(x, y), not E(y, x).\n\
+         far(x, z) :- E(x, y), E(y, z), not E(x, z), not src(z), z < %d.\n\
+         ?- far."
+        c;
+    ]
+
+let prop_datalog_neg_anti_join =
+  QCheck.Test.make
+    ~name:"random graph: Datalog ¬ plans as anti-join = Datalog.eval"
+    ~count:80 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let db = Workload.Random_db.graph rng ~nodes:6 ~edges:10 in
+      List.for_all
+        (fun p ->
+          let plan = Plan.compile_datalog db p in
+          let s = Plan.shape plan in
+          s.Plan.anti_joins >= 1 && s.Plan.complements = 0
+          && Relation.equal (Datalog.eval db p) (Plan.run db plan))
+        (unreachable_program :: neg_programs (Random.State.int rng 6)))
 
 (* ---------- Query.eval routing = legacy across all six languages ---------- *)
 
@@ -551,6 +670,7 @@ let () =
           Alcotest.test_case "predicate semantics" `Quick test_pred_semantics;
           Alcotest.test_case "ill-formed plans" `Quick test_plan_errors;
           Alcotest.test_case "plan printing" `Quick test_pp_plan;
+          Alcotest.test_case "anti-join" `Quick test_anti_join;
         ] );
       ( "compiler",
         [
@@ -565,6 +685,8 @@ let () =
             prop_fo_agrees;
             prop_datalog_agrees;
             prop_query_eval_matches_legacy;
+            prop_guarded_fo;
+            prop_datalog_neg_anti_join;
           ] );
       ( "delta",
         qsuite [ prop_delta_matches_full; prop_delta_datalog_matches_full ]

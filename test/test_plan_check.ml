@@ -346,6 +346,44 @@ let test_certify_dl () =
     (has_code "P013"
        (Check.certify_diags (Query.Dl unreachable_program) merged))
 
+(* P015 and the anti-join half of complement-stratification. *)
+let test_anti_join_checks () =
+  check "P015" true
+    (has_code "P015"
+       (raw_check
+          "answer Q(x)\n  anti-join\n    scan hub(x)\n    scan flight(i, x, y, p)"));
+  check "guarded anti-join is clean" true
+    (Check.ok
+       (raw_check
+          "answer Q(x)\n\
+          \  anti-join\n\
+          \    scan hub(x)\n\
+          \    project [x]\n\
+          \      scan flight(i, x, y, p)"));
+  (* the unreach rule negates reach: an anti-join, and no complement *)
+  let g = Workload.Random_db.graph (Random.State.make [| 37 |]) ~nodes:5 ~edges:8 in
+  let plan = Plan.compile_datalog g unreachable_program in
+  let s = Plan.shape plan in
+  check_int "one anti-join" 1 s.Plan.anti_joins;
+  check_int "no complement" 0 s.Plan.complements;
+  check "stratified anti-join certifies" true
+    (Check.ok (Check.check ~query:(Query.Dl unreachable_program) ~db:g plan));
+  (* hand-written: the rule anti-joins an IDB of its own stratum *)
+  let same_stratum =
+    Analysis.Plan_parse.parse
+      "fixpoint p\n\
+      \  stratum p/1\n\
+      \    rule p(x)\n\
+      \      anti-join\n\
+      \        scan E(x, y)\n\
+      \        scan p(x)"
+  in
+  let program =
+    Parser.parse_program "p(x) :- E(x, y), not q(x).\nq(x) :- E(x, x).\n?- p."
+  in
+  check "anti-join over a same-stratum IDB fails P013" true
+    (has_code "P013" (Check.certify_diags (Query.Dl program) same_stratum))
+
 (* ---------- budget & fault coverage ---------- *)
 
 let test_budget_fault () =
@@ -453,6 +491,8 @@ let () =
           Alcotest.test_case "tampered FO plans rejected" `Quick
             test_certify_negatives;
           Alcotest.test_case "Datalog certificates" `Quick test_certify_dl;
+          Alcotest.test_case "anti-join: P015 and stratification" `Quick
+            test_anti_join_checks;
         ] );
       ( "budget-fault",
         [ Alcotest.test_case "lint and coverage" `Quick test_budget_fault ] );
