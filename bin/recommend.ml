@@ -216,12 +216,6 @@ let explain_query ?dist ~what db q =
   let plan = Qlang.Query.plan db q in
   Format.printf "--- plan: %s ---@." what;
   print_string (Qlang.Engine.explain ?dist db q);
-  if (Qlang.Plan.shape plan).Qlang.Plan.adaptive_joins > 0 then
-    Format.printf
-      "adaptive joins: build side of %d row(s) or more switches \
-       nested-loop -> hash (PKG_JOIN_THRESHOLD=%d)@."
-      (Qlang.Plan.join_threshold ())
-      (Qlang.Plan.join_threshold ());
   Format.printf "%s@."
     (Analysis.Advisor.certificate_to_string
        (Analysis.Plan_check.certify q plan));

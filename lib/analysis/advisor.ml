@@ -184,7 +184,7 @@ let certificate_to_string = function
    caught as a shape violation rather than as a silent slowdown. *)
 let certify_plan q plan =
   let s = Plan.shape plan in
-  let joins = s.Plan.hash_joins + s.Plan.adaptive_joins in
+  let joins = s.Plan.hash_joins + s.Plan.index_joins in
   let scans =
     (* every physical access path counts as a scan for shape purposes:
        the columnar operators are just faster ways to read one atom *)

@@ -68,7 +68,7 @@ type summary = {
 
 val op_accesses : Qlang.Plan.op -> access list
 (** Shared-state accesses of evaluating one node of this kind.  Atom
-    leaves and [Adaptive_join] build (write) relation caches and intern
+    leaves and [Index_join] build (write) relation caches and intern
     values; everything else computes over already-materialized bindings.
     Total over [op]. *)
 

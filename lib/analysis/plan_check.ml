@@ -33,7 +33,7 @@ let rec check_node env diags n =
   | Plan.Column_scan a
   | Plan.Bitmap_filter a
   | Plan.Index_only_scan (a, _)
-  | Plan.Adaptive_join (_, a) -> (
+  | Plan.Index_join (_, a) -> (
       match Smap.find_opt a.Ast.rel env with
       | None ->
           err "P001"
@@ -213,15 +213,22 @@ let rec node_atoms n =
     | Plan.Column_scan a
     | Plan.Bitmap_filter a
     | Plan.Index_only_scan (a, _)
-    | Plan.Adaptive_join (_, a) ->
+    | Plan.Index_join (_, a) ->
         [ (a.Ast.rel, List.length a.Ast.args) ]
     | _ -> []
   in
   own @ List.concat_map node_atoms (Plan.children n)
 
+(* A disjunctive filter carries one built-in per comparison it ORs. *)
+let rec cond_count = function
+  | Plan.Cond_or (c1, c2) -> cond_count c1 + cond_count c2
+  | Plan.Cond_cmp _ | Plan.Cond_dist _ -> 1
+
 let rec node_conds n =
   let own =
-    match n.Plan.op with Plan.Filter _ | Plan.Builtin _ -> 1 | _ -> 0
+    match n.Plan.op with
+    | Plan.Filter (c, _) | Plan.Builtin c -> cond_count c
+    | _ -> 0
   in
   own + List.fold_left (fun acc c -> acc + node_conds c) 0 (Plan.children n)
 
@@ -471,7 +478,7 @@ let budget_lint t =
                       outside the cooperative budget cannot be interrupted"
                kind);
         (match n.Plan.op with
-        | Plan.Adaptive_join _ ->
+        | Plan.Index_join _ ->
             if guard_sites gs = [] then
               err ~context "P020"
                 "join loop declares no fault site; robustness tests cannot \

@@ -64,7 +64,7 @@ let parse_var_list ln s =
   if String.trim inner = "" then []
   else List.map String.trim (String.split_on_char ',' inner)
 
-let parse_cond ln s =
+let parse_cmp ln s =
   (* longest operators first so "<=" is not read as "<" *)
   let ops =
     [ ("!=", Ast.Neq); ("<=", Ast.Le); (">=", Ast.Ge);
@@ -85,6 +85,15 @@ let parse_cond ln s =
       let lhs = parse_term ln (String.sub s 0 i) in
       let rhs = parse_term ln (String.sub s (i + tl) (String.length s - i - tl)) in
       Plan.Cond_cmp (cmp, lhs, rhs)
+
+(* "c | c | ..." -> a right-nested disjunction of comparisons *)
+let parse_cond ln s =
+  let rec fold = function
+    | [] -> fail ln "empty condition"
+    | [ c ] -> parse_cmp ln c
+    | c :: rest -> Plan.Cond_or (parse_cmp ln c, fold rest)
+  in
+  fold (String.split_on_char '|' s)
 
 (* Split "scan R(x) vars [a]" into the op text and the override. *)
 let split_vars_suffix s =
@@ -158,9 +167,9 @@ let rec parse_node depth lines =
                     (String.trim (String.sub arg bracket (sl - bracket)))
                 in
                 (Plan.Index_only_scan (a, keep), rest))
-        | "adaptive-join" ->
+        | "index-join" ->
             let c, rest = child1 rest in
-            (Plan.Adaptive_join (c, parse_atom l.ln arg), rest)
+            (Plan.Index_join (c, parse_atom l.ln arg), rest)
         | "hash-join" ->
             let a, b, rest = child2 rest in
             (Plan.Hash_join (a, b), rest)

@@ -15,9 +15,10 @@
 
     Nodes: [true], [false], [scan R(t, ...)], [column-scan R(t, ...)],
     [bitmap-filter R(t, ...)], [index-only R(t, ...) keep [v, ...]],
-    [adaptive-join R(t, ...)] (one child), [hash-join] (two children),
-    [filter t OP t], [builtin t OP t] (OP one of [= != < <= > >=]),
-    [extend [v, ...]], [project [v, ...]] (one child each), [union] (two
+    [index-join R(t, ...)] (one child), [hash-join] and [anti-join] (two
+    children), [filter C], [builtin C] where the condition [C] is
+    [t OP t] (OP one of [= != < <= > >=]) or a disjunction
+    [t OP t | t OP t | ...], [extend [v, ...]], [project [v, ...]] (one child each), [union] (two
     children), [complement] (one child).  Terms: integers and double-quoted strings
     are constants, anything else a variable.  A node line may end with
     [vars [a, b]] to override the recomputed variable metadata (for

@@ -54,16 +54,28 @@ let check_formula f =
   let rec go f =
     match f with
     | True | False | Atom _ | Cmp _ | Dist _ -> ()
-    | And (f1, f2) | Or (f1, f2) ->
+    | And _ ->
+        (* A negation whose free variables the positive sibling conjuncts
+           limit is guarded: it plans as an anti-join, with no active
+           domain involved. *)
+        let cs = conjuncts f in
+        let lim =
+          limited
+            (conj (List.filter (function Not _ -> false | _ -> true) cs))
+        in
+        List.iter
+          (function
+            | Not g as c ->
+                if not (Sset.subset (Sset.of_list (free_vars g)) lim) then
+                  negation c;
+                go g
+            | c -> go c)
+          cs
+    | Or (f1, f2) ->
         go f1;
         go f2
     | Not g ->
-        add
-          (Diagnostic.warning ~context:(ctx f) "A004"
-             "negated subformula is domain-dependent on its own; unless the \
-              positive conjuncts beside it bind its free variables (an \
-              anti-join), it is evaluated by complementation over the active \
-              domain");
+        negation f;
         go g
     | Exists (vs, g) ->
         let lim = limited g in
@@ -86,6 +98,12 @@ let check_formula f =
                  evaluated against the active domain"
                 (String.concat ", " vs)));
         go g
+  and negation f =
+    add
+      (Diagnostic.warning ~context:(ctx f) "A004"
+         "negated subformula is domain-dependent: the positive conjuncts \
+          beside it do not bind all its free variables, so it is evaluated \
+          by complementation over the active domain")
   in
   go f;
   List.rev !diags

@@ -11,7 +11,9 @@
 
     Codes: [A001] (error) free or head variable not limited; [A002]
     (warning) existential variable not limited inside its scope; [A003]
-    (warning) universal quantification; [A004] (warning) negation. *)
+    (warning) universal quantification; [A004] (warning) negation whose
+    free variables the positive sibling conjuncts do not limit (a guarded
+    negation plans as an anti-join and is not flagged). *)
 
 val limited_vars : Qlang.Ast.formula -> string list
 (** The range-restricted (limited) variables: bound to values of the

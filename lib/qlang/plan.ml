@@ -25,30 +25,7 @@ let c_column_scans = Observe.counter "plan.column_scans"
 let c_bitmap_filters = Observe.counter "plan.bitmap_filters"
 let c_bitmap_ands = Observe.counter "plan.bitmap_ands"
 let c_index_only = Observe.counter "plan.index_only_scans"
-let c_adaptive_nl = Observe.counter "plan.adaptive_nl"
-let c_adaptive_hash = Observe.counter "plan.adaptive_hash_builds"
 let t_run = Observe.timer "plan.run"
-
-(* The adaptive join starts as an index nested-loop probe and switches to
-   a hash build once the observed build side reaches this many rows.
-   Overridable via PKG_JOIN_THRESHOLD (and, for tests, at runtime). *)
-let default_join_threshold = 32
-
-let join_threshold_ref =
-  ref
-    (match Sys.getenv_opt "PKG_JOIN_THRESHOLD" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n > 0 -> n
-        | _ -> default_join_threshold)
-    | None -> default_join_threshold)
-
-let join_threshold () = !join_threshold_ref
-
-let with_join_threshold n f =
-  let old = !join_threshold_ref in
-  join_threshold_ref := n;
-  Fun.protect ~finally:(fun () -> join_threshold_ref := old) f
 
 module Sset = Set.Make (String)
 
@@ -65,6 +42,7 @@ end)
 type cond =
   | Cond_cmp of cmp * term * term
   | Cond_dist of string * term * term * float
+  | Cond_or of cond * cond
 
 type op =
   | Tt
@@ -79,9 +57,9 @@ type op =
   | Index_only_scan of atom * string list
       (** covering scan: like [Column_scan] but emitting only the listed
           variables (the ones consumed above), reading only their columns *)
-  | Adaptive_join of node * atom
-      (** nested-loop probe that switches to a hash build when the
-          observed build side crosses {!join_threshold} *)
+  | Index_join of node * atom
+      (** index nested-loop join: each child row probes the atom
+          relation's cached by-column index *)
   | Hash_join of node * node
   | Anti_join of node * node
       (** the left rows whose restriction to the right's variables is
@@ -179,9 +157,10 @@ let atom_var_list a =
 let atom_vars_sorted a = List.sort_uniq String.compare (atom_var_list a)
 let atom_vars_set a = Sset.of_list (atom_var_list a)
 
-let cond_terms = function
+let rec cond_terms = function
   | Cond_cmp (_, t1, t2) -> [ t1; t2 ]
   | Cond_dist (_, t1, t2, _) -> [ t1; t2 ]
+  | Cond_or (c1, c2) -> cond_terms c1 @ cond_terms c2
 
 let cond_vars c =
   List.concat_map term_vars (cond_terms c) |> List.sort_uniq String.compare
@@ -263,7 +242,7 @@ let mk cx op =
       let est, dst = scan_est cx a in
       let nv = List.filter (fun v -> List.mem v keep) (atom_vars_sorted a) in
       mk_node op nv est (List.filter (fun (v, _) -> List.mem v nv) dst)
-  | Adaptive_join (n, a) ->
+  | Index_join (n, a) ->
       let s_est, s_dst = scan_est cx a in
       let vars, est, dst =
         join_est (n.nvars, n.est, n.dst) (atom_vars_sorted a, s_est, s_dst)
@@ -323,7 +302,7 @@ let children n =
   | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
   | Builtin _ ->
       []
-  | Adaptive_join (c, _)
+  | Index_join (c, _)
   | Filter (_, c)
   | Extend (_, c)
   | Project (_, c)
@@ -341,8 +320,8 @@ type guard = Budget_tick | Fault_site of string
 (* The interpreter's robustness obligations per node kind, declared next
    to the IR so the static budget lint can check them without running
    anything.  [run_node] ticks the budget before every node, so every kind
-   carries [Budget_tick]; the adaptive join's probe loop and hash build are
-   the node-level fault sites.  A new operator added to [op] is a compile
+   carries [Budget_tick]; the index join's probe loop is the node-level
+   fault site.  A new operator added to [op] is a compile
    error here until its guards are declared, which is exactly when the
    lint should start covering it. *)
 let op_guards = function
@@ -350,16 +329,13 @@ let op_guards = function
   | Builtin _ | Filter _ | Extend _ | Project _ | Hash_join _ | Anti_join _
   | Union _ | Complement _ | Cached _ ->
       [ Budget_tick ]
-  | Adaptive_join _ ->
-      (* nested-loop mode delegates to the probe loop, hash mode arms the
-         build: both sites must stay reachable from this operator *)
-      [ Budget_tick; Fault_site "plan.join"; Fault_site "plan.hash_build" ]
+  | Index_join _ -> [ Budget_tick; Fault_site "plan.join" ]
 
 (* Per-round obligations of the semi-naive fixpoint driver. *)
 let fixpoint_guards = [ Budget_tick; Fault_site "plan.round" ]
 
 (* Every fault site the plan interpreter can reach. *)
-let plan_fault_sites = [ "plan.join"; "plan.round"; "plan.hash_build" ]
+let plan_fault_sites = [ "plan.join"; "plan.round" ]
 
 (* The variable set [mk] would give a node of this shape — the metadata a
    well-formed node must carry.  [Cached] keeps the display subtree's
@@ -369,7 +345,7 @@ let op_vars = function
   | Scan a | Column_scan a | Bitmap_filter a -> atom_vars_sorted a
   | Index_only_scan (a, keep) ->
       List.filter (fun v -> List.mem v keep) (atom_vars_sorted a)
-  | Adaptive_join (n, a) ->
+  | Index_join (n, a) ->
       List.sort_uniq String.compare (n.nvars @ atom_vars_sorted a)
   | Hash_join (x, y) | Union (x, y) ->
       List.sort_uniq String.compare (x.nvars @ y.nvars)
@@ -381,6 +357,19 @@ let op_vars = function
 (* A node with declared (not recomputed) variables and no estimates, for
    building ill-formed fixtures and hand-written raw plans. *)
 let raw_node op nvars = mk_node op nvars nan []
+
+(* Whether any atom leaf or join under the node (not under [Cached]) reads
+   the named relation. *)
+let rec mentions_rel rel n =
+  match n.op with
+  | Scan a | Column_scan a | Bitmap_filter a | Index_only_scan (a, _) ->
+      a.rel = rel
+  | Index_join (c, a) -> a.rel = rel || mentions_rel rel c
+  | Tt | Ff | Builtin _ | Cached _ -> false
+  | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
+      mentions_rel rel c
+  | Hash_join (a, b) | Anti_join (a, b) | Union (a, b) ->
+      mentions_rel rel a || mentions_rel rel b
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                         *)
@@ -397,24 +386,6 @@ let find_rel env name =
   | Some r -> Some r
   | None -> Database.find_opt env.base name
 
-(* What [explain] observed of one adaptive join: which mode the runtime
-   picked, against which threshold, and the build-side row counts (the
-   planner's estimate vs what actually arrived) that drove the decision. *)
-type join_obs = {
-  jo_mode : string;  (* "nested-loop" | "hash" *)
-  jo_threshold : int;
-  jo_build_est : float;
-  jo_build_actual : int;
-}
-
-type recorder = {
-  rec_rows : (int, int) Hashtbl.t;  (* node id -> actual result rows *)
-  rec_joins : (int, join_obs) Hashtbl.t;  (* adaptive-join node id -> decision *)
-}
-
-let fresh_recorder () =
-  { rec_rows = Hashtbl.create 64; rec_joins = Hashtbl.create 16 }
-
 type st = {
   env : env;
   adom : Value.t list Lazy.t;
@@ -422,8 +393,12 @@ type st = {
          complement, trailing built-ins): fully-bound plans never build
          the active domain *)
   dist : Dist.env;
-  record : recorder option;  (** actual row counts + join decisions, for explain *)
+  record : (int, int) Hashtbl.t option;
+      (** node id -> actual result rows, for explain *)
 }
+
+let record_rows st n k =
+  match st.record with Some rc -> Hashtbl.replace rc n.id k | None -> ()
 
 let lookup_relation env a =
   match find_rel env a.rel with
@@ -437,11 +412,34 @@ let check_arity a r =
       (Printf.sprintf "Plan: atom %s has arity %d but relation has arity %d"
          a.rel arity (Relation.arity r))
 
+(* A condition as a predicate over a row's variable lookup. *)
+let rec cond_holds st c =
+  let value lookup = function Var v -> lookup v | Const x -> x in
+  match c with
+  | Cond_cmp (op, t1, t2) ->
+      let holds2 = eval_cmp op in
+      fun lookup -> holds2 (value lookup t1) (value lookup t2)
+  | Cond_dist (name, t1, t2, d) ->
+      let fn =
+        match Dist.find_opt st.dist name with
+        | Some fn -> fn
+        | None -> failwith ("Plan: unknown distance function " ^ name)
+      in
+      fun lookup -> fn (value lookup t1) (value lookup t2) <= d
+  | Cond_or (c1, c2) ->
+      let h1 = cond_holds st c1 and h2 = cond_holds st c2 in
+      fun lookup -> h1 lookup || h2 lookup
+
+(* The leaf scans below share one contract: [keep], when given, is a
+   filter fused into the scan and tested on each matched row before the
+   row is materialized; the result pairs the kept bindings with the number
+   of rows the atom pattern matched (what the leaf alone would emit). *)
+
 (* Satisfying assignments of an atom.  Tuples are fetched through a
    by-column index when the pattern pins a column to a constant; each tuple
    is then matched against the pattern (constants must coincide, repeated
    variables must agree), exactly like the reference [Fo_eval]. *)
-let exec_scan st a =
+let exec_scan st ?keep a =
   Observe.bump c_scans;
   let r = lookup_relation st.env a in
   check_arity a r;
@@ -450,11 +448,12 @@ let exec_scan st a =
   let n = List.length vars in
   let var_pos v =
     let rec go i = function
-      | [] -> assert false
+      | [] -> raise Not_found
       | w :: rest -> if w = v then i else go (i + 1) rest
     in
     go 0 vars
   in
+  let matched = ref 0 in
   let match_tuple tup acc =
     let row = Array.make n None in
     let ok = ref true in
@@ -469,8 +468,13 @@ let exec_scan st a =
               | None -> row.(p) <- Some tup.(i)
               | Some prev -> if not (Value.equal prev tup.(i)) then ok := false))
       args;
-    if !ok then
-      Array.map (function Some v -> v | None -> assert false) row :: acc
+    if !ok then begin
+      incr matched;
+      let row = Array.map (function Some v -> v | None -> assert false) row in
+      match keep with
+      | Some p when not (p (fun v -> row.(var_pos v))) -> acc
+      | _ -> row :: acc
+    end
     else acc
   in
   let const_col =
@@ -489,15 +493,17 @@ let exec_scan st a =
         Observe.bump c_full_scans;
         Relation.fold match_tuple r []
   in
-  Bindings.make vars rows
+  if Observe.enabled () then Observe.add c_rows (List.length rows);
+  (Bindings.make vars rows, !matched)
 
 (* Satisfying assignments of an atom read from the columnar store: machine
    ints all the way, values materialized only for the rows and columns that
-   are emitted.  [out_vars] selects which variables to emit ([Column_scan]
-   emits all of them, [Index_only_scan] a covering subset); when
-   [use_bitmaps] is set, constant positions on bitmap-indexed columns are
-   answered by ANDing their bitmaps and checked nowhere else. *)
-let exec_columnar st a ~out_vars ~use_bitmaps =
+   are emitted (and the columns a fused filter reads).  [out_vars] selects
+   which variables to emit ([Column_scan] emits all of them,
+   [Index_only_scan] a covering subset); when [use_bitmaps] is set,
+   constant positions on bitmap-indexed columns are answered by ANDing
+   their bitmaps and checked nowhere else. *)
+let exec_columnar st ?keep a ~out_vars ~use_bitmaps =
   let r = lookup_relation st.env a in
   check_arity a r;
   let cols = Relation.columns r in
@@ -560,7 +566,7 @@ let exec_columnar st a ~out_vars ~use_bitmaps =
          out_vars)
   in
   let nout = Array.length out_cols in
-  let out = ref [] in
+  let out = ref [] and matched = ref 0 and kept = ref 0 in
   let emit row =
     let ok = ref true in
     Array.iteri
@@ -571,9 +577,22 @@ let exec_columnar st a ~out_vars ~use_bitmaps =
           | `Cid id -> if colarrs.(i).(row) <> id then ok := false
           | `Dup j -> if colarrs.(j).(row) <> colarrs.(i).(row) then ok := false)
       spec;
-    if !ok then
-      out :=
-        Array.init nout (fun s -> Relational.Intern.value out_cols.(s).(row)) :: !out
+    if !ok then begin
+      incr matched;
+      let pass =
+        match keep with
+        | None -> true
+        | Some p ->
+            p (fun v ->
+                Relational.Intern.value colarrs.(Hashtbl.find first_col v).(row))
+      in
+      if pass then begin
+        incr kept;
+        out :=
+          Array.init nout (fun s -> Relational.Intern.value out_cols.(s).(row))
+          :: !out
+      end
+    end
   in
   if not !impossible then begin
     match !bm with
@@ -583,25 +602,15 @@ let exec_columnar st a ~out_vars ~use_bitmaps =
           emit row
         done
   end;
-  Bindings.make out_vars !out
+  Observe.add c_rows !kept;
+  (Bindings.make out_vars !out, !matched)
 
-let exec_column_scan st a =
-  Observe.bump c_column_scans;
-  exec_columnar st a ~out_vars:(atom_vars_sorted a) ~use_bitmaps:false
-
-let exec_bitmap_filter st a =
-  Observe.bump c_bitmap_filters;
-  exec_columnar st a ~out_vars:(atom_vars_sorted a) ~use_bitmaps:true
-
-let exec_index_only st a keep =
-  Observe.bump c_index_only;
-  exec_columnar st a ~out_vars:(List.sort_uniq String.compare keep)
-    ~use_bitmaps:false
-
-(* Index nested-loop step: join the child binding set against the atom's
-   relation, probing a by-column index on a shared (already bound) variable,
-   or an index selection on a constant column, falling back to a full scan.
-   The nested-loop arm of [Adaptive_join]. *)
+(* Index nested-loop join: join the child binding set against the atom's
+   relation, probing the relation's cached by-column index on a shared
+   (already bound) variable, or an index selection on a constant column,
+   falling back to a full scan.  The index is cached on the relation and
+   maintained across writes by [Relation.add]/[remove], so a stored
+   relation's index is built once, not once per execution. *)
 let exec_probe st b a =
   Robust.Fault.hit "plan.join";
   let r = lookup_relation st.env a in
@@ -707,160 +716,58 @@ let exec_probe st b a =
   if Observe.enabled () then Observe.add c_rows (List.length !out);
   Bindings.make (Array.to_list b_vars @ Array.to_list fresh) !out
 
-(* Multi-column join keys: small int arrays of interned ids, hashed
-   directly — no value boxing, no polymorphic hashing. *)
-module Ikey = Hashtbl.Make (struct
-  type t = int array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let n = Array.length a in
-    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash k = Array.fold_left (fun h i -> (h * 1000003) + i) 0 k land max_int
-end)
-
-(* Hash arm of [Adaptive_join]: group the atom's row numbers by the
-   interned ids of its bound-variable columns (machine ints straight from
-   the column store), then stream the child's binding rows through the
-   table.  Constants and intra-atom duplicates are settled once at build
-   time; fresh columns materialize values only for emitted rows.  Falls
-   back to [exec_probe] when the atom shares no variable with the child —
-   with nothing to key the table on, the probe path's constant-index and
-   full-scan arms are already the right plan. *)
-let exec_hash_join st b a =
-  let r = lookup_relation st.env a in
-  check_arity a r;
-  let args = Array.of_list a.args in
-  let b_vars = Bindings.vars b in
-  let pos_in arr v =
-    let rec go i =
-      if i = Array.length arr then None else if arr.(i) = v then Some i else go (i + 1)
-    in
-    go 0
-  in
-  (* Classify atom positions: key columns carry a bound variable (every
-     occurrence — a repeated bound variable just repeats its id in the
-     key), fresh columns bind the first occurrence of an unbound variable,
-     and everything else is a build-time check. *)
-  let key_cols = ref [] (* (atom col, child col), reversed *) in
-  let fresh = ref [] (* (var, atom col), reversed *) in
-  let checks = ref [] in
-  let impossible = ref false in
-  Array.iteri
-    (fun i arg ->
-      match arg with
-      | Const c -> (
-          match Relational.Intern.find c with
-          | None ->
-              (* a value never interned occurs in no stored row *)
-              impossible := true
-          | Some id -> checks := `Cid (i, id) :: !checks)
-      | Var v -> (
-          match pos_in b_vars v with
-          | Some j -> key_cols := (i, j) :: !key_cols
-          | None -> (
-              match List.assoc_opt v !fresh with
-              | Some j -> checks := `Dup (i, j) :: !checks
-              | None -> fresh := (v, i) :: !fresh)))
-    args;
-  let key_cols = Array.of_list (List.rev !key_cols) in
-  if Array.length key_cols = 0 then exec_probe st b a
-  else begin
-    let cols = Relation.columns r in
-    let nrows = Column.rows cols in
-    let colarrs = Array.init (Array.length args) (fun i -> Column.ids cols i) in
-    let fresh = Array.of_list (List.rev !fresh) in
-    let checks = Array.of_list (List.rev !checks) in
-    let nkey = Array.length key_cols in
-    let tbl = Ikey.create (max 16 nrows) in
-    if not !impossible then
-      for row = nrows - 1 downto 0 do
-        Robust.Budget.check ();
-        let ok = ref true in
-        Array.iter
-          (fun ch ->
-            if !ok then
-              match ch with
-              | `Cid (i, id) -> if colarrs.(i).(row) <> id then ok := false
-              | `Dup (i, j) -> if colarrs.(i).(row) <> colarrs.(j).(row) then ok := false)
-          checks;
-        if !ok then begin
-          let k = Array.map (fun (i, _) -> colarrs.(i).(row)) key_cols in
-          Ikey.replace tbl k (row :: (try Ikey.find tbl k with Not_found -> []))
+(* A built-in leaf: the assignments of the condition's variables over the
+   active domain that satisfy it.  A variable-free condition is [tt] or
+   [ff] and never builds the domain. *)
+let exec_builtin st c =
+  let holds = cond_holds st c in
+  match cond_vars c with
+  | [] -> if holds (fun _ -> raise Not_found) then Bindings.tt else Bindings.ff
+  | vs ->
+      let adom = Lazy.force st.adom in
+      let vars = Array.of_list vs in
+      let row = Array.make (Array.length vars) (Value.Int 0) in
+      let lookup v =
+        let rec go i = if vars.(i) = v then row.(i) else go (i + 1) in
+        go 0
+      in
+      let out = ref [] in
+      let rec fill i =
+        if i = Array.length vars then begin
+          if holds lookup then out := Array.copy row :: !out
         end
-      done;
-    let out = ref [] in
-    let key = Array.make nkey 0 in
-    List.iter
-      (fun brow ->
-        Robust.Budget.check ();
-        let ok = ref true in
-        Array.iteri
-          (fun s (_, j) ->
-            if !ok then
-              match Relational.Intern.find brow.(j) with
-              | None -> ok := false
-              | Some id -> key.(s) <- id)
-          key_cols;
-        if !ok then
-          match Ikey.find_opt tbl key with
-          | None -> ()
-          | Some rows ->
-              List.iter
-                (fun row ->
-                  out :=
-                    Array.append brow
-                      (Array.map
-                         (fun (_, i) -> Relational.Intern.value colarrs.(i).(row))
-                         fresh)
-                    :: !out)
-                rows)
-      (Bindings.rows b);
-    if Observe.enabled () then Observe.add c_rows (List.length !out);
-    Bindings.make
-      (Array.to_list b_vars @ List.map fst (Array.to_list fresh))
-      !out
-  end
-
-let exec_builtin st holds2 t1 t2 =
-  let adom = Lazy.force st.adom in
-  match (t1, t2) with
-  | Const a, Const b -> if holds2 a b then Bindings.tt else Bindings.ff
-  | Var v, Const c ->
-      Bindings.make [ v ]
-        (List.filter_map (fun a -> if holds2 a c then Some [| a |] else None) adom)
-  | Const c, Var v ->
-      Bindings.make [ v ]
-        (List.filter_map (fun a -> if holds2 c a then Some [| a |] else None) adom)
-  | Var v1, Var v2 when v1 = v2 ->
-      Bindings.make [ v1 ]
-        (List.filter_map (fun a -> if holds2 a a then Some [| a |] else None) adom)
-  | Var v1, Var v2 ->
-      let rows =
-        List.concat_map
-          (fun a ->
-            List.filter_map
-              (fun b -> if holds2 a b then Some [| a; b |] else None)
-              adom)
-          adom
+        else
+          List.iter
+            (fun a ->
+              row.(i) <- a;
+              fill (i + 1))
+            adom
       in
-      Bindings.make [ v1; v2 ] rows
+      fill 0;
+      Bindings.make vs !out
 
-let cond_pred st c =
-  match c with
-  | Cond_cmp (op, t1, t2) ->
-      let holds2 = eval_cmp op in
-      (holds2, t1, t2)
-  | Cond_dist (name, t1, t2, d) ->
-      let fn =
-        match Dist.find_opt st.dist name with
-        | Some fn -> fn
-        | None -> failwith ("Plan: unknown distance function " ^ name)
-      in
-      ((fun a b -> fn a b <= d), t1, t2)
+(* A leaf scan, with [keep] a filter fused into it.  The leaf records the
+   rows its atom matched, so [explain] still shows what the scan read; the
+   fused filter's node records what passed. *)
+let run_leaf st ?keep n =
+  let b, matched =
+    match n.op with
+    | Scan a -> exec_scan st ?keep a
+    | Column_scan a ->
+        Observe.bump c_column_scans;
+        exec_columnar st ?keep a ~out_vars:(atom_vars_sorted a) ~use_bitmaps:false
+    | Bitmap_filter a ->
+        Observe.bump c_bitmap_filters;
+        exec_columnar st ?keep a ~out_vars:(atom_vars_sorted a) ~use_bitmaps:true
+    | Index_only_scan (a, keep_vars) ->
+        Observe.bump c_index_only;
+        exec_columnar st ?keep a
+          ~out_vars:(List.sort_uniq String.compare keep_vars)
+          ~use_bitmaps:false
+    | _ -> invalid_arg "Plan.run_leaf: not a leaf scan"
+  in
+  record_rows st n matched;
+  b
 
 let rec run_node st n =
   Robust.Budget.check ();
@@ -868,25 +775,20 @@ let rec run_node st n =
     match n.op with
     | Tt -> Bindings.tt
     | Ff -> Bindings.ff
-    | Scan a -> exec_scan st a
-    | Column_scan a -> exec_column_scan st a
-    | Bitmap_filter a -> exec_bitmap_filter st a
-    | Index_only_scan (a, keep) -> exec_index_only st a keep
-    | Adaptive_join (c, a) -> exec_adaptive st n c a
+    | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _ -> run_leaf st n
+    | Index_join (c, a) -> exec_probe st (run_node st c) a
     | Hash_join (x, y) ->
         Observe.bump c_hash_joins;
         Bindings.join (run_node st x) (run_node st y)
     | Anti_join (x, y) -> Bindings.anti_join (run_node st x) (run_node st y)
-    | Filter (c, x) ->
-        let holds2, t1, t2 = cond_pred st c in
-        Bindings.filter
-          (fun lookup ->
-            let value = function Var v -> lookup v | Const c -> c in
-            holds2 (value t1) (value t2))
-          (run_node st x)
-    | Builtin c ->
-        let holds2, t1, t2 = cond_pred st c in
-        exec_builtin st holds2 t1 t2
+    | Filter
+        (c, ({ op = Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _; _ } as x))
+      ->
+        (* the leaf's own budget tick, as if it ran as a node *)
+        Robust.Budget.check ();
+        run_leaf st ~keep:(cond_holds st c) x
+    | Filter (c, x) -> Bindings.filter (cond_holds st c) (run_node st x)
+    | Builtin c -> exec_builtin st c
     | Extend (vs, x) -> Bindings.extend ~adom:st.adom vs (run_node st x)
     | Project (vs, x) -> Bindings.project vs (run_node st x)
     | Union (x, y) -> Bindings.union ~adom:st.adom (run_node st x) (run_node st y)
@@ -895,43 +797,8 @@ let rec run_node st n =
         Observe.bump c_cached_hits;
         b
   in
-  (match st.record with
-  | Some rc -> Hashtbl.replace rc.rec_rows n.id (Bindings.cardinal b)
-  | None -> ());
+  record_rows st n (Bindings.cardinal b);
   b
-
-(* The adaptive join: evaluate the build side, then pick the mode against
-   the threshold.  Small build sides take the index nested-loop probe
-   (cheap per row, no setup); once the observed cardinality crosses the
-   threshold, the atom side is materialized columnar-side once and
-   hash-joined, amortizing the per-row probe cost.  The decision — mode,
-   threshold, estimated vs observed build rows — is recorded for
-   [explain]. *)
-and exec_adaptive st n child a =
-  let b = run_node st child in
-  let build = Bindings.cardinal b in
-  let thr = join_threshold () in
-  let hash = build >= thr in
-  (match st.record with
-  | Some rc ->
-      Hashtbl.replace rc.rec_joins n.id
-        {
-          jo_mode = (if hash then "hash" else "nested-loop");
-          jo_threshold = thr;
-          jo_build_est = child.est;
-          jo_build_actual = build;
-        }
-  | None -> ());
-  if hash then begin
-    Robust.Fault.hit "plan.hash_build";
-    Observe.bump c_adaptive_hash;
-    Observe.bump c_hash_joins;
-    exec_hash_join st b a
-  end
-  else begin
-    Observe.bump c_adaptive_nl;
-    exec_probe st b a
-  end
 
 (* A disjunct's active domain: the caller's value set (base database, plus
    any delta relation) extended with the query's constants — the
@@ -999,10 +866,16 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
   let empty_idb =
     List.map (fun (n, k) -> (n, Relation.empty (Datalog.idb_schema n k))) stp.st_idbs
   in
+  (* Round 0 skips every rule that reads an IDB of this stratum: that IDB
+     is still empty, and stratification makes the read positive, so the
+     rule derives nothing. *)
+  let reads_own rp =
+    List.exists (fun (n, _) -> mentions_rel n rp.rp_full) stp.st_idbs
+  in
   let derive_initial (name, k) =
     List.fold_left
       (fun acc rp ->
-        if rp.rp_head.rel = name then
+        if rp.rp_head.rel = name && not (reads_own rp) then
           Relation.union acc
             (eval_rule_node (empty_idb @ acc_overlay) rp.rp_full rp.rp_head k)
         else acc)
@@ -1250,7 +1123,7 @@ let build_stats cx atoms builtins =
             let node, pending = apply_ready cx (mk_leaf cx a) pending in
             List.fold_left
               (fun (n, pending) a ->
-                apply_ready cx (mk cx (Adaptive_join (n, a))) pending)
+                apply_ready cx (mk cx (Index_join (n, a))) pending)
               (node, pending) rest
       in
       let node, pending =
@@ -1290,16 +1163,21 @@ let rec compile_formula cx f =
   | Forall (vs, f) -> compile_formula cx (Not (exists vs (Not f)))
 
 (* A conjunction joins its positive conjuncts first.  A comparison or
-   distance whose variables they bind then becomes a [Filter], and a
-   negation [¬h] with [fv h] bound an [Anti_join] against [h]: on rows whose
-   values all lie in the active domain both agree with the adom lowering,
-   which never runs for such guarded conjuncts.  Anything else keeps that
+   distance — or a disjunction of them — whose variables they bind then
+   becomes a [Filter], and a negation [¬h] with [fv h] bound an
+   [Anti_join] against [h]: on rows whose values all lie in the active
+   domain both agree with the adom lowering, which never runs for such
+   guarded conjuncts.  Anything else keeps that
    lowering (a [Builtin] leaf or a padded [Complement], hash-joined in),
    and the variables it binds may make further conjuncts attachable. *)
 and compile_conj cx fs =
-  let cond_of = function
+  let rec cond_of = function
     | Cmp (op, t1, t2) -> Some (Cond_cmp (op, t1, t2))
     | Dist (name, t1, t2, d) -> Some (Cond_dist (name, t1, t2, d))
+    | Or (f1, f2) -> (
+        match (cond_of f1, cond_of f2) with
+        | Some c1, Some c2 -> Some (Cond_or (c1, c2))
+        | _ -> None)
     | _ -> None
   in
   let is_neg = function Not _ -> true | _ -> false in
@@ -1365,13 +1243,13 @@ let rec prune_covering cx needed n =
       let keep = List.filter (fun v -> Sset.mem v needed) av in
       if List.compare_lengths keep av < 0 then mk cx (Index_only_scan (a, keep))
       else n
-  | Adaptive_join (c, a) ->
+  | Index_join (c, a) ->
       let cv = Sset.of_list c.nvars in
       let cneed =
         Sset.union (Sset.inter needed cv) (Sset.inter (atom_vars_set a) cv)
       in
       let c' = prune_covering cx cneed c in
-      if c' == c then n else mk cx (Adaptive_join (c', a))
+      if c' == c then n else mk cx (Index_join (c', a))
   | Filter (f, c) ->
       let c' = prune_covering cx (Sset.union needed (cond_vars_set f)) c in
       if c' == c then n else mk cx (Filter (f, c'))
@@ -1622,23 +1500,11 @@ type delta = {
           shipped through the evaluation overlay on every [delta_eval] *)
 }
 
-let rec mentions_rel rel n =
-  match n.op with
-  | Scan a | Column_scan a | Bitmap_filter a | Index_only_scan (a, _) ->
-      a.rel = rel
-  | Adaptive_join (c, a) -> a.rel = rel || mentions_rel rel c
-  | Tt | Ff | Builtin _ | Cached _ -> false
-  | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
-      mentions_rel rel c
-  | Hash_join (a, b) | Anti_join (a, b) | Union (a, b) ->
-      mentions_rel rel a || mentions_rel rel b
-
 (* Whether the node's value depends on the active domain (which grows with
    the candidate package's values, so such nodes cannot be frozen). *)
 let rec uses_adom n =
   match n.op with
-  | Builtin c ->
-      List.exists (function Var _ -> true | Const _ -> false) (cond_terms c)
+  | Builtin c -> cond_vars c <> []
   | Complement _ -> true
   | Extend (vs, c) ->
       List.exists (fun v -> not (List.mem v c.nvars)) vs || uses_adom c
@@ -1646,7 +1512,7 @@ let rec uses_adom n =
   | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
   | Cached _ ->
       false
-  | Adaptive_join (c, _) | Filter (_, c) | Project (_, c) -> uses_adom c
+  | Index_join (c, _) | Filter (_, c) | Project (_, c) -> uses_adom c
   | Hash_join (a, b) | Anti_join (a, b) -> uses_adom a || uses_adom b
 
 let rec count_cached n =
@@ -1661,7 +1527,7 @@ let rec node_rels acc n =
   match n.op with
   | Scan a | Column_scan a | Bitmap_filter a | Index_only_scan (a, _) ->
       a.rel :: acc
-  | Adaptive_join (c, a) -> node_rels (a.rel :: acc) c
+  | Index_join (c, a) -> node_rels (a.rel :: acc) c
   | Tt | Ff | Builtin _ -> acc
   | Cached (_, c) -> node_rels acc c
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
@@ -1720,7 +1586,7 @@ let rec rewrite_delta st rel n =
   else
     let op' =
       match n.op with
-      | Adaptive_join (c, a) -> Adaptive_join (rewrite_delta st rel c, a)
+      | Index_join (c, a) -> Index_join (rewrite_delta st rel c, a)
       | Filter (f, c) -> Filter (f, rewrite_delta st rel c)
       | Extend (vs, c) -> Extend (vs, rewrite_delta st rel c)
       | Project (vs, c) -> Project (vs, rewrite_delta st rel c)
@@ -1857,7 +1723,7 @@ type shape = {
   column_scans : int;
   bitmap_filters : int;
   index_only_scans : int;
-  adaptive_joins : int;
+  index_joins : int;
   hash_joins : int;
   anti_joins : int;
   filters : int;
@@ -1876,7 +1742,7 @@ let empty_shape =
     column_scans = 0;
     bitmap_filters = 0;
     index_only_scans = 0;
-    adaptive_joins = 0;
+    index_joins = 0;
     hash_joins = 0;
     anti_joins = 0;
     filters = 0;
@@ -1897,7 +1763,7 @@ let rec node_shape acc n =
     | Bitmap_filter _ -> { acc with bitmap_filters = acc.bitmap_filters + 1 }
     | Index_only_scan _ ->
         { acc with index_only_scans = acc.index_only_scans + 1 }
-    | Adaptive_join _ -> { acc with adaptive_joins = acc.adaptive_joins + 1 }
+    | Index_join _ -> { acc with index_joins = acc.index_joins + 1 }
     | Hash_join _ -> { acc with hash_joins = acc.hash_joins + 1 }
     | Anti_join _ -> { acc with anti_joins = acc.anti_joins + 1 }
     | Filter _ -> { acc with filters = acc.filters + 1 }
@@ -1947,11 +1813,12 @@ let cmp_str = function
   | Gt -> ">"
   | Ge -> ">="
 
-let pp_cond ppf = function
+let rec pp_cond ppf = function
   | Cond_cmp (op, t1, t2) ->
       Format.fprintf ppf "%a %s %a" pp_term t1 (cmp_str op) pp_term t2
   | Cond_dist (name, t1, t2, d) ->
       Format.fprintf ppf "dist[%s](%a, %a) <= %g" name pp_term t1 pp_term t2 d
+  | Cond_or (c1, c2) -> Format.fprintf ppf "%a | %a" pp_cond c1 pp_cond c2
 
 let pp_atom ppf a =
   Format.fprintf ppf "%s(%a)" a.rel
@@ -1970,7 +1837,7 @@ let node_label ppf n =
   | Index_only_scan (a, keep) ->
       Format.fprintf ppf "index-only %a keep [%s]" pp_atom a
         (String.concat ", " keep)
-  | Adaptive_join (_, a) -> Format.fprintf ppf "adaptive-join %a" pp_atom a
+  | Index_join (_, a) -> Format.fprintf ppf "index-join %a" pp_atom a
   | Hash_join _ -> Format.pp_print_string ppf "hash-join"
   | Anti_join _ -> Format.pp_print_string ppf "anti-join"
   | Filter (c, _) -> Format.fprintf ppf "filter %a" pp_cond c
@@ -1992,26 +1859,11 @@ let rec pp_node record indent ppf n =
     match record with
     | None -> ""
     | Some rc -> (
-        match Hashtbl.find_opt rc.rec_rows n.id with
+        match Hashtbl.find_opt rc n.id with
         | Some k -> Printf.sprintf ", actual %d" k
         | None -> "")
   in
-  (* the adaptive-join decision: which mode ran, against which threshold,
-     and the build-side estimate vs observation that drove it *)
-  let join_mode =
-    match (n.op, record) with
-    | Adaptive_join _, Some rc -> (
-        match Hashtbl.find_opt rc.rec_joins n.id with
-        | Some j ->
-            Printf.sprintf "  [mode %s, threshold %d, build est %s, build actual %d]"
-              j.jo_mode j.jo_threshold (fmt_est j.jo_build_est) j.jo_build_actual
-        | None -> "")
-    | Adaptive_join _, None ->
-        Printf.sprintf "  [threshold %d]" (join_threshold ())
-    | _ -> ""
-  in
-  Format.fprintf ppf "%s%a  [est %s%s]%s@\n" indent node_label n est actual
-    join_mode;
+  Format.fprintf ppf "%s%a  [est %s%s]@\n" indent node_label n est actual;
   let sub =
     match n.op with Cached (_, c) -> [ c ] | _ -> children n
   in
@@ -2055,7 +1907,7 @@ let pp_with record ppf t =
 let pp ppf t = pp_with None ppf t
 
 let explain ?(dist = Dist.empty) db t =
-  let record = fresh_recorder () in
+  let record = Hashtbl.create 64 in
   let env = { base = db; overlay = [] } in
   Observe.bump c_execs;
   let result = run_t ~record:(Some record) ~dist env (base_vset env) t in

@@ -13,25 +13,28 @@
     wholesale), and built-in predicates pushed down to the earliest node
     that binds their variables.  Beyond the UCQ fragment the compiler
     lowers structurally, [∀] as [¬∃¬].  Inside a conjunction, a comparison
-    over variables the positive conjuncts bind becomes a filter and a
-    negation over them an {!Anti_join}; only an unguarded negation or
-    comparison ranges over the active domain (a complement or a built-in
-    leaf), so a safe-range query never builds the domain.  Datalog programs become a {!Fixpoint} plan whose strata carry
-    semi-naive rule-body plans.
+    (or a disjunction of comparisons) over variables the positive
+    conjuncts bind becomes a filter and a negation over them an
+    {!Anti_join}; only an unguarded negation or comparison ranges over the
+    active domain (a complement or a built-in leaf), so a safe-range query
+    never builds the domain.  Datalog programs become a {!Fixpoint} plan
+    whose strata carry semi-naive rule-body plans; round 0 of a stratum
+    skips the rules that read the stratum's own (still empty) IDBs.
 
     Relations are additionally stored column-major as interned-int arrays
     ({!Relational.Column}); the compiler turns known-relation atoms
     into columnar operators — {!Column_scan} (int-compare sweeps),
     {!Bitmap_filter} (AND of per-constant bitmaps on low-cardinality
     columns), {!Index_only_scan} (covering scans emitting only the
-    variables consumed above) — and joins to {!Adaptive_join}, an index
-    nested-loop probe that switches to a hash build when the observed
-    build side reaches {!join_threshold} rows.
+    variables consumed above) — and joins to {!Index_join}, an index
+    nested-loop probe into the relation's cached by-column index, which
+    writes maintain.  A filter directly over a leaf scan is tested on each
+    stored row before the row is materialized.
 
     The interpreter carries the existing observability conventions: it
     bumps [plan.*] {!Observe} counters, ticks {!Robust.Budget} in its
-    loops, and exposes the {!Robust.Fault} sites ["plan.join"],
-    ["plan.round"] and ["plan.hash_build"]. *)
+    loops, and exposes the {!Robust.Fault} sites ["plan.join"] and
+    ["plan.round"]. *)
 
 (** {1 The IR}
 
@@ -45,6 +48,7 @@
 type cond =
   | Cond_cmp of Ast.cmp * Ast.term * Ast.term
   | Cond_dist of string * Ast.term * Ast.term * float
+  | Cond_or of cond * cond  (** holds when either side holds *)
 
 type op =
   | Tt
@@ -59,9 +63,9 @@ type op =
   | Index_only_scan of Ast.atom * string list
       (** covering scan: like [Column_scan] but emitting only the listed
           variables, reading only their columns *)
-  | Adaptive_join of node * Ast.atom
-      (** nested-loop probe that switches to a hash build when the observed
-          build side crosses {!join_threshold} *)
+  | Index_join of node * Ast.atom
+      (** index nested-loop join: each child row probes the atom
+          relation's cached by-column index *)
   | Hash_join of node * node
   | Anti_join of node * node
       (** the rows of the left input whose restriction to the right
@@ -200,19 +204,11 @@ val plan_fault_sites : string list
 
 val compile_fo : Relational.Database.t -> Ast.fo_query -> t
 (** Queries in the UCQ fragment compile to one join chain per disjunct
-    (columnar, bitmap or covering leaves joined by adaptive joins);
+    (columnar, bitmap or covering leaves joined by index joins);
     larger fragments lower structurally.  The database is consulted only
     for statistics (cardinalities, distinct counts) — compiling against a
     database where a mentioned relation is absent is allowed and simply
     plans without estimates for it. *)
-
-val join_threshold : unit -> int
-(** The adaptive join's nested-loop → hash-build switch point, in observed
-    build-side rows.  Default 32; overridable via the [PKG_JOIN_THRESHOLD]
-    environment variable (at load) or {!with_join_threshold}. *)
-
-val with_join_threshold : int -> (unit -> 'a) -> 'a
-(** Run with the threshold temporarily replaced (tests; not domain-safe). *)
 
 val compile_datalog : Relational.Database.t -> Datalog.program -> t
 (** Checks the program ({!Datalog.check}; an unsafe, ill-formed or
@@ -310,7 +306,7 @@ type shape = {
   column_scans : int;  (** columnar int-array sweeps *)
   bitmap_filters : int;  (** bitmap-AND selections *)
   index_only_scans : int;  (** covering scans *)
-  adaptive_joins : int;  (** nested-loop/hash adaptive join nodes *)
+  index_joins : int;  (** index nested-loop join nodes *)
   hash_joins : int;
   anti_joins : int;  (** guarded negations *)
   filters : int;
@@ -334,8 +330,7 @@ val explain : ?dist:Dist.env -> Relational.Database.t -> t -> string
 (** Run the plan against the database and render the tree with estimated
     vs actual row counts per node ([est]/[actual] columns; a node executed
     several times — e.g. a rule body across fixpoint rounds — reports its
-    last execution).  Adaptive-join nodes additionally report the chosen
-    mode (nested-loop vs hash), the switch threshold, and the estimated vs
-    observed build-side rows that drove the decision.  Estimates are the
+    last execution).  A leaf scan under a fused filter reports the rows
+    its atom matched, the filter the rows that passed.  Estimates are the
     textbook uniformity heuristics of {!Relational.Stats}; they are
     diagnostics, never semantics. *)

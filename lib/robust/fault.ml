@@ -18,7 +18,6 @@ let sites =
     "rel.maintain";
     "datalog.round";
     "plan.join";
-    "plan.hash_build";
     "plan.round";
     "oracle.node";
     "sketch.partition";

@@ -49,8 +49,11 @@ let test_safety_codes () =
   seeded ~clean:true "unlimited exists" "A002" (fo "Q(y) := U(y) & exists x. x != y");
   (* universal quantification *)
   seeded ~clean:true "forall" "A003" (fo "Q() := forall x. U(x)");
-  (* negation *)
-  seeded ~clean:true "negation" "A004" (fo "Q(x) := U(x) & not S(x, x)")
+  (* unguarded negation: y is bound by no positive conjunct *)
+  seeded "negation" "A004" (fo "Q(x, y) := U(x) & not S(x, y)");
+  (* a guarded negation plans as an anti-join and is not flagged *)
+  check "guarded negation: no A004" false
+    (has ~code:"A004" (diags (fo "Q(x) := U(x) & not S(x, x)")))
 
 let test_safe_query_is_clean () =
   check "clean CQ" true (diags (fo "Q(x, z) := exists y. R(x, y) & S(y, z)") = []);

@@ -1,10 +1,10 @@
 (* The columnar storage engine: bitmap algebra, bounds-checked column
    accessors, incremental statistics maintenance under add/remove, and
    differential properties pinning the columnar physical operators
-   (column scans, bitmap filters, index-only scans, adaptive joins) to
-   the reference oracle [Query.eval_legacy] across every query language.
-   Also covers the P008/P009 typing negatives and the adaptive-join
-   [explain] lines. *)
+   (column scans, bitmap filters, index-only scans, index joins) to the
+   reference oracle [Query.eval_legacy] across every query language.
+   Also covers the P008/P009 typing negatives and the [explain] lines of
+   index joins and fused filtered scans. *)
 
 open Qlang
 module Value = Relational.Value
@@ -220,8 +220,7 @@ let random_fo rng db =
   in
   { q1 with Ast.body = body }
 
-(* Columnar compiles under the default threshold and under both forced
-   adaptive modes must agree with the reference oracle. *)
+(* Columnar compiles must agree with the reference oracle. *)
 let prop_columnar_matches_legacy =
   QCheck.Test.make
     ~name:"CQ/UCQ/FO: columnar plan = legacy eval"
@@ -238,11 +237,7 @@ let prop_columnar_matches_legacy =
       List.for_all
         (fun q ->
           let reference = Query.eval_legacy db (Query.Fo q) in
-          Relation.equal reference (Plan.run db (Plan.compile_fo db q))
-          && Plan.with_join_threshold 1 (fun () ->
-                 Relation.equal reference (Plan.run db (Plan.compile_fo db q)))
-          && Plan.with_join_threshold max_int (fun () ->
-                 Relation.equal reference (Plan.run db (Plan.compile_fo db q))))
+          Relation.equal reference (Plan.run db (Plan.compile_fo db q)))
         qs)
 
 let atom rel args = { Ast.rel; args = List.map (fun v -> Ast.Var v) args }
@@ -287,27 +282,50 @@ let prop_columnar_all_languages =
         (Query.eval g (Query.Dl tc_program))
         (Query.eval_legacy g (Query.Dl tc_program)))
 
-(* Forcing the hash arm must actually take it: the counters prove which
-   side of the threshold ran, and both sides agree on the answer. *)
-let test_adaptive_modes () =
+(* A join probes the joined relation's cached by-column index, and a write
+   keeps that index: the run after an insert probes the maintained copy,
+   with no index build in between. *)
+let test_index_join_probes () =
   with_tracing @@ fun () ->
   let rng = Random.State.make [| 41 |] in
   let db = random_db rng in
   let q = Parser.parse_query "Q(x, z) := exists y. R(x, y) & S(y, z)" in
-  let nl =
-    Plan.with_join_threshold max_int (fun () ->
-        Plan.run db (Plan.compile_fo db q))
+  let probed plan =
+    let rec go n =
+      match n.Plan.op with
+      | Plan.Index_join (c, a) -> Some (c, a)
+      | _ -> List.find_map go (Plan.children n)
+    in
+    match plan with
+    | Plan.Answer { Plan.fp_disjuncts = [ d ]; _ } -> Option.get (go d.Plan.d_node)
+    | _ -> Alcotest.fail "expected a one-disjunct answer plan"
   in
-  check "nested-loop arm ran" true (counter_value "plan.adaptive_nl" >= 1);
-  check_int "no hash builds below threshold" 0
-    (counter_value "plan.adaptive_hash_builds");
-  let hash =
-    Plan.with_join_threshold 1 (fun () -> Plan.run db (Plan.compile_fo db q))
+  let plan = Plan.compile_fo db q in
+  check_int "one index join" 1 (Plan.shape plan).Plan.index_joins;
+  let child, a = probed plan in
+  (* the probe key: the first atom column the child binds *)
+  let col =
+    let rec go i = function
+      | Ast.Var v :: _ when List.mem v child.Plan.nvars -> i
+      | _ :: rest -> go (i + 1) rest
+      | [] -> Alcotest.fail "the index join shares no variable"
+    in
+    go 0 a.Ast.args
   in
-  check "hash arm ran" true (counter_value "plan.adaptive_hash_builds" >= 1);
-  check "both modes agree" true (Relation.equal nl hash);
-  check "threshold restored after with_join_threshold" true
-    (Plan.join_threshold () <> 1)
+  let legacy db = Query.eval_legacy db (Query.Fo q) in
+  check "answer = legacy" true (Relation.equal (Plan.run db plan) (legacy db));
+  check "probes ran" true (counter_value "plan.index_probes" >= 1);
+  check "the probed relation caches its index" true
+    (Relation.has_index_on (Database.find db a.Ast.rel) col);
+  let db' =
+    Database.insert_tuple a.Ast.rel
+      (Tuple.of_list [ Value.Int 7; Value.Int 7 ])
+      db
+  in
+  check "the write maintained the index" true
+    (Relation.has_index_on (Database.find db' a.Ast.rel) col);
+  check "answer after the write = legacy" true
+    (Relation.equal (Plan.run db' (Plan.compile_fo db' q)) (legacy db'))
 
 (* ---------- P-series negatives for the new operators ---------- *)
 
@@ -332,16 +350,16 @@ let test_plan_check_negatives () =
        (raw_check "answer Q(z)\n  index-only hub(city) keep [z]"));
   check "P001 reaches column scans" true
     (has_code "P001" (raw_check "answer Q(x)\n  column-scan nosuch(x)"));
-  check "P002 reaches adaptive joins" true
+  check "P002 reaches index joins" true
     (has_code "P002"
        (raw_check
-          "answer Q(s)\n  adaptive-join E(s)\n    column-scan hub(city)"));
+          "answer Q(s)\n  index-join E(s)\n    column-scan hub(city)"));
   (* the well-typed forms pass, parser round-trips included *)
   check "well-typed columnar plan is clean" true
     (Analysis.Plan_check.ok
        (raw_check
           "answer Q(s)\n\
-          \  adaptive-join E(s, d)\n\
+          \  index-join E(s, d)\n\
           \    index-only hub(city) keep [city]"));
   check "well-typed bitmap filter is clean" true
     (Analysis.Plan_check.ok
@@ -359,24 +377,43 @@ let prop_columnar_plans_verify =
       Analysis.Plan_check.ok
         (Analysis.Plan_check.check ~db ~query:(Query.Fo q) plan))
 
-(* ---------- explain: the adaptive-join decision is printed ---------- *)
+(* ---------- explain: index joins and fused filtered scans ---------- *)
 
-let test_explain_adaptive () =
+(* The "actual N" count on the first explain line containing [label]. *)
+let actual_of ~label text =
+  let line =
+    List.find (contains ~sub:label) (String.split_on_char '\n' text)
+  in
+  let marker = "actual " in
+  let rec find i =
+    if String.sub line i (String.length marker) = marker then
+      i + String.length marker
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from line start ']' in
+  int_of_string (String.sub line start (stop - start))
+
+let test_explain_index_join () =
   let rng = Random.State.make [| 43 |] in
   let db = random_db rng in
-  let q = Query.Fo (Parser.parse_query "Q(x, z) := exists y. R(x, y) & S(y, z)") in
+  let q = Query.Fo (Parser.parse_query "Q(x, y, z) := R(x, y) & S(y, z)") in
   let text = Engine.explain db q in
-  check "explain names the adaptive join" true
-    (contains ~sub:"adaptive-join" text);
-  check "explain shows the mode" true
-    (contains ~sub:"mode nested-loop" text || contains ~sub:"mode hash" text);
-  check "explain shows the threshold" true
-    (contains ~sub:Printf.(sprintf "threshold %d" (Plan.join_threshold ())) text);
-  check "explain shows the build side" true (contains ~sub:"build actual" text);
-  let forced =
-    Plan.with_join_threshold 1 (fun () -> Engine.explain db q)
-  in
-  check "threshold 1 forces the hash arm" true (contains ~sub:"mode hash" forced)
+  check "explain names the index join" true (contains ~sub:"index-join" text);
+  check_int "the join's actual rows are the answer's"
+    (Relation.cardinal (Query.eval_legacy db q))
+    (actual_of ~label:"index-join" text);
+  (* a filter over a leaf scan is fused into it, and both nodes still
+     report what they did: the scan the rows its atom matched, the filter
+     the rows that passed *)
+  let q = Query.Fo (Parser.parse_query "Q(x, y) := R(x, y) & x < 2") in
+  let text = Engine.explain db q in
+  check_int "the fused scan reports every row of R"
+    (Relation.cardinal (Database.find db "R"))
+    (actual_of ~label:"scan R(x, y)" text);
+  check_int "the filter reports the rows that passed"
+    (Relation.cardinal (Query.eval_legacy db q))
+    (actual_of ~label:"filter x < 2" text)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
@@ -402,7 +439,7 @@ let () =
           ] );
       ( "differential",
         qsuite [ prop_columnar_matches_legacy; prop_columnar_all_languages ]
-        @ [ Alcotest.test_case "adaptive modes" `Quick test_adaptive_modes ] );
+        @ [ Alcotest.test_case "index-join probes" `Quick test_index_join_probes ] );
       ( "plan-check",
         qsuite [ prop_columnar_plans_verify ]
         @ [
@@ -410,5 +447,8 @@ let () =
               test_plan_check_negatives;
           ] );
       ( "explain",
-        [ Alcotest.test_case "adaptive decision" `Quick test_explain_adaptive ] );
+        [
+          Alcotest.test_case "index join, fused filter" `Quick
+            test_explain_index_join;
+        ] );
     ]

@@ -87,9 +87,8 @@ let prop_index_matches_filter =
 
 (* ---------- index-backed CQ evaluation ---------- *)
 
-(* With the adaptive join's switch threshold out of reach, every join runs
-   its index nested-loop arm (by-column index probes on the bound
-   variable); answers must equal the reference FO evaluator. *)
+(* Every join runs as an index nested-loop join (by-column index probes on
+   the bound variable); answers must equal the reference FO evaluator. *)
 let prop_indexed_cq_agrees =
   QCheck.Test.make ~name:"random CQ: index probes = generic FO" ~count:80
     seed_gen (fun seed ->
@@ -101,8 +100,7 @@ let prop_indexed_cq_agrees =
       in
       let q = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:4 in
       Relation.equal (Qlang.Fo_eval.eval_query db q)
-        (Qlang.Plan.with_join_threshold max_int (fun () ->
-             Qlang.Plan.run db (Qlang.Plan.compile_fo db q))))
+        (Qlang.Plan.run db (Qlang.Plan.compile_fo db q)))
 
 (* ---------- candidate / compatibility memo ---------- *)
 

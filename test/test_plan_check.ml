@@ -234,8 +234,8 @@ let test_certify_negatives () =
         | Plan.Bitmap_filter a -> Plan.Bitmap_filter { a with Ast.rel = "T" }
         | Plan.Index_only_scan (a, keep) ->
             Plan.Index_only_scan ({ a with Ast.rel = "T" }, keep)
-        | Plan.Adaptive_join (c, a) ->
-            Plan.Adaptive_join (go c, { a with Ast.rel = "T" })
+        | Plan.Index_join (c, a) ->
+            Plan.Index_join (go c, { a with Ast.rel = "T" })
         | op -> op
       in
       Plan.raw_node op n.Plan.nvars
@@ -403,13 +403,13 @@ let test_budget_fault () =
     (List.for_all
        (fun s -> List.mem s (Check.registry_sites ()))
        Plan.plan_fault_sites);
-  check_int "fault registry size" 22 (List.length (Check.registry_sites ()));
+  check_int "fault registry size" 21 (List.length (Check.registry_sites ()));
   (* every operator declares a budget tick — the compile-time exhaustive
      match in [Plan.op_guards] is what forces new operators to choose *)
-  check "adaptive join declares the join fault site" true
+  check "index join declares the join fault site" true
     (List.mem (Plan.Fault_site "plan.join")
        (Plan.op_guards
-          (Plan.Adaptive_join (Plan.raw_node Plan.Tt [], atom "R" [ "x"; "y" ]))))
+          (Plan.Index_join (Plan.raw_node Plan.Tt [], atom "R" [ "x"; "y" ]))))
 
 (* ---------- effect analysis ---------- *)
 

@@ -557,24 +557,12 @@ let test_fault_datalog_round () =
 
 let test_fault_plan_join () =
   (* The plan interpreter's probe-join site, hit through the default
-     [Query.eval] route (a column scan joined by an adaptive join, which
-     stays in its nested-loop arm on this tiny graph). *)
+     [Query.eval] route (a column scan joined by an index join). *)
   let q = Qlang.Parser.parse_query "Q(x, z) := exists y. E(x, y) & E(y, z)" in
   expect_injected "plan.join" (fun () ->
       Qlang.Query.eval graph_db (Qlang.Query.Fo q));
   check_int "retry computes the join" 1
     (Relation.cardinal (Qlang.Query.eval graph_db (Qlang.Query.Fo q)))
-
-let test_fault_plan_hash_build () =
-  (* Force the adaptive join over its cardinality threshold so the
-     hash-build arm (and its fault site) is reached even on the tiny
-     graph; the nested-loop arm is test_fault_plan_join's territory. *)
-  let q = Qlang.Parser.parse_query "Q(x, z) := exists y. E(x, y) & E(y, z)" in
-  Qlang.Plan.with_join_threshold 1 (fun () ->
-      expect_injected "plan.hash_build" (fun () ->
-          Qlang.Query.eval graph_db (Qlang.Query.Fo q));
-      check_int "retry hash-builds the join" 1
-        (Relation.cardinal (Qlang.Query.eval graph_db (Qlang.Query.Fo q))))
 
 let test_fault_plan_round () =
   let tc =
@@ -853,7 +841,6 @@ let fault_cases =
     ("rel.maintain", test_fault_rel_maintain);
     ("datalog.round", test_fault_datalog_round);
     ("plan.join", test_fault_plan_join);
-    ("plan.hash_build", test_fault_plan_hash_build);
     ("plan.round", test_fault_plan_round);
     ("oracle.node", test_fault_oracle_node);
     ("sketch.partition", test_fault_sketch_partition);
