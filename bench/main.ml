@@ -50,27 +50,6 @@ let timeout_flag =
 
 let timed_out_points = ref 0
 
-(* --domains=N caps the fan-out of the fast-path comparison below;
-   default: all available cores (or the PKG_DOMAINS environment knob). *)
-let domains_flag =
-  Array.fold_left
-    (fun acc a ->
-      let prefix = "--domains=" in
-      let plen = String.length prefix in
-      if String.length a > plen && String.sub a 0 plen = prefix then
-        match int_of_string_opt (String.sub a plen (String.length a - plen)) with
-        | Some d when d >= 1 -> d
-        | _ -> acc
-      else acc)
-    (Parallel.Pool.default_domains ())
-    Sys.argv
-
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  ignore (Sys.opaque_identity r);
-  (Unix.gettimeofday () -. t0) *. 1000.
-
 (* Run [f] under the per-point deadline (when one is set): [Some result]
    on completion, [None] when the deadline cut it short. *)
 let with_point_deadline f =
@@ -611,1389 +590,7 @@ let ablations () =
         (Cpp.estimate (additive_instance n) ~bound:60. ~samples_per_size:500
            (rng_for (n + 1))))
 
-(* ------------------------------------------------------------------ *)
-(* Relational fast path — before/after comparison                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Each series times the pre-existing code path ("baseline") against the
-   fast path on the same inputs at growing database size, cross-checking
-   that both produce identical answers at every point.  The measurements
-   are also written to BENCH_relational.json (in the working directory) so
-   CI can archive them; any cross-check mismatch makes the harness exit
-   nonzero — a fast path that changes answers is a bug, not a result. *)
-
-type fast_point = {
-  fp_n : int;
-  fp_base_ms : float;
-  fp_fast_ms : float;
-  fp_timed_out : bool;
-      (* the per-point deadline cut this point short: timings measure the
-         deadline, the cross-check was skipped, counters are empty *)
-  fp_counters : Observe.snapshot;
-      (* work done by one untimed, traced run of the fast-path workload at
-         this point — annotates the scaling curve with probe/node/memo
-         counts, not just seconds *)
-}
-
-type fast_series = {
-  fs_name : string;
-  fs_baseline : string;
-  fs_fast : string;
-  fs_points : fast_point list;
-}
-
-let speedup p =
-  if p.fp_fast_ms > 0. then p.fp_base_ms /. p.fp_fast_ms else Float.infinity
-
-let fastpath_mismatches : (string * int) list ref = ref []
-
-(* Run [f] once with tracing force-enabled and return what it recorded.
-   All timed measurement happens with tracing in its ambient (disabled)
-   state; this extra run is never part of a timer. *)
-let traced_counters f =
-  let was = Observe.enabled () in
-  Observe.set_enabled true;
-  Fun.protect ~finally:(fun () -> Observe.set_enabled was) @@ fun () ->
-  let before = Observe.snapshot () in
-  ignore (f ());
-  Observe.nonzero (Observe.diff before (Observe.snapshot ()))
-
-let compare_series ~name ~baseline ~fast ~sizes run =
-  Format.printf "@[<h>%-44s %s vs %s@]@." name baseline fast;
-  let points =
-    List.map
-      (fun n ->
-        match with_point_deadline (fun () -> run n) with
-        | Some (base_ms, fast_ms, ok, counters) ->
-            if not ok then
-              fastpath_mismatches := (name, n) :: !fastpath_mismatches;
-            let p =
-              { fp_n = n; fp_base_ms = base_ms; fp_fast_ms = fast_ms;
-                fp_timed_out = false; fp_counters = counters }
-            in
-            Format.printf
-              "    n = %-5d baseline %9.2f ms   fast %9.2f ms   speedup %5.2fx%s@."
-              n base_ms fast_ms (speedup p)
-              (if ok then "" else "   ANSWER MISMATCH");
-            p
-        | None ->
-            (* Deadline hit mid-measurement: no sound timings or answers to
-               compare at this point — record it as timed out. *)
-            Format.printf "    n = %-5d (timed out)@." n;
-            { fp_n = n; fp_base_ms = 0.; fp_fast_ms = 0.;
-              fp_timed_out = true; fp_counters = [] })
-      sizes
-  in
-  Format.printf "@.";
-  { fs_name = name; fs_baseline = baseline; fs_fast = fast; fs_points = points }
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Cost of the instrumentation itself, in ns per event.  The disabled
-   numbers bound what always-on instrumentation costs the production hot
-   loops; the enabled numbers calibrate how much a traced run's counters
-   perturb its own timings.  Printed for EXPERIMENTS.md and embedded in
-   the JSON telemetry block. *)
-let observe_overhead () =
-  let c = Observe.counter "bench.overhead_probe" in
-  let t = Observe.timer "bench.overhead_span" in
-  let per_op iters f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  in
-  let was = Observe.enabled () in
-  Observe.set_enabled false;
-  let disabled_bump = per_op 10_000_000 (fun () -> Observe.bump c) in
-  Observe.set_enabled true;
-  let enabled_bump = per_op 10_000_000 (fun () -> Observe.bump c) in
-  let enabled_span = per_op 1_000_000 (fun () -> Observe.span t ignore) in
-  Observe.set_enabled was;
-  Format.printf
-    "observe overhead: disabled bump %.2f ns/op, enabled bump %.2f ns/op, \
-     enabled span %.1f ns/op@.@."
-    disabled_bump enabled_bump enabled_span;
-  (disabled_bump, enabled_bump, enabled_span)
-
-let write_comparison_json ?extra_json file ~bench ~mismatches ~overhead series =
-  let disabled_bump, enabled_bump, enabled_span = overhead in
-  let oc = open_out file in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"%s\",\n" (json_escape bench);
-  (match extra_json with
-  | Some (key, json) -> out "  \"%s\": %s,\n" (json_escape key) json
-  | None -> ());
-  out "  \"quick\": %b,\n" quick;
-  out "  \"domains\": %d,\n" domains_flag;
-  (match timeout_flag with
-  | Some s -> out "  \"timeout_s\": %g,\n" s
-  | None -> out "  \"timeout_s\": null,\n");
-  out "  \"crosscheck_failures\": %d,\n" mismatches;
-  out "  \"telemetry\": {\n";
-  out "    \"enabled_during_timing\": %b,\n" (Observe.enabled ());
-  out "    \"overhead_ns_per_op\": {\"disabled_bump\": %.2f, \
-       \"enabled_bump\": %.2f, \"enabled_span\": %.2f}\n"
-    disabled_bump enabled_bump enabled_span;
-  out "  },\n";
-  out "  \"series\": [\n";
-  List.iteri
-    (fun i s ->
-      (* Timed-out points carry no sound timings: summary statistics come
-         from the completed points only. *)
-      let live = List.filter (fun p -> not p.fp_timed_out) s.fs_points in
-      let best = List.fold_left (fun a p -> Float.max a (speedup p)) 0. live in
-      let last_speedup =
-        match List.rev live with p :: _ -> speedup p | [] -> 1.
-      in
-      out "    {\n";
-      out "      \"name\": \"%s\",\n" (json_escape s.fs_name);
-      out "      \"baseline\": \"%s\",\n" (json_escape s.fs_baseline);
-      out "      \"fast\": \"%s\",\n" (json_escape s.fs_fast);
-      out "      \"max_speedup\": %.2f,\n" best;
-      (* 10% tolerance: timer noise on a shared machine is not a regression. *)
-      out "      \"regressed\": %b,\n" (last_speedup < 0.9);
-      out "      \"points\": [\n";
-      List.iteri
-        (fun j p ->
-          out "        {\"n\": %d, \"baseline_ms\": %.3f, \"fast_ms\": %.3f, \
-               \"speedup\": %.2f, \"timed_out\": %b,\n"
-            p.fp_n p.fp_base_ms p.fp_fast_ms
-            (if p.fp_timed_out then 0. else speedup p)
-            p.fp_timed_out;
-          out "         \"counters\": %s}%s\n"
-            (Observe.to_json p.fp_counters)
-            (if j = List.length s.fs_points - 1 then "" else ","))
-        s.fs_points;
-      out "      ]\n";
-      out "    }%s\n" (if i = List.length series - 1 then "" else ","))
-    series;
-  out "  ]\n";
-  out "}\n";
-  close_out oc
-
-let fastpath_comparison () =
-  header
-    (Printf.sprintf
-       "Relational fast path — before/after (memoized Q(D), %d domains);\n\
-        writes BENCH_relational.json" domains_flag);
-
-  (* 1. Candidate computation: the validity checks along every solver path
-     ask for Q(D) once per package probe.  Baseline re-evaluates the
-     selection query each time (the pre-memo behaviour, kept as
-     [candidates_uncached]); fast path hits the per-instance memo. *)
-  let cache_series =
-    let sizes = if quick then [ 250; 500 ] else [ 500; 1000; 2000 ] in
-    let probes = 40 in
-    let select =
-      Qlang.Query.Fo
-        (Qlang.Parser.parse_query "Q(x, z) := exists y. A(x, y) & B(y, z)")
-    in
-    compare_series
-      ~name:(Printf.sprintf "Q(D) per validity probe (%d probes)" probes)
-      ~baseline:"re-evaluate" ~fast:"memoized" ~sizes (fun n ->
-        let db =
-          Workload.Random_db.database (rng_for n)
-            ~specs:[ ("A", 2); ("B", 2) ]
-            ~rows:n ~domain:(max 4 (n / 2))
-        in
-        let inst =
-          Instance.make ~db ~select ~cost:Rating.card_or_infinite
-            ~value:(Rating.sum_col ~nonneg:true 0)
-            ~budget:3. ()
-        in
-        let base_ms =
-          time_ms (fun () ->
-              for _ = 1 to probes do
-                ignore (Instance.candidates_uncached inst)
-              done)
-        in
-        (* A fresh instance, so the memo starts cold inside the timer. *)
-        let inst' = Instance.with_db inst db in
-        let fast_ms =
-          time_ms (fun () ->
-              for _ = 1 to probes do
-                ignore (Instance.candidates inst')
-              done)
-        in
-        let ok =
-          Relational.Relation.equal
-            (Instance.candidates_uncached inst)
-            (Instance.candidates inst')
-        in
-        let counters =
-          (* Fresh instance again: the trace shows one memo miss followed
-             by [probes - 1] hits, the shape the speedup comes from. *)
-          let inst_t = Instance.with_db inst db in
-          traced_counters (fun () ->
-              for _ = 1 to probes do
-                ignore (Instance.candidates inst_t)
-              done)
-        in
-        (base_ms, fast_ms, ok, counters))
-  in
-
-  (* 2. Package enumeration fan-out: the same Exist_pack search on one
-     domain vs [domains_flag] domains, on a team instance whose CQ
-     compatibility constraint makes each validity check cost a query
-     evaluation.  The answer lists must be identical element-for-element
-     (the parallel driver guarantees canonical order). *)
-  let par_series =
-    let sizes = if quick then [ 36; 44 ] else [ 44; 52; 60 ] in
-    compare_series ~name:"Exist_pack.all_valid (CQ compat checks)"
-      ~baseline:"domains=1"
-      ~fast:(Printf.sprintf "domains=%d" domains_flag)
-      ~sizes
-      (fun n ->
-        let db = Workload.Teams.random_db (rng_for n) ~nexperts:n ~nconflicts:(n / 2) in
-        let mk () =
-          Instance.make ~db
-            ~select:(Qlang.Query.Fo (Workload.Teams.experts_with_skill "backend"))
-            ~compat:(Instance.Compat_query Workload.Teams.no_conflicts)
-            ~cost:Workload.Teams.salary_cost ~value:Workload.Teams.score_value
-            ~budget:1e9 ()
-        in
-        (* Distinct instances, so the two runs do not share compat memos. *)
-        let c1 = Exist_pack.ctx ~domains:1 (mk ()) in
-        let cn = Exist_pack.ctx ~domains:domains_flag (mk ()) in
-        let r1 = ref [] and rn = ref [] in
-        let base_ms = time_ms (fun () -> r1 := Exist_pack.all_valid c1) in
-        let fast_ms = time_ms (fun () -> rn := Exist_pack.all_valid cn) in
-        let counters =
-          traced_counters (fun () ->
-              Exist_pack.all_valid (Exist_pack.ctx ~domains:domains_flag (mk ())))
-        in
-        (base_ms, fast_ms, List.equal Package.equal !r1 !rn, counters))
-  in
-
-  let series = [ cache_series; par_series ] in
-  let overhead = observe_overhead () in
-  write_comparison_json "BENCH_relational.json" ~bench:"relational-fastpath"
-    ~mismatches:(List.length !fastpath_mismatches)
-    ~overhead series;
-  (match !fastpath_mismatches with
-  | [] ->
-      Format.printf
-        "all cross-checks passed; measurements in BENCH_relational.json@.@."
-  | ms ->
-      List.iter
-        (fun (name, n) ->
-          Format.printf "CROSS-CHECK FAILED: %s at n = %d@." name n)
-        (List.rev ms))
-
-(* ------------------------------------------------------------------ *)
-(* Plan engine: delta re-evaluation                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Before/after for the physical-plan engine, same harness discipline as
-   the fast-path comparison: identical answers cross-checked at every
-   point, measurements written to BENCH_plan.json for CI to assert on
-   (the delta series must beat full recompute). *)
-let plan_comparison () =
-  header
-    "Physical-plan engine — delta re-evaluation; writes BENCH_plan.json";
-  let before_mismatches = List.length !fastpath_mismatches in
-
-  (* The timed oracle-loop query [qc], plus a chain CQ and a transitive
-     closure program: the static-verification step below checks all three
-     plans, which together reach every plan-interpreter fault site. *)
-  let query =
-    Qlang.Query.Fo
-      (Qlang.Parser.parse_query
-         "Q(x, w) := exists y, z. A(x, y) & B(y, z) & C(z, w) & w = 1")
-  in
-  let rq_schema = Relational.Schema.make "RQ" [ "a" ] in
-  let qc =
-    Qlang.Query.Fo
-      (Qlang.Parser.parse_query
-         "Qc(p) := exists x, y, z. A(x, y) & B(y, z) & RQ(p)")
-  in
-  let tc =
-    let atom rel args =
-      { Qlang.Ast.rel; args = List.map (fun v -> Qlang.Ast.Var v) args }
-    in
-    {
-      Qlang.Datalog.rules =
-        [
-          Qlang.Datalog.rule
-            (atom "reach" [ "x"; "y" ])
-            [ Qlang.Datalog.Rel (atom "E" [ "x"; "y" ]) ];
-          Qlang.Datalog.rule
-            (atom "reach" [ "x"; "z" ])
-            [
-              Qlang.Datalog.Rel (atom "reach" [ "x"; "y" ]);
-              Qlang.Datalog.Rel (atom "E" [ "y"; "z" ]);
-            ];
-        ];
-      answer = "reach";
-    }
-  in
-
-  (* The compatibility oracle loop: "is Qc(D ⊕ N) empty?" for many
-     candidate packages N over one fixed base D.  Qc joins A and B in a
-     component that never mentions the package relation, so delta
-     preparation evaluates that join once and freezes it; each oracle call
-     then only patches the RQ-dependent part.  The baseline re-evaluates
-     Qc over D ⊕ N from scratch through the same engine ([Query.eval]),
-     redoing the A ⋈ B join per package. *)
-  let delta_series =
-    let sizes = if quick then [ 250; 500 ] else [ 500; 1000; 2000 ] in
-    let packages = 30 in
-    compare_series
-      ~name:
-        (Printf.sprintf "oracle loop: delta vs full recompute (%d packages)"
-           packages)
-      ~baseline:"full recompute" ~fast:"delta eval" ~sizes (fun n ->
-        let db =
-          Workload.Random_db.database (rng_for n)
-            ~specs:[ ("A", 2); ("B", 2) ]
-            ~rows:n ~domain:(max 4 (n / 2))
-        in
-        let rqs =
-          List.init packages (fun i ->
-              Relational.Relation.of_int_rows rq_schema [ [ i ] ])
-        in
-        let base_ms =
-          time_ms (fun () ->
-              List.iter
-                (fun rq ->
-                  ignore
-                    (Relational.Relation.is_empty
-                       (Qlang.Query.eval (Relational.Database.add rq db) qc)))
-                rqs)
-        in
-        (* Preparation happens inside the timer: the fast path pays one
-           full evaluation up front and amortizes it over the loop. *)
-        let d = ref None in
-        let fast_ms =
-          time_ms (fun () ->
-              let dd =
-                Qlang.Engine.delta_prepare db ~rel:"RQ" ~schema:rq_schema qc
-              in
-              d := Some dd;
-              List.iter (fun rq -> ignore (Qlang.Engine.delta_is_empty dd rq)) rqs)
-        in
-        let dd = Option.get !d in
-        let ok =
-          List.for_all
-            (fun rq ->
-              Relational.Relation.equal
-                (Qlang.Query.eval (Relational.Database.add rq db) qc)
-                (Qlang.Engine.delta_eval dd rq))
-            rqs
-        in
-        let counters =
-          traced_counters (fun () ->
-              List.iter (fun rq -> ignore (Qlang.Engine.delta_is_empty dd rq)) rqs)
-        in
-        (base_ms, fast_ms, ok, counters))
-  in
-
-  let series = [ delta_series ] in
-
-  (* Static verification of every benchmarked plan shape: each must pass
-     all [Plan_check] passes and carry a rewrite-soundness certificate,
-     and together they must cover every plan-reachable PKG_FAULT site.
-     CI's bench smoke step asserts this block. *)
-  let plan_verify_json =
-    let cq_db =
-      Workload.Random_db.database (rng_for 97)
-        ~specs:[ ("A", 2); ("B", 2); ("C", 2) ]
-        ~rows:32 ~domain:16
-    in
-    let delta_db =
-      Relational.Database.add
-        (Relational.Relation.empty rq_schema)
-        (Workload.Random_db.database (rng_for 98)
-           ~specs:[ ("A", 2); ("B", 2) ]
-           ~rows:32 ~domain:16)
-    in
-    let graph_db = Workload.Random_db.graph (rng_for 99) ~nodes:16 ~edges:40 in
-    let cases =
-      [
-        (cq_db, query, Qlang.Query.plan cq_db query);
-        (delta_db, qc, Qlang.Query.plan delta_db qc);
-        (graph_db, Qlang.Query.Dl tc, Qlang.Query.plan graph_db (Qlang.Query.Dl tc));
-      ]
-    in
-    let errors = ref 0 and certified = ref 0 in
-    List.iter
-      (fun (db, q, plan) ->
-        if Analysis.Diagnostic.has_errors (Analysis.Plan_check.check ~db ~query:q plan)
-        then incr errors;
-        if Analysis.Advisor.certificate_ok (Analysis.Plan_check.certify q plan)
-        then incr certified)
-      cases;
-    let coverage =
-      Analysis.Plan_check.fault_coverage (List.map (fun (_, _, p) -> p) cases)
-    in
-    if Analysis.Diagnostic.has_errors coverage then incr errors;
-    Printf.sprintf "{\"checked\": %d, \"errors\": %d, \"certified\": %d}"
-      (List.length cases) !errors !certified
-  in
-  Format.printf "plan verify: %s@." plan_verify_json;
-
-  let overhead = observe_overhead () in
-  write_comparison_json "BENCH_plan.json" ~bench:"plan-engine"
-    ~extra_json:("plan_verify", plan_verify_json)
-    ~mismatches:(List.length !fastpath_mismatches - before_mismatches)
-    ~overhead series;
-  if List.length !fastpath_mismatches = before_mismatches then
-    Format.printf
-      "all cross-checks passed; measurements in BENCH_plan.json@.@."
-
-(* ------------------------------------------------------------------ *)
-(* Mutable databases: incremental maintenance under tuple churn        *)
-(* ------------------------------------------------------------------ *)
-
-(* Before/after for the mutation layer, on insert/delete streams with a
-   query after every update.  The baseline is the pre-maintenance
-   behavior: a cold update ([Relation.add_cold]) drops the relation's
-   derived caches so the next query rebuilds statistics and indexes from
-   scratch, and an instance update ([Instance.with_db]) flushes the whole
-   memo.  The fast path is the incremental layer: [Relation.add]/[remove]
-   patch every built cache with the one-tuple delta, plans are reused
-   through the revision-fingerprint cache, [Instance.insert_tuple] keeps
-   the memo entries whose dependencies did not change, and the
-   differential fixpoint freezes recursive components the package cannot
-   reach.  Answers are cross-checked against a from-scratch rebuild and
-   the legacy evaluators at every point; measurements go to
-   BENCH_churn.json and CI asserts the speedup block's [target_met]. *)
-let churn_comparison () =
-  header
-    "Mutable databases — incremental index/stats/memo maintenance under\n\
-     tuple churn; writes BENCH_churn.json";
-  let before_mismatches = List.length !fastpath_mismatches in
-  let module Relation = Relational.Relation in
-  let module Schema = Relational.Schema in
-  let module Tuple = Relational.Tuple in
-  let module Database = Relational.Database in
-  (* 1. Relation cache maintenance: single-tuple updates, each followed
-     by an indexed point query.  Cold updates pay a rebuild of the
-     planner's statistics and of the probed index at every step;
-     maintained updates patch both in place. *)
-  let maintain_series =
-    let sizes = if quick then [ 1000; 2000 ] else [ 2000; 4000; 8000 ] in
-    let steps = 60 in
-    let sch = Schema.make "R" [ "k"; "v" ] in
-    let fo = Qlang.Parser.parse_query "Q(v) := R(5, v)" in
-    compare_series
-      ~name:(Printf.sprintf "update+query stream (%d steps)" steps)
-      ~baseline:"cold update, rebuild on demand"
-      ~fast:"incremental maintenance" ~sizes (fun n ->
-        let rows = List.init n (fun i -> [ i mod 97; i ]) in
-        (* alternate insert / delete of the same key-5 tuple, so every
-           update touches the probed index bucket and changes the answer *)
-        let muts =
-          List.init steps (fun i ->
-              (i mod 2 = 0, Tuple.of_ints [ 5; n + (i / 2) ]))
-        in
-        let stream update compile r0 =
-          let r = ref r0 and answers = ref [] in
-          List.iter
-            (fun (ins, tup) ->
-              r := update ins tup !r;
-              let db = Database.of_relations [ !r ] in
-              answers := Qlang.Plan.run db (compile db fo) :: !answers)
-            muts;
-          (!r, List.rev !answers)
-        in
-        let cold ins tup r =
-          if ins then Relation.add_cold tup r else Relation.remove_cold tup r
-        in
-        let warm ins tup r =
-          if ins then Relation.add tup r else Relation.remove tup r
-        in
-        let compile_cold db q = Qlang.Plan.compile_fo db q in
-        let compile_warm db q = Qlang.Plan.compile_fo_cached db q in
-        let r_cold = Relation.of_int_rows sch rows in
-        let r_warm = Relation.of_int_rows sch rows in
-        (* the warm side starts with its caches built — the stream then
-           maintains them; the cold side rebuilds inside the timer *)
-        ignore (Relation.to_array r_warm);
-        ignore (Relation.col_counts r_warm);
-        ignore (Relation.index_on r_warm 0);
-        ignore (Relation.columns r_warm);
-        let base_ms = time_ms (fun () -> ignore (stream cold compile_cold r_cold)) in
-        let fast_ms = time_ms (fun () -> ignore (stream warm compile_warm r_warm)) in
-        let r_base, ans_base = stream cold compile_cold r_cold in
-        let r_fast, ans_fast = stream warm compile_warm r_warm in
-        let rebuilt =
-          Database.of_relations [ Relation.of_list sch (Relation.to_list r_fast) ]
-        in
-        let ok =
-          Relation.equal r_base r_fast
-          && List.for_all2 Relation.equal ans_base ans_fast
-          && Relation.equal
-               (List.nth ans_fast (steps - 1))
-               (Qlang.Query.eval_legacy rebuilt (Qlang.Query.Fo fo))
-        in
-        let counters =
-          traced_counters (fun () -> stream warm compile_warm r_warm)
-        in
-        (base_ms, fast_ms, ok, counters))
-  in
-  (* 2. The instance memo under churn: updates to a relation neither the
-     selection nor the compatibility query mentions, each followed by a
-     candidates call and a batch of compatibility verdicts.  The baseline
-     flushes the memo wholesale on every update and so re-evaluates Q(D),
-     re-prepares the delta plan and recomputes every verdict per step;
-     per-relation retention keeps all three. *)
-  let oracle_series =
-    let sizes = if quick then [ 2000; 4000 ] else [ 4000; 8000; 16000 ] in
-    let steps = 30 and npkgs = 8 in
-    compare_series
-      ~name:
-        (Printf.sprintf "instance memo churn (%d updates x %d verdicts)" steps
-           npkgs)
-      ~baseline:"wholesale memo flush (with_db)"
-      ~fast:"per-relation retention (insert_tuple)" ~sizes (fun n ->
-        let db =
-          Database.of_relations
-            [
-              Relation.of_int_rows (Schema.make "R" [ "id"; "score" ])
-                (List.init n (fun i -> [ i; i mod 100 ]));
-              Relation.of_int_rows (Schema.make "Bad" [ "id" ])
-                (List.init (max 1 (n / 50)) (fun i -> [ 50 * i ]));
-              Relation.of_int_rows (Schema.make "U" [ "x" ]) [ [ 0 ] ];
-            ]
-        in
-        let inst0 =
-          Instance.make ~db
-            ~select:
-              (Qlang.Query.Fo (Qlang.Parser.parse_query "Q(n, s) := R(n, s)"))
-            ~compat:
-              (Instance.Compat_query
-                 (Qlang.Query.Fo
-                    (Qlang.Parser.parse_query
-                       "Qc() := exists a, s. RQ(a, s) & Bad(a)")))
-            ~cost:Rating.card_or_infinite
-            ~value:(Rating.sum_col ~nonneg:true 1)
-            ~budget:10. ()
-        in
-        let pkgs =
-          List.init npkgs (fun i ->
-              Package.of_tuples [ Tuple.of_ints [ (7 * i) + 1; 1 ] ])
-        in
-        let stream step =
-          let inst = ref inst0 and verdicts = ref [] in
-          for i = 1 to steps do
-            inst := step !inst (Tuple.of_ints [ i ]);
-            ignore (Instance.candidates !inst);
-            verdicts := List.map (Validity.compatible !inst) pkgs :: !verdicts
-          done;
-          List.rev !verdicts
-        in
-        let base inst tup =
-          Instance.with_db inst (Database.insert_tuple "U" tup inst.Instance.db)
-        in
-        let fast inst tup = Instance.insert_tuple inst "U" tup in
-        let base_ms = time_ms (fun () -> ignore (stream base)) in
-        let fast_ms = time_ms (fun () -> ignore (stream fast)) in
-        let ok = stream base = stream fast in
-        let counters = traced_counters (fun () -> stream fast) in
-        (base_ms, fast_ms, ok, counters))
-  in
-  (* 3. The differential fixpoint: a recursive compatibility program whose
-     transitive closure never reads the package.  The baseline reruns the
-     whole fixpoint per package; the differential split evaluates the
-     closure once (frozen) and iterates only the package-reading stratum. *)
-  let datalog_series =
-    let sizes = if quick then [ 40; 80 ] else [ 60; 120; 240 ] in
-    let packages = 20 in
-    let rq_schema = Schema.make "RQ" [ "id"; "score" ] in
-    let prog =
-      Qlang.Parser.parse_program
-        "T(x,y) :- E(x,y). T(x,z) :- E(x,y), T(y,z). Ans(x, s) :- T(x, y), \
-         RQ(y, s). ?- Ans."
-    in
-    compare_series
-      ~name:(Printf.sprintf "differential datalog oracle (%d packages)" packages)
-      ~baseline:"full fixpoint per package" ~fast:"frozen closure + live stratum"
-      ~sizes (fun n ->
-        let db = Workload.Random_db.graph (rng_for n) ~nodes:n ~edges:(2 * n) in
-        let rqs =
-          List.init packages (fun i ->
-              Relation.of_int_rows rq_schema [ [ i mod n; i ] ])
-        in
-        let full () =
-          List.map
-            (fun rq ->
-              let db' = Database.add rq db in
-              Qlang.Plan.run db' (Qlang.Plan.compile_datalog db' prog))
-            rqs
-        in
-        (* preparation (including the frozen evaluation) is timed: the
-           incremental side pays it once, against [packages] full runs *)
-        let diff () =
-          let d =
-            Qlang.Engine.delta_prepare db ~rel:"RQ" ~schema:rq_schema
-              (Qlang.Query.Dl prog)
-          in
-          List.map (Qlang.Engine.delta_eval d) rqs
-        in
-        ignore (full ());
-        ignore (diff ());
-        let base_ms = time_ms (fun () -> ignore (full ())) in
-        let fast_ms = time_ms (fun () -> ignore (diff ())) in
-        let ok =
-          List.for_all2 Relation.equal (full ()) (diff ())
-          && List.for_all2
-               (fun rq ans ->
-                 Relation.equal ans
-                   (Qlang.Query.eval_legacy (Database.add rq db)
-                      (Qlang.Query.Dl prog)))
-               rqs (diff ())
-        in
-        let counters = traced_counters (fun () -> diff ()) in
-        (base_ms, fast_ms, ok, counters))
-  in
-  let series = [ maintain_series; oracle_series; datalog_series ] in
-  let last_speedup s =
-    let live = List.filter (fun p -> not p.fp_timed_out) s.fs_points in
-    match List.rev live with p :: _ -> speedup p | [] -> 0.
-  in
-  let maintain = last_speedup maintain_series in
-  let oracle = last_speedup oracle_series in
-  let datalog = last_speedup datalog_series in
-  let target_met = maintain >= 2.0 && datalog >= 2.0 in
-  let churn_json =
-    Printf.sprintf
-      "{\"maintain\": %.2f, \"oracle\": %.2f, \"datalog\": %.2f, \"target\": \
-       2.0, \"target_met\": %b}"
-      maintain oracle datalog target_met
-  in
-  Format.printf "churn speedups: %s@." churn_json;
-  let overhead = observe_overhead () in
-  write_comparison_json "BENCH_churn.json" ~bench:"churn-maintenance"
-    ~extra_json:("churn", churn_json)
-    ~mismatches:(List.length !fastpath_mismatches - before_mismatches)
-    ~overhead series;
-  if List.length !fastpath_mismatches = before_mismatches then
-    Format.printf "all cross-checks passed; measurements in BENCH_churn.json@.@."
-
-(* ------------------------------------------------------------------ *)
-(* Serve mode: replay benchmark for the recommendation daemon.
-
-     dune exec bench/main.exe -- serve [--quick] [--qps=N] [--trace-file=PATH]
-
-   Phases: closed-loop throughput (pipelined evals over a 3-way-join
-   instance, 1 worker domain vs several), paced open-loop latency
-   (p50/p99 at --qps over the bundled mixed trace), overload (a tiny
-   queue and a tight deadline force explicit sheds and sound partial
-   degradations), fault injection at each serve.* site, and an oracle
-   cross-check of every served [ok] answer against [Server.one_shot].
-   Results land in BENCH_serve.json. *)
-
-let serve_mode = Array.exists (( = ) "serve") Sys.argv
-
-(* --qps=N: target request rate for the paced latency phase. *)
-let qps_flag =
-  Array.fold_left
-    (fun acc a ->
-      let prefix = "--qps=" in
-      let plen = String.length prefix in
-      if String.length a > plen && String.sub a 0 plen = prefix then
-        match
-          float_of_string_opt (String.sub a plen (String.length a - plen))
-        with
-        | Some q when q > 0. -> q
-        | _ -> acc
-      else acc)
-    200. Sys.argv
-
-(* --trace-file=PATH: request lines replayed by the latency phase
-   (default: the bundled mixed trace, when present). *)
-let trace_file_flag =
-  Array.fold_left
-    (fun acc a ->
-      let prefix = "--trace-file=" in
-      let plen = String.length prefix in
-      if String.length a > plen && String.sub a 0 plen = prefix then
-        Some (String.sub a plen (String.length a - plen))
-      else acc)
-    None Sys.argv
-
-module Srv = Serve.Server
-module Scl = Serve.Client
-module Spr = Serve.Proto
-
-let serve_sock_ctr = ref 0
-
-let with_serve_server ?config reg f =
-  let srv = Srv.create ?config reg in
-  incr serve_sock_ctr;
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pkg-bench-%d-%d.sock" (Unix.getpid ()) !serve_sock_ctr)
-  in
-  let lfd = Srv.listen_unix path in
-  let d = Domain.spawn (fun () -> Srv.run srv lfd) in
-  Fun.protect
-    ~finally:(fun () ->
-      Srv.stop srv;
-      Domain.join d;
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f srv path)
-
-(* The throughput workload: a triangle-free 3-way chain join, heavy
-   enough that request execution (not socket I/O) dominates. *)
-let serve_registry () =
-  let rng = Random.State.make [| 0xBEEF |] in
-  let rows = if quick then 90 else 150 in
-  let db =
-    Workload.Random_db.database rng
-      ~specs:[ ("A", 2); ("B", 2); ("C", 2) ]
-      ~rows ~domain:25
-  in
-  let chain =
-    Instance.make ~db
-      ~select:
-        (Qlang.Query.Fo
-           (Qlang.Parser.parse_query
-              "Q(x, w) := exists y, z. A(x, y) & B(y, z) & C(z, w)"))
-      ~cost:Rating.count ~value:Rating.count ~budget:3. ()
-  in
-  [ ("team", Workload.Teams.team_instance ()); ("chain", chain) ]
-
-let serve_throughput_run reg ~requests ~domains ~crosscheck =
-  let config =
-    { Srv.default_config with Srv.domains; queue_cap = requests + 8 }
-  in
-  with_serve_server ~config reg (fun srv path ->
-      let oracle = Spr.response_data (Srv.one_shot srv "eval id=0 inst=chain") in
-      let c = Scl.connect_unix path in
-      Fun.protect
-        ~finally:(fun () -> Scl.close c)
-        (fun () ->
-          (* one lock-step round trip warms the plan cache *)
-          ignore (Scl.request c "eval id=0 inst=chain");
-          let t0 = Unix.gettimeofday () in
-          for i = 1 to requests do
-            Scl.send_line c (Printf.sprintf "eval id=%d inst=chain" i)
-          done;
-          let ok = ref 0 in
-          for _ = 1 to requests do
-            match Scl.recv_line c with
-            | Some r when Spr.response_status r = Some "ok" ->
-                incr ok;
-                if Spr.response_data r <> oracle then incr crosscheck
-            | Some _ | None -> incr crosscheck
-          done;
-          let dt = Unix.gettimeofday () -. t0 in
-          (float_of_int requests /. dt, !ok)))
-
-let serve_builtin_trace =
-  [
-    "ping";
-    "eval inst=team";
-    "topk inst=team k=2";
-    "count inst=team bound=15";
-    "maxbound inst=team k=1";
-    "rpp inst=team k=1";
-    "analyze inst=team";
-    "eval inst=chain";
-    "burn ms=5";
-  ]
-
-let serve_trace_lines () =
-  let path =
-    Option.value trace_file_flag ~default:"examples/traces/mixed.trace"
-  in
-  let starts_with p l =
-    String.length l >= String.length p && String.sub l 0 (String.length p) = p
-  in
-  let from_file =
-    if Sys.file_exists path then
-      In_channel.with_open_text path In_channel.input_lines
-      |> List.filter (fun l ->
-             (not (Spr.is_comment l)) && not (starts_with "shutdown" l))
-    else []
-  in
-  if from_file = [] then serve_builtin_trace else from_file
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let i = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
-
-let serve_latency_run reg ~domains ~crosscheck =
-  let base = serve_trace_lines () in
-  let rounds = if quick then 4 else 12 in
-  let lines = List.concat (List.init rounds (fun _ -> base)) in
-  let n = List.length lines in
-  (* Force ids 1..n: a later id= field overrides any id in the trace. *)
-  let lines_arr =
-    Array.mapi
-      (fun i l -> Printf.sprintf "%s id=%d" l (i + 1))
-      (Array.of_list lines)
-  in
-  let config = { Srv.default_config with Srv.domains; queue_cap = n + 8 } in
-  with_serve_server ~config reg (fun srv path ->
-      let c = Scl.connect_unix path in
-      Fun.protect
-        ~finally:(fun () -> Scl.close c)
-        (fun () ->
-          (* The reader domain timestamps arrivals while the sender
-             paces departures; latencies are joined after the reader's
-             Domain.join (the synchronisation point for send_times). *)
-          let reader =
-            Domain.spawn (fun () ->
-                let acc = ref [] in
-                (try
-                   for _ = 1 to n do
-                     match Scl.recv_line c with
-                     | None -> raise Exit
-                     | Some r -> acc := (r, Unix.gettimeofday ()) :: !acc
-                   done
-                 with Exit -> ());
-                !acc)
-          in
-          let send_times = Array.make (n + 1) 0. in
-          let interval = 1. /. qps_flag in
-          let start = Unix.gettimeofday () in
-          Array.iteri
-            (fun i line ->
-              let target = start +. (float_of_int i *. interval) in
-              let now = Unix.gettimeofday () in
-              if now < target then Unix.sleepf (target -. now);
-              send_times.(i + 1) <- Unix.gettimeofday ();
-              Scl.send_line c line)
-            lines_arr;
-          let resps = Domain.join reader in
-          let lats = ref [] in
-          let served = ref 0 in
-          List.iter
-            (fun (r, trecv) ->
-              match Spr.response_id r with
-              | Some id when id >= 1 && id <= n ->
-                  incr served;
-                  lats := ((trecv -. send_times.(id)) *. 1000.) :: !lats;
-                  let line = lines_arr.(id - 1) in
-                  let is_metrics =
-                    String.length line >= 7 && String.sub line 0 7 = "metrics"
-                  in
-                  (* metrics data includes live queue/counter state, so
-                     only the deterministic verbs are cross-checked *)
-                  if Spr.response_status r = Some "ok" && not is_metrics then
-                    if
-                      Spr.response_data r
-                      <> Spr.response_data (Srv.one_shot srv line)
-                    then incr crosscheck
-              | _ -> ())
-            resps;
-          let sorted = Array.of_list !lats in
-          Array.sort compare sorted;
-          (n, !served, percentile sorted 50., percentile sorted 99.)))
-
-let serve_overload_run reg =
-  let shed = ref 0 in
-  let degraded = ref 0 in
-  let errors = ref 0 in
-  let burst ~config ~nreq ~line =
-    with_serve_server ~config reg (fun _srv path ->
-        let c = Scl.connect_unix path in
-        Fun.protect
-          ~finally:(fun () -> Scl.close c)
-          (fun () ->
-            for i = 1 to nreq do
-              Scl.send_line c (Printf.sprintf "%s id=%d" line i)
-            done;
-            for _ = 1 to nreq do
-              match Scl.recv_line c with
-              | Some r -> (
-                  match Spr.response_status r with
-                  | Some "overloaded" -> incr shed
-                  | Some "partial" -> incr degraded
-                  | Some "error" -> incr errors
-                  | _ -> ())
-              | None -> incr errors
-            done))
-  in
-  (* Queue pressure: one slow worker, capacity 4, a pipelined burst —
-     the surplus must shed with explicit [overloaded] responses. *)
-  burst
-    ~config:{ Srv.default_config with Srv.domains = 1; queue_cap = 4 }
-    ~nreq:32 ~line:"burn ms=15";
-  (* Deadline pressure: the per-request budget expires mid-burn, so
-     admitted requests degrade to sound partial answers. *)
-  burst
-    ~config:
-      {
-        Srv.default_config with
-        Srv.domains = 1;
-        queue_cap = 64;
-        deadline = Some 0.02;
-      }
-    ~nreq:8 ~line:"burn ms=200";
-  (!shed, !degraded, !errors)
-
-let serve_fault_sites = [ "serve.accept"; "serve.dispatch"; "serve.respond" ]
-
-(* Arm each serve.* fault once (nth=1) and pipeline two evals: exactly
-   one response must name the fault and the other must succeed — the
-   daemon absorbs the poisoned request and keeps serving. *)
-let serve_faults_run reg =
-  let clean = ref true in
-  List.iter
-    (fun site ->
-      with_serve_server
-        ~config:{ Srv.default_config with Srv.domains = 1 }
-        reg
-        (fun _srv path ->
-          let c = Scl.connect_unix path in
-          Fun.protect
-            ~finally:(fun () -> Scl.close c)
-            (fun () ->
-              Robust.Fault.arm ~site ~nth:1 ~kind:Robust.Fault.Exn;
-              Scl.send_line c "eval id=1 inst=team";
-              Scl.send_line c "eval id=2 inst=team";
-              let r1 = Scl.recv_line c in
-              let r2 = Scl.recv_line c in
-              Robust.Fault.disarm ();
-              let resps = List.filter_map Fun.id [ r1; r2 ] in
-              let faulted =
-                List.filter
-                  (fun r -> Spr.response_reason r = Some ("fault:" ^ site))
-                  resps
-              in
-              let oks =
-                List.filter (fun r -> Spr.response_status r = Some "ok") resps
-              in
-              let site_ok =
-                List.length resps = 2
-                && List.length faulted = 1
-                && List.length oks = 1
-              in
-              Format.printf "  fault %-14s -> %s@." site
-                (if site_ok then "absorbed, daemon healthy" else "FAILED");
-              if not site_ok then clean := false)))
-    serve_fault_sites;
-  !clean
-
-let write_serve_json file ~cores ~requests ~single_rps ~multi_rps
-    ~multi_domains ~target ~target_met ~lat ~ovl ~clean ~crosscheck =
-  let lat_n, lat_served, p50, p99 = lat in
-  let shed, degraded, errors = ovl in
-  let oc = open_out file in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"serve\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"cores\": %d,\n" cores;
-  Printf.fprintf oc "  \"throughput\": {\n";
-  Printf.fprintf oc "    \"requests\": %d,\n" requests;
-  Printf.fprintf oc "    \"single_domain_rps\": %.1f,\n" single_rps;
-  Printf.fprintf oc "    \"multi_domain_rps\": %.1f,\n" multi_rps;
-  Printf.fprintf oc "    \"domains\": %d,\n" multi_domains;
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" (multi_rps /. single_rps);
-  Printf.fprintf oc "    \"target\": %.1f,\n" target;
-  Printf.fprintf oc "    \"target_met\": %b\n" target_met;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"latency\": {\n";
-  Printf.fprintf oc "    \"qps\": %.1f,\n" qps_flag;
-  Printf.fprintf oc "    \"requests\": %d,\n" lat_n;
-  Printf.fprintf oc "    \"served\": %d,\n" lat_served;
-  Printf.fprintf oc "    \"p50_ms\": %.3f,\n" p50;
-  Printf.fprintf oc "    \"p99_ms\": %.3f\n" p99;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc
-    "  \"overload\": { \"shed\": %d, \"degraded\": %d, \"errors\": %d },\n"
-    shed degraded errors;
-  Printf.fprintf oc "  \"faults\": { \"sites\": [%s], \"clean\": %b },\n"
-    (String.concat ", " (List.map (Printf.sprintf "%S") serve_fault_sites))
-    clean;
-  Printf.fprintf oc "  \"crosscheck_failures\": %d\n" crosscheck;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Format.printf "@.  wrote %s@." file
-
-let serve_bench () =
-  header "Serve replay benchmark (admission control, shedding, degradation)";
-  let reg = serve_registry () in
-  let cores = Domain.recommended_domain_count () in
-  let multi_domains = if cores >= 2 then min 4 cores else 2 in
-  let requests = if quick then 60 else 240 in
-  Format.printf "cores: %d; multi-domain run uses %d workers@.@." cores
-    multi_domains;
-  let crosscheck = ref 0 in
-  Format.printf "throughput: %d pipelined chain-join evals per run@." requests;
-  let single_rps, ok1 =
-    serve_throughput_run reg ~requests ~domains:1 ~crosscheck
-  in
-  Format.printf "  1 domain   %8.1f req/s  (%d ok)@." single_rps ok1;
-  let multi_rps, okn =
-    serve_throughput_run reg ~requests ~domains:multi_domains ~crosscheck
-  in
-  let speedup = multi_rps /. single_rps in
-  Format.printf "  %d domains  %8.1f req/s  (%d ok)  speedup %.2fx@."
-    multi_domains multi_rps okn speedup;
-  let target = 2.0 in
-  (* the >= 2x throughput target is asserted only where it is
-     physically meaningful: with at least two cores to scale onto *)
-  let target_met = cores < 2 || speedup >= target in
-  Format.printf "  target %.1fx: %s@.@." target
-    (if cores < 2 then "n/a (single core)"
-     else if target_met then "met"
-     else "MISSED");
-  Format.printf "latency: paced replay at %.0f req/s@." qps_flag;
-  let ((lat_n, lat_served, p50, p99) as lat) =
-    serve_latency_run reg ~domains:multi_domains ~crosscheck
-  in
-  Format.printf "  %d/%d served  p50 %.2f ms  p99 %.2f ms@.@." lat_served lat_n
-    p50 p99;
-  Format.printf "overload: queue_cap=4 burst, then 20 ms deadline@.";
-  let ((shed, degraded, errors) as ovl) = serve_overload_run reg in
-  Format.printf "  shed %d  degraded %d  errors %d@.@." shed degraded errors;
-  Format.printf "faults: one-shot injection at each serve site@.";
-  let clean = serve_faults_run reg in
-  Format.printf "@.oracle cross-check failures: %d@." !crosscheck;
-  write_serve_json "BENCH_serve.json" ~cores ~requests ~single_rps ~multi_rps
-    ~multi_domains ~target ~target_met ~lat ~ovl ~clean
-    ~crosscheck:!crosscheck;
-  Format.printf "@.done.@."
-
-(* ------------------------------------------------------------------ *)
-(* SketchRefine scaling benchmark (`bench sketch`): exact vs approximate
-   PaQL solving on growing catalogs.
-
-   The query is an FRP-shaped package query (budget + cardinality cap,
-   maximize value).  The exact pseudo-Boolean branch-and-bound runs as an
-   anytime solver under a wall-clock deadline (30 s full, 5 s quick) and
-   reports its best incumbent when the deadline truncates the proof; the
-   SketchRefine pipeline runs to completion.  Quality is measured against
-   a sound upper bound on the optimum — the sum of the top-[COUNT cap]
-   objective coefficients (the cardinality-relaxed optimum) — so the
-   recorded ratio is a true approximation guarantee, not a comparison
-   against a possibly-poor incumbent.  Measurements land in
-   BENCH_sketch.json; CI asserts the speedup and quality blocks. *)
-(* ------------------------------------------------------------------ *)
-
-let sketch_mode = Array.exists (( = ) "sketch") Sys.argv
-
-let sketch_query =
-  "SELECT PACKAGE(P) FROM R SUCH THAT SUM(cost) <= 50 AND COUNT(*) <= 8 \
-   MAXIMIZE SUM(val)"
-
-let sketch_cap = 8 (* the COUNT bound in [sketch_query] *)
-let sketch_sizes = if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000; 1_000_000 ]
-let sketch_deadline = if quick then 5.0 else 30.0
-
-type sketch_point = {
-  sk_rows : int;
-  sk_gen_ms : float;
-  sk_exact_ms : float;
-  sk_exact_status : string; (* "exact" | "partial" | "infeasible" *)
-  sk_exact_obj : float option;
-  sk_approx_ms : float;
-  sk_approx_obj : float option;
-  sk_upper_bound : float;
-  sk_ratio : float option; (* approx objective / upper bound *)
-  sk_stats : Sketch.stats;
-  sk_counters : Observe.snapshot;
-}
-
-(* Sum of the [sketch_cap] largest nonnegative objective coefficients: an
-   upper bound on any feasible package's objective (each selected tuple
-   contributes at most its own coefficient, and at most [sketch_cap]
-   tuples are selected). *)
-let sketch_upper_bound (c : Paql_compile.t) =
-  let coeffs = Array.copy c.Paql_compile.linear.objective in
-  Array.sort (fun a b -> compare b a) coeffs;
-  let n = min sketch_cap (Array.length coeffs) in
-  let ub = ref 0. in
-  for i = 0 to n - 1 do
-    if coeffs.(i) > 0. then ub := !ub +. coeffs.(i)
-  done;
-  !ub
-
-let sketch_point rng rows =
-  let t0 = Unix.gettimeofday () in
-  let db = Workload.Random_db.catalog_db rng ~rows in
-  let gen_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  let c =
-    match Paql_compile.parse_and_compile db sketch_query with
-    | Ok c -> c
-    | Error e -> failwith ("sketch bench: " ^ e)
-  in
-  let ub = sketch_upper_bound c in
-  (* Exact, as an anytime solver under the deadline. *)
-  let exact_outcome = ref (Robust.Budget.Partial { best_so_far = None; reason = Robust.Budget.Deadline; work_done = 0 }) in
-  let exact_ms =
-    time_ms (fun () ->
-        exact_outcome :=
-          Paql_compile.solve_budgeted
-            ~budget:(Robust.Budget.make ~deadline:sketch_deadline ())
-            c)
-  in
-  let exact_status, exact_obj =
-    match !exact_outcome with
-    | Robust.Budget.Exact (Some a) -> ("exact", Some a.Paql_compile.objective)
-    | Robust.Budget.Exact None -> ("infeasible", None)
-    | Robust.Budget.Partial { best_so_far; _ } ->
-        ("partial", Option.map (fun a -> a.Paql_compile.objective) best_so_far)
-  in
-  (* Approximate: timed run first, then one traced run for the counter
-     snapshot (tracing never perturbs a timed measurement). *)
-  let approx = ref None in
-  let approx_ms = time_ms (fun () -> approx := Some (Sketch.solve c)) in
-  let approx = Option.get !approx in
-  let counters = traced_counters (fun () -> Sketch.solve c) in
-  let approx_obj =
-    Option.map (fun a -> a.Paql_compile.objective) approx.Sketch.answer
-  in
-  let ratio =
-    match approx_obj with
-    | Some o when ub > 0. -> Some (o /. ub)
-    | _ -> None
-  in
-  {
-    sk_rows = rows;
-    sk_gen_ms = gen_ms;
-    sk_exact_ms = exact_ms;
-    sk_exact_status = exact_status;
-    sk_exact_obj = exact_obj;
-    sk_approx_ms = approx_ms;
-    sk_approx_obj = approx_obj;
-    sk_upper_bound = ub;
-    sk_ratio = ratio;
-    sk_stats = approx.Sketch.stats;
-    sk_counters = counters;
-  }
-
-(* The acceptance-side quality measurement: on instances small enough for
-   the exact oracle to close (≤200 tuples, a tight budget), the ratio of
-   the SketchRefine objective to the {e true} optimum.  Exact runs under
-   a short per-instance deadline; instances it cannot close in time are
-   counted but excluded from the ratio (no sound baseline there). *)
-let sketch_small_query =
-  "SELECT PACKAGE(P) FROM R SUCH THAT SUM(cost) <= 12 AND COUNT(*) <= 4 \
-   MAXIMIZE SUM(val)"
-
-let sketch_small_corpus () =
-  let corpus = if quick then 12 else 40 in
-  let per_instance_deadline = if quick then 2.0 else 5.0 in
-  let rng = Random.State.make [| 0x5a11; 17 |] in
-  let solved = ref 0 and ratios = ref [] in
-  for _ = 1 to corpus do
-    let rows = 15 + Random.State.int rng 186 (* 15..200 *) in
-    let db = Workload.Random_db.catalog_db rng ~rows in
-    let c =
-      match Paql_compile.parse_and_compile db sketch_small_query with
-      | Ok c -> c
-      | Error e -> failwith ("sketch bench (small corpus): " ^ e)
-    in
-    match
-      Paql_compile.solve_budgeted
-        ~budget:(Robust.Budget.make ~deadline:per_instance_deadline ())
-        c
-    with
-    | Robust.Budget.Exact (Some exact) when exact.Paql_compile.objective > 0.
-      -> (
-        incr solved;
-        let approx = Sketch.solve c in
-        match approx.Sketch.answer with
-        | Some a ->
-            ratios :=
-              (a.Paql_compile.objective /. exact.Paql_compile.objective)
-              :: !ratios
-        | None ->
-            (* exact found a package, approx none at all: ratio 0 — this
-               must fail the floor loudly, not vanish from the record *)
-            ratios := 0. :: !ratios)
-    | _ -> ()
-  done;
-  (corpus, !solved, !ratios)
-
-let write_sketch_json file points ~speedup ~min_ratio ~mean_ratio ~floor
-    ~quality_met ~within_30s ~small =
-  let oc = open_out file in
-  let opt_f = function
-    | Some v -> Printf.sprintf "%.3f" v
-    | None -> "null"
-  in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"sketch\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"query\": \"%s\",\n" (json_escape sketch_query);
-  Printf.fprintf oc "  \"exact_deadline_s\": %.1f,\n" sketch_deadline;
-  Printf.fprintf oc "  \"sizes\": [\n";
-  List.iteri
-    (fun i p ->
-      let s = p.sk_stats in
-      Printf.fprintf oc "    {\n";
-      Printf.fprintf oc "      \"rows\": %d,\n" p.sk_rows;
-      Printf.fprintf oc "      \"gen_ms\": %.2f,\n" p.sk_gen_ms;
-      Printf.fprintf oc "      \"exact_ms\": %.2f,\n" p.sk_exact_ms;
-      Printf.fprintf oc "      \"exact_status\": \"%s\",\n" p.sk_exact_status;
-      Printf.fprintf oc "      \"exact_objective\": %s,\n" (opt_f p.sk_exact_obj);
-      Printf.fprintf oc "      \"approx_ms\": %.2f,\n" p.sk_approx_ms;
-      Printf.fprintf oc "      \"approx_objective\": %s,\n" (opt_f p.sk_approx_obj);
-      Printf.fprintf oc "      \"upper_bound\": %.3f,\n" p.sk_upper_bound;
-      Printf.fprintf oc "      \"ratio\": %s,\n" (opt_f p.sk_ratio);
-      Printf.fprintf oc
-        "      \"sketch\": { \"winner\": \"%s\", \"partitions\": %d, \
-         \"partitions_touched\": %d, \"backtracks\": %d, \
-         \"sketch_nodes\": %d, \"refine_nodes\": %d },\n"
-        (json_escape s.Sketch.winner)
-        s.Sketch.npartitions s.Sketch.partitions_touched s.Sketch.backtracks
-        s.Sketch.sketch_nodes s.Sketch.refine_nodes;
-      Printf.fprintf oc "      \"counters\": %s\n"
-        (Observe.to_json p.sk_counters);
-      Printf.fprintf oc "    }%s\n" (if i < List.length points - 1 then "," else ""))
-    points;
-  Printf.fprintf oc "  ],\n";
-  let largest = List.nth points (List.length points - 1) in
-  Printf.fprintf oc "  \"speedup\": {\n";
-  Printf.fprintf oc "    \"rows\": %d,\n" largest.sk_rows;
-  Printf.fprintf oc "    \"exact_ms\": %.2f,\n" largest.sk_exact_ms;
-  Printf.fprintf oc "    \"exact_timed_out\": %b,\n"
-    (largest.sk_exact_status = "partial");
-  Printf.fprintf oc "    \"approx_ms\": %.2f,\n" largest.sk_approx_ms;
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" speedup;
-  Printf.fprintf oc "    \"approx_within_30s\": %b\n" within_30s;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"quality\": {\n";
-  Printf.fprintf oc "    \"min_ratio\": %s,\n" (opt_f min_ratio);
-  Printf.fprintf oc "    \"mean_ratio\": %s,\n" (opt_f mean_ratio);
-  Printf.fprintf oc "    \"floor\": %.2f,\n" floor;
-  Printf.fprintf oc "    \"met\": %b\n" quality_met;
-  Printf.fprintf oc "  },\n";
-  let sm_corpus, sm_solved, sm_min, sm_mean, sm_met = small in
-  Printf.fprintf oc "  \"small_instances\": {\n";
-  Printf.fprintf oc "    \"query\": \"%s\",\n" (json_escape sketch_small_query);
-  Printf.fprintf oc "    \"corpus\": %d,\n" sm_corpus;
-  Printf.fprintf oc "    \"exact_solved\": %d,\n" sm_solved;
-  Printf.fprintf oc "    \"min_ratio\": %s,\n" (opt_f sm_min);
-  Printf.fprintf oc "    \"mean_ratio\": %s,\n" (opt_f sm_mean);
-  Printf.fprintf oc "    \"floor\": %.2f,\n" floor;
-  Printf.fprintf oc "    \"met\": %b\n" sm_met;
-  Printf.fprintf oc "  }\n";
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Format.printf "@.  wrote %s@." file
-
-let sketch_bench () =
-  header "SketchRefine scaling benchmark (exact vs approximate PaQL)";
-  Format.printf "query: %s@." sketch_query;
-  Format.printf "exact runs as an anytime solver under a %.0f s deadline;@."
-    sketch_deadline;
-  Format.printf
-    "ratio is approx objective / cardinality-relaxed upper bound@.@.";
-  let rng = Random.State.make [| 0x5ce7c4 |] in
-  let points =
-    List.map
-      (fun rows ->
-        Format.printf "  n = %-8d generating...@?" rows;
-        let p = sketch_point rng rows in
-        Format.printf
-          " gen %7.0f ms  exact %8.0f ms (%s%s)  approx %7.0f ms  ratio %s  \
-           [%s, %d/%d parts, %d backtracks]@."
-          p.sk_gen_ms p.sk_exact_ms p.sk_exact_status
-          (match p.sk_exact_obj with
-          | Some o -> Printf.sprintf ", obj %.0f" o
-          | None -> "")
-          p.sk_approx_ms
-          (match p.sk_ratio with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "n/a")
-          p.sk_stats.Sketch.winner p.sk_stats.Sketch.partitions_touched
-          p.sk_stats.Sketch.npartitions p.sk_stats.Sketch.backtracks;
-        p)
-      sketch_sizes
-  in
-  let largest = List.nth points (List.length points - 1) in
-  let speedup =
-    if largest.sk_approx_ms > 0. then largest.sk_exact_ms /. largest.sk_approx_ms
-    else Float.infinity
-  in
-  let ratios = List.filter_map (fun p -> p.sk_ratio) points in
-  let min_ratio =
-    match ratios with [] -> None | rs -> Some (List.fold_left min 1. rs)
-  in
-  let mean_ratio =
-    match ratios with
-    | [] -> None
-    | rs ->
-        Some (List.fold_left ( +. ) 0. rs /. float_of_int (List.length rs))
-  in
-  let floor = 0.5 in
-  let quality_met =
-    match min_ratio with Some r -> r >= floor | None -> false
-  in
-  let within_30s = largest.sk_approx_ms < 30_000. in
-  Format.printf
-    "@.small-instance corpus: ratio vs the exact oracle (\xe2\x89\xa4200 \
-     tuples, tight budget)@.";
-  let sm_corpus, sm_solved, sm_ratios = sketch_small_corpus () in
-  let sm_min =
-    match sm_ratios with [] -> None | rs -> Some (List.fold_left min 1. rs)
-  in
-  let sm_mean =
-    match sm_ratios with
-    | [] -> None
-    | rs -> Some (List.fold_left ( +. ) 0. rs /. float_of_int (List.length rs))
-  in
-  let sm_met =
-    sm_solved > 0 && match sm_min with Some r -> r >= 0.5 | None -> false
-  in
-  (match (sm_min, sm_mean) with
-  | Some mn, Some mean ->
-      Format.printf
-        "  %d/%d instances closed exactly; ratio min %.3f mean %.3f (floor \
-         0.50: %s)@."
-        sm_solved sm_corpus mn mean
-        (if sm_met then "met" else "MISSED")
-  | _ ->
-      Format.printf "  %d/%d instances closed exactly — no ratios@." sm_solved
-        sm_corpus);
-  Format.printf
-    "@.largest size %d: exact %s after %.0f ms, approx answered in %.0f ms \
-     (speedup %.1fx, within 30 s: %b)@."
-    largest.sk_rows
-    (if largest.sk_exact_status = "partial" then "timed out" else "finished")
-    largest.sk_exact_ms largest.sk_approx_ms speedup within_30s;
-  (match (min_ratio, mean_ratio) with
-  | Some mn, Some mean ->
-      Format.printf "quality: min ratio %.3f, mean %.3f (floor %.2f: %s)@." mn
-        mean floor
-        (if quality_met then "met" else "MISSED")
-  | _ -> Format.printf "quality: no feasible approximate answers@.");
-  write_sketch_json "BENCH_sketch.json" points ~speedup ~min_ratio ~mean_ratio
-    ~floor ~quality_met ~within_30s
-    ~small:(sm_corpus, sm_solved, sm_min, sm_mean, sm_met);
-  if not (quality_met && within_30s && sm_met) then (
-    Format.printf "@.SKETCH BENCH TARGET MISSED@.";
-    exit 2)
-
 let () =
-  if sketch_mode then (
-    Format.printf "Package recommendation — SketchRefine scaling benchmark@.";
-    if quick then Format.printf "[quick mode]@.";
-    sketch_bench ();
-    Format.printf "@.done.@.";
-    exit 0);
-  if serve_mode then (
-    Format.printf "Package recommendation — serve replay benchmark@.";
-    if quick then Format.printf "[quick mode]@.";
-    serve_bench ();
-    exit 0);
   Format.printf "Package recommendation — paper-reproduction benchmarks@.";
   Format.printf
     "(Deng, Fan, Geerts: On the Complexity of Package Recommendation Problems)@.";
@@ -2004,13 +601,9 @@ let () =
   table_8_2 ();
   corollary_6_2 ();
   ablations ();
-  fastpath_comparison ();
-  plan_comparison ();
-  churn_comparison ();
   (match timeout_flag with
   | Some s ->
       Format.printf "@.%d point(s) timed out (per-point deadline %gs)@."
         !timed_out_points s
   | None -> ());
-  Format.printf "@.done.@.";
-  if !fastpath_mismatches <> [] then exit 2
+  Format.printf "@.done.@."

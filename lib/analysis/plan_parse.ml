@@ -8,6 +8,22 @@ let fail ln msg = failwith (Printf.sprintf "plan parse: line %d: %s" ln msg)
 
 type line = { ln : int; depth : int; text : string }
 
+(* Drop a trailing "  [...]" note, the form [Plan.pp] prints estimates and
+   the answer header's fragment in; the notation's own brackets follow a
+   single space. *)
+let strip_note s =
+  let rec last_note i =
+    if i < 0 then None
+    else if String.sub s i 3 = "  [" then Some i
+    else last_note (i - 1)
+  in
+  let body = String.trim s in
+  if body = "" || body.[String.length body - 1] <> ']' then s
+  else
+    match last_note (String.length s - 3) with
+    | Some i -> String.sub s 0 i
+    | None -> s
+
 let split_lines src =
   let raw = String.split_on_char '\n' src in
   List.filteri (fun _ _ -> true) raw
@@ -18,6 +34,7 @@ let split_lines src =
            | Some i -> String.sub s 0 i
            | None -> s
          in
+         let s = strip_note s in
          if String.trim s = "" then None
          else begin
            let indent = ref 0 in
@@ -86,12 +103,29 @@ let parse_cmp ln s =
       let rhs = parse_term ln (String.sub s (i + tl) (String.length s - i - tl)) in
       Plan.Cond_cmp (cmp, lhs, rhs)
 
-(* "c | c | ..." -> a right-nested disjunction of comparisons *)
+(* "dist[NAME](t, t) <= K", the form [Plan.pp_cond] prints *)
+let parse_dist ln s =
+  match
+    Scanf.sscanf s "dist[%[^]]](%[^,],%[^)]) <= %f%!" (fun n t1 t2 k ->
+        (n, t1, t2, k))
+  with
+  | n, t1, t2, k ->
+      Plan.Cond_dist (String.trim n, parse_term ln t1, parse_term ln t2, k)
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+      fail ln (Printf.sprintf "malformed distance condition %S" s)
+
+let parse_atomic_cond ln s =
+  let s = String.trim s in
+  if String.starts_with ~prefix:"dist[" s then parse_dist ln s
+  else parse_cmp ln s
+
+(* "c | c | ..." -> a right-nested disjunction of comparisons and
+   distance conditions *)
 let parse_cond ln s =
   let rec fold = function
     | [] -> fail ln "empty condition"
-    | [ c ] -> parse_cmp ln c
-    | c :: rest -> Plan.Cond_or (parse_cmp ln c, fold rest)
+    | [ c ] -> parse_atomic_cond ln c
+    | c :: rest -> Plan.Cond_or (parse_atomic_cond ln c, fold rest)
   in
   fold (String.split_on_char '|' s)
 

@@ -17,12 +17,16 @@
     [bitmap-filter R(t, ...)], [index-only R(t, ...) keep [v, ...]],
     [index-join R(t, ...)] (one child), [hash-join] and [anti-join] (two
     children), [filter C], [builtin C] where the condition [C] is
-    [t OP t] (OP one of [= != < <= > >=]) or a disjunction
-    [t OP t | t OP t | ...], [extend [v, ...]], [project [v, ...]] (one child each), [union] (two
+    [t OP t] (OP one of [= != < <= > >=]), a distance bound
+    [dist[NAME](t, t) <= K], or a disjunction of these
+    [c | c | ...], [extend [v, ...]], [project [v, ...]] (one child each), [union] (two
     children), [complement] (one child).  Terms: integers and double-quoted strings
     are constants, anything else a variable.  A node line may end with
     [vars [a, b]] to override the recomputed variable metadata (for
-    ill-typed fixtures).
+    ill-typed fixtures).  A trailing note set off by two spaces, [  [...]],
+    is ignored: {!Qlang.Plan.pp} prints estimates and the answer header's
+    fragment that way, so a single-disjunct answer plan it prints reads
+    back.
 
     @raise Failure with a line number on malformed input. *)
 

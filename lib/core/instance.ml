@@ -119,21 +119,11 @@ let has_compat inst =
   | Compat_query q -> not (Qlang.Query.is_empty_query q)
   | Compat_fn _ -> true
 
-(* Candidate generation consults the static analyzer: SP queries certified
-   by the advisor take the Corollary 6.2 single scan instead of the general
-   evaluator. *)
-let candidates_uncached inst =
-  match
-    Analysis.Advisor.candidate_route ~db:inst.db
-      ~has_dist:(fun n -> Option.is_some (Qlang.Dist.find_opt inst.dist n))
-      inst.select
-  with
-  | Analysis.Advisor.Sp_scan q -> Sp_scan.eval ~dist:inst.dist inst.db q
-  | Analysis.Advisor.Generic_eval ->
-      Qlang.Engine.eval ~dist:inst.dist inst.db inst.select
-
 (* Q(D) is asked for once per package check along the validity path; the
-   instance is immutable, so evaluate once and replay. *)
+   instance is immutable, so evaluate once and replay.  Candidate
+   generation consults the static analyzer: SP queries certified by the
+   advisor take the Corollary 6.2 single scan instead of the general
+   evaluator. *)
 let candidates inst =
   let m = inst.memo in
   match Mutex.protect m.lock (fun () -> m.cands) with
@@ -146,7 +136,16 @@ let candidates inst =
          on a completed value — an exception here (including an injected
          fault) leaves the memo exactly as it was. *)
       Robust.Fault.hit "memo.candidates";
-      let c = candidates_uncached inst in
+      let c =
+        match
+          Analysis.Advisor.candidate_route ~db:inst.db
+            ~has_dist:(fun n -> Option.is_some (Qlang.Dist.find_opt inst.dist n))
+            inst.select
+        with
+        | Analysis.Advisor.Sp_scan q -> Sp_scan.eval ~dist:inst.dist inst.db q
+        | Analysis.Advisor.Generic_eval ->
+            Qlang.Engine.eval ~dist:inst.dist inst.db inst.select
+      in
       Mutex.protect m.lock (fun () ->
           match m.cands with
           | Some c' -> c'

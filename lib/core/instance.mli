@@ -65,11 +65,6 @@ val candidates : t -> Relational.Relation.t
     instance and memoized (the validity checks along every solver path ask
     for it per package); safe to call from several domains. *)
 
-val candidates_uncached : t -> Relational.Relation.t
-(** [Q(D)] evaluated afresh, bypassing (and not filling) the memo — the
-    "before" path, kept for benchmarks and for property tests asserting
-    the cache is transparent. *)
-
 val memo_compat : t -> Package.t -> (unit -> bool) -> bool
 (** [memo_compat inst pkg compute] returns the cached compatibility
     verdict for [pkg], running [compute] (outside the memo lock) on a

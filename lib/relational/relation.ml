@@ -318,17 +318,6 @@ let remove tup r =
     r'
   end
 
-(* The pre-maintenance update path, kept as the benchmark baseline (and
-   for tests pinning the derived structures against it): a fresh cache and
-   a fresh revision, every derived structure rebuilt from scratch on next
-   demand, every revision-keyed consumer treating the result as a new
-   database. *)
-let add_cold tup r =
-  check_arity r.schema tup;
-  if Tset.mem tup r.tuples then r else make r.schema (Tset.add tup r.tuples)
-
-let remove_cold tup r =
-  if not (Tset.mem tup r.tuples) then r else make r.schema (Tset.remove tup r.tuples)
 let to_list r = Tset.elements r.tuples
 let fold f r acc = Tset.fold f r.tuples acc
 let iter f r = Tset.iter f r.tuples

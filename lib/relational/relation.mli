@@ -40,13 +40,6 @@ val remove : Tuple.t -> t -> t
     always match a from-scratch rebuild), and an index bucket emptied by
     the removal deletes its key likewise. *)
 
-val add_cold : Tuple.t -> t -> t
-(** {!add} without incremental maintenance: the result starts from an
-    empty cache and a fresh revision, as every update did before the
-    maintenance layer.  Benchmark baseline; answers are identical. *)
-
-val remove_cold : Tuple.t -> t -> t
-
 val revision : t -> int
 (** A process-unique identifier of the relation's tuple set: equal
     revisions imply equal tuple sets (the converse need not hold).  Fresh
@@ -160,7 +153,7 @@ val has_counts : t -> bool
 val has_array : t -> bool
 (** Whether the sorted tuple array is present, without building it
     (likewise {!has_members}, {!has_columns}, {!has_index_on}) — for
-    tests and benchmarks asserting what {!add}/{!remove} derived. *)
+    tests asserting what {!add}/{!remove} derived. *)
 
 val has_members : t -> bool
 

@@ -22,8 +22,6 @@ type stats = {
   partitions_touched : int;
   backtracks : int;
   winner : string;
-  sketch_nodes : int;
-  refine_nodes : int;
 }
 
 type outcome = {
@@ -38,11 +36,6 @@ let eps = 1e-9
    (incumbent) answer instead of a hang.  The ambient budget is checked
    between subproblems, so outer deadlines stay live. *)
 let inner_fuel = 150_000
-
-let pb_nodes () =
-  match List.assoc_opt "pb.nodes" (Observe.snapshot ()) with
-  | Some (Observe.Count n) -> n
-  | _ -> 0
 
 (* Best incumbent of a fuel-capped exact solve: the exact answer when the
    cap was not binding, the best feasible selection found otherwise. *)
@@ -311,15 +304,11 @@ let row_contrib rows j = Array.map (fun r -> r.Pb.coeffs.(j)) rows
 (* One full sketch-then-refine pass under the given multiplicity caps.
    Returns the chosen candidate indices (feasibility NOT yet checked) or
    the index of the partition whose refine step failed. *)
-let refine_pass (c : Paql_compile.t) parts caps ~shortlist ~touched
-    ~sketch_nodes ~refine_nodes =
+let refine_pass (c : Paql_compile.t) parts caps ~shortlist ~touched =
   let rows = Array.of_list c.Paql_compile.linear.constraints in
   let nrows = Array.length rows in
   let vars, sk_prog = sketch_program c parts caps in
-  let n0 = pb_nodes () in
-  let sketch_sel = Observe.span t_sketch @@ fun () -> solve_capped sk_prog in
-  sketch_nodes := !sketch_nodes + (pb_nodes () - n0);
-  match sketch_sel with
+  match Observe.span t_sketch @@ fun () -> solve_capped sk_prog with
   | None -> Error None (* sketch infeasible: no partition to blame *)
   | Some (_, sel) ->
       (* planned multiplicity per partition *)
@@ -368,10 +357,7 @@ let refine_pass (c : Paql_compile.t) parts caps ~shortlist ~touched
                 refine_program c ~shortlist_idx ~fixed_contrib:fixed
                   ~planned_contrib:planned
               in
-              let n0 = pb_nodes () in
-              let r = Observe.span t_refine @@ fun () -> solve_capped prog in
-              refine_nodes := !refine_nodes + (pb_nodes () - n0);
-              match r with
+              match Observe.span t_refine @@ fun () -> solve_capped prog with
               | Some (_, sel') ->
                   Array.iteri
                     (fun v taken ->
@@ -410,8 +396,6 @@ let solve ?npartitions ?(shortlist = 48) (c : Paql_compile.t) =
   let parts = partition_candidates c ~npartitions in
   let touched = ref 0 in
   let backtracks = ref 0 in
-  let sketch_nodes = ref 0 in
-  let refine_nodes = ref 0 in
   (* sketch+refine with backtracking across partitions: a failing
      partition gets its multiplicity cap reduced and the sketch re-runs *)
   let cap = multiplicity_cap c in
@@ -421,10 +405,7 @@ let solve ?npartitions ?(shortlist = 48) (c : Paql_compile.t) =
   let rec drive attempts =
     if attempts > max_backtracks then None
     else
-      match
-        refine_pass c parts caps ~shortlist ~touched ~sketch_nodes
-          ~refine_nodes
-      with
+      match refine_pass c parts caps ~shortlist ~touched with
       | Ok chosen -> Some chosen
       | Error None -> None
       | Error (Some p) ->
@@ -479,8 +460,6 @@ let solve ?npartitions ?(shortlist = 48) (c : Paql_compile.t) =
         partitions_touched = !touched;
         backtracks = !backtracks;
         winner = winner_name;
-        sketch_nodes = !sketch_nodes;
-        refine_nodes = !refine_nodes;
       };
   }
 

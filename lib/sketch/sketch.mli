@@ -47,8 +47,6 @@ type stats = {
   winner : string;
       (** which candidate answered: ["sketch-refine"], ["greedy"],
           ["singleton"], ["empty"] or ["none"] *)
-  sketch_nodes : int;  (** PB nodes spent in the sketch solve *)
-  refine_nodes : int;  (** PB nodes spent across refine solves *)
 }
 
 type outcome = {

@@ -45,18 +45,6 @@ let keyed_relation rng schema ~cardinality ~domain =
           Relational.Value.Int
             (if c = 0 then i else Random.State.int rng domain)))
 
-let catalog ?(name = "R") rng ~rows =
-  let sch = Schema.make name [ "id"; "cost"; "val" ] in
-  relation_stream sch ~cardinality:rows (fun i ->
-      [|
-        Relational.Value.Int i;
-        Relational.Value.Int (1 + Random.State.int rng 9);
-        Relational.Value.Int (Random.State.int rng 100);
-      |])
-
-let catalog_db ?name rng ~rows =
-  Database.of_relations [ catalog ?name rng ~rows ]
-
 let graph rng ~nodes ~edges =
   let sch = Schema.make "E" [ "src"; "dst" ] in
   Database.of_relations

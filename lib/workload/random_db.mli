@@ -44,15 +44,6 @@ val keyed_relation :
 (** Column 0 is the stream index (hence exactly [cardinality] tuples);
     the remaining columns are uniform in [0..domain-1]. *)
 
-val catalog :
-  ?name:string -> Random.State.t -> rows:int -> Relational.Relation.t
-(** The benchmark catalog [R(id, cost, val)]: [id] the stream index,
-    [cost] in 1..9, [val] in 0..99 — the shape the PaQL/SketchRefine
-    benches query. *)
-
-val catalog_db :
-  ?name:string -> Random.State.t -> rows:int -> Relational.Database.t
-
 val graph : Random.State.t -> nodes:int -> edges:int -> Relational.Database.t
 (** A random directed graph in relation [E(src, dst)]. *)
 

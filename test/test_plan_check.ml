@@ -208,6 +208,82 @@ let test_typing_negatives () =
        (Check.check ~db:fixture_db
           (Analysis.Plan_parse.parse "answer Q(city)\n  scan hub(city)")))
 
+(* ---------- distance filters in the raw notation ---------- *)
+
+let dist_filter_of = function
+  | Plan.Answer
+      { Plan.fp_disjuncts = [ { Plan.d_node = { Plan.op = Plan.Filter (c, _); _ }; _ } ]; _ } ->
+      Some c
+  | _ -> None
+
+let test_dist_round_trip () =
+  let raw =
+    Analysis.Plan_parse.parse
+      "answer Q(c)\n  filter dist[d](c, \"edi\") <= 2\n    column-scan hub(c)"
+  in
+  check "parsed as a distance condition" true
+    (dist_filter_of raw
+    = Some (Plan.Cond_dist ("d", Ast.Var "c", Ast.Const (Value.Str "edi"), 2.)));
+  let ds = Check.check ~db:fixture_db raw in
+  check "no P004" false (has_code "P004" ds);
+  check "raw distance plan clean" true (Check.ok ds);
+  (* A compiled distance query, printed and read back, re-checks clean and
+     answers the same. *)
+  let q = Parser.parse_query "Q(c) := hub(c) & dist[d](c, \"edi\") <= 2" in
+  let plan = Plan.compile_fo fixture_db q in
+  let back = Analysis.Plan_parse.parse (Format.asprintf "%a" Plan.pp plan) in
+  check "printed plan keeps its distance filter" true
+    (match dist_filter_of back with
+    | Some (Plan.Cond_dist ("d", _, _, _)) -> true
+    | _ -> false);
+  check "printed plan re-checks clean" true
+    (Check.ok (Check.check ~db:fixture_db back));
+  let dist = Dist.add "d" (fun _ _ -> 1.) Dist.empty in
+  check "printed plan answers the same" true
+    (Relation.equal
+       (Plan.run ~dist fixture_db plan)
+       (Plan.run ~dist fixture_db back))
+
+(* ---------- the paper benchmark's plan shapes ---------- *)
+
+(* A chain CQ with a constant filter, the compatibility query of the
+   oracle loop over a database with an empty package relation, and
+   transitive closure: each checks clean and certifies, and together they
+   reach every plan fault site. *)
+let test_bench_shapes () =
+  let rng = Random.State.make [| 97 |] in
+  let spec = [ ("A", 2); ("B", 2); ("C", 2) ] in
+  let cq_db = Workload.Random_db.database rng ~specs:spec ~rows:32 ~domain:16 in
+  let delta_db =
+    Database.add
+      (Relation.empty (Schema.make "RQ" [ "a" ]))
+      (Workload.Random_db.database rng ~specs:[ ("A", 2); ("B", 2) ] ~rows:32
+         ~domain:16)
+  in
+  let graph_db = Workload.Random_db.graph rng ~nodes:16 ~edges:40 in
+  let fo text = Query.Fo (Parser.parse_query text) in
+  let cases =
+    [
+      ("chain CQ", cq_db,
+       fo "Q(x, w) := exists y, z. A(x, y) & B(y, z) & C(z, w) & w = 1");
+      ("oracle Qc", delta_db,
+       fo "Qc(p) := exists x, y, z. A(x, y) & B(y, z) & RQ(p)");
+      ("transitive closure", graph_db, Query.Dl tc_program);
+    ]
+  in
+  let plans =
+    List.map
+      (fun (name, db, q) ->
+        let plan = Query.plan db q in
+        check (name ^ " clean") true (Check.ok (Check.check ~db ~query:q plan));
+        check (name ^ " certified") true
+          (Analysis.Advisor.certificate_ok (Check.certify q plan));
+        plan)
+      cases
+  in
+  check "the three shapes cover every plan fault site" true
+    (Check.ok (Check.fault_coverage plans))
+
 (* ---------- rewrite-soundness negatives (tampered plans) ---------- *)
 
 let cq = Parser.parse_query "Q(x, z) := exists y. R(x, y) & S(y, z)"
@@ -484,6 +560,10 @@ let () =
           Alcotest.test_case "all languages clean" `Quick test_languages_clean;
           Alcotest.test_case "per-code negatives (raw plans)" `Quick
             test_typing_negatives;
+          Alcotest.test_case "distance filters round-trip" `Quick
+            test_dist_round_trip;
+          Alcotest.test_case "paper benchmark plan shapes" `Quick
+            test_bench_shapes;
         ]
         @ qsuite [ prop_typed_ucq_runs; prop_typed_fo_runs; prop_typed_datalog_runs ] );
       ( "certify",

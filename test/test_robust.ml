@@ -476,11 +476,18 @@ let test_fault_bnb_node () =
   | _ -> Alcotest.fail "expected Partial fault:bnb.node");
   Fault.disarm ()
 
+(* Q(D) through a new instance over the same database and query, so its
+   memo starts empty. *)
+let fresh_candidates inst =
+  Instance.candidates
+    (Instance.make ~db:inst.Instance.db ~select:inst.select ~dist:inst.dist
+       ~cost:inst.cost ~value:inst.value ~budget:inst.budget ())
+
 let test_fault_memo_candidates () =
   let inst = small_inst () in
   expect_injected "memo.candidates" (fun () -> Instance.candidates inst);
-  check "memo unpoisoned: retry equals an uncached run" true
-    (Relation.equal (Instance.candidates inst) (Instance.candidates_uncached inst));
+  check "memo unpoisoned: retry equals a fresh instance's run" true
+    (Relation.equal (Instance.candidates inst) (fresh_candidates inst));
   (* Exhaust kind through an explicit run wrapper. *)
   let inst2 = small_inst () in
   Fault.arm ~site:"memo.candidates" ~nth:1 ~kind:Fault.Exhaust;
@@ -491,8 +498,7 @@ let test_fault_memo_candidates () =
   | _ -> Alcotest.fail "expected Partial fault:memo.candidates");
   Fault.disarm ();
   check "memo unpoisoned after exhaustion" true
-    (Relation.equal (Instance.candidates inst2)
-       (Instance.candidates_uncached inst2))
+    (Relation.equal (Instance.candidates inst2) (fresh_candidates inst2))
 
 let test_fault_memo_compat () =
   let qc =
