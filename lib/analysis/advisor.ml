@@ -185,12 +185,7 @@ let certificate_to_string = function
 let certify_plan q plan =
   let s = Plan.shape plan in
   let joins = s.Plan.hash_joins + s.Plan.index_joins in
-  let scans =
-    (* every physical access path counts as a scan for shape purposes:
-       the columnar operators are just faster ways to read one atom *)
-    s.Plan.scans + s.Plan.column_scans + s.Plan.bitmap_filters
-    + s.Plan.index_only_scans
-  in
+  let scans = s.Plan.scans in
   match q with
   | Query.Identity _ ->
       Certified "identity query: direct relation lookup, no plan nodes"

@@ -54,16 +54,13 @@ type summary = {
 let acc resource level =
   { resource; level; synchronized = resource_synchronized resource }
 
-(* Scans materialize tuple arrays, by-column indexes and membership tables
-   on first touch (a synchronized lazy write) and intern the scanned
-   values; the columnar operators likewise build the int-column store and
-   bitmap indexes under the per-relation mutex, and the index join
-   builds the by-column index it probes.  Everything else works on
-   binding sets already in hand.  [Cached] leaves replay frozen bindings — pure by
-   construction. *)
+(* A scan with a constant position builds the by-column index it reads on
+   first touch (a synchronized lazy write) and interns the column's
+   values; the index join likewise builds the index it probes.  Everything
+   else works on binding sets already in hand.  [Cached] leaves replay
+   frozen bindings — pure by construction. *)
 let op_accesses = function
-  | Plan.Scan _ | Plan.Column_scan _ | Plan.Bitmap_filter _
-  | Plan.Index_only_scan _ | Plan.Index_join _ ->
+  | Plan.Scan _ | Plan.Index_join _ ->
       [ acc Relation_caches Writes_shared; acc Intern_pool Writes_shared ]
   | Plan.Tt | Plan.Ff | Plan.Hash_join _ | Plan.Anti_join _ | Plan.Filter _
   | Plan.Builtin _ | Plan.Extend _ | Plan.Project _ | Plan.Union _

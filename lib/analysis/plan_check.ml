@@ -29,11 +29,7 @@ let rec check_node env diags n =
   let add d = diags := d :: !diags in
   let err code msg = add (Diagnostic.error ~context:(node_ctx n) code msg) in
   (match n.Plan.op with
-  | Plan.Scan a
-  | Plan.Column_scan a
-  | Plan.Bitmap_filter a
-  | Plan.Index_only_scan (a, _)
-  | Plan.Index_join (_, a) -> (
+  | Plan.Scan (a, _) | Plan.Index_join (_, a) -> (
       match Smap.find_opt a.Ast.rel env with
       | None ->
           err "P001"
@@ -52,25 +48,12 @@ let rec check_node env diags n =
       (sprintf "node declares variables %s but its shape binds %s"
          (vars_str n.Plan.nvars) (vars_str expected));
   match n.Plan.op with
-  | Plan.Bitmap_filter a ->
-      if
-        not
-          (List.exists
-             (function Ast.Const _ -> true | Ast.Var _ -> false)
-             a.Ast.args)
-      then
-        err "P008"
-          (sprintf
-             "bitmap filter on %s has no constant position: there is no \
-              bitmap predicate to AND (a column scan is the well-typed form)"
-             a.Ast.rel)
-  | Plan.Index_only_scan (a, keep) ->
+  | Plan.Scan (a, keep) ->
       let av = Plan.atom_vars_sorted a in
       let missing = List.filter (fun v -> not (List.mem v av)) keep in
       if missing <> [] then
         err "P009"
-          (sprintf
-             "index-only scan keeps variable(s) %s that atom %s never binds"
+          (sprintf "scan keeps variable(s) %s that atom %s never binds"
              (vars_str missing) a.Ast.rel)
   | Plan.Cached (b, _) ->
       let bv = Array.to_list (Bindings.vars b) in
@@ -209,11 +192,7 @@ let rec formula_conds f =
 let rec node_atoms n =
   let own =
     match n.Plan.op with
-    | Plan.Scan a
-    | Plan.Column_scan a
-    | Plan.Bitmap_filter a
-    | Plan.Index_only_scan (a, _)
-    | Plan.Index_join (_, a) ->
+    | Plan.Scan (a, _) | Plan.Index_join (_, a) ->
         [ (a.Ast.rel, List.length a.Ast.args) ]
     | _ -> []
   in
@@ -272,16 +251,29 @@ let check_disjunct ~what diags src node =
       (sprintf "free variable(s) %s of the source are unbound in the plan"
          (vars_str missing))
 
+(* Why the plan's source query [pq] is not [q]: their names, or — when
+   the names agree — the differing head or body, each side printed. *)
+let query_mismatch (pq : Ast.fo_query) (q : Ast.fo_query) =
+  let prefix = "plan was compiled from a different query" in
+  if pq.Ast.name <> q.Ast.name then
+    sprintf "%s (%s, not %s)" prefix pq.Ast.name q.Ast.name
+  else if pq.Ast.head <> q.Ast.head then
+    sprintf "%s: both are named %s, but the plan's head is (%s), not (%s)"
+      prefix q.Ast.name
+      (String.concat ", " pq.Ast.head)
+      (String.concat ", " q.Ast.head)
+  else
+    sprintf "%s: both are named %s, but the plan's body is %s, not %s" prefix
+      q.Ast.name
+      (Pretty.formula_to_string pq.Ast.body)
+      (Pretty.formula_to_string q.Ast.body)
+
 let certify_fo q fp =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  if not (Ast.equal_formula q.Ast.body fp.Plan.fp_query.Ast.body)
-     || q.Ast.head <> fp.Plan.fp_query.Ast.head
-  then
-    add
-      (Diagnostic.error "P014"
-         (sprintf "plan was compiled from a different query (%s, not %s)"
-            fp.Plan.fp_query.Ast.name q.Ast.name))
+  let pq = fp.Plan.fp_query in
+  if not (Ast.equal_formula q.Ast.body pq.Ast.body) || q.Ast.head <> pq.Ast.head
+  then add (Diagnostic.error "P014" (query_mismatch pq q))
   else begin
     let srcs =
       if Fragment.leq fp.Plan.fp_fragment Fragment.Ucq then

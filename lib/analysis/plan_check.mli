@@ -16,10 +16,8 @@
     - [P006] (error) malformed fixpoint: rule head not an IDB of its
       stratum, head arity mismatch, or undeclared answer predicate
     - [P007] (info) cartesian join: hash-join inputs share no variables
-    - [P008] (error) bitmap filter with no constant position: nothing to
-      AND bitmaps over, so the node should have been a column scan
-    - [P009] (error) index-only scan keeps a variable the atom never binds
-      (the covering projection would raise at run time)
+    - [P009] (error) scan keeps a variable its atom never binds (the
+      covering projection would raise at run time)
     - [P015] (error) anti-join whose right input binds a variable its left
       input does not (the row restriction would raise at run time)
 

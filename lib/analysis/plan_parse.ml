@@ -129,9 +129,10 @@ let parse_cond ln s =
   in
   fold (String.split_on_char '|' s)
 
-(* Split "scan R(x) vars [a]" into the op text and the override. *)
-let split_vars_suffix s =
-  let marker = " vars [" in
+(* Split "TEXT KW [..]" at the first " KW [" into the text before it and
+   the bracketed list ("scan R(x) vars [a]", "scan R(x, y) keep [x]"). *)
+let split_suffix kw s =
+  let marker = " " ^ kw ^ " [" in
   let ml = String.length marker and sl = String.length s in
   let rec scan i =
     if i + ml > sl then None
@@ -164,7 +165,7 @@ let rec parse_node depth lines =
         (Printf.sprintf "expected a node at depth %d, got %S at depth %d"
            depth l.text l.depth)
   | l :: rest -> (
-      let opline, vars_override = split_vars_suffix l.text in
+      let opline, vars_override = split_suffix "vars" l.text in
       let kw, arg = keyword opline in
       let child1 rest =
         let c, rest = parse_node (depth + 1) rest in
@@ -179,28 +180,15 @@ let rec parse_node depth lines =
         match kw with
         | "true" -> (Plan.Tt, rest)
         | "false" -> (Plan.Ff, rest)
-        | "scan" -> (Plan.Scan (parse_atom l.ln arg), rest)
-        | "column-scan" -> (Plan.Column_scan (parse_atom l.ln arg), rest)
-        | "bitmap-filter" -> (Plan.Bitmap_filter (parse_atom l.ln arg), rest)
-        | "index-only" -> (
-            (* "index-only R(x, y) keep [x]" *)
-            let marker = " keep [" in
-            let ml = String.length marker and sl = String.length arg in
-            let rec scan i =
-              if i + ml > sl then None
-              else if String.sub arg i ml = marker then Some i
-              else scan (i + 1)
+        | "scan" ->
+            let atom_text, keep = split_suffix "keep" arg in
+            let a = parse_atom l.ln atom_text in
+            let keep =
+              match keep with
+              | Some s -> parse_var_list l.ln s
+              | None -> Plan.atom_vars_sorted a
             in
-            match scan 0 with
-            | None -> fail l.ln "index-only node needs a keep [..] suffix"
-            | Some i ->
-                let bracket = i + ml - 1 in
-                let a = parse_atom l.ln (String.trim (String.sub arg 0 i)) in
-                let keep =
-                  parse_var_list l.ln
-                    (String.trim (String.sub arg bracket (sl - bracket)))
-                in
-                (Plan.Index_only_scan (a, keep), rest))
+            (Plan.Scan (a, keep), rest)
         | "index-join" ->
             let c, rest = child1 rest in
             (Plan.Index_join (c, parse_atom l.ln arg), rest)
@@ -248,9 +236,17 @@ let parse_answer ln head_text lines =
         | Ast.Const _ -> fail ln "answer head must list variables")
       head_atom.Ast.args
   in
+  (* [Plan.pp] heads each disjunct of a multi-disjunct plan with a
+     "disjunct N:" line at depth 0 *)
+  let is_disjunct_header l =
+    l.depth = 0
+    && String.starts_with ~prefix:"disjunct " l.text
+    && String.ends_with ~suffix:":" l.text
+  in
   let rec disjuncts lines =
     match lines with
     | [] -> []
+    | l :: rest when is_disjunct_header l -> disjuncts rest
     | _ ->
         let n, rest = parse_node 1 lines in
         { Plan.d_node = n; d_consts = [] } :: disjuncts rest

@@ -7,14 +7,15 @@
 
     Headers:
     {v
-    answer Q(x, y)          # children at depth 1 are the disjunct roots
+    answer Q(x, y)          # children at depth 1 are the disjunct roots,
+                            # each optionally headed by "disjunct N:"
     fixpoint reach          # then per stratum:
       stratum reach/2
         rule reach(x, y)    # the rule's single child is its full body
     v}
 
-    Nodes: [true], [false], [scan R(t, ...)], [column-scan R(t, ...)],
-    [bitmap-filter R(t, ...)], [index-only R(t, ...) keep [v, ...]],
+    Nodes: [true], [false], [scan R(t, ...)] (emitting every variable of
+    the atom) or [scan R(t, ...) keep [v, ...]] (emitting the listed ones),
     [index-join R(t, ...)] (one child), [hash-join] and [anti-join] (two
     children), [filter C], [builtin C] where the condition [C] is
     [t OP t] (OP one of [= != < <= > >=]), a distance bound
@@ -25,8 +26,9 @@
     [vars [a, b]] to override the recomputed variable metadata (for
     ill-typed fixtures).  A trailing note set off by two spaces, [  [...]],
     is ignored: {!Qlang.Plan.pp} prints estimates and the answer header's
-    fragment that way, so a single-disjunct answer plan it prints reads
-    back.
+    fragment that way, so an answer plan it prints — single disjunct or
+    UCQ — reads back.  Fixpoint plans as {!Qlang.Plan.pp} prints them
+    (stratum sets, delta variants) do not.
 
     @raise Failure with a line number on malformed input. *)
 

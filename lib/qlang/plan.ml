@@ -4,8 +4,6 @@ module Relation = Relational.Relation
 module Database = Relational.Database
 module Schema = Relational.Schema
 module Stats = Relational.Stats
-module Column = Relational.Column
-module Bitmap = Relational.Bitmap
 
 let c_compiles = Observe.counter "plan.compiles"
 let c_execs = Observe.counter "plan.execs"
@@ -21,10 +19,6 @@ let c_cache_hit = Observe.counter "plan.cache_hit"
 let c_cache_miss = Observe.counter "plan.cache_miss"
 let c_delta_prepares = Observe.counter "plan.delta_prepares"
 let c_delta_evals = Observe.counter "plan.delta_evals"
-let c_column_scans = Observe.counter "plan.column_scans"
-let c_bitmap_filters = Observe.counter "plan.bitmap_filters"
-let c_bitmap_ands = Observe.counter "plan.bitmap_ands"
-let c_index_only = Observe.counter "plan.index_only_scans"
 let t_run = Observe.timer "plan.run"
 
 module Sset = Set.Make (String)
@@ -47,16 +41,10 @@ type cond =
 type op =
   | Tt
   | Ff
-  | Scan of atom  (** match the atom pattern against its relation *)
-  | Column_scan of atom
-      (** match the atom against the columnar int-array store, never
-          materializing tuples *)
-  | Bitmap_filter of atom
-      (** AND of per-constant bitmap selections on low-cardinality
-          columns, residual predicates verified column-wise *)
-  | Index_only_scan of atom * string list
-      (** covering scan: like [Column_scan] but emitting only the listed
-          variables (the ones consumed above), reading only their columns *)
+  | Scan of atom * string list
+      (** match the atom pattern against its relation, emitting the listed
+          variables: all of the atom's, unless the covering rewrite
+          narrowed them to the ones consumed above *)
   | Index_join of node * atom
       (** index nested-loop join: each child row probes the atom
           relation's cached by-column index *)
@@ -235,10 +223,7 @@ let mk cx op =
   match op with
   | Tt -> mk_node op [] 1. []
   | Ff -> mk_node op [] 0. []
-  | Scan a | Column_scan a | Bitmap_filter a ->
-      let est, dst = scan_est cx a in
-      mk_node op (atom_vars_sorted a) est dst
-  | Index_only_scan (a, keep) ->
+  | Scan (a, keep) ->
       let est, dst = scan_est cx a in
       let nv = List.filter (fun v -> List.mem v keep) (atom_vars_sorted a) in
       mk_node op nv est (List.filter (fun (v, _) -> List.mem v nv) dst)
@@ -299,9 +284,7 @@ let mk cx op =
 
 let children n =
   match n.op with
-  | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
-  | Builtin _ ->
-      []
+  | Tt | Ff | Scan _ | Builtin _ -> []
   | Index_join (c, _)
   | Filter (_, c)
   | Extend (_, c)
@@ -325,9 +308,8 @@ type guard = Budget_tick | Fault_site of string
    error here until its guards are declared, which is exactly when the
    lint should start covering it. *)
 let op_guards = function
-  | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
-  | Builtin _ | Filter _ | Extend _ | Project _ | Hash_join _ | Anti_join _
-  | Union _ | Complement _ | Cached _ ->
+  | Tt | Ff | Scan _ | Builtin _ | Filter _ | Extend _ | Project _
+  | Hash_join _ | Anti_join _ | Union _ | Complement _ | Cached _ ->
       [ Budget_tick ]
   | Index_join _ -> [ Budget_tick; Fault_site "plan.join" ]
 
@@ -342,9 +324,7 @@ let plan_fault_sites = [ "plan.join"; "plan.round" ]
    variables; whether the frozen bindings agree is a separate check. *)
 let op_vars = function
   | Tt | Ff -> []
-  | Scan a | Column_scan a | Bitmap_filter a -> atom_vars_sorted a
-  | Index_only_scan (a, keep) ->
-      List.filter (fun v -> List.mem v keep) (atom_vars_sorted a)
+  | Scan (a, keep) -> List.filter (fun v -> List.mem v keep) (atom_vars_sorted a)
   | Index_join (n, a) ->
       List.sort_uniq String.compare (n.nvars @ atom_vars_sorted a)
   | Hash_join (x, y) | Union (x, y) ->
@@ -362,8 +342,7 @@ let raw_node op nvars = mk_node op nvars nan []
    the named relation. *)
 let rec mentions_rel rel n =
   match n.op with
-  | Scan a | Column_scan a | Bitmap_filter a | Index_only_scan (a, _) ->
-      a.rel = rel
+  | Scan (a, _) -> a.rel = rel
   | Index_join (c, a) -> a.rel = rel || mentions_rel rel c
   | Tt | Ff | Builtin _ | Cached _ -> false
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
@@ -430,180 +409,77 @@ let rec cond_holds st c =
       let h1 = cond_holds st c1 and h2 = cond_holds st c2 in
       fun lookup -> h1 lookup || h2 lookup
 
-(* The leaf scans below share one contract: [keep], when given, is a
-   filter fused into the scan and tested on each matched row before the
-   row is materialized; the result pairs the kept bindings with the number
-   of rows the atom pattern matched (what the leaf alone would emit). *)
-
-(* Satisfying assignments of an atom.  Tuples are fetched through a
-   by-column index when the pattern pins a column to a constant; each tuple
-   is then matched against the pattern (constants must coincide, repeated
-   variables must agree), exactly like the reference [Fo_eval]. *)
-let exec_scan st ?keep a =
+(* Satisfying assignments of an atom, restricted to [out_vars].  The
+   per-position spec is built once: a constant, the first occurrence of a
+   variable, or a repeat that must equal an earlier column, exactly the
+   matching of the reference [Fo_eval].  Rows come through the relation's
+   maintained by-column index when a position holds a constant, and from
+   one pass over the tuple set otherwise.  [keep], when given, is a filter
+   fused into the scan and tested on each matched row before the row is
+   materialized; the result pairs the kept bindings with the number of
+   rows the atom pattern matched (what the leaf alone would emit). *)
+let exec_scan st ?keep a out_vars =
   Observe.bump c_scans;
   let r = lookup_relation st.env a in
   check_arity a r;
-  let args = Array.of_list a.args in
-  let vars = atom_vars_sorted a in
-  let n = List.length vars in
-  let var_pos v =
-    let rec go i = function
-      | [] -> raise Not_found
-      | w :: rest -> if w = v then i else go (i + 1) rest
-    in
-    go 0 vars
-  in
-  let matched = ref 0 in
-  let match_tuple tup acc =
-    let row = Array.make n None in
-    let ok = ref true in
-    Array.iteri
-      (fun i arg ->
-        if !ok then
-          match arg with
-          | Const c -> if not (Value.equal c tup.(i)) then ok := false
-          | Var v -> (
-              let p = var_pos v in
-              match row.(p) with
-              | None -> row.(p) <- Some tup.(i)
-              | Some prev -> if not (Value.equal prev tup.(i)) then ok := false))
-      args;
-    if !ok then begin
-      incr matched;
-      let row = Array.map (function Some v -> v | None -> assert false) row in
-      match keep with
-      | Some p when not (p (fun v -> row.(var_pos v))) -> acc
-      | _ -> row :: acc
-    end
-    else acc
-  in
-  let const_col =
-    let rec go i =
-      if i = Array.length args then None
-      else match args.(i) with Const c -> Some (i, c) | Var _ -> go (i + 1)
-    in
-    go 0
-  in
-  let rows =
-    match const_col with
-    | Some (col, c) ->
-        Observe.bump c_selects;
-        List.fold_left (fun acc tup -> match_tuple tup acc) [] (Relation.select_eq r col c)
-    | None ->
-        Observe.bump c_full_scans;
-        Relation.fold match_tuple r []
-  in
-  if Observe.enabled () then Observe.add c_rows (List.length rows);
-  (Bindings.make vars rows, !matched)
-
-(* Satisfying assignments of an atom read from the columnar store: machine
-   ints all the way, values materialized only for the rows and columns that
-   are emitted (and the columns a fused filter reads).  [out_vars] selects
-   which variables to emit ([Column_scan] emits all of them,
-   [Index_only_scan] a covering subset); when [use_bitmaps] is set,
-   constant positions on bitmap-indexed columns are answered by ANDing
-   their bitmaps and checked nowhere else. *)
-let exec_columnar st ?keep a ~out_vars ~use_bitmaps =
-  let r = lookup_relation st.env a in
-  check_arity a r;
-  let cols = Relation.columns r in
-  let nrows = Column.rows cols in
-  let args = Array.of_list a.args in
-  let arity = Array.length args in
-  let colarrs = Array.init arity (fun i -> Column.ids cols i) in
-  (* First pass: the column each variable is read from (first occurrence)
-     and the bitmap conjunction over constant positions. *)
-  let first_col = Hashtbl.create 8 in
-  let impossible = ref false in
-  let bm = ref None in
-  let and_bitmap b =
-    match !bm with
-    | None -> bm := Some b
-    | Some acc ->
-        Observe.bump c_bitmap_ands;
-        bm := Some (Bitmap.inter acc b)
-  in
+  let first = Hashtbl.create 8 in
   let spec =
-    Array.mapi
-      (fun i arg ->
-        match arg with
-        | Const c -> (
-            let covered =
-              use_bitmaps
-              &&
-              match Column.eq_bitmap cols i c with
-              | Some b ->
-                  and_bitmap b;
-                  true
-              | None -> false
-            in
-            if covered then `Any
-            else
-              match Relational.Intern.find c with
-              | None ->
-                  (* a value never interned occurs in no stored row *)
-                  if nrows > 0 then impossible := true;
-                  `Any
-              | Some id -> `Cid id)
-        | Var v -> (
-            match Hashtbl.find_opt first_col v with
-            | Some j -> `Dup j
-            | None ->
-                Hashtbl.add first_col v i;
-                `Any))
-      args
-  in
-  let out_cols =
     Array.of_list
-      (List.map
-         (fun v ->
-           match Hashtbl.find_opt first_col v with
-           | Some j -> colarrs.(j)
-           | None ->
-               failwith
-                 (Printf.sprintf "Plan: index-only variable %s not bound by atom %s"
-                    v a.rel))
-         out_vars)
+      (List.mapi
+         (fun i arg ->
+           match arg with
+           | Const c -> `Const c
+           | Var v -> (
+               match Hashtbl.find_opt first v with
+               | Some j -> `Same j
+               | None ->
+                   Hashtbl.add first v i;
+                   `Bind))
+         a.args)
   in
-  let nout = Array.length out_cols in
-  let out = ref [] and matched = ref 0 and kept = ref 0 in
-  let emit row =
-    let ok = ref true in
-    Array.iteri
-      (fun i s ->
-        if !ok then
-          match s with
-          | `Any -> ()
-          | `Cid id -> if colarrs.(i).(row) <> id then ok := false
-          | `Dup j -> if colarrs.(j).(row) <> colarrs.(i).(row) then ok := false)
-      spec;
+  let col_of v =
+    match Hashtbl.find_opt first v with
+    | Some i -> i
+    | None ->
+        failwith
+          (Printf.sprintf "Plan: scan keeps variable %s that atom %s never binds" v
+             a.rel)
+  in
+  let out_vars = List.sort_uniq String.compare out_vars in
+  let out = Array.of_list (List.map col_of out_vars) in
+  let matched = ref 0 and kept = ref 0 and rows = ref [] in
+  let visit tup =
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < Array.length spec do
+      (match spec.(!i) with
+      | `Const c -> ok := Value.equal c tup.(!i)
+      | `Same j -> ok := Value.equal tup.(j) tup.(!i)
+      | `Bind -> ());
+      incr i
+    done;
     if !ok then begin
       incr matched;
-      let pass =
-        match keep with
-        | None -> true
-        | Some p ->
-            p (fun v ->
-                Relational.Intern.value colarrs.(Hashtbl.find first_col v).(row))
-      in
-      if pass then begin
-        incr kept;
-        out :=
-          Array.init nout (fun s -> Relational.Intern.value out_cols.(s).(row))
-          :: !out
-      end
+      match keep with
+      | Some p when not (p (fun v -> tup.(col_of v))) -> ()
+      | _ ->
+          incr kept;
+          rows := Array.map (fun c -> tup.(c)) out :: !rows
     end
   in
-  if not !impossible then begin
-    match !bm with
-    | Some b -> Bitmap.iter emit b
-    | None ->
-        for row = 0 to nrows - 1 do
-          emit row
-        done
-  end;
+  let rec const_col i = function
+    | [] -> None
+    | Const c :: _ -> Some (i, c)
+    | Var _ :: rest -> const_col (i + 1) rest
+  in
+  (match const_col 0 a.args with
+  | Some (col, c) ->
+      Observe.bump c_selects;
+      List.iter visit (Relation.select_eq r col c)
+  | None ->
+      Observe.bump c_full_scans;
+      Relation.iter visit r);
   Observe.add c_rows !kept;
-  (Bindings.make out_vars !out, !matched)
+  (Bindings.make out_vars !rows, !matched)
 
 (* Index nested-loop join: join the child binding set against the atom's
    relation, probing the relation's cached by-column index on a shared
@@ -749,23 +625,8 @@ let exec_builtin st c =
 (* A leaf scan, with [keep] a filter fused into it.  The leaf records the
    rows its atom matched, so [explain] still shows what the scan read; the
    fused filter's node records what passed. *)
-let run_leaf st ?keep n =
-  let b, matched =
-    match n.op with
-    | Scan a -> exec_scan st ?keep a
-    | Column_scan a ->
-        Observe.bump c_column_scans;
-        exec_columnar st ?keep a ~out_vars:(atom_vars_sorted a) ~use_bitmaps:false
-    | Bitmap_filter a ->
-        Observe.bump c_bitmap_filters;
-        exec_columnar st ?keep a ~out_vars:(atom_vars_sorted a) ~use_bitmaps:true
-    | Index_only_scan (a, keep_vars) ->
-        Observe.bump c_index_only;
-        exec_columnar st ?keep a
-          ~out_vars:(List.sort_uniq String.compare keep_vars)
-          ~use_bitmaps:false
-    | _ -> invalid_arg "Plan.run_leaf: not a leaf scan"
-  in
+let run_scan st ?keep n a out_vars =
+  let b, matched = exec_scan st ?keep a out_vars in
   record_rows st n matched;
   b
 
@@ -775,18 +636,16 @@ let rec run_node st n =
     match n.op with
     | Tt -> Bindings.tt
     | Ff -> Bindings.ff
-    | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _ -> run_leaf st n
+    | Scan (a, out_vars) -> run_scan st n a out_vars
     | Index_join (c, a) -> exec_probe st (run_node st c) a
     | Hash_join (x, y) ->
         Observe.bump c_hash_joins;
         Bindings.join (run_node st x) (run_node st y)
     | Anti_join (x, y) -> Bindings.anti_join (run_node st x) (run_node st y)
-    | Filter
-        (c, ({ op = Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _; _ } as x))
-      ->
+    | Filter (c, ({ op = Scan (a, out_vars); _ } as x)) ->
         (* the leaf's own budget tick, as if it ran as a node *)
         Robust.Budget.check ();
-        run_leaf st ~keep:(cond_holds st c) x
+        run_scan st ~keep:(cond_holds st c) x a out_vars
     | Filter (c, x) -> Bindings.filter (cond_holds st c) (run_node st x)
     | Builtin c -> exec_builtin st c
     | Extend (vs, x) -> Bindings.extend ~adom:st.adom vs (run_node st x)
@@ -1083,30 +942,9 @@ let order_stats cx atoms =
       let rest = List.filter (fun a -> a != seed) atoms in
       pick (atom_vars_set seed) [ seed ] rest
 
-(* Columnar leaf selection: a known relation with a constant on a
-   low-cardinality column scans through the bitmap AND; with no constants
-   it sweeps the int columns; a constant on a wide column keeps the legacy
-   [Scan] (whose by-column hash index is the more selective access path).
-   Unknown relations (IDB predicates, ["@delta"] views) always [Scan]. *)
-let mk_leaf cx a =
-  match stats_of cx a.rel with
-  | None -> mk cx (Scan a)
-  | Some st ->
-      let ncols = Array.length st.Stats.columns in
-      let const_cols =
-        List.mapi (fun i arg -> (i, arg)) a.args
-        |> List.filter_map (function
-             | i, Const _ when i < ncols -> Some i
-             | _ -> None)
-      in
-      if const_cols = [] then mk cx (Column_scan a)
-      else if
-        List.exists
-          (fun i ->
-            st.Stats.columns.(i).Stats.distinct <= Column.max_bitmap_distinct)
-          const_cols
-      then mk cx (Bitmap_filter a)
-      else mk cx (Scan a)
+(* Every atom is planned as a scan of all its variables; the covering
+   rewrite may narrow the list afterwards. *)
+let mk_scan cx a = mk cx (Scan (a, atom_vars_sorted a))
 
 let build_stats cx atoms builtins =
   match atoms with
@@ -1120,7 +958,7 @@ let build_stats cx atoms builtins =
       let build_comp pending = function
         | [] -> (mk cx Tt, pending)
         | a :: rest ->
-            let node, pending = apply_ready cx (mk_leaf cx a) pending in
+            let node, pending = apply_ready cx (mk_scan cx a) pending in
             List.fold_left
               (fun (n, pending) a ->
                 apply_ready cx (mk cx (Index_join (n, a))) pending)
@@ -1147,7 +985,7 @@ let rec compile_formula cx f =
   match f with
   | True -> mk cx Tt
   | False -> mk cx Ff
-  | Atom a -> mk cx (Scan a)
+  | Atom a -> mk_scan cx a
   | Cmp (op, t1, t2) -> mk cx (Builtin (Cond_cmp (op, t1, t2)))
   | Dist (name, t1, t2, d) -> mk cx (Builtin (Cond_dist (name, t1, t2, d)))
   | And _ -> compile_conj cx (conjuncts f)
@@ -1229,8 +1067,8 @@ let rec ucq_disjuncts f =
     | _ -> invalid_arg "Plan: body is not a UCQ"
 
 (* Covering rewrite: push the set of variables needed above each node down
-   the probe chains, and turn a [Column_scan] whose output is only partly
-   consumed into an [Index_only_scan] of the consumed subset.  A child must
+   the probe chains, and narrow a [Scan] whose output is only partly
+   consumed to the consumed subset.  A child must
    still provide the variables it shares with the atom joined against it
    (the join keys), plus its contribution to what the parent emits.  Nodes
    whose semantics depend on their exact variable set (extend, complement,
@@ -1238,11 +1076,9 @@ let rec ucq_disjuncts f =
    with [mk] keeps nvars/estimates consistent with the pruned leaves. *)
 let rec prune_covering cx needed n =
   match n.op with
-  | Column_scan a ->
-      let av = atom_vars_sorted a in
-      let keep = List.filter (fun v -> Sset.mem v needed) av in
-      if List.compare_lengths keep av < 0 then mk cx (Index_only_scan (a, keep))
-      else n
+  | Scan (a, out_vars) ->
+      let keep = List.filter (fun v -> Sset.mem v needed) out_vars in
+      if List.compare_lengths keep out_vars < 0 then mk cx (Scan (a, keep)) else n
   | Index_join (c, a) ->
       let cv = Sset.of_list c.nvars in
       let cneed =
@@ -1509,9 +1345,7 @@ let rec uses_adom n =
   | Extend (vs, c) ->
       List.exists (fun v -> not (List.mem v c.nvars)) vs || uses_adom c
   | Union (a, b) -> a.nvars <> b.nvars || uses_adom a || uses_adom b
-  | Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
-  | Cached _ ->
-      false
+  | Tt | Ff | Scan _ | Cached _ -> false
   | Index_join (c, _) | Filter (_, c) | Project (_, c) -> uses_adom c
   | Hash_join (a, b) | Anti_join (a, b) -> uses_adom a || uses_adom b
 
@@ -1525,8 +1359,7 @@ let rec count_cached n =
    them, so a fingerprint over the plan must cover them. *)
 let rec node_rels acc n =
   match n.op with
-  | Scan a | Column_scan a | Bitmap_filter a | Index_only_scan (a, _) ->
-      a.rel :: acc
+  | Scan (a, _) -> a.rel :: acc
   | Index_join (c, a) -> node_rels (a.rel :: acc) c
   | Tt | Ff | Builtin _ -> acc
   | Cached (_, c) -> node_rels acc c
@@ -1594,9 +1427,7 @@ let rec rewrite_delta st rel n =
       | Hash_join (a, b) -> Hash_join (rewrite_delta st rel a, rewrite_delta st rel b)
       | Anti_join (a, b) -> Anti_join (rewrite_delta st rel a, rewrite_delta st rel b)
       | Union (a, b) -> Union (rewrite_delta st rel a, rewrite_delta st rel b)
-      | (Tt | Ff | Scan _ | Column_scan _ | Bitmap_filter _ | Index_only_scan _
-        | Builtin _ | Cached _) as op ->
-          op
+      | (Tt | Ff | Scan _ | Builtin _ | Cached _) as op -> op
     in
     { n with op = op' }
 
@@ -1720,9 +1551,6 @@ let delta_cached_nodes d = d.d_cached
 
 type shape = {
   scans : int;
-  column_scans : int;
-  bitmap_filters : int;
-  index_only_scans : int;
   index_joins : int;
   hash_joins : int;
   anti_joins : int;
@@ -1739,9 +1567,6 @@ type shape = {
 let empty_shape =
   {
     scans = 0;
-    column_scans = 0;
-    bitmap_filters = 0;
-    index_only_scans = 0;
     index_joins = 0;
     hash_joins = 0;
     anti_joins = 0;
@@ -1759,10 +1584,6 @@ let rec node_shape acc n =
   let acc =
     match n.op with
     | Scan _ -> { acc with scans = acc.scans + 1 }
-    | Column_scan _ -> { acc with column_scans = acc.column_scans + 1 }
-    | Bitmap_filter _ -> { acc with bitmap_filters = acc.bitmap_filters + 1 }
-    | Index_only_scan _ ->
-        { acc with index_only_scans = acc.index_only_scans + 1 }
     | Index_join _ -> { acc with index_joins = acc.index_joins + 1 }
     | Hash_join _ -> { acc with hash_joins = acc.hash_joins + 1 }
     | Anti_join _ -> { acc with anti_joins = acc.anti_joins + 1 }
@@ -1831,12 +1652,10 @@ let node_label ppf n =
   match n.op with
   | Tt -> Format.pp_print_string ppf "true"
   | Ff -> Format.pp_print_string ppf "false"
-  | Scan a -> Format.fprintf ppf "scan %a" pp_atom a
-  | Column_scan a -> Format.fprintf ppf "column-scan %a" pp_atom a
-  | Bitmap_filter a -> Format.fprintf ppf "bitmap-filter %a" pp_atom a
-  | Index_only_scan (a, keep) ->
-      Format.fprintf ppf "index-only %a keep [%s]" pp_atom a
-        (String.concat ", " keep)
+  | Scan (a, out_vars) ->
+      Format.fprintf ppf "scan %a" pp_atom a;
+      if out_vars <> atom_vars_sorted a then
+        Format.fprintf ppf " keep [%s]" (String.concat ", " out_vars)
   | Index_join (_, a) -> Format.fprintf ppf "index-join %a" pp_atom a
   | Hash_join _ -> Format.pp_print_string ppf "hash-join"
   | Anti_join _ -> Format.pp_print_string ppf "anti-join"

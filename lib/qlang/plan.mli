@@ -21,14 +21,11 @@
     whose strata carry semi-naive rule-body plans; round 0 of a stratum
     skips the rules that read the stratum's own (still empty) IDBs.
 
-    Relations are additionally stored column-major as interned-int arrays
-    ({!Relational.Column}); the compiler turns known-relation atoms
-    into columnar operators — {!Column_scan} (int-compare sweeps),
-    {!Bitmap_filter} (AND of per-constant bitmaps on low-cardinality
-    columns), {!Index_only_scan} (covering scans emitting only the
-    variables consumed above) — and joins to {!Index_join}, an index
-    nested-loop probe into the relation's cached by-column index, which
-    writes maintain.  A filter directly over a leaf scan is tested on each
+    Every atom leaf is one {!Scan} over the row store: a constant position
+    reads through the relation's by-column index, which writes maintain,
+    and a covering rewrite narrows a scan to the variables consumed above.
+    Joins become {!Index_join}, an index nested-loop probe into the same
+    maintained index.  A filter directly over a scan is tested on each
     stored row before the row is materialized.
 
     The interpreter carries the existing observability conventions: it
@@ -53,16 +50,10 @@ type cond =
 type op =
   | Tt
   | Ff
-  | Scan of Ast.atom  (** match the atom pattern against its relation *)
-  | Column_scan of Ast.atom
-      (** match the atom against the columnar int-array store, never
-          materializing tuples *)
-  | Bitmap_filter of Ast.atom
-      (** AND of per-constant bitmap selections on low-cardinality columns,
-          residual predicates verified column-wise *)
-  | Index_only_scan of Ast.atom * string list
-      (** covering scan: like [Column_scan] but emitting only the listed
-          variables, reading only their columns *)
+  | Scan of Ast.atom * string list
+      (** match the atom pattern against its relation, emitting the listed
+          variables: all of the atom's, unless the covering rewrite
+          narrowed them to the ones consumed above *)
   | Index_join of node * Ast.atom
       (** index nested-loop join: each child row probes the atom
           relation's cached by-column index *)
@@ -204,7 +195,7 @@ val plan_fault_sites : string list
 
 val compile_fo : Relational.Database.t -> Ast.fo_query -> t
 (** Queries in the UCQ fragment compile to one join chain per disjunct
-    (columnar, bitmap or covering leaves joined by index joins);
+    (a leaf scan extended by index joins);
     larger fragments lower structurally.  The database is consulted only
     for statistics (cardinalities, distinct counts) — compiling against a
     database where a mentioned relation is absent is allowed and simply
@@ -302,10 +293,7 @@ val delta_cached_nodes : delta -> int
 (** {1 Inspection} *)
 
 type shape = {
-  scans : int;  (** full-relation atom scans *)
-  column_scans : int;  (** columnar int-array sweeps *)
-  bitmap_filters : int;  (** bitmap-AND selections *)
-  index_only_scans : int;  (** covering scans *)
+  scans : int;  (** atom leaf scans *)
   index_joins : int;  (** index nested-loop join nodes *)
   hash_joins : int;
   anti_joins : int;  (** guarded negations *)

@@ -3,10 +3,8 @@
    ascending {!Tuple.compare} order (the same order as [Relation.to_array],
    so row positions are meaningful across both representations).
 
-   Per-column occurrence counts are built in the same pass — they are the
-   backing store for {!Stats} — and low-cardinality columns grow lazy
-   bitmap indexes (value id -> rows holding it) for conjunctive-filter
-   pushdown. *)
+   Per-column occurrence counts are built in the same pass; they back
+   {!Stats} when this view is the first structure a relation builds. *)
 
 type t = {
   name : string;  (* relation name, for error messages *)
@@ -14,15 +12,7 @@ type t = {
   arity : int;
   cols : int array array;
   counts : (int, int) Hashtbl.t array;  (* per column: value id -> #rows *)
-  lock : Mutex.t;
-  mutable bitmaps : (int * (int, Bitmap.t) Hashtbl.t option) list;
-      (* column -> built index; [None] marks a column judged too wide *)
 }
-
-(* Columns with more distinct values than this get no bitmap index: one
-   bitmap per value, so past ~64 values the index costs more words than
-   the column itself on plausible row counts. *)
-let max_bitmap_distinct = 64
 
 let of_tuples ~name ~arity (tuples : Tuple.t array) =
   let rows = Array.length tuples in
@@ -37,7 +27,7 @@ let of_tuples ~name ~arity (tuples : Tuple.t array) =
       Hashtbl.replace tbl id (1 + Option.value (Hashtbl.find_opt tbl id) ~default:0)
     done
   done;
-  { name; rows; arity; cols; counts; lock = Mutex.create (); bitmaps = [] }
+  { name; rows; arity; cols; counts }
 
 let rows t = t.rows
 let arity t = t.arity
@@ -74,146 +64,3 @@ let distinct t c =
   Hashtbl.length t.counts.(c)
 
 let counts t = t.counts
-
-(* --- incremental row maintenance ------------------------------------ *)
-
-(* Copy an id array with one slot inserted (removed) at [pos]: two blits,
-   no per-element work. *)
-let array_insert arr pos x =
-  let n = Array.length arr in
-  let out = Array.make (n + 1) x in
-  Array.blit arr 0 out 0 pos;
-  Array.blit arr pos out (pos + 1) (n - pos);
-  out
-
-let array_remove arr pos =
-  let n = Array.length arr in
-  let out = Array.make (n - 1) 0 in
-  Array.blit arr 0 out 0 pos;
-  Array.blit arr (pos + 1) out pos (n - 1 - pos);
-  out
-
-let copy_counts tbl = Hashtbl.copy tbl
-
-(* Derive the bitmap-index assoc of a store one row away from [t].  Only
-   entries already built on [t] are carried: [Some tbl] shifts every
-   per-value bitmap by one row; [None] (column judged too wide) stays
-   [None].  Crossing {!max_bitmap_distinct} upward drops the entry to
-   [None] — the table would otherwise answer the new value from its
-   "absent = empty bitmap" default, which is exactly the stale-index bug
-   this refuses to inherit.  Shrinking back under the limit keeps [None],
-   conservatively: a later relation rebuilt from scratch re-qualifies. *)
-let derive_bitmaps t ~pos ~delta ~ids ~new_counts =
-  List.map
-    (fun (c, built) ->
-      match built with
-      | None -> (c, None)
-      | Some tbl ->
-          let id = ids.(c) in
-          if delta > 0 && Hashtbl.length new_counts.(c) > max_bitmap_distinct
-          then (c, None)
-          else begin
-            let tbl' = Hashtbl.create (Hashtbl.length tbl) in
-            Hashtbl.iter
-              (fun vid bm ->
-                if delta > 0 then
-                  Hashtbl.replace tbl' vid (Bitmap.insert_at bm pos (vid = id))
-                else begin
-                  let bm' = Bitmap.remove_at bm pos in
-                  (* a value leaving its last row loses its bitmap too,
-                     keeping the table canonical with the count tables *)
-                  if vid = id && Bitmap.is_empty bm' then ()
-                  else Hashtbl.replace tbl' vid bm'
-                end)
-              tbl;
-            if delta > 0 && not (Hashtbl.mem tbl' id) then
-              Hashtbl.replace tbl' id
-                (Bitmap.insert_at (Bitmap.create t.rows) pos true);
-            (c, Some tbl')
-          end)
-    t.bitmaps
-
-let derive t ~pos ~delta tup =
-  let ids = Array.map Intern.id tup in
-  let rows = t.rows + delta in
-  let cols =
-    Array.init t.arity (fun c ->
-        if delta > 0 then array_insert t.cols.(c) pos ids.(c)
-        else array_remove t.cols.(c) pos)
-  in
-  let counts =
-    Array.init t.arity (fun c ->
-        let tbl = copy_counts t.counts.(c) in
-        let id = ids.(c) in
-        let n = delta + Option.value (Hashtbl.find_opt tbl id) ~default:0 in
-        (* a count reaching zero must delete the key: a lingering [0]
-           entry would inflate [Hashtbl.length]-based distinct counts and
-           skew the planner's selectivity estimates under churn *)
-        if n <= 0 then Hashtbl.remove tbl id else Hashtbl.replace tbl id n;
-        tbl)
-  in
-  let bitmaps =
-    Mutex.protect t.lock (fun () ->
-        derive_bitmaps t ~pos ~delta ~ids ~new_counts:counts)
-  in
-  { name = t.name; rows; arity = t.arity; cols; counts; lock = Mutex.create (); bitmaps }
-
-let insert_row t ~pos tup =
-  if pos < 0 || pos > t.rows then
-    failwith
-      (Printf.sprintf "Column.insert_row: relation %s position %d out of range (%d rows)"
-         t.name pos t.rows);
-  if Array.length tup <> t.arity then
-    failwith
-      (Printf.sprintf "Column.insert_row: relation %s tuple arity %d (arity %d)"
-         t.name (Array.length tup) t.arity);
-  derive t ~pos ~delta:1 tup
-
-let remove_row t ~pos tup =
-  check_row "remove_row" t pos;
-  if Array.length tup <> t.arity then
-    failwith
-      (Printf.sprintf "Column.remove_row: relation %s tuple arity %d (arity %d)"
-         t.name (Array.length tup) t.arity);
-  derive t ~pos ~delta:(-1) tup
-
-let bitmap t c =
-  check_col "bitmap" t c;
-  Mutex.protect t.lock (fun () ->
-      match List.assoc_opt c t.bitmaps with
-      | Some r -> r
-      | None ->
-          let built =
-            if Hashtbl.length t.counts.(c) > max_bitmap_distinct then None
-            else begin
-              let tbl = Hashtbl.create 16 in
-              let col = t.cols.(c) in
-              for r = 0 to t.rows - 1 do
-                let id = col.(r) in
-                let bm =
-                  match Hashtbl.find_opt tbl id with
-                  | Some bm -> bm
-                  | None ->
-                      let bm = Bitmap.create t.rows in
-                      Hashtbl.replace tbl id bm;
-                      bm
-                in
-                Bitmap.set bm r
-              done;
-              Some tbl
-            end
-          in
-          t.bitmaps <- (c, built) :: t.bitmaps;
-          built)
-
-let has_bitmap t c = Option.is_some (bitmap t c)
-
-let eq_bitmap t c v =
-  match bitmap t c with
-  | None -> None
-  | Some tbl -> (
-      match Intern.find v with
-      | None -> Some (Bitmap.create t.rows)
-      | Some id ->
-          Some
-            (Option.value (Hashtbl.find_opt tbl id) ~default:(Bitmap.create t.rows)))

@@ -2,18 +2,18 @@
 
     One [int array] of {!Intern} ids per column; row [r] corresponds to the
     [r]-th tuple in ascending {!Tuple.compare} order, i.e. the same row
-    numbering as [Relation.to_array].  Scans over columnar storage compare
-    machine ints and materialize only the bindings they emit; the
-    tuple-set representation remains the source of truth.
+    numbering as [Relation.to_array].  The tuple-set representation
+    remains the source of truth.
 
     Per-column occurrence counts ([value id -> #rows]) are built in the
-    same pass and back {!Stats}; columns with at most
-    {!max_bitmap_distinct} distinct values get lazy bitmap indexes for
-    conjunctive-filter pushdown.
+    same pass and back {!Stats}.  No plan operator reads this view: the
+    plan interpreter scans the row store ([Relation.iter] and the
+    by-column indexes), and writes never maintain the columns — a relation
+    derived by [Relation.add]/[remove] rebuilds them on demand.
 
     All accessors are bounds-checked and raise [Failure "Column.fn: ..."]
     naming the relation, the offending index and the valid range — a
-    miswired plan must surface as a diagnosis, not a bare
+    miswired caller must surface as a diagnosis, not a bare
     [Invalid_argument "index out of bounds"]. *)
 
 type t
@@ -45,39 +45,3 @@ val distinct : t -> int -> int
 val counts : t -> (int, int) Hashtbl.t array
 (** The per-column occurrence counts built with the store.  Shared and
     immutable after publication: callers must copy before mutating. *)
-
-val max_bitmap_distinct : int
-(** Bitmap indexes are built only for columns with at most this many
-    distinct values. *)
-
-val has_bitmap : t -> int -> bool
-(** Whether the column qualifies for (and now has) a bitmap index; builds
-    it on first call. *)
-
-val eq_bitmap : t -> int -> Value.t -> Bitmap.t option
-(** [eq_bitmap t c v]: the rows whose column [c] equals [v], as a bitmap
-    — empty (not [None]) when the value is absent or never interned.
-    [None] when the column is too wide for a bitmap index. *)
-
-(** {1 Incremental row maintenance}
-
-    One-row derivation for mutable-database churn: a fresh store equal to
-    rebuilding from the updated tuple array, at the cost of per-column
-    array blits plus count-table copies — no re-interning, no re-counting,
-    and bitmap indexes already built are shifted ({!Bitmap.insert_at} /
-    {!Bitmap.remove_at}) rather than rebuilt.  A count dropping to zero
-    deletes its key (distinct counts must match a from-scratch rebuild),
-    and an insert pushing a bitmap-indexed column past
-    {!max_bitmap_distinct} distinct values drops that column's index to
-    the wide-column fallback instead of leaving a table that would answer
-    the new value from its "absent = empty" default. *)
-
-val insert_row : t -> pos:int -> Tuple.t -> t
-(** [insert_row t ~pos tup]: the store with [tup] inserted at sorted row
-    position [pos] (as given by the relation's updated tuple array).
-    [t] is unchanged.  Raises [Failure "Column.insert_row: ..."] on a
-    position out of [0 .. rows] or an arity mismatch. *)
-
-val remove_row : t -> pos:int -> Tuple.t -> t
-(** [remove_row t ~pos tup]: the store with row [pos] (holding [tup])
-    removed; the dual of {!insert_row}. *)

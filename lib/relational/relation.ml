@@ -43,11 +43,10 @@ type cache = {
   mutable vals : Value.t list option;  (* distinct values, ascending *)
   mutable by_col : (int * (int, Tuple.t list) Hashtbl.t) list;
       (* column -> (interned value id -> tuples with that value) *)
-  mutable columns : Column.t option;  (* column-major int-array view *)
+  mutable columns : Column.t option;
+      (* column-major int-array view, never derived by [add]/[remove] *)
   mutable counts : (int, int) Hashtbl.t array option;
-      (* per-column occurrence counts (value id -> #rows) backing Stats;
-         the one structure [add]/[remove] maintain incrementally instead
-         of leaving to a fresh-cache rebuild *)
+      (* per-column occurrence counts (value id -> #rows) backing Stats *)
 }
 
 let fresh_cache () =
@@ -196,38 +195,21 @@ let prune_vals cts vs tup =
    derived structures are dropped and the child falls back to the lazy
    from-scratch rebuilds — correctness never depends on derivation. *)
 let derive_caches parent delta tup child =
-  let arr, members, vals, by_col, columns, counts =
+  let arr, members, vals, by_col, counts =
     let c = parent.cache in
-    Mutex.protect c.lock (fun () ->
-        (c.arr, c.members, c.vals, c.by_col, c.columns, c.counts))
+    Mutex.protect c.lock (fun () -> (c.arr, c.members, c.vals, c.by_col, c.counts))
   in
-  if
-    arr <> None || members <> None || vals <> None || by_col <> []
-    || columns <> None || counts <> None
+  if arr <> None || members <> None || vals <> None || by_col <> [] || counts <> None
   then begin
     let cc = child.cache in
     try
       Robust.Fault.hit "rel.maintain";
-      let pos = Option.map (fun a -> bsearch a tup) arr in
-      (match (arr, pos) with
-      | Some a, Some p ->
+      (match arr with
+      | Some a ->
+          let p = bsearch a tup in
           cc.arr <- Some (if delta > 0 then array_insert a p tup else array_remove a p)
-      | _ -> ());
-      (* [columns r] forces [to_array r] first, so a built column store
-         implies a built array (and a position). *)
-      (match (columns, pos) with
-      | Some col, Some p ->
-          let col' =
-            if delta > 0 then Column.insert_row col ~pos:p tup
-            else Column.remove_row col ~pos:p tup
-          in
-          cc.columns <- Some col';
-          cc.counts <- Some (Column.counts col')
-      | _ -> ());
-      (if cc.counts = None then
-         match counts with
-         | Some cts -> cc.counts <- Some (bump_counts delta cts tup)
-         | None -> ());
+      | None -> ());
+      cc.counts <- Option.map (fun cts -> bump_counts delta cts tup) counts;
       (match members with
       | Some m ->
           let m' = Ttbl.copy m in
@@ -267,7 +249,6 @@ let derive_caches parent delta tup child =
       cc.members <- None;
       cc.vals <- None;
       cc.by_col <- [];
-      cc.columns <- None;
       cc.counts <- None;
       Observe.bump c_degraded
   end
@@ -496,7 +477,6 @@ let col_counts r =
 let has_counts r = Mutex.protect r.cache.lock (fun () -> r.cache.counts <> None)
 let has_array r = Mutex.protect r.cache.lock (fun () -> r.cache.arr <> None)
 let has_members r = Mutex.protect r.cache.lock (fun () -> r.cache.members <> None)
-let has_columns r = Mutex.protect r.cache.lock (fun () -> r.cache.columns <> None)
 
 let has_index_on r col =
   Mutex.protect r.cache.lock (fun () -> List.mem_assoc col r.cache.by_col)

@@ -25,11 +25,11 @@ val add : Tuple.t -> t -> t
 (** Adding a tuple already present returns the relation unchanged (same
     caches, same revision).  Otherwise every derived structure the parent
     has already built — sorted array, hash member table, distinct-value
-    list, by-column indexes, column-major mirror with its bitmap indexes,
-    and the per-column counts backing {!Stats} — is maintained
-    incrementally: copied and patched with the one-tuple delta instead of
-    rebuilt from scratch on next demand.  Structures the parent never
-    built stay lazy.  Maintenance probes the [Robust.Fault] site
+    list, by-column indexes and the per-column counts backing {!Stats} —
+    is maintained incrementally: copied and patched with the one-tuple
+    delta instead of rebuilt from scratch on next demand.  Structures the
+    parent never built stay lazy, and so does the column view
+    ({!columns}), which writes never maintain.  Maintenance probes the [Robust.Fault] site
     ["rel.maintain"]; an injected fault degrades to the lazy from-scratch
     rebuild (counter [rel.maintain_degraded]). *)
 
@@ -136,9 +136,10 @@ val indexed_cols : t -> int list
 
 val columns : t -> Column.t
 (** The column-major int-array view of the relation (row [r] = the [r]-th
-    tuple of {!to_array}), built on first request and cached.  Columnar
-    plan operators ([column-scan], [bitmap-filter], [index-only]) read
-    this store and never materialize tuples. *)
+    tuple of {!to_array}), built on first request and cached.  No plan
+    operator reads it (leaf scans read the tuple set and the by-column
+    indexes); a relation derived by {!add}/{!remove} rebuilds it on
+    demand. *)
 
 val col_counts : t -> (int, int) Hashtbl.t array
 (** Per-column occurrence counts (interned value id -> number of rows),
@@ -152,12 +153,10 @@ val has_counts : t -> bool
 
 val has_array : t -> bool
 (** Whether the sorted tuple array is present, without building it
-    (likewise {!has_members}, {!has_columns}, {!has_index_on}) — for
-    tests asserting what {!add}/{!remove} derived. *)
+    (likewise {!has_members}, {!has_index_on}) — for tests asserting what
+    {!add}/{!remove} derived. *)
 
 val has_members : t -> bool
-
-val has_columns : t -> bool
 
 val has_index_on : t -> int -> bool
 

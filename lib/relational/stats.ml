@@ -11,8 +11,8 @@ type relation_stats = {
 }
 
 (* Statistics read the relation's cached per-column count tables (built
-   with the columnar store, or derived incrementally by [Relation.add]/
-   [remove]): distinct is a table size, min/max a fold over the distinct
+   in one pass, or derived incrementally by [Relation.add]/[remove]):
+   distinct is a table size, min/max a fold over the distinct
    values — O(distinct) per column instead of a fresh O(rows) sweep. *)
 let column_of_counts tbl =
   let distinct = Hashtbl.length tbl in

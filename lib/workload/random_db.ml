@@ -37,14 +37,6 @@ let relation_stream schema ~cardinality gen =
   in
   Relation.of_list schema (collect 0 [])
 
-let keyed_relation rng schema ~cardinality ~domain =
-  let arity = Schema.arity schema in
-  if arity < 1 then invalid_arg "Random_db.keyed_relation: arity 0";
-  relation_stream schema ~cardinality (fun i ->
-      Array.init arity (fun c ->
-          Relational.Value.Int
-            (if c = 0 then i else Random.State.int rng domain)))
-
 let graph rng ~nodes ~edges =
   let sch = Schema.make "E" [ "src"; "dst" ] in
   Database.of_relations

@@ -35,15 +35,6 @@ val relation_stream :
     [gen 0 .. gen (cardinality-1)].  The generator must yield distinct
     tuples (put the index in a column) for the cardinality to be exact. *)
 
-val keyed_relation :
-  Random.State.t ->
-  Relational.Schema.t ->
-  cardinality:int ->
-  domain:int ->
-  Relational.Relation.t
-(** Column 0 is the stream index (hence exactly [cardinality] tuples);
-    the remaining columns are uniform in [0..domain-1]. *)
-
 val graph : Random.State.t -> nodes:int -> edges:int -> Relational.Database.t
 (** A random directed graph in relation [E(src, dst)]. *)
 

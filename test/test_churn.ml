@@ -8,9 +8,9 @@
    - add-then-remove of the same tuple (net no-op) must hit the original
      plan-cache and compat-memo entries, while a real mutation must never
      serve a stale verdict;
-   - the 65th distinct value arriving on a bitmap-indexed column must
-     invalidate past the ≤64-value bitmap limit instead of answering from
-     a stale bitmap table.
+   - a plan compiled before the 65th distinct value arrives on a column
+     (the limit of the bitmap index such columns once had) must see the
+     new row, and one compiled before a value's last row leaves must not.
 
    Every property cross-checks the incrementally maintained relation
    against a from-scratch rebuild of the same tuple set. *)
@@ -21,8 +21,6 @@ module Tuple = Relational.Tuple
 module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Database = Relational.Database
-module Column = Relational.Column
-module Bitmap = Relational.Bitmap
 module Stats = Relational.Stats
 open Core
 
@@ -56,7 +54,6 @@ let force_caches r =
   ignore (Relation.to_array r);
   ignore (Relation.fast_mem r (Tuple.of_ints [ 0 ]));
   ignore (Relation.values r);
-  ignore (Relation.columns r);
   ignore (Relation.col_counts r);
   ignore (Relation.index_on r 0);
   r
@@ -78,7 +75,7 @@ let counts_agree a b =
 let test_zero_count_key_deleted () =
   let sch = Schema.make "R" [ "a"; "b" ] in
   let rows = [ [ 1; 10 ]; [ 1; 20 ]; [ 2; 20 ] ] in
-  (* Path 1: counts maintained through the columnar store. *)
+  (* Path 1: counts maintained next to every other forced cache. *)
   let r0 = force_caches (Relation.of_int_rows sch rows) in
   (* removing (2,20) drops a=2's count 1 -> 0: the key must go, not stay
      as a zero entry inflating the distinct count *)
@@ -93,7 +90,7 @@ let test_zero_count_key_deleted () =
         (fun _ n -> check "no zero-count key survives" true (n > 0))
         tbl)
     (Relation.col_counts r1);
-  (* Path 2: counts built directly, without the columnar store. *)
+  (* Path 2: the counts are the only structure built. *)
   let r0' = Relation.of_int_rows sch rows in
   ignore (Relation.col_counts r0');
   let r1' = Relation.remove (Tuple.of_ints [ 2; 20 ]) r0' in
@@ -109,36 +106,25 @@ let test_zero_count_key_deleted () =
   check "maintained index forgets the vanished value" true
     (Relation.select_eq r1 0 (Value.Int 2) = [])
 
-(* ---------- regression: the 65th distinct value on a bitmap column ---------- *)
+(* ---------- regression: the 65th distinct value on a column ---------- *)
 
 let test_bitmap_65th_value () =
-  let n = Column.max_bitmap_distinct in
+  let n = 64 in
   let sch = Schema.make "B" [ "k"; "flag" ] in
   let r0 =
     force_caches (Relation.of_int_rows sch (List.init n (fun i -> [ i; i mod 2 ])))
   in
-  let c0 = Relation.columns r0 in
-  check "boundary column has a bitmap" true (Column.has_bitmap c0 0);
-  (* the (max+1)-th distinct value arrives incrementally *)
-  let tup = Tuple.of_ints [ n; 1 ] in
-  let r1 = Relation.add tup r0 in
-  check "columns were maintained, not dropped" true (Relation.has_columns r1);
-  let c1 = Relation.columns r1 in
-  check "column past the limit fell back to wide" true
-    (Column.eq_bitmap c1 0 (Value.Int n) = None);
-  check "old values also answer through the fallback" true
-    (Column.eq_bitmap c1 0 (Value.Int 0) = None);
-  (* The failure mode this guards: a stale ≤64-value bitmap table would
-     answer the new value from its "absent = empty" default.  A plan
-     compiled before the add (when bitmap filtering was eligible) must
-     still see the new row when run on the churned database. *)
-  let head_q =
+  let select k =
     {
       Ast.name = "Q";
       head = [ "f" ];
-      body = Ast.Atom { Ast.rel = "B"; args = [ Ast.Const (Value.Int n); Ast.Var "f" ] };
+      body = Ast.Atom { Ast.rel = "B"; args = [ Ast.Const (Value.Int k); Ast.Var "f" ] };
     }
   in
+  (* the (n+1)-th distinct value arrives incrementally; a plan compiled
+     before the add must still see the new row when run after it *)
+  let tup = Tuple.of_ints [ n; 1 ] in
+  let head_q = select n in
   let db0 = Database.of_relations [ r0 ] in
   let t0 = Plan.compile_fo db0 head_q in
   let db1 = Database.insert_tuple "B" tup db0 in
@@ -149,12 +135,16 @@ let test_bitmap_65th_value () =
     (Relation.equal
        (Query.eval db1 (Query.Fo head_q))
        (Query.eval_legacy db1 (Query.Fo head_q)));
-  (* Dual direction: a value leaving its last row loses its bitmap entry
-     and reads as empty, exactly like a rebuild. *)
-  let r2 = Relation.remove (Tuple.of_ints [ 0; 0 ]) r0 in
-  (match Column.eq_bitmap (Relation.columns r2) 0 (Value.Int 0) with
-  | Some bm -> check "vanished value reads empty" true (Bitmap.is_empty bm)
-  | None -> Alcotest.fail "boundary column should still have bitmaps")
+  (* Dual direction: a value leaving its last row reads as empty through a
+     plan compiled while it was present, exactly like a rebuild. *)
+  let gone_q = select 0 in
+  let t_gone = Plan.compile_fo db0 gone_q in
+  let db2 = Database.delete_tuple "B" (Tuple.of_ints [ 0; 0 ]) db0 in
+  check "vanished value reads empty" true
+    (Relation.is_empty (Plan.run db2 t_gone));
+  check "removal agrees with the legacy oracle" true
+    (Relation.equal (Plan.run db2 t_gone)
+       (Query.eval_legacy db2 (Query.Fo gone_q)))
 
 (* ---------- regressions: memo and plan-cache churn semantics ---------- *)
 
@@ -351,7 +341,7 @@ let prop_incremental_structures =
         let mem = Relation.fast_mem !r in
         ok :=
           !ok
-          && Relation.has_columns !r (* maintained, never degraded *)
+          && Relation.has_counts !r (* maintained, never degraded *)
           && Relation.to_list !r = Relation.to_list fresh
           && Relation.values !r = Relation.values fresh
           && Relation.equal !r fresh
@@ -362,18 +352,6 @@ let prop_incremental_structures =
                (fun v ->
                  Relation.select_eq !r 0 v = Relation.select_eq fresh 0 v)
                probes
-          && (let c = Relation.columns !r and cf = Relation.columns fresh in
-              Column.rows c = Column.rows cf
-              && List.for_all
-                   (fun i -> Column.ids c i = Column.ids cf i)
-                   [ 0; 1 ]
-              && List.for_all
-                   (fun v ->
-                     match (Column.eq_bitmap c 0 v, Column.eq_bitmap cf 0 v) with
-                     | Some a, Some b -> Bitmap.to_list a = Bitmap.to_list b
-                     | None, None -> true
-                     | _ -> false)
-                   probes)
       done;
       !ok)
 

@@ -219,7 +219,7 @@ let dist_filter_of = function
 let test_dist_round_trip () =
   let raw =
     Analysis.Plan_parse.parse
-      "answer Q(c)\n  filter dist[d](c, \"edi\") <= 2\n    column-scan hub(c)"
+      "answer Q(c)\n  filter dist[d](c, \"edi\") <= 2\n    scan hub(c)"
   in
   check "parsed as a distance condition" true
     (dist_filter_of raw
@@ -243,6 +243,53 @@ let test_dist_round_trip () =
     (Relation.equal
        (Plan.run ~dist fixture_db plan)
        (Plan.run ~dist fixture_db back))
+
+(* ---------- printed example plans read back ---------- *)
+
+(* The shipped example queries, compiled against the example database: each
+   printed plan — multi-disjunct UCQs included — parses back, re-checks
+   clean and answers the same.  [dune runtest] runs in the build's test
+   directory, [dune exec] from the project root. *)
+let examples_dir =
+  List.find Sys.file_exists [ "../examples/queries"; "examples/queries" ]
+
+let read_file path = In_channel.with_open_text path In_channel.input_all
+
+let test_examples_round_trip () =
+  let db = Database.of_string (read_file (Filename.concat examples_dir "db.txt")) in
+  let queries =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".q")
+    |> List.sort compare
+  in
+  check "the example corpus has queries" true (queries <> []);
+  check "the corpus includes a UCQ" true
+    (List.exists
+       (fun f ->
+         match
+           Plan.compile_fo db
+             (Parser.parse_query (read_file (Filename.concat examples_dir f)))
+         with
+         | Plan.Answer fp -> List.length fp.Plan.fp_disjuncts > 1
+         | _ -> false)
+       queries);
+  List.iter
+    (fun f ->
+      let q = Parser.parse_query (read_file (Filename.concat examples_dir f)) in
+      let plan = Plan.compile_fo db q in
+      let text = Format.asprintf "%a" Plan.pp plan in
+      let back =
+        match Analysis.Plan_parse.parse text with
+        | back -> back
+        | exception Failure msg -> Alcotest.failf "%s: %s\n%s" f msg text
+      in
+      let ds = Check.check ~db back in
+      if not (Check.ok ds) then
+        Alcotest.failf "%s: printed plan re-checks with errors:\n%s" f
+          (String.concat "\n" (List.map Diagnostic.to_string ds));
+      check (f ^ " answers the same") true
+        (Relation.equal (Plan.run db plan) (Plan.run db back)))
+    queries
 
 (* ---------- the paper benchmark's plan shapes ---------- *)
 
@@ -305,11 +352,7 @@ let test_certify_negatives () =
     let rec go n =
       let op =
         match n.Plan.op with
-        | Plan.Scan a -> Plan.Scan { a with Ast.rel = "T" }
-        | Plan.Column_scan a -> Plan.Column_scan { a with Ast.rel = "T" }
-        | Plan.Bitmap_filter a -> Plan.Bitmap_filter { a with Ast.rel = "T" }
-        | Plan.Index_only_scan (a, keep) ->
-            Plan.Index_only_scan ({ a with Ast.rel = "T" }, keep)
+        | Plan.Scan (a, keep) -> Plan.Scan ({ a with Ast.rel = "T" }, keep)
         | Plan.Index_join (c, a) ->
             Plan.Index_join (go c, { a with Ast.rel = "T" })
         | op -> op
@@ -349,6 +392,37 @@ let test_certify_negatives () =
   (* a tampered plan also loses its certificate *)
   check "tampered certificate" false
     (Analysis.Advisor.certificate_ok (Check.certify (Query.Fo cq) p010))
+
+(* P014 on a same-named query names what differs, not "(Q, not Q)". *)
+let test_certify_same_name () =
+  let rng = Random.State.make [| 31 |] in
+  let db = random_db rng in
+  let plan = Plan.compile_fo db cq in
+  let message q =
+    match
+      List.filter
+        (fun (d : Diagnostic.t) -> d.Diagnostic.code = "P014")
+        (Check.certify_diags (Query.Fo q) plan)
+    with
+    | d :: _ -> d.Diagnostic.message
+    | [] -> Alcotest.fail "expected P014"
+  in
+  let contains ~sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let other_body = Parser.parse_query "Q(x, z) := exists y. R(x, y) & S(z, y)" in
+  let msg = message other_body in
+  check "the body differs" true (contains ~sub:"body" msg);
+  check "prints the plan's body" true
+    (contains ~sub:(Pretty.formula_to_string cq.Ast.body) msg);
+  check "prints the query's body" true
+    (contains ~sub:(Pretty.formula_to_string other_body.Ast.body) msg);
+  check "no (Q, not Q)" false (contains ~sub:"(Q, not Q)" msg);
+  let other_head = Parser.parse_query "Q(z, x) := exists y. R(x, y) & S(y, z)" in
+  let msg = message other_head in
+  check "the head differs" true (contains ~sub:"head is (x, z), not (z, x)" msg)
 
 let test_certify_dl () =
   let rng = Random.State.make [| 29 |] in
@@ -564,12 +638,16 @@ let () =
             test_dist_round_trip;
           Alcotest.test_case "paper benchmark plan shapes" `Quick
             test_bench_shapes;
+          Alcotest.test_case "printed example plans round-trip" `Quick
+            test_examples_round_trip;
         ]
         @ qsuite [ prop_typed_ucq_runs; prop_typed_fo_runs; prop_typed_datalog_runs ] );
       ( "certify",
         [
           Alcotest.test_case "tampered FO plans rejected" `Quick
             test_certify_negatives;
+          Alcotest.test_case "P014 on a same-named query" `Quick
+            test_certify_same_name;
           Alcotest.test_case "Datalog certificates" `Quick test_certify_dl;
           Alcotest.test_case "anti-join: P015 and stratification" `Quick
             test_anti_join_checks;

@@ -1,9 +1,9 @@
-(* The columnar storage engine: bitmap algebra, bounds-checked column
-   accessors, incremental statistics maintenance under add/remove, and
-   differential properties pinning the columnar physical operators
-   (column scans, bitmap filters, index-only scans, index joins) to the
-   reference oracle [Query.eval_legacy] across every query language.
-   Also covers the P008/P009 typing negatives and the [explain] lines of
+(* Leaf scans over the row store: differential properties pinning the
+   one atom leaf ([Scan], narrowed or not by the covering rewrite) and the
+   index join to the reference oracle [Query.eval_legacy] across every
+   query language; a constant position reading the maintained by-column
+   index; the column view's accessors and the incremental statistics
+   under add/remove; the P009 typing negative; and the [explain] lines of
    index joins and fused filtered scans. *)
 
 open Qlang
@@ -12,7 +12,6 @@ module Tuple = Relational.Tuple
 module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Database = Relational.Database
-module Bitmap = Relational.Bitmap
 module Column = Relational.Column
 module Intern = Relational.Intern
 
@@ -35,46 +34,6 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
-
-(* ---------- bitmaps ---------- *)
-
-let test_bitmap_basics () =
-  let b = Bitmap.create 100 in
-  check "fresh bitmap is empty" true (Bitmap.is_empty b);
-  (* straddle the first word boundary on purpose *)
-  List.iter (Bitmap.set b) [ 0; Bitmap.word_bits - 1; Bitmap.word_bits; 99 ];
-  check_int "count" 4 (Bitmap.count b);
-  check "get set bit" true (Bitmap.get b Bitmap.word_bits);
-  check "get clear bit" false (Bitmap.get b 1);
-  Bitmap.clear b Bitmap.word_bits;
-  check "cleared" false (Bitmap.get b Bitmap.word_bits);
-  check "iter ascending = to_list" true
-    (Bitmap.to_list b = [ 0; Bitmap.word_bits - 1; 99 ]);
-  check "of_list roundtrip (any order)" true
-    (Bitmap.equal b (Bitmap.of_list 100 [ 99; 0; Bitmap.word_bits - 1 ]));
-  let full = Bitmap.full 100 in
-  check_int "full is canonical past the tail" 100 (Bitmap.count full);
-  check "double complement" true
-    (Bitmap.equal (Bitmap.diff full (Bitmap.diff full b)) b);
-  check_int "inter with full is identity" 3 (Bitmap.count (Bitmap.inter full b));
-  check_int "union with full saturates" 100 (Bitmap.count (Bitmap.union full b));
-  check_int "fold sums positions" (0 + (Bitmap.word_bits - 1) + 99)
-    (Bitmap.fold ( + ) b 0)
-
-let test_bitmap_bounds () =
-  let b = Bitmap.create 10 in
-  let expect_invalid name f =
-    match f () with
-    | exception Invalid_argument msg ->
-        check (name ^ " names Bitmap") true (contains ~sub:"Bitmap." msg)
-    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-  in
-  expect_invalid "set past the end" (fun () -> Bitmap.set b 10);
-  expect_invalid "negative get" (fun () -> Bitmap.get b (-1));
-  expect_invalid "clear past the end" (fun () -> Bitmap.clear b 11);
-  expect_invalid "inter length mismatch" (fun () ->
-      Bitmap.inter b (Bitmap.create 9));
-  expect_invalid "negative create" (fun () -> Bitmap.create (-1))
 
 (* ---------- the column store ---------- *)
 
@@ -101,25 +60,7 @@ let test_column_store () =
   (* the count tables agree with the tuples *)
   check_int "count of a=2" 2
     (Option.value ~default:0
-       (Hashtbl.find_opt (Column.counts c).(0) (Intern.id (Value.Int 2))));
-  (* bitmap index on a low-cardinality column *)
-  check "low-cardinality column has a bitmap" true (Column.has_bitmap c 0);
-  (match Column.eq_bitmap c 0 (Value.Int 2) with
-  | Some bm -> check "a=2 selects rows 1,2" true (Bitmap.to_list bm = [ 1; 2 ])
-  | None -> Alcotest.fail "expected a bitmap for a=2");
-  (match Column.eq_bitmap c 0 (Value.Int 99) with
-  | Some bm -> check "absent value gives the empty bitmap" true (Bitmap.is_empty bm)
-  | None -> Alcotest.fail "expected an empty bitmap for an absent value")
-
-let test_column_wide_no_bitmap () =
-  let wide =
-    Relation.of_int_rows (Schema.make "W" [ "a" ])
-      (List.init (Column.max_bitmap_distinct + 6) (fun i -> [ i ]))
-  in
-  let c = Relation.columns wide in
-  check "too many distinct values: no bitmap" false (Column.has_bitmap c 0);
-  check "eq_bitmap declines on a wide column" true
-    (Column.eq_bitmap c 0 (Value.Int 0) = None)
+       (Hashtbl.find_opt (Column.counts c).(0) (Intern.id (Value.Int 2))))
 
 let test_column_bounds () =
   let c = Relation.columns r3 in
@@ -179,7 +120,7 @@ let test_noop_add_remove_keep_cache () =
   let same' = Relation.remove (Tuple.of_ints [ 9; 9 ]) r in
   check "removing a non-member returns the same relation" true (same' == r)
 
-(* ---------- differential properties: columnar = legacy ---------- *)
+(* ---------- differential properties: scan plans = legacy ---------- *)
 
 let random_db rng =
   Workload.Random_db.database rng
@@ -220,10 +161,10 @@ let random_fo rng db =
   in
   { q1 with Ast.body = body }
 
-(* Columnar compiles must agree with the reference oracle. *)
-let prop_columnar_matches_legacy =
+(* Scan plans must agree with the reference oracle. *)
+let prop_scan_matches_legacy =
   QCheck.Test.make
-    ~name:"CQ/UCQ/FO: columnar plan = legacy eval"
+    ~name:"CQ/UCQ/FO: scan plan = legacy eval"
     ~count:120 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
@@ -258,9 +199,9 @@ let tc_program =
     answer = "reach";
   }
 
-let prop_columnar_all_languages =
+let prop_scan_all_languages =
   QCheck.Test.make
-    ~name:"Query.eval (columnar route) = Query.eval_legacy, six languages"
+    ~name:"Query.eval (scan route) = Query.eval_legacy, six languages"
     ~count:80 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
@@ -327,7 +268,35 @@ let test_index_join_probes () =
   check "answer after the write = legacy" true
     (Relation.equal (Plan.run db' (Plan.compile_fo db' q)) (legacy db'))
 
-(* ---------- P-series negatives for the new operators ---------- *)
+(* A constant position reads through the stored relation's by-column
+   index — a selection, never a full pass — and a write keeps that index:
+   the plan compiled before an insert answers like the oracle after it. *)
+let test_const_reads_index () =
+  with_tracing @@ fun () ->
+  let rng = Random.State.make [| 47 |] in
+  let db = random_db rng in
+  let q = Parser.parse_query "Q(y) := R(2, y)" in
+  let plan = Plan.compile_fo db q in
+  check_int "one scan" 1 (Plan.shape plan).Plan.scans;
+  let answer = Plan.run db plan in
+  check "the constant ran as a selection" true
+    (counter_value "plan.const_selects" >= 1);
+  check_int "no full scan" 0 (counter_value "plan.full_scans");
+  check "the stored relation caches its index" true
+    (Relation.has_index_on (Database.find db "R") 0);
+  let legacy db = Query.eval_legacy db (Query.Fo q) in
+  check "answer = legacy" true (Relation.equal answer (legacy db));
+  let db' = Database.insert_tuple "R" (Tuple.of_ints [ 2; 9 ]) db in
+  check "the write maintained the index" true
+    (Relation.has_index_on (Database.find db' "R") 0);
+  Observe.reset ();
+  let answer' = Plan.run db' plan in
+  check_int "still no full scan" 0 (counter_value "plan.full_scans");
+  check "the new row is selected" true (Relation.mem (Tuple.of_ints [ 9 ]) answer');
+  check "answer after the write = legacy" true
+    (Relation.equal answer' (legacy db'))
+
+(* ---------- P-series negatives for leaf scans ---------- *)
 
 let fixture_db =
   Database.of_relations
@@ -343,32 +312,27 @@ let has_code code =
   List.exists (fun d -> d.Analysis.Diagnostic.code = code)
 
 let test_plan_check_negatives () =
-  check "P008: bitmap filter without a constant" true
-    (has_code "P008" (raw_check "answer Q(city)\n  bitmap-filter hub(city)"));
-  check "P009: index-only keeps an unbound variable" true
-    (has_code "P009"
-       (raw_check "answer Q(z)\n  index-only hub(city) keep [z]"));
-  check "P001 reaches column scans" true
-    (has_code "P001" (raw_check "answer Q(x)\n  column-scan nosuch(x)"));
+  check "P009: a scan keeps an unbound variable" true
+    (has_code "P009" (raw_check "answer Q(z)\n  scan hub(city) keep [z]"));
+  check "P001 reaches scans" true
+    (has_code "P001" (raw_check "answer Q(x)\n  scan nosuch(x)"));
   check "P002 reaches index joins" true
     (has_code "P002"
-       (raw_check
-          "answer Q(s)\n  index-join E(s)\n    column-scan hub(city)"));
+       (raw_check "answer Q(s)\n  index-join E(s)\n    scan hub(city)"));
   (* the well-typed forms pass, parser round-trips included *)
-  check "well-typed columnar plan is clean" true
+  check "well-typed covering scan is clean" true
     (Analysis.Plan_check.ok
        (raw_check
           "answer Q(s)\n\
           \  index-join E(s, d)\n\
-          \    index-only hub(city) keep [city]"));
-  check "well-typed bitmap filter is clean" true
-    (Analysis.Plan_check.ok
-       (raw_check "answer Q(s)\n  bitmap-filter E(s, 2)"))
+          \    scan hub(city) keep [city]"));
+  check "well-typed constant scan is clean" true
+    (Analysis.Plan_check.ok (raw_check "answer Q(s)\n  scan E(s, 2)"))
 
-(* compiled columnar plans stay fully verified: typing, rewrite
-   certificates, budget/fault lint and effects *)
-let prop_columnar_plans_verify =
-  QCheck.Test.make ~name:"compiled columnar plans pass Plan_check" ~count:60
+(* compiled scan plans stay fully verified: typing, rewrite certificates,
+   budget/fault lint and effects *)
+let prop_scan_plans_verify =
+  QCheck.Test.make ~name:"compiled scan plans pass Plan_check" ~count:60
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
@@ -417,18 +381,11 @@ let test_explain_index_join () =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
-  Alcotest.run "columnar"
+  Alcotest.run "scan"
     [
-      ( "bitmap",
-        [
-          Alcotest.test_case "algebra" `Quick test_bitmap_basics;
-          Alcotest.test_case "bounds" `Quick test_bitmap_bounds;
-        ] );
       ( "column",
         [
           Alcotest.test_case "store" `Quick test_column_store;
-          Alcotest.test_case "wide column has no bitmap" `Quick
-            test_column_wide_no_bitmap;
           Alcotest.test_case "bounds" `Quick test_column_bounds;
         ] );
       ( "stats",
@@ -438,14 +395,16 @@ let () =
               test_noop_add_remove_keep_cache;
           ] );
       ( "differential",
-        qsuite [ prop_columnar_matches_legacy; prop_columnar_all_languages ]
-        @ [ Alcotest.test_case "index-join probes" `Quick test_index_join_probes ] );
-      ( "plan-check",
-        qsuite [ prop_columnar_plans_verify ]
+        qsuite [ prop_scan_matches_legacy; prop_scan_all_languages ]
         @ [
-            Alcotest.test_case "P008/P009 negatives" `Quick
-              test_plan_check_negatives;
+            Alcotest.test_case "index-join probes" `Quick test_index_join_probes;
+            Alcotest.test_case "constant reads the maintained index" `Quick
+              test_const_reads_index;
           ] );
+      ( "plan-check",
+        qsuite [ prop_scan_plans_verify ]
+        @ [ Alcotest.test_case "P009 negatives" `Quick test_plan_check_negatives ]
+      );
       ( "explain",
         [
           Alcotest.test_case "index join, fused filter" `Quick
