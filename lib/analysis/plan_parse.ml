@@ -271,35 +271,67 @@ let parse_idb ln s =
       | Some k -> (name, k)
       | None -> fail ln (Printf.sprintf "bad arity in %S" s))
 
+(* "{a/1, b/2}" -> the stratum's IDBs *)
+let parse_idb_set ln s =
+  let s = String.trim s in
+  if String.length s < 2 || s.[0] <> '{' || s.[String.length s - 1] <> '}' then
+    fail ln (Printf.sprintf "expected {name/arity, ...}, got %S" s);
+  String.sub s 1 (String.length s - 2)
+  |> String.split_on_char ','
+  |> List.map (fun idb -> parse_idb ln (String.trim idb))
+
+(* A "KW ...:" header line: the text between the keyword and the colon. *)
+let header kw l =
+  let kw', arg = keyword l.text in
+  if kw' <> kw || not (String.ends_with ~suffix:":" arg) then
+    fail l.ln (Printf.sprintf "expected a '%s ...:' header" kw);
+  String.trim (String.sub arg 0 (String.length arg - 1))
+
+(* The layout [Plan.pp] prints: "stratum N: {p/k, ...}" at depth 0, then
+   per rule "rule HEAD:" at depth 1 with its full body at depth 2,
+   followed by its "delta variant N:" headers, each with a body at
+   depth 2. *)
 let parse_fixpoint ln answer lines =
   if String.trim answer = "" then fail ln "fixpoint header needs an answer predicate";
-  let rec strata lines =
-    match lines with
-    | [] -> []
-    | l :: rest when l.depth = 1 -> (
-        let kw, arg = keyword l.text in
-        if kw <> "stratum" then fail l.ln "expected a stratum header";
-        let idb = parse_idb l.ln arg in
-        let rec rules lines =
-          match lines with
-          | l :: rest when l.depth = 2 ->
-              let kw, arg = keyword l.text in
-              if kw <> "rule" then fail l.ln "expected a rule header";
-              let head = parse_atom l.ln arg in
-              let body, rest = parse_node 3 rest in
-              let r = { Plan.rp_head = head; rp_full = body; rp_deltas = [] } in
-              let rs, rest = rules rest in
-              (r :: rs, rest)
-          | lines -> ([], lines)
-        in
+  let rec deltas = function
+    | l :: rest when l.depth = 1 && String.starts_with ~prefix:"delta " l.text ->
+        if not (String.starts_with ~prefix:"variant " (header "delta" l)) then
+          fail l.ln "expected a 'delta variant N:' header";
+        let d, rest = parse_node 2 rest in
+        let ds, rest = deltas rest in
+        (d :: ds, rest)
+    | lines -> ([], lines)
+  in
+  let rec rules = function
+    | l :: rest when l.depth = 1 ->
+        let head = parse_atom l.ln (header "rule" l) in
+        let rp_full, rest = parse_node 2 rest in
+        let rp_deltas, rest = deltas rest in
         let rs, rest = rules rest in
-        { Plan.st_idbs = [ idb ]; st_rules = rs } :: strata rest)
-    | l :: _ -> fail l.ln "expected a stratum header at depth 1"
+        ({ Plan.rp_head = head; rp_full; rp_deltas } :: rs, rest)
+    | lines -> ([], lines)
+  in
+  let rec strata i = function
+    | [] -> []
+    | l :: rest when l.depth = 0 ->
+        let n, idbs =
+          match String.index_opt l.text ':' with
+          | Some c when String.starts_with ~prefix:"stratum " l.text ->
+              ( String.trim (String.sub l.text 8 (c - 8)),
+                String.sub l.text (c + 1) (String.length l.text - c - 1) )
+          | _ -> fail l.ln "expected a 'stratum N: {...}' header"
+        in
+        if int_of_string_opt n <> Some i then
+          fail l.ln (Printf.sprintf "expected stratum %d, got %S" i n);
+        let st_idbs = parse_idb_set l.ln idbs in
+        let st_rules, rest = rules rest in
+        { Plan.st_idbs; st_rules } :: strata (i + 1) rest
+    | l :: _ -> fail l.ln "expected a stratum header at depth 0"
   in
   Plan.Fixpoint
     {
       dp_program = { Datalog.rules = []; answer };
-      dp_strata = strata lines;
+      dp_strata = strata 0 lines;
       dp_consts = [];
       dp_answer = answer;
     }

@@ -9,9 +9,12 @@
     {v
     answer Q(x, y)          # children at depth 1 are the disjunct roots,
                             # each optionally headed by "disjunct N:"
-    fixpoint reach          # then per stratum:
-      stratum reach/2
-        rule reach(x, y)    # the rule's single child is its full body
+    fixpoint reach          # then per stratum, at depth 0:
+    stratum 0: {reach/2}    # numbered from 0, each IDB with its arity
+      rule reach(x, y):     # the rule's single child is its full body,
+        ...
+      delta variant 1:      # then its semi-naive delta variants, each
+        ...                 # with a single child
     v}
 
     Nodes: [true], [false], [scan R(t, ...)] (emitting every variable of
@@ -25,10 +28,10 @@
     are constants, anything else a variable.  A node line may end with
     [vars [a, b]] to override the recomputed variable metadata (for
     ill-typed fixtures).  A trailing note set off by two spaces, [  [...]],
-    is ignored: {!Qlang.Plan.pp} prints estimates and the answer header's
-    fragment that way, so an answer plan it prints — single disjunct or
-    UCQ — reads back.  Fixpoint plans as {!Qlang.Plan.pp} prints them
-    (stratum sets, delta variants) do not.
+    is ignored: {!Qlang.Plan.pp} prints estimates and the plan headers'
+    summaries that way, so every plan it prints — single disjunct, UCQ or
+    fixpoint — reads back.  A parsed fixpoint carries no source program
+    and no program constants.
 
     @raise Failure with a line number on malformed input. *)
 

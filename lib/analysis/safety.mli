@@ -1,7 +1,7 @@
 (** Safety / range-restriction analysis for FO queries.
 
     The relational calculus of the paper is evaluated under active-domain
-    semantics ({!Qlang.Fo_eval} falls back to the active domain for
+    semantics (the plan engine falls back to the active domain for
     negation, universal quantification and unlimited variables).  That is
     always *sound* for the paper's complexity results, but a query whose
     free or head variables are not limited by positive atoms is

@@ -23,13 +23,7 @@ let diff = Tset.diff
 let compare = Tset.compare
 let equal = Tset.equal
 
-let subset_of_relation n r =
-  Tset.is_empty n
-  ||
-  (* Hash-backed membership: fetch the relation's member table once for
-     the whole batch of probes. *)
-  let mem = Relational.Relation.fast_mem r in
-  Tset.for_all mem n
+let subset_of_relation n r = Tset.for_all (fun t -> Relational.Relation.mem t r) n
 
 let to_relation sch n = Relational.Relation.of_list sch (to_list n)
 

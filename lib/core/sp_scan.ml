@@ -54,7 +54,7 @@ let eval ?(dist = Qlang.Dist.empty) db (q : fo_query) =
     | True -> true
     | _ -> invalid_arg "Sp_scan.eval: non-builtin conjunct"
   in
-  let sch = Qlang.Fo_eval.answer_schema q in
+  let sch = Qlang.Ast.answer_schema q in
   let out =
     Relation.fold
       (fun tup acc ->

@@ -27,6 +27,22 @@ type fo_query = {
   body : formula;
 }
 
+let answer_schema q =
+  let seen = Hashtbl.create 8 in
+  let attrs =
+    List.map
+      (fun v ->
+        match Hashtbl.find_opt seen v with
+        | None ->
+            Hashtbl.add seen v 1;
+            v
+        | Some n ->
+            Hashtbl.replace seen v (n + 1);
+            v ^ "#" ^ string_of_int n)
+      q.head
+  in
+  Relational.Schema.make q.name attrs
+
 let eval_cmp op a b =
   let c = Relational.Value.compare a b in
   match op with

@@ -38,6 +38,11 @@ type fo_query = {
   body : formula;
 }
 
+val answer_schema : fo_query -> Relational.Schema.t
+(** Schema of the answer relation [Q(D)]: the query name with one attribute
+    per head variable (a repeated head variable [v] gets [v#1], [v#2], ...
+    on its later occurrences). *)
+
 val eval_cmp : cmp -> Relational.Value.t -> Relational.Value.t -> bool
 (** Built-in predicate semantics, using the total order on values. *)
 

@@ -295,5 +295,3 @@ let to_relation ~adom sch ~head b =
          head)
   in
   Relational.Relation.of_list sch (List.map extract (rows b))
-
-let equal a b = a.vars = b.vars && Tset.equal a.rows b.rows

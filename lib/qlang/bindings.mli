@@ -72,6 +72,3 @@ val to_relation :
 (** Builds the answer relation for a query head: each head position is
     either a variable of the binding set, a free variable not occurring in
     it (padded over the active domain), or a constant. *)
-
-val equal : t -> t -> bool
-(** Same variable sets and same rows. *)

@@ -325,95 +325,3 @@ let program_constants p =
             | Builtin (_, t1, t2) -> of_terms [ t1; t2 ])
           r.body)
     p.rules
-
-(* Evaluate one rule body against [db'] (the database extended with current
-   IDB relations), returning the derived head tuples. *)
-let eval_rule ~adom db' head body =
-  let body_formula =
-    conj
-      (List.map
-         (function
-           | Rel a -> Atom a
-           (* Stratified negation: a negated atom refers to an EDB relation
-              or an IDB of a strictly lower stratum, both fully computed in
-              [db'] by the time this rule fires, so plain FO complement over
-              the active domain is the stratified semantics. *)
-           | Neg a -> Not (Atom a)
-           | Builtin (op, t1, t2) -> Cmp (op, t1, t2))
-         body)
-  in
-  let b = Fo_eval.eval db' body_formula in
-  let sch = idb_schema head.rel (List.length head.args) in
-  Bindings.to_relation ~adom:(lazy adom) sch ~head:head.args b
-
-let eval db p =
-  (match check db p with
-  | Ok () -> ()
-  | Error msg -> failwith ("Datalog.eval: " ^ msg));
-  let module Vset = Set.Make (struct
-    type t = Relational.Value.t
-
-    let compare = Relational.Value.compare
-  end) in
-  let adom =
-    Vset.elements
-      (List.fold_left
-         (fun s v -> Vset.add v s)
-         (Vset.of_list (Database.active_domain db))
-         (program_constants p))
-  in
-  let arity name = Option.get (predicate_arity p name) in
-  let with_idb db idb_rels =
-    List.fold_left (fun d (_, r) -> Database.add r d) db idb_rels
-  in
-  (* Evaluation proceeds stratum by stratum (stratifiability is enforced by
-     [check] above): the IDB relations of lower strata are merged into the
-     base database before a stratum starts, so negated literals — which by
-     stratification only mention EDBs and lower-stratum IDBs — see their
-     final extensions. *)
-  let strata =
-    match stratify p with Ok s -> s | Error msg -> failwith ("Datalog.eval: " ^ msg)
-  in
-  let idb_stratum n = Option.value ~default:0 (List.assoc_opt n strata) in
-  let max_stratum =
-    List.fold_left (fun acc n -> max acc (idb_stratum n)) 0 (idb_predicates p)
-  in
-  (* One stratum: the naive fixpoint, restricted to the rules whose head
-     lives in this stratum — every round re-fires every rule against the
-     current IDB extensions until no IDB grows. *)
-  let eval_stratum db rules idbs =
-    let rec iterate idb_rels =
-      Robust.Budget.check ();
-      Robust.Fault.hit "datalog.round";
-      let db' = with_idb db idb_rels in
-      let idb_rels' =
-        List.map
-          (fun (name, rel) ->
-            let derived =
-              List.filter_map
-                (fun r ->
-                  if r.head.rel = name then
-                    Some (eval_rule ~adom db' r.head r.body)
-                  else None)
-                rules
-            in
-            (name, List.fold_left Relation.union rel derived))
-          idb_rels
-      in
-      let grew =
-        List.exists2
-          (fun (_, a) (_, b) -> Relation.cardinal a <> Relation.cardinal b)
-          idb_rels idb_rels'
-      in
-      if grew then iterate idb_rels' else idb_rels'
-    in
-    iterate (List.map (fun n -> (n, Relation.empty (idb_schema n (arity n)))) idbs)
-  in
-  let rec strata_loop db s =
-    if s > max_stratum then db
-    else
-      let idbs = List.filter (fun n -> idb_stratum n = s) (idb_predicates p) in
-      let rules = List.filter (fun r -> idb_stratum r.head.rel = s) p.rules in
-      strata_loop (with_idb db (eval_stratum db rules idbs)) (s + 1)
-  in
-  Database.find (strata_loop db 0) p.answer

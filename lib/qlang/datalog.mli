@@ -5,10 +5,9 @@
     A program whose dependency graph is acyclic is nonrecursive (DATALOGnr);
     otherwise it is recursive (DATALOG), evaluated as an inflationary
     fixpoint — which for positive programs coincides with the least
-    fixpoint.  {!eval} is the naive reference evaluator, written for
-    obviousness rather than speed: production evaluation compiles programs
-    to semi-naive fixpoint plans ({!Plan.compile_datalog}), and this
-    evaluator is the oracle they are tested against. *)
+    fixpoint.  This module holds the syntax, the well-formedness check and
+    the stratification; programs evaluate as semi-naive fixpoint plans
+    ({!Plan.compile_datalog}). *)
 
 type literal =
   | Rel of Ast.atom  (** EDB or IDB atom *)
@@ -75,12 +74,6 @@ val refined_strata : program -> ((string * int) list, string) result
 val is_nonrecursive : program -> bool
 (** Whether the dependency graph is acyclic, i.e. the program is in
     DATALOGnr. *)
-
-val eval : Relational.Database.t -> program -> Relational.Relation.t
-(** Stratum-by-stratum naive least-fixpoint evaluation (every round
-    re-fires every rule of the stratum through {!Fo_eval}); returns the
-    answer predicate's relation.  Raises [Failure] if {!check} fails
-    (including unstratifiable programs). *)
 
 val answer_schema : program -> Relational.Schema.t
 (** Schema of the answer relation: attributes [a0, ..., a{n-1}]. *)

@@ -10,9 +10,9 @@
 val eval :
   ?dist:Dist.env -> Relational.Database.t -> Query.t -> Relational.Relation.t
 (** [Q(D)] through the plan interpreter ({!Query.eval}), counted in the
-    [engine.evals] counter.  Answers equal the reference semantics
-    {!Query.eval_legacy}; the differential property is tested in
-    [test/test_plan.ml]. *)
+    [engine.evals] counter.  Answers equal the reference semantics, the
+    test oracle the differential properties of [test/test_plan.ml]
+    compare against. *)
 
 val plan : Relational.Database.t -> Query.t -> Plan.t
 

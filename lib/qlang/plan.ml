@@ -411,8 +411,7 @@ let rec cond_holds st c =
 
 (* Satisfying assignments of an atom, restricted to [out_vars].  The
    per-position spec is built once: a constant, the first occurrence of a
-   variable, or a repeat that must equal an earlier column, exactly the
-   matching of the reference [Fo_eval].  Rows come through the relation's
+   variable, or a repeat that must equal an earlier column.  Rows come through the relation's
    maintained by-column index when a position holds a constant, and from
    one pass over the tuple set otherwise.  [keep], when given, is a filter
    fused into the scan and tested on each matched row before the row is
@@ -1101,7 +1100,7 @@ let compile_fo db q =
   Observe.bump c_compiles;
   let cx = make_cx db in
   let frag = Fragment.classify_query q in
-  let schema = Fo_eval.answer_schema q in
+  let schema = Ast.answer_schema q in
   let head = List.map (fun v -> Var v) q.head in
   let build_cq d =
     let atoms, builtins = split_cq (freshen d) in
@@ -1710,7 +1709,8 @@ let pp_with record ppf t =
       List.iteri
         (fun s stp ->
           Format.fprintf ppf "stratum %d: {%s}@\n" s
-            (String.concat ", " (List.map fst stp.st_idbs));
+            (String.concat ", "
+               (List.map (fun (n, k) -> Printf.sprintf "%s/%d" n k) stp.st_idbs));
           List.iter
             (fun rp ->
               Format.fprintf ppf "  rule %a:@\n" pp_atom rp.rp_head;

@@ -3,9 +3,9 @@
     A plan is compiled once from a query and interpreted against a database
     (plus an optional overlay of in-flight relations — IDB fixpoint state,
     or the candidate package [RQ] of a compatibility check).  The node
-    algebra works over {!Bindings} (named-variable binding relations), the
-    same binding sets the reference evaluators {!Fo_eval} and {!Datalog}
-    use; {!Query.eval_legacy} runs those as the differential-test oracle.
+    algebra works over {!Bindings} (named-variable binding relations).
+    This is the library's one evaluator; the reference semantics it is
+    tested against lives with the tests.
 
     The (U)CQ fragment is planned from {!Relational.Stats} selectivity
     estimates: join ordering by estimated cardinality, independent join
@@ -217,9 +217,9 @@ val empty : Relational.Schema.t -> t
 (** {1 Execution} *)
 
 val run : ?dist:Dist.env -> Relational.Database.t -> t -> Relational.Relation.t
-(** Evaluate the plan.  Agrees with the reference semantics
-    ({!Query.eval_legacy}) for the source query on every database (the
-    differential property tested in [test/test_plan.ml]). *)
+(** Evaluate the plan.  Agrees with the reference semantics (the test
+    oracle) for the source query on every database (the differential
+    property tested in [test/test_plan.ml]). *)
 
 (** {1 Plan cache}
 

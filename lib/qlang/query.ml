@@ -44,7 +44,7 @@ let language = function
 let empty_schema = Schema.make "Empty" []
 
 let answer_schema db = function
-  | Fo q -> Fo_eval.answer_schema q
+  | Fo q -> Ast.answer_schema q
   | Dl p -> Datalog.answer_schema p
   | Identity r -> Relation.schema (Database.find db r)
   | Empty_query -> empty_schema
@@ -53,17 +53,10 @@ let arity db q = Schema.arity (answer_schema db q)
 
 (* All six languages evaluate through the physical-plan interpreter, with
    compiled plans cached per (query, revision fingerprint of the mentioned
-   relations) — updates elsewhere in the database keep entries live; the
-   reference evaluators below remain as the differential-test oracle. *)
+   relations) — updates elsewhere in the database keep entries live. *)
 let eval ?dist db = function
   | Fo q -> Plan.run ?dist db (Plan.compile_fo_cached db q)
   | Dl p -> Plan.run db (Plan.compile_datalog_cached db p)
-  | Identity r -> Database.find db r
-  | Empty_query -> Relation.empty empty_schema
-
-let eval_legacy ?dist db = function
-  | Fo q -> Fo_eval.eval_query ?dist db q
-  | Dl p -> Datalog.eval db p
   | Identity r -> Database.find db r
   | Empty_query -> Relation.empty empty_schema
 

@@ -41,12 +41,6 @@ val eval : ?dist:Dist.env -> Relational.Database.t -> t -> Relational.Relation.t
     ({!Plan}); compiled plans are cached per (query, database identity), so
     repeated evaluation over the same database pays compilation once. *)
 
-val eval_legacy :
-  ?dist:Dist.env -> Relational.Database.t -> t -> Relational.Relation.t
-(** The reference semantics, kept as the one differential-test oracle for
-    {!eval}: every FO query through {!Fo_eval.eval_query}, every Datalog
-    program through the naive {!Datalog.eval}. *)
-
 val plan : Relational.Database.t -> t -> Plan.t
 (** The (cached) compiled plan {!eval} would run. *)
 

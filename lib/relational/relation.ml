@@ -4,13 +4,6 @@ module Tset = Set.Make (struct
   let compare = Tuple.compare
 end)
 
-module Ttbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
 module Vset = Set.Make (Value)
 
 let c_maintained = Observe.counter "rel.maintained"
@@ -19,10 +12,10 @@ let c_degraded = Observe.counter "rel.maintain_degraded"
 (* Lazily-built acceleration structures.  A cache belongs to exactly one
    tuple set: every operation that derives a relation with a different
    tuple set attaches a fresh (empty) cache, which is what invalidates the
-   indexes on update — except [add]/[remove], which derive the structures
-   their parent has already built by copying them and applying the
-   one-tuple delta (see [derive_caches]).  [rename] keeps the cache — the
-   structures depend only on the tuples.
+   indexes on update — except [add]/[remove], which derive the by-column
+   indexes and the counts their parent has already built by copying them
+   and applying the one-tuple delta (see [derive_caches]).  [rename] keeps
+   the cache — the structures depend only on the tuples.
 
    Forcing discipline (the serving daemon forces these from many domains
    at once): fields are fetched under [lock], but {e built outside it} —
@@ -38,27 +31,16 @@ let c_degraded = Observe.counter "rel.maintain_degraded"
    did. *)
 type cache = {
   lock : Mutex.t;
-  mutable arr : Tuple.t array option;  (* elements, ascending *)
-  mutable members : unit Ttbl.t option;  (* hash-backed storage *)
-  mutable vals : Value.t list option;  (* distinct values, ascending *)
+  mutable arr : Tuple.t array option;
+      (* elements, ascending; never derived by [add]/[remove] *)
   mutable by_col : (int * (int, Tuple.t list) Hashtbl.t) list;
       (* column -> (interned value id -> tuples with that value) *)
-  mutable columns : Column.t option;
-      (* column-major int-array view, never derived by [add]/[remove] *)
   mutable counts : (int, int) Hashtbl.t array option;
       (* per-column occurrence counts (value id -> #rows) backing Stats *)
 }
 
 let fresh_cache () =
-  {
-    lock = Mutex.create ();
-    arr = None;
-    members = None;
-    vals = None;
-    by_col = [];
-    columns = None;
-    counts = None;
-  }
+  { lock = Mutex.create (); arr = None; by_col = []; counts = None }
 
 (* Revisions: every distinct tuple set materialized through this module
    gets a process-unique integer, so equal revisions imply equal tuple
@@ -125,97 +107,38 @@ let bump_counts delta counts tup =
 
 let peek_counts r = Mutex.protect r.cache.lock (fun () -> r.cache.counts)
 
-(* ---- one-tuple derivation of every cached structure ---------------- *)
-
-(* Lowest index in the ascending [arr] whose element is >= [tup]: the
-   sorted row position of an insertion, or of the tuple being removed. *)
-let bsearch arr tup =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Tuple.compare arr.(mid) tup < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let array_insert arr pos x =
-  let n = Array.length arr in
-  let out = Array.make (n + 1) x in
-  Array.blit arr 0 out 0 pos;
-  Array.blit arr pos out (pos + 1) (n - pos);
-  out
-
-let array_remove arr pos =
-  let n = Array.length arr in
-  let out = Array.make (n - 1) [||] in
-  Array.blit arr 0 out 0 pos;
-  Array.blit arr (pos + 1) out pos (n - 1 - pos);
-  out
+(* ---- one-tuple derivation of the write-maintained structures ------- *)
 
 let rec bucket_insert tup = function
   | [] -> [ tup ]
   | t :: rest as l ->
       if Tuple.compare tup t < 0 then tup :: l else t :: bucket_insert tup rest
 
-(* Merge the (sorted, distinct) value list with the tuple's values. *)
-let merge_vals vs tup =
-  let rec go vs ws =
-    match (vs, ws) with
-    | [], ws -> ws
-    | vs, [] -> vs
-    | v :: vr, w :: wr ->
-        let c = Value.compare v w in
-        if c < 0 then v :: go vr ws
-        else if c > 0 then w :: go vs wr
-        else v :: go vr wr
-  in
-  go vs (Vset.elements (Array.fold_left (fun s v -> Vset.add v s) Vset.empty tup))
-
 let counts_have cts v =
   match Intern.find v with
   | None -> false
   | Some id -> Array.exists (fun tbl -> Hashtbl.mem tbl id) cts
 
-(* Drop the removed tuple's values that no longer occur anywhere in the
-   relation, as witnessed by the derived count tables. *)
-let prune_vals cts vs tup =
-  let gone =
-    Array.fold_left
-      (fun s v -> if counts_have cts v then s else Vset.add v s)
-      Vset.empty tup
-  in
-  if Vset.is_empty gone then vs
-  else List.filter (fun v -> not (Vset.mem v gone)) vs
-
-(* Derive every structure the parent has already built, by copying it and
-   applying the one-tuple delta — never a from-scratch rebuild, and never
-   a mutation of the parent's (published) structures.  [child] is freshly
+(* Derive the by-column indexes and the counts the parent has already
+   built — the structures plans and {!Stats} read after a write — by
+   copying them and applying the one-tuple delta: never a from-scratch
+   rebuild, and never a mutation of the parent's (published) structures.
+   The sorted array is left to its lazy rebuild.  [child] is freshly
    built and unpublished, so its cache needs no lock yet.
 
    An injected ["rel.maintain"] fault degrades cleanly: the partially
    derived structures are dropped and the child falls back to the lazy
    from-scratch rebuilds — correctness never depends on derivation. *)
 let derive_caches parent delta tup child =
-  let arr, members, vals, by_col, counts =
+  let by_col, counts =
     let c = parent.cache in
-    Mutex.protect c.lock (fun () -> (c.arr, c.members, c.vals, c.by_col, c.counts))
+    Mutex.protect c.lock (fun () -> (c.by_col, c.counts))
   in
-  if arr <> None || members <> None || vals <> None || by_col <> [] || counts <> None
-  then begin
+  if by_col <> [] || counts <> None then begin
     let cc = child.cache in
     try
       Robust.Fault.hit "rel.maintain";
-      (match arr with
-      | Some a ->
-          let p = bsearch a tup in
-          cc.arr <- Some (if delta > 0 then array_insert a p tup else array_remove a p)
-      | None -> ());
       cc.counts <- Option.map (fun cts -> bump_counts delta cts tup) counts;
-      (match members with
-      | Some m ->
-          let m' = Ttbl.copy m in
-          if delta > 0 then Ttbl.replace m' tup () else Ttbl.remove m' tup;
-          cc.members <- Some m'
-      | None -> ());
       cc.by_col <-
         List.map
           (fun (col, ix) ->
@@ -231,23 +154,8 @@ let derive_caches parent delta tup child =
                | b -> Hashtbl.replace ix' k b);
             (col, ix'))
           by_col;
-      (match vals with
-      | Some vs ->
-          if delta > 0 then cc.vals <- Some (merge_vals vs tup)
-          else (
-            match cc.counts with
-            | Some cts -> cc.vals <- Some (prune_vals cts vs tup)
-            | None ->
-                (* without count tables, residual occurrences of the
-                   removed values cannot be decided cheaply: leave the
-                   value list to the lazy rebuild *)
-                ())
-      | None -> ());
       Observe.bump c_maintained
     with Robust.Fault.Injected _ ->
-      cc.arr <- None;
-      cc.members <- None;
-      cc.vals <- None;
       cc.by_col <- [];
       cc.counts <- None;
       Observe.bump c_degraded
@@ -385,20 +293,6 @@ let to_array r =
         r.tuples;
       a)
 
-let members r =
-  let c = r.cache in
-  force c.lock
-    (fun () -> c.members)
-    (fun m -> c.members <- Some m)
-    (fun () ->
-      let m = Ttbl.create (max 16 (Tset.cardinal r.tuples)) in
-      Tset.iter (fun t -> Ttbl.replace m t ()) r.tuples;
-      m)
-
-let fast_mem r =
-  let m = members r in
-  fun t -> Ttbl.mem m t
-
 type index = (int, Tuple.t list) Hashtbl.t
 
 let index_on r col =
@@ -433,27 +327,14 @@ let indexed_cols r =
       List.sort_uniq Int.compare (List.map fst r.cache.by_col))
 
 let values r =
-  let c = r.cache in
-  force c.lock
-    (fun () -> c.vals)
-    (fun vs -> c.vals <- Some vs)
-    (fun () ->
-      Tset.fold
-        (fun t acc -> Array.fold_left (fun acc v -> Vset.add v acc) acc t)
-        r.tuples Vset.empty
-      |> Vset.elements)
+  Tset.fold
+    (fun t acc -> Array.fold_left (fun acc v -> Vset.add v acc) acc t)
+    r.tuples Vset.empty
+  |> Vset.elements
 
 let columns r =
-  let a = to_array r in
-  let c = r.cache in
-  force c.lock
-    (fun () -> c.columns)
-    (fun col ->
-      c.columns <- Some col;
-      (* the column build counts occurrences anyway; publish them as the
-         stats backing unless incremental derivation got there first *)
-      if c.counts = None then c.counts <- Some (Column.counts col))
-    (fun () -> Column.of_tuples ~name:r.schema.Schema.name ~arity:(arity r) a)
+  Column.of_tuples ~name:r.schema.Schema.name ~arity:(arity r)
+    (Array.of_list (Tset.elements r.tuples))
 
 let col_counts r =
   let c = r.cache in
@@ -475,8 +356,6 @@ let col_counts r =
       counts)
 
 let has_counts r = Mutex.protect r.cache.lock (fun () -> r.cache.counts <> None)
-let has_array r = Mutex.protect r.cache.lock (fun () -> r.cache.arr <> None)
-let has_members r = Mutex.protect r.cache.lock (fun () -> r.cache.members <> None)
 
 let has_index_on r col =
   Mutex.protect r.cache.lock (fun () -> List.mem_assoc col r.cache.by_col)

@@ -23,13 +23,13 @@ val mem : Tuple.t -> t -> bool
 
 val add : Tuple.t -> t -> t
 (** Adding a tuple already present returns the relation unchanged (same
-    caches, same revision).  Otherwise every derived structure the parent
-    has already built — sorted array, hash member table, distinct-value
-    list, by-column indexes and the per-column counts backing {!Stats} —
-    is maintained incrementally: copied and patched with the one-tuple
-    delta instead of rebuilt from scratch on next demand.  Structures the
-    parent never built stay lazy, and so does the column view
-    ({!columns}), which writes never maintain.  Maintenance probes the [Robust.Fault] site
+    caches, same revision).  Otherwise the by-column indexes and the
+    per-column counts backing {!Stats} that the parent has already built —
+    the structures plans read after a write — are maintained
+    incrementally: copied and patched with the one-tuple delta instead of
+    rebuilt from scratch on next demand.  Structures the parent never
+    built stay lazy, and so does the sorted array ({!to_array}), which
+    writes never derive.  Maintenance probes the [Robust.Fault] site
     ["rel.maintain"]; an injected fault degrades to the lazy from-scratch
     rebuild (counter [rel.maintain_degraded]). *)
 
@@ -86,8 +86,8 @@ val rename : Schema.t -> t -> t
     mismatch. *)
 
 val values : t -> Value.t list
-(** All values appearing in the relation, deduplicated and sorted.  Cached
-    after the first call. *)
+(** All values appearing in the relation, deduplicated and sorted; a fold
+    over the tuple set on every call. *)
 
 (** {1 Fast paths}
 
@@ -95,9 +95,9 @@ val values : t -> Value.t list
     relation value, and cached.  Every operation that derives a relation
     with a different tuple set ([filter], set operations, ...) starts from
     an empty cache, so a stale index can never be observed; [add]/[remove]
-    instead derive the structures their parent already built by copying
-    them and applying the one-tuple delta (same visible answers, no stale
-    state — the copies belong to the new relation alone).  Fetching and
+    instead derive the indexes and counts their parent already built by
+    copying them and applying the one-tuple delta (same visible answers,
+    no stale state — the copies belong to the new relation alone).  Fetching and
     publication synchronise on a per-relation mutex, but the build itself
     runs outside it: concurrent forcing from several domains is an
     idempotent double-force (each domain computes the same pure function
@@ -111,11 +111,6 @@ val values : t -> Value.t list
 val to_array : t -> Tuple.t array
 (** The tuples in increasing {!Tuple.compare} order, cached.  The array is
     shared: callers must not mutate it. *)
-
-val fast_mem : t -> Tuple.t -> bool
-(** Hash-backed membership (same answers as {!mem}).  The member table is
-    built on first use; partial application ([let m = fast_mem r in ...])
-    fetches it once for a batch of probes. *)
 
 type index
 (** A by-column hash index: interned value id of the column -> tuples. *)
@@ -136,29 +131,23 @@ val indexed_cols : t -> int list
 
 val columns : t -> Column.t
 (** The column-major int-array view of the relation (row [r] = the [r]-th
-    tuple of {!to_array}), built on first request and cached.  No plan
-    operator reads it (leaf scans read the tuple set and the by-column
-    indexes); a relation derived by {!add}/{!remove} rebuilds it on
-    demand. *)
+    tuple in increasing {!Tuple.compare} order), built afresh on every
+    call and not cached: no plan operator reads it (leaf scans read the
+    tuple set and the by-column indexes). *)
 
 val col_counts : t -> (int, int) Hashtbl.t array
 (** Per-column occurrence counts (interned value id -> number of rows),
-    the backing store for {!Stats}.  Taken from {!columns} when that view
-    is built, derived incrementally by {!add}/{!remove}, or computed in
-    one pass otherwise.  Shared and immutable after publication. *)
+    the backing store for {!Stats}.  Derived incrementally by
+    {!add}/{!remove} when the parent has them, computed in one pass
+    otherwise.  Shared and immutable after publication. *)
 
 val has_counts : t -> bool
 (** Whether the count tables are already present (built or incrementally
     derived) — for tests asserting incremental maintenance. *)
 
-val has_array : t -> bool
-(** Whether the sorted tuple array is present, without building it
-    (likewise {!has_members}, {!has_index_on}) — for tests asserting what
-    {!add}/{!remove} derived. *)
-
-val has_members : t -> bool
-
 val has_index_on : t -> int -> bool
+(** Whether the index on a column is present, without building it — for
+    tests asserting what {!add}/{!remove} derived. *)
 
 val counts_mem : t -> Value.t -> bool option
 (** [counts_mem r v]: whether [v] occurs in [r], answered from the count

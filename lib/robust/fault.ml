@@ -16,7 +16,6 @@ let sites =
     "memo.compat";
     "memo.valid";
     "rel.maintain";
-    "datalog.round";
     "plan.join";
     "plan.round";
     "oracle.node";

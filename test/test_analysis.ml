@@ -107,7 +107,7 @@ let test_stratified_negation_eval () =
   in
   check_int "two strata" 2
     (match Qlang.Datalog.strata_count p with Some n -> n | None -> -1);
-  let ans = Qlang.Datalog.eval db p in
+  let ans = Oracle.eval_program db p in
   check "complement through negation" true
     (Relation.equal ans
        (Relation.of_int_rows (Schema.make "C" [ "x" ]) [ [ 1 ]; [ 2 ] ]));
@@ -222,7 +222,7 @@ let test_sp_scan_agrees_with_generic () =
       Instance.make ~db ~select:qq ~cost:Rating.card_or_infinite
         ~value:Rating.count ~budget:10. ()
     in
-    Relation.equal (Instance.candidates inst) (Qlang.Query.eval_legacy db qq)
+    Relation.equal (Instance.candidates inst) (Oracle.eval db qq)
   in
   check "SP selection" true (agree (fo "Q(x) := exists y. R(x, y) & x < 3"));
   check "SP with constant" true (agree (fo "Q(y) := R(2, y)"));

@@ -52,8 +52,6 @@ let rebuild_db db = Database.of_relations (List.map rebuild (Database.relations 
    rather than starting from a cold cache. *)
 let force_caches r =
   ignore (Relation.to_array r);
-  ignore (Relation.fast_mem r (Tuple.of_ints [ 0 ]));
-  ignore (Relation.values r);
   ignore (Relation.col_counts r);
   ignore (Relation.index_on r 0);
   r
@@ -134,7 +132,7 @@ let test_bitmap_65th_value () =
   check "plan route agrees with the legacy oracle" true
     (Relation.equal
        (Query.eval db1 (Query.Fo head_q))
-       (Query.eval_legacy db1 (Query.Fo head_q)));
+       (Oracle.eval db1 (Query.Fo head_q)));
   (* Dual direction: a value leaving its last row reads as empty through a
      plan compiled while it was present, exactly like a rebuild. *)
   let gone_q = select 0 in
@@ -144,7 +142,7 @@ let test_bitmap_65th_value () =
     (Relation.is_empty (Plan.run db2 t_gone));
   check "removal agrees with the legacy oracle" true
     (Relation.equal (Plan.run db2 t_gone)
-       (Query.eval_legacy db2 (Query.Fo gone_q)))
+       (Oracle.eval db2 (Query.Fo gone_q)))
 
 (* ---------- regressions: memo and plan-cache churn semantics ---------- *)
 
@@ -297,7 +295,7 @@ let test_differential_datalog () =
   check_int "transitive closure froze" 1 (Plan.delta_cached_nodes d);
   let agree rq =
     Relation.equal (Plan.delta_eval d rq)
-      (Query.eval_legacy (Database.add rq db) (Query.Dl prog))
+      (Oracle.eval (Database.add rq db) (Query.Dl prog))
   in
   check "delta = from-scratch (one item)" true
     (agree (Relation.of_int_rows rq_schema [ [ 1; 5 ] ]));
@@ -313,7 +311,7 @@ let test_differential_datalog () =
   check "frozen answer still evaluates" true
     (Relation.equal
        (Plan.delta_eval d2 (Relation.of_int_rows rq_schema [ [ 1; 1 ] ]))
-       (Query.eval_legacy db (Query.Dl tc)))
+       (Oracle.eval db (Query.Dl tc)))
 
 (* ---------- property: maintained structures = from-scratch rebuild ---------- *)
 
@@ -338,7 +336,7 @@ let prop_incremental_structures =
            else Relation.remove tup !r);
         let fresh = rebuild !r in
         let probes = List.init 6 (fun v -> Value.Int v) in
-        let mem = Relation.fast_mem !r in
+        let mem tup = Relation.mem tup !r in
         ok :=
           !ok
           && Relation.has_counts !r (* maintained, never degraded *)
@@ -412,7 +410,7 @@ let prop_churn_all_languages =
       let fo_ok =
         List.for_all
           (fun query ->
-            let reference = Query.eval_legacy oracle_db query in
+            let reference = Oracle.eval oracle_db query in
             Relation.equal reference (Query.eval churned query)
             &&
             match query with
@@ -426,7 +424,7 @@ let prop_churn_all_languages =
         List.for_all
           (fun prog ->
             Relation.equal
-              (Query.eval_legacy oracle_db (Query.Dl prog))
+              (Oracle.eval oracle_db (Query.Dl prog))
               (Plan.run churned (Plan.compile_datalog churned prog)))
           [ nr_program; tc_program ]
       in

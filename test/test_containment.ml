@@ -83,8 +83,8 @@ let prop_containment_sound =
       else if not (Qlang.Containment.contained q1 q2) then true
       else
         Relation.subset
-          (Qlang.Fo_eval.eval_query db q1)
-          (Qlang.Fo_eval.eval_query db q2))
+          (Oracle.eval_query db q1)
+          (Oracle.eval_query db q2))
 
 let prop_minimize_preserves_answers =
   QCheck.Test.make ~name:"minimize preserves answers on random databases"
@@ -96,8 +96,8 @@ let prop_minimize_preserves_answers =
       in
       let query = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:3 in
       let minimized = Qlang.Containment.minimize query in
-      let a = Qlang.Fo_eval.eval_query db query in
-      let b = Qlang.Fo_eval.eval_query db minimized in
+      let a = Oracle.eval_query db query in
+      let b = Oracle.eval_query db minimized in
       Relation.equal a b)
 
 let prop_minimize_idempotent =

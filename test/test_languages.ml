@@ -194,7 +194,7 @@ let test_evaluators_agree_on_selects () =
       check ("planner agrees: " ^ qstr) true
         (Relation.equal
            (Qlang.Query.eval db (Qlang.Query.Fo query))
-           (Qlang.Fo_eval.eval_query db query)))
+           (Oracle.eval_query db query)))
     [
       "Q(n, s) := L(n, s) & s > 2";
       "Q(n, s) := exists m. E(n, m) & L(n, s)";

@@ -1,8 +1,10 @@
 (* Differential tests for the physical-plan engine: every language routes
    through [Plan], and on random databases and queries the plan
    interpreter must agree exactly with the reference semantics
-   [Query.eval_legacy] ([Fo_eval] for FO queries, the naive [Datalog.eval]
-   for programs), the one oracle.  Also covers the plan operators on
+   [Oracle.eval] (the naive active-domain FO evaluator for queries, the
+   naive stratified fixpoint for programs), the one oracle.  Test names
+   that say [Fo_eval], [Datalog.eval] or [Query.eval_legacy] name that
+   oracle by its former place in the library.  Also covers the plan operators on
    hand-written plans, compiler rejections, the plan cache, delta
    re-evaluation, shape certification and [explain]. *)
 
@@ -140,7 +142,7 @@ let test_compile_hand () =
       check ("compile: " ^ qstr) true
         (Relation.equal
            (Plan.run rs_db (Plan.compile_fo rs_db q))
-           (Fo_eval.eval_query rs_db q)))
+           (Oracle.eval_query rs_db q)))
     [
       "Q(x, z) := exists y. R(x, y) & S(y, z)";
       "Q(x) := R(x, x)";
@@ -160,7 +162,7 @@ let test_compile_hand () =
     ]
 
 (* The plan compiler rejects ill-formed programs under its own name: the
-   production route never calls [Datalog.eval], so its errors must not
+   production route never reaches the test oracle, so its errors must not
    name it. *)
 let test_compile_rejections () =
   let g = Workload.Random_db.graph (Random.State.make [| 5 |]) ~nodes:4 ~edges:6 in
@@ -180,7 +182,7 @@ let prop_cq_agrees =
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:4 in
-      Relation.equal (Fo_eval.eval_query db q) (Plan.run db (Plan.compile_fo db q)))
+      Relation.equal (Oracle.eval_query db q) (Plan.run db (Plan.compile_fo db q)))
 
 (* ---------- UCQ: random disjunctions ---------- *)
 
@@ -205,7 +207,7 @@ let prop_ucq_agrees =
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = random_ucq rng db ~disjuncts:2 in
-      Relation.equal (Fo_eval.eval_query db q) (Plan.run db (Plan.compile_fo db q)))
+      Relation.equal (Oracle.eval_query db q) (Plan.run db (Plan.compile_fo db q)))
 
 (* ---------- FO: negation, comparisons, universal quantifiers ---------- *)
 
@@ -251,7 +253,7 @@ let prop_fo_agrees =
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = random_fo rng db in
-      let reference = Fo_eval.eval_query db q in
+      let reference = Oracle.eval_query db q in
       Relation.equal reference (Plan.run db (Plan.compile_fo db q)))
 
 (* ---------- guarded negation: anti-joins, no active domain ---------- *)
@@ -332,7 +334,7 @@ let prop_guarded_fo =
       s.Plan.anti_joins >= 1
       && s.Plan.complements = 0 && s.Plan.builtins = 0 && s.Plan.extends = 0
       && (not (Plan.adom_sensitive plan))
-      && Relation.equal (Query.eval_legacy db (Query.Fo q)) (Plan.run db plan))
+      && Relation.equal (Oracle.eval db (Query.Fo q)) (Plan.run db plan))
 
 (* ---------- Datalog: recursion and stratified negation ---------- *)
 
@@ -377,7 +379,7 @@ let prop_datalog_agrees =
       let db = Workload.Random_db.graph rng ~nodes:6 ~edges:10 in
       List.for_all
         (fun p ->
-          Relation.equal (Datalog.eval db p)
+          Relation.equal (Oracle.eval_program db p)
             (Plan.run db (Plan.compile_datalog db p)))
         [ tc_program; unreachable_program ])
 
@@ -410,7 +412,7 @@ let prop_datalog_neg_anti_join =
           let plan = Plan.compile_datalog db p in
           let s = Plan.shape plan in
           s.Plan.anti_joins >= 1 && s.Plan.complements = 0
-          && Relation.equal (Datalog.eval db p) (Plan.run db plan))
+          && Relation.equal (Oracle.eval_program db p) (Plan.run db plan))
         (unreachable_program :: neg_programs (Random.State.int rng 6)))
 
 (* Random recursive programs over the graph [E]: linear recursion on
@@ -462,8 +464,8 @@ let prop_recursive_programs_under_writes =
       let rng = Random.State.make [| seed |] in
       let p = random_recursive_program rng in
       let agrees db =
-        Relation.equal (Datalog.eval db p) (Plan.run db (Plan.compile_datalog db p))
-        && Relation.equal (Datalog.eval db p) (Query.eval db (Query.Dl p))
+        Relation.equal (Oracle.eval_program db p) (Plan.run db (Plan.compile_datalog db p))
+        && Relation.equal (Oracle.eval_program db p) (Query.eval db (Query.Dl p))
       in
       let write db =
         let e = Database.find db "E" in
@@ -509,8 +511,8 @@ let test_fixpoint_counters () =
        ?- reach."
   in
   let answer = Plan.run db (Plan.compile_datalog db p) in
-  check "reachable.dl = Datalog.eval" true
-    (Relation.equal answer (Datalog.eval db p));
+  check "reachable.dl = Oracle.eval_program" true
+    (Relation.equal answer (Oracle.eval_program db p));
   let rounds = counter_value "plan.fixpoint_rounds" in
   check "the fixpoint iterated" true (rounds >= 2);
   check_int "round 0 scans no IDB: two delta scans per round"
@@ -522,6 +524,44 @@ let test_fixpoint_counters () =
   check_int "one flight passes" 1 (Relation.cardinal answer);
   check_int "the filtered scan adds only its passing rows" 1
     (counter_value "plan.rows")
+
+(* ---------- the oracle stays independent of the engine it checks ---------- *)
+
+(* [Oracle.eval] over every shipped example query and program bumps no
+   [plan.*] counter and leaves no plan-cache entry behind: the first
+   cached compile afterwards still misses.  An oracle routed through
+   [Plan] would agree with it by construction and check nothing.
+   [dune runtest] runs in the build's test directory, [dune exec] from
+   the project root. *)
+let test_oracle_independent () =
+  let dir = List.find Sys.file_exists [ "../examples/queries"; "examples/queries" ] in
+  let read f = In_channel.with_open_text (Filename.concat dir f) In_channel.input_all in
+  let db = Database.of_string (read "db.txt") in
+  let queries =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter_map (fun f ->
+           if Filename.check_suffix f ".q" then
+             Some (Query.Fo (Parser.parse_query (read f)))
+           else if Filename.check_suffix f ".dl" then
+             Some (Query.Dl (Parser.parse_program (read f)))
+           else None)
+  in
+  check "the corpus has queries and programs" true
+    (List.exists (function Query.Fo _ -> true | _ -> false) queries
+    && List.exists (function Query.Dl _ -> true | _ -> false) queries);
+  with_tracing @@ fun () ->
+  List.iter (fun q -> ignore (Oracle.eval db q)) queries;
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Observe.Count n when String.starts_with ~prefix:"plan." name ->
+          check_int (name ^ " untouched by the oracle") 0 n
+      | _ -> ())
+    (Observe.snapshot ());
+  List.iter (fun q -> ignore (Query.plan db q)) queries;
+  check_int "no plan-cache entry from the oracle" 0 (counter_value "plan.cache_hit");
+  check_int "every cached compile misses" (List.length queries)
+    (counter_value "plan.cache_miss")
 
 (* ---------- Query.eval routing = legacy across all six languages ---------- *)
 
@@ -540,7 +580,7 @@ let prop_query_eval_matches_legacy =
         ]
       in
       List.for_all
-        (fun q -> Relation.equal (Query.eval db q) (Query.eval_legacy db q))
+        (fun q -> Relation.equal (Query.eval db q) (Oracle.eval db q))
         qs
       &&
       let g = Workload.Random_db.graph rng ~nodes:5 ~edges:8 in
@@ -548,7 +588,7 @@ let prop_query_eval_matches_legacy =
         (fun p ->
           Relation.equal
             (Query.eval g (Query.Dl p))
-            (Query.eval_legacy g (Query.Dl p)))
+            (Oracle.eval g (Query.Dl p)))
         [ tc_program; unreachable_program ])
 
 (* ---------- delta re-evaluation vs full recompute ---------- *)
@@ -578,7 +618,7 @@ let prop_delta_matches_full =
           let rq =
             Workload.Random_db.relation rng rq_schema ~rows:3 ~domain:4
           in
-          let full = Query.eval_legacy (Database.add rq db) (Query.Fo qc) in
+          let full = Oracle.eval (Database.add rq db) (Query.Fo qc) in
           Relation.equal full (Engine.delta_eval d rq)
           && Engine.delta_is_empty d rq = Relation.is_empty full)
         [ (); (); () ])
@@ -607,7 +647,7 @@ let prop_delta_datalog_matches_full =
       in
       let d = Engine.delta_prepare db ~rel:"RQ" ~schema:rq_schema (Query.Dl p) in
       let rq = Workload.Random_db.relation rng rq_schema ~rows:2 ~domain:5 in
-      let full = Query.eval_legacy (Database.add rq db) (Query.Dl p) in
+      let full = Oracle.eval (Database.add rq db) (Query.Dl p) in
       Relation.equal full (Engine.delta_eval d rq)
       && Engine.delta_is_empty d rq = Relation.is_empty full)
 
@@ -698,8 +738,8 @@ let test_disjunctive_filter () =
   check "not adom-sensitive" false (Plan.adom_sensitive plan);
   check "certified" true
     (Analysis.Plan_check.ok (Analysis.Plan_check.check ~db ~query:(Query.Fo q) plan));
-  check "= Query.eval_legacy" true
-    (Relation.equal (Plan.run db plan) (Query.eval_legacy db (Query.Fo q)));
+  check "= Oracle.eval" true
+    (Relation.equal (Plan.run db plan) (Oracle.eval db (Query.Fo q)));
   let text = Format.asprintf "%a" Plan.pp plan in
   check "prints the disjunction" true (contains ~sub:"filter s = 1 | s = 3" text);
   (* and the raw notation reads it back *)
@@ -873,7 +913,11 @@ let () =
             prop_datalog_neg_anti_join;
             prop_recursive_programs_under_writes;
           ]
-        @ [ Alcotest.test_case "fixpoint counters" `Quick test_fixpoint_counters ] );
+        @ [
+            Alcotest.test_case "fixpoint counters" `Quick test_fixpoint_counters;
+            Alcotest.test_case "oracle is independent of the plan engine" `Quick
+              test_oracle_independent;
+          ] );
       ( "delta",
         qsuite [ prop_delta_matches_full; prop_delta_datalog_matches_full ]
         @ [

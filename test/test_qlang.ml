@@ -172,7 +172,7 @@ let test_query_language () =
 
 (* ---------- FO evaluation ---------- *)
 
-let eval_q str = Qlang.Fo_eval.eval_query db (q str)
+let eval_q str = Oracle.eval_query db (q str)
 
 let test_eval_join () =
   let ans = eval_q "Q(x, z) := exists y. R(x, y) & S(y, z)" in
@@ -188,7 +188,7 @@ let test_eval_selection_constants () =
 let test_eval_repeated_vars () =
   let rr = Relation.of_int_rows (Schema.make "W" [ "a"; "b" ]) [ [ 1; 1 ]; [ 1; 2 ] ] in
   let db = Database.add rr db in
-  let ans = Qlang.Fo_eval.eval_query db (q "Q(x) := W(x, x)") in
+  let ans = Oracle.eval_query db (q "Q(x) := W(x, x)") in
   check "repeated vars" true
     (Relation.equal ans (Relation.of_int_rows (Schema.make "Q" [ "x" ]) [ [ 1 ] ]))
 
@@ -200,9 +200,9 @@ let test_eval_negation () =
 
 let test_eval_forall () =
   check "forall holds" true
-    (Qlang.Fo_eval.holds db (f "forall x. (exists y. R(x, y)) -> x < 4"));
+    (Oracle.holds db (f "forall x. (exists y. R(x, y)) -> x < 4"));
   check "forall fails" false
-    (Qlang.Fo_eval.holds db (f "forall x. exists y. R(x, y)"))
+    (Oracle.holds db (f "forall x. exists y. R(x, y)"))
 
 let test_eval_disjunction_padding () =
   (* Or with different free variables pads over the active domain. *)
@@ -211,8 +211,8 @@ let test_eval_disjunction_padding () =
   check_int "or padding" 5 (Relation.cardinal ans)
 
 let test_eval_true_false () =
-  check "true holds" true (Qlang.Fo_eval.holds db True);
-  check "false fails" false (Qlang.Fo_eval.holds db False)
+  check "true holds" true (Oracle.holds db True);
+  check "false fails" false (Oracle.holds db False)
 
 let test_eval_head_constants_adom () =
   (* A head variable bound only by a comparison with a constant: the
@@ -225,12 +225,12 @@ let test_eval_unknown_relation () =
   (try
      ignore (eval_q "Q(x) := Zorp(x)");
      Alcotest.fail "expected failure"
-   with Failure msg -> check "unknown relation" true (msg = "Fo_eval: unknown relation Zorp"))
+   with Failure msg -> check "unknown relation" true (msg = "Oracle: unknown relation Zorp"))
 
 let test_eval_dist () =
   let dist = Qlang.Dist.add "num" Qlang.Dist.numeric Qlang.Dist.empty in
   let query = q "Q(x) := U(x) & dist[num](x, 1) <= 1" in
-  let ans = Qlang.Fo_eval.eval_query ~dist db query in
+  let ans = Oracle.eval_query ~dist db query in
   check_int "dist atom" 2 (Relation.cardinal ans)
 
 let test_eval_nullary () =
@@ -248,7 +248,7 @@ let test_cq_matches_fo_hand () =
     (fun str ->
       let query = q str in
       check ("cq=fo: " ^ str) true
-        (Relation.equal (Qlang.Fo_eval.eval_query db query) (plan_eval db query)))
+        (Relation.equal (Oracle.eval_query db query) (plan_eval db query)))
     [
       "Q(x, z) := exists y. R(x, y) & S(y, z)";
       "Q(x) := R(x, y) & x != y & y <= 3";
@@ -270,7 +270,7 @@ let prop_cq_matches_fo =
           ~rows:6 ~domain:4
       in
       let query = Workload.Random_db.random_cq rng db ~natoms:3 ~nvars:4 in
-      Relation.equal (Qlang.Fo_eval.eval_query db query) (plan_eval db query))
+      Relation.equal (Oracle.eval_query db query) (plan_eval db query))
 
 (* ---------- Datalog ---------- *)
 
@@ -313,7 +313,7 @@ let test_datalog_tc () =
   let expected =
     Relation.of_int_rows (Schema.make "T" [ "a0"; "a1" ]) (reach_reference edges)
   in
-  check "naive TC" true (Relation.equal (Qlang.Datalog.eval db tc) expected);
+  check "naive TC" true (Relation.equal (Oracle.eval_program db tc) expected);
   check "plan fixpoint TC" true
     (Relation.equal (Qlang.Query.eval db (Qlang.Query.Dl tc)) expected)
 
@@ -323,7 +323,7 @@ let test_datalog_builtins () =
       "Small(x, y) :- E(x, y), x < y. ?- Small."
   in
   let db = graph_db [ [ 1; 2 ]; [ 3; 2 ]; [ 2; 2 ] ] in
-  check_int "builtin filter" 1 (Relation.cardinal (Qlang.Datalog.eval db p))
+  check_int "builtin filter" 1 (Relation.cardinal (Oracle.eval_program db p))
 
 let test_datalog_facts_and_constants () =
   let p =
@@ -331,7 +331,7 @@ let test_datalog_facts_and_constants () =
       "Start(1). Reach(x) :- Start(x). Reach(y) :- Reach(x), E(x, y). ?- Reach."
   in
   let db = graph_db [ [ 1; 2 ]; [ 2; 3 ]; [ 5; 6 ] ] in
-  check_int "reachable from 1" 3 (Relation.cardinal (Qlang.Datalog.eval db p))
+  check_int "reachable from 1" 3 (Relation.cardinal (Oracle.eval_program db p))
 
 let test_datalog_check_errors () =
   let db = graph_db [ [ 1; 2 ] ] in
@@ -369,8 +369,8 @@ let test_datalog_vs_fo_on_bounded_path () =
   in
   let fo = q "Q(x, z) := E(x, z) | (exists y. E(x, y) & E(y, z))" in
   let db = graph_db [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 1; 3 ] ] in
-  let a = Qlang.Datalog.eval db p in
-  let b = Qlang.Fo_eval.eval_query db fo in
+  let a = Oracle.eval_program db p in
+  let b = Oracle.eval_query db fo in
   check "datalog = FO on bounded paths" true
     (Relation.equal
        (Relation.rename (Schema.make "X" [ "a"; "b" ]) a)
@@ -497,7 +497,7 @@ let test_dist_functions () =
 let test_sp_eval () =
   let query = q "Q(x) := exists y. R(x, y) & x < 3 & y != 2" in
   let a = Core.Special.eval_sp db query in
-  let b = Qlang.Fo_eval.eval_query db query in
+  let b = Oracle.eval_query db query in
   check "sp = fo" true (Relation.equal a b);
   try
     ignore (Core.Special.eval_sp db (q "Q(x) := R(x, y) & S(y, z)"));
@@ -517,7 +517,7 @@ let prop_sp_matches_fo =
           (Printf.sprintf "Q(x, y) := exists z. R(x, y, z) & x <= %d & y != %d" c
              (Random.State.int rng 5))
       in
-      Relation.equal (Core.Special.eval_sp db query) (Qlang.Fo_eval.eval_query db query))
+      Relation.equal (Core.Special.eval_sp db query) (Oracle.eval_query db query))
 
 let () =
   Alcotest.run "qlang"

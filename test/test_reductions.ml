@@ -54,7 +54,7 @@ let test_gadget_encoders () =
               Qlang.Ast.conj (Reductions.Gadgets.assign_all xs @ conjs);
           }
         in
-        let ans = Qlang.Fo_eval.eval_query Reductions.Gadgets.db q in
+        let ans = Oracle.eval_query Reductions.Gadgets.db q in
         Seq.iter
           (fun a ->
             let expected = Cnf.holds cnf a in
@@ -90,7 +90,7 @@ let test_gadget_dnf_encoder () =
           body = Qlang.Ast.conj (Reductions.Gadgets.assign_all xs @ conjs);
         }
       in
-      let ans = Qlang.Fo_eval.eval_query Reductions.Gadgets.db q in
+      let ans = Oracle.eval_query Reductions.Gadgets.db q in
       check_int "one row per assignment" 8 (Relational.Relation.cardinal ans);
       Seq.iter
         (fun a ->
@@ -302,7 +302,7 @@ let test_ea_dnf_datalognr_witnesses () =
       let phi = Gen.ea_dnf rng ~m:3 ~n:2 ~nterms:3 in
       let db, prog = Reductions.Membership.ea_dnf_to_datalognr phi in
       check "nonrecursive" true (Qlang.Datalog.is_nonrecursive prog);
-      let w = Qlang.Datalog.eval db prog in
+      let w = Oracle.eval_program db prog in
       (* W(x̄) must hold exactly on the ∀Y-witnesses *)
       Seq.iter
         (fun xa ->

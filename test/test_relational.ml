@@ -207,7 +207,6 @@ let test_concurrent_forcing () =
       (List.init 200 (fun i -> [ i mod 17; i mod 5; i ]))
   in
   let expect_arr = Relation.to_array base in
-  let expect_vals = Relation.values base in
   let expect_probe = Relation.select_eq base 0 (Value.Int 3) in
   let domains =
     List.init 4 (fun d ->
@@ -216,19 +215,14 @@ let test_concurrent_forcing () =
                different caches first *)
             let order =
               if d mod 2 = 0 then
-                [ `Arr; `Mem; `Idx; `Vals; `Cols; `Counts ]
-              else [ `Counts; `Cols; `Vals; `Idx; `Mem; `Arr ]
+                [ `Arr; `Idx; `Cols; `Counts ]
+              else [ `Counts; `Cols; `Idx; `Arr ]
             in
             List.map
               (fun what ->
                 match what with
                 | `Arr -> Array.length (Relation.to_array rel)
-                | `Mem ->
-                    if Relation.fast_mem rel (List.hd (Relation.to_list rel))
-                    then 1
-                    else 0
                 | `Idx -> List.length (Relation.select_eq rel 0 (Value.Int 3))
-                | `Vals -> List.length (Relation.values rel)
                 | `Cols -> Relational.Column.rows (Relation.columns rel)
                 | `Counts -> Array.length (Relation.col_counts rel))
               order))
@@ -242,7 +236,6 @@ let test_concurrent_forcing () =
     results;
   (* all domains agree with the sequential baseline *)
   check_int "array" (Array.length expect_arr) (Array.length (Relation.to_array rel));
-  check "values" true (Relation.values rel = expect_vals);
   check "probe" true
     (List.map Tuple.to_list (Relation.select_eq rel 0 (Value.Int 3))
     = List.map Tuple.to_list expect_probe);

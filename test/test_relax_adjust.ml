@@ -51,8 +51,8 @@ let test_apply_const_site () =
   let q' = Relax.apply q [ (site_a1, Relax.Widen 1.) ] in
   (* a = 1 widened to |a - 1| <= 1: rows a ∈ {1, 2} — but row (1,10) was the
      only one before. *)
-  let before = Qlang.Fo_eval.eval_query ~dist num_db q in
-  let after = Qlang.Fo_eval.eval_query ~dist num_db q' in
+  let before = Oracle.eval_query ~dist num_db q in
+  let after = Oracle.eval_query ~dist num_db q' in
   check_int "before" 1 (Relation.cardinal before);
   check_int "after" 2 (Relation.cardinal after);
   check "monotone" true (Relation.subset before after)
@@ -70,10 +70,10 @@ let test_apply_var_site () =
   let dist = Qlang.Dist.add "disc" Qlang.Dist.discrete Qlang.Dist.empty in
   let q = Qlang.Parser.parse_query "Q(a, b) := exists x. R(a, x) & R(x, b)" in
   let site = { Relax.kind = Relax.Var_site "x"; dfun = "disc" } in
-  let before = Qlang.Fo_eval.eval_query ~dist db q in
+  let before = Oracle.eval_query ~dist db q in
   check_int "no join partner" 0 (Relation.cardinal before);
   let q' = Relax.apply q [ (site, Relax.Widen 1.) ] in
-  let after = Qlang.Fo_eval.eval_query ~dist db q' in
+  let after = Oracle.eval_query ~dist db q' in
   (* the join became a cross product: 2 × 2 (a, b) pairs *)
   check_int "cartesian after break" 4 (Relation.cardinal after)
 
@@ -153,8 +153,8 @@ let prop_relaxation_grows_answers =
       let site = { Relax.kind = Relax.Const_site (Value.Int c); dfun = "num" } in
       let d = float_of_int (Random.State.int rng 4) in
       let q' = Relax.apply q [ (site, Relax.Widen d) ] in
-      let before = Qlang.Fo_eval.eval_query ~dist db q in
-      let after = Qlang.Fo_eval.eval_query ~dist db q' in
+      let before = Oracle.eval_query ~dist db q in
+      let after = Oracle.eval_query ~dist db q' in
       Relation.subset before after)
 
 (* ---------- Theorem 7.2 reductions ---------- *)

@@ -545,22 +545,6 @@ let graph_db =
       Relation.of_int_rows (Schema.make "E" [ "s"; "d" ]) [ [ 1; 2 ]; [ 2; 3 ] ];
     ]
 
-let test_fault_datalog_round () =
-  let tc =
-    Qlang.Parser.parse_program
-      "T(x,y) :- E(x,y). T(x,z) :- E(x,y), T(y,z). ?- T."
-  in
-  expect_injected "datalog.round" (fun () -> Qlang.Datalog.eval graph_db tc);
-  check_int "retry reaches the fixpoint" 3
-    (Relation.cardinal (Qlang.Datalog.eval graph_db tc));
-  Fault.arm ~site:"datalog.round" ~nth:1 ~kind:Fault.Exhaust;
-  (match
-     Budget.run ~partial:(fun _ -> None) (fun () -> Qlang.Datalog.eval graph_db tc)
-   with
-  | Budget.Partial { reason = Budget.Fault "datalog.round"; _ } -> ()
-  | _ -> Alcotest.fail "expected Partial fault:datalog.round");
-  Fault.disarm ()
-
 let test_fault_plan_join () =
   (* The plan interpreter's probe-join site, hit through the default
      [Query.eval] route (a column scan joined by an index join). *)
@@ -735,8 +719,6 @@ let test_fault_rel_maintain () =
       check "degraded add still contains the tuple" true (Relation.mem tup r1);
       check_int "degraded add has the right cardinality" 3
         (Relation.cardinal r1);
-      check "degraded result carries no sorted array" false
-        (Relation.has_array r1);
       check "degraded result carries no counts" false (Relation.has_counts r1);
       check "degraded result carries no index" false
         (Relation.has_index_on r1 0);
@@ -749,11 +731,11 @@ let test_fault_rel_maintain () =
       (* Lazy rebuild after degradation answers like a fresh relation. *)
       check "rebuilt index answers correctly" true
         (Relation.select_eq r1 0 (Value.Int 5) = [ tup ]);
-      (* A clean add maintains instead of degrading. *)
+      (* A clean add maintains instead of degrading: it carries the
+         parent's index and counts (the sorted array is never derived). *)
       let r2 = Relation.add (Tuple.of_list [ Value.Int 7; Value.Int 8 ]) r0 in
-      check "clean add carries the parent's caches" true
-        (Relation.has_array r2 && Relation.has_counts r2
-        && Relation.has_index_on r2 0));
+      check "clean add carries the parent's index and counts" true
+        (Relation.has_counts r2 && Relation.has_index_on r2 0));
   (* Exhaust kind propagates: maintenance never swallows budget faults. *)
   Fault.arm ~site:"rel.maintain" ~nth:1 ~kind:Fault.Exhaust;
   (match
@@ -845,7 +827,6 @@ let fault_cases =
     ("memo.compat", test_fault_memo_compat);
     ("memo.valid", test_fault_memo_valid);
     ("rel.maintain", test_fault_rel_maintain);
-    ("datalog.round", test_fault_datalog_round);
     ("plan.join", test_fault_plan_join);
     ("plan.round", test_fault_plan_round);
     ("oracle.node", test_fault_oracle_node);

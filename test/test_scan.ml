@@ -1,6 +1,6 @@
 (* Leaf scans over the row store: differential properties pinning the
    one atom leaf ([Scan], narrowed or not by the covering rewrite) and the
-   index join to the reference oracle [Query.eval_legacy] across every
+   index join to the reference oracle [Oracle.eval] across every
    query language; a constant position reading the maintained by-column
    index; the column view's accessors and the incremental statistics
    under add/remove; the P009 typing negative; and the [explain] lines of
@@ -177,7 +177,7 @@ let prop_scan_matches_legacy =
       in
       List.for_all
         (fun q ->
-          let reference = Query.eval_legacy db (Query.Fo q) in
+          let reference = Oracle.eval db (Query.Fo q) in
           Relation.equal reference (Plan.run db (Plan.compile_fo db q)))
         qs)
 
@@ -215,13 +215,13 @@ let prop_scan_all_languages =
         ]
       in
       List.for_all
-        (fun q -> Relation.equal (Query.eval db q) (Query.eval_legacy db q))
+        (fun q -> Relation.equal (Query.eval db q) (Oracle.eval db q))
         qs
       &&
       let g = Workload.Random_db.graph rng ~nodes:6 ~edges:10 in
       Relation.equal
         (Query.eval g (Query.Dl tc_program))
-        (Query.eval_legacy g (Query.Dl tc_program)))
+        (Oracle.eval g (Query.Dl tc_program)))
 
 (* A join probes the joined relation's cached by-column index, and a write
    keeps that index: the run after an insert probes the maintained copy,
@@ -253,7 +253,7 @@ let test_index_join_probes () =
     in
     go 0 a.Ast.args
   in
-  let legacy db = Query.eval_legacy db (Query.Fo q) in
+  let legacy db = Oracle.eval db (Query.Fo q) in
   check "answer = legacy" true (Relation.equal (Plan.run db plan) (legacy db));
   check "probes ran" true (counter_value "plan.index_probes" >= 1);
   check "the probed relation caches its index" true
@@ -284,7 +284,7 @@ let test_const_reads_index () =
   check_int "no full scan" 0 (counter_value "plan.full_scans");
   check "the stored relation caches its index" true
     (Relation.has_index_on (Database.find db "R") 0);
-  let legacy db = Query.eval_legacy db (Query.Fo q) in
+  let legacy db = Oracle.eval db (Query.Fo q) in
   check "answer = legacy" true (Relation.equal answer (legacy db));
   let db' = Database.insert_tuple "R" (Tuple.of_ints [ 2; 9 ]) db in
   check "the write maintained the index" true
@@ -365,7 +365,7 @@ let test_explain_index_join () =
   let text = Engine.explain db q in
   check "explain names the index join" true (contains ~sub:"index-join" text);
   check_int "the join's actual rows are the answer's"
-    (Relation.cardinal (Query.eval_legacy db q))
+    (Relation.cardinal (Oracle.eval db q))
     (actual_of ~label:"index-join" text);
   (* a filter over a leaf scan is fused into it, and both nodes still
      report what they did: the scan the rows its atom matched, the filter
@@ -376,7 +376,7 @@ let test_explain_index_join () =
     (Relation.cardinal (Database.find db "R"))
     (actual_of ~label:"scan R(x, y)" text);
   check_int "the filter reports the rows that passed"
-    (Relation.cardinal (Query.eval_legacy db q))
+    (Relation.cardinal (Oracle.eval db q))
     (actual_of ~label:"filter x < 2" text)
 
 let () =

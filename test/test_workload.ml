@@ -21,7 +21,7 @@ let test_travel_dataset () =
   (* the narrative invariant: no direct EDI→NYC on day 1, but EDI→EWR *)
   let direct day dest =
     Relation.cardinal
-      (Qlang.Fo_eval.eval_query Travel.db (Travel.direct_flights "edi" dest day))
+      (Oracle.eval_query Travel.db (Travel.direct_flights "edi" dest day))
   in
   check_int "no EDI→NYC day 1" 0 (direct 1 "nyc");
   check_int "EDI→EWR day 1" 1 (direct 1 "ewr");
@@ -215,7 +215,7 @@ let test_team_sp_query () =
   let q = Teams.experts_with_skill "backend" in
   check "SP" true (Qlang.Fragment.classify_query q = Qlang.Fragment.Sp);
   let a = Core.Special.eval_sp Teams.db q in
-  let b = Qlang.Fo_eval.eval_query Teams.db q in
+  let b = Oracle.eval_query Teams.db q in
   check "sp scan agrees" true (Relation.equal a b);
   check_int "two backend experts" 2 (Relation.cardinal a)
 
