@@ -24,16 +24,31 @@ let strip_note s =
     | Some i -> String.sub s 0 i
     | None -> s
 
+(* The positions of [c] outside string literals, in order ([Value.pp]
+   escapes quotes and backslashes inside them): a constant like "a#b, c"
+   is neither a comment nor two values. *)
+let unquoted c s =
+  let n = String.length s in
+  let rec go i quoted acc =
+    if i >= n then List.rev acc
+    else
+      match s.[i] with
+      | '\\' when quoted -> go (i + 2) quoted acc
+      | '"' -> go (i + 1) (not quoted) acc
+      | c' when c' = c && not quoted -> go (i + 1) quoted (i :: acc)
+      | _ -> go (i + 1) quoted acc
+  in
+  go 0 false []
+
+let strip_comment s =
+  match unquoted '#' s with i :: _ -> String.sub s 0 i | [] -> s
+
 let split_lines src =
   let raw = String.split_on_char '\n' src in
   List.filteri (fun _ _ -> true) raw
   |> List.mapi (fun i s -> (i + 1, s))
   |> List.filter_map (fun (ln, s) ->
-         let s =
-           match String.index_opt s '#' with
-           | Some i -> String.sub s 0 i
-           | None -> s
-         in
+         let s = strip_comment s in
          let s = strip_note s in
          if String.trim s = "" then None
          else begin
@@ -227,6 +242,25 @@ let rec parse_node depth lines =
 (* Headers                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let split_values s =
+  let cuts = unquoted ',' s in
+  List.map2
+    (fun a b -> String.sub s a (b - a))
+    (0 :: List.map succ cuts)
+    (cuts @ [ String.length s ])
+
+(* An optional "constants v, v, ..." line at depth 0, the values that
+   [Plan.pp] prints for a disjunct or a program whose query mentions
+   constants; absent means none. *)
+let parse_consts = function
+  | l :: rest when l.depth = 0 && fst (keyword l.text) = "constants" ->
+      let values =
+        try List.map Relational.Value.of_string (split_values (snd (keyword l.text)))
+        with Invalid_argument msg -> fail l.ln msg
+      in
+      (values, rest)
+  | lines -> ([], lines)
+
 let parse_answer ln head_text lines =
   let head_atom = parse_atom ln head_text in
   let head_vars =
@@ -248,8 +282,9 @@ let parse_answer ln head_text lines =
     | [] -> []
     | l :: rest when is_disjunct_header l -> disjuncts rest
     | _ ->
+        let d_consts, lines = parse_consts lines in
         let n, rest = parse_node 1 lines in
-        { Plan.d_node = n; d_consts = [] } :: disjuncts rest
+        { Plan.d_node = n; d_consts } :: disjuncts rest
   in
   let fp_disjuncts = disjuncts lines in
   Plan.Answer
@@ -328,11 +363,12 @@ let parse_fixpoint ln answer lines =
         { Plan.st_idbs; st_rules } :: strata (i + 1) rest
     | l :: _ -> fail l.ln "expected a stratum header at depth 0"
   in
+  let dp_consts, lines = parse_consts lines in
   Plan.Fixpoint
     {
       dp_program = { Datalog.rules = []; answer };
       dp_strata = strata 0 lines;
-      dp_consts = [];
+      dp_consts;
       dp_answer = answer;
     }
 

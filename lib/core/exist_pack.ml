@@ -111,6 +111,12 @@ let use_domains c =
    sequential path at [domains <= 1]. *)
 let kernel_domains c = if use_domains c then c.domains else 1
 
+(* Build the constraint's conflict sets, if it has any, before a search
+   fans out: the domains then share one built family, and the work
+   counters do not depend on the domain count.  Only searches that check
+   compatibility call this; replaying the valid index never does. *)
+let resolve_compat c = ignore (Instance.compat_conflicts c.inst)
+
 (* First accepted package in canonical (size-lexicographic DFS) order.
    The parallel driver searches the branches concurrently but returns the
    hit from the least branch, and within a branch the DFS is sequential —
@@ -119,6 +125,7 @@ let find_accepted c ~base accept =
   if Package.size base > c.max_size then None
   else begin
     Observe.bump c_searches;
+    resolve_compat c;
     Observe.span t_search @@ fun () ->
     Subset.find_first c.space ~base ~domains:(kernel_domains c) ~accept
   end
@@ -163,6 +170,7 @@ let walk_all ?visit c =
     | None -> (valid c, kernel_domains c)
     | Some f -> ((fun pkg -> valid c pkg && (f pkg; true)), 1)
   in
+  resolve_compat c;
   let pkgs = Subset.collect c.space ~base:Package.empty ~domains ~keep in
   (pkgs, remember c ~count:(List.length pkgs) (fun () -> pkgs))
 
@@ -248,6 +256,7 @@ let iter_valid c f =
   | None ->
       (* Keep what the walk finds, up to the cap, for the index. *)
       let found = ref [] and count = ref 0 in
+      resolve_compat c;
       Subset.enumerate c.space ~base:Package.empty (fun pkg ->
           if valid c pkg then begin
             incr count;

@@ -42,8 +42,14 @@ type valid_key = {
   v_max_size : int;
 }
 
-(* Per-instance memo: Q(D), the per-package compatibility verdicts and
-   the valid-package index.  Attached as a fresh value by every
+(* How [Validity.compatible] answers under the memo's constraint: not yet
+   decided, by the conflict sets of a CQ/UCQ constraint (tagged with the
+   constraint they belong to, for the read without the lock), or by
+   evaluating Qc (memoized verdicts over the prepared delta). *)
+type conflict_route = Unresolved | Delta_route | Sets of compat * Conflicts.t
+
+(* Per-instance memo: Q(D), the per-package compatibility verdicts, the
+   conflict sets and the valid-package index.  Attached as a fresh value by every
    constructor ([make], [with_db], [with_select]), which is what
    invalidates it when the database or the query changes.  Guarded by a
    mutex — the package search fans out over domains and they all share
@@ -57,6 +63,8 @@ type memo = {
   mutable compat_memo : bool Pmap.t;
   mutable compat_n : int;
   mutable compat_delta : Qlang.Engine.delta option;
+  compat_conflicts : conflict_route Atomic.t;
+      (* written under the lock, read also without it *)
   mutable valid : (valid_key * Valid_index.t) option;
 }
 
@@ -68,6 +76,7 @@ let fresh_memo compat_owner =
     compat_memo = Pmap.empty;
     compat_n = 0;
     compat_delta = None;
+    compat_conflicts = Atomic.make Unresolved;
     valid = None;
   }
 
@@ -154,13 +163,14 @@ let candidates inst =
               c)
 
 (* Under the lock: hand the compat memos to [inst]'s constraint, dropping
-   another constraint's verdicts and prepared delta. *)
+   another constraint's verdicts, prepared delta and conflict sets. *)
 let claim_compat m inst =
   if not (same_compat m.compat_owner inst.compat) then begin
     m.compat_owner <- inst.compat;
     m.compat_memo <- Pmap.empty;
     m.compat_n <- 0;
-    m.compat_delta <- None
+    m.compat_delta <- None;
+    Atomic.set m.compat_conflicts Unresolved
   end
 
 let memo_compat inst pkg compute =
@@ -230,6 +240,50 @@ let compat_delta inst =
                        if same_compat m.compat_owner inst.compat then
                          m.compat_delta <- Some d;
                        d)))
+
+(* The conflict sets of a CQ/UCQ constraint ([Conflicts]), resolved once
+   per constraint and memo; [None] sends [Validity.compatible] to the
+   delta route.  Same discipline as [compat_delta]: the build runs outside
+   the lock, under the caller's budget and after the [memo.compat] fault
+   site, and the first completed resolution wins, so a fault or an
+   exhausted budget leaves the slot unresolved. *)
+let resolve_conflicts inst qc =
+  let m = inst.memo in
+  match
+    Mutex.protect m.lock (fun () ->
+        claim_compat m inst;
+        Atomic.get m.compat_conflicts)
+  with
+  | (Sets _ | Delta_route) as r -> r
+  | Unresolved -> (
+      let answer () = Relation.rename (answer_schema inst) (candidates inst) in
+      let route =
+        match Conflicts.build ~cap:compat_memo_cap inst.db ~answer qc with
+        | Some cs -> Sets (inst.compat, cs)
+        | None -> Delta_route
+      in
+      Mutex.protect m.lock @@ fun () ->
+      match Atomic.get m.compat_conflicts with
+      | Unresolved ->
+          if same_compat m.compat_owner inst.compat then
+            Atomic.set m.compat_conflicts route;
+          route
+      | r -> r)
+
+(* Every compatibility check asks, so a published family is read without
+   the lock: the atomic read orders it after the build, and a [Sets]
+   value names its constraint. *)
+let compat_conflicts inst =
+  match inst.compat with
+  | No_constraint | Compat_fn _ -> None
+  | Compat_query qc when Qlang.Query.is_empty_query qc -> None
+  | Compat_query qc -> (
+      match Atomic.get inst.memo.compat_conflicts with
+      | Sets (owner, cs) when same_compat owner inst.compat -> Some cs
+      | _ -> (
+          match resolve_conflicts inst qc with
+          | Sets (_, cs) -> Some cs
+          | Delta_route | Unresolved -> None))
 
 (* Warm every shared structure a served request would otherwise build on
    first touch: the candidate memo (which compiles and runs the selection
@@ -351,9 +405,13 @@ let update_db ?(adom_preserved = false) inst db' =
           memo.compat_n <- m.compat_n;
           memo.compat_delta <- m.compat_delta
         end;
-        (* The valid packages depend on Q(D) and on the verdicts, and on
-           nothing else the update can change (the key re-checks the size
-           bound, which may move with |D|). *)
+        (* The conflict sets are subsets of Q(D) computed from Qc's
+           relations; the valid packages depend on Q(D) and on the
+           verdicts.  Neither depends on anything else the update can
+           change (the index key re-checks the size bound, which may move
+           with |D|). *)
+        if keep_cands && keep_compat then
+          Atomic.set memo.compat_conflicts (Atomic.get m.compat_conflicts);
         if keep_cands && keep_compat && m.valid <> None then begin
           memo.valid <- m.valid;
           Observe.bump c_valid_kept

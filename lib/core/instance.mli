@@ -15,7 +15,8 @@ type compat =
 
 type memo
 (** Per-instance evaluation cache (Q(D), per-package compatibility
-    verdicts, the valid-package index).  Opaque; a fresh one is attached
+    verdicts, the conflict sets of a CQ/UCQ constraint, the
+    valid-package index).  Opaque; a fresh one is attached
     by every constructor, so [with_db] / [with_select] never observe
     stale results.  Record updates ([{ inst with value; cost }]) share
     it: the verdicts are keyed on the compatibility constraint and the
@@ -97,6 +98,16 @@ val compat_delta : t -> Qlang.Engine.delta option
     [D ⊕ one package]: compiled lazily once per instance and shared by
     every oracle call.  [None] when the instance has no query
     constraint. *)
+
+val compat_conflicts : t -> Conflicts.t option
+(** The conflict sets of a CQ/UCQ constraint ({!Conflicts}), built once
+    per constraint on first use and kept on the memo under the same
+    ownership as the verdicts; {!update_db} keeps them exactly when it
+    keeps both the candidates and the verdicts.  [None] when the
+    instance has no query constraint or the constraint takes the delta
+    route (see {!Conflicts.build}).  The build runs under the caller's
+    budget; a fault or an exhausted budget leaves the slot to the next
+    call. *)
 
 val answer_schema : t -> Relational.Schema.t
 (** Schema under which packages are exposed to Qc: the answer schema of Q

@@ -5,7 +5,10 @@
 val compatible : Instance.t -> Package.t -> bool
 (** [Qc(N, D) = ∅] — the database is extended with the package under the
     {!Instance.answer_rel} name before evaluating Qc.  Always true when
-    constraints are absent. *)
+    constraints are absent.  For a CQ/UCQ Qc and [N ⊆ Q(D)] the answer
+    is a subset test against {!Instance.compat_conflicts}; otherwise Qc
+    is evaluated as a delta over {!Instance.compat_delta}, memoized per
+    package. *)
 
 val within_budget : Instance.t -> Package.t -> bool
 (** [cost(N) ≤ C]. *)

@@ -1687,6 +1687,14 @@ let rec pp_node record indent ppf n =
   in
   List.iter (pp_node record (indent ^ "  ") ppf) sub
 
+(* The constants that widen a plan's active domain, on a line of their
+   own when there are any, so that a printed plan reads back with them. *)
+let pp_consts ppf = function
+  | [] -> ()
+  | cs ->
+      Format.fprintf ppf "constants %s@\n"
+        (String.concat ", " (List.map Value.to_string cs))
+
 let pp_with record ppf t =
   match t with
   | Identity_plan name -> Format.fprintf ppf "identity %s@\n" name
@@ -1701,11 +1709,13 @@ let pp_with record ppf t =
         (fun i d ->
           if List.length fp.fp_disjuncts > 1 then
             Format.fprintf ppf "disjunct %d:@\n" (i + 1);
+          pp_consts ppf d.d_consts;
           pp_node record "  " ppf d.d_node)
         fp.fp_disjuncts
   | Fixpoint dp ->
       Format.fprintf ppf "fixpoint %s  [%d stratum(s)]@\n" dp.dp_answer
         (List.length dp.dp_strata);
+      pp_consts ppf dp.dp_consts;
       List.iteri
         (fun s stp ->
           Format.fprintf ppf "stratum %d: {%s}@\n" s

@@ -193,6 +193,11 @@ val plan_fault_sites : string list
 
 (** {1 Compilation} *)
 
+val ucq_disjuncts : Ast.formula -> Ast.formula list
+(** The disjuncts of a UCQ body, top-level [∃] pushed through [∨] and
+    [False] disjuncts dropped; each is a conjunctive query.  Raises
+    [Invalid_argument] outside the UCQ fragment. *)
+
 val compile_fo : Relational.Database.t -> Ast.fo_query -> t
 (** Queries in the UCQ fragment compile to one join chain per disjunct
     (a leaf scan extended by index joins);

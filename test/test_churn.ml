@@ -155,14 +155,32 @@ let churn_db =
       Relation.of_int_rows (Schema.make "U" [ "x" ]) [ [ 7 ] ];
     ]
 
-let churn_inst () =
+(* Two constraints over the same relations: a CQ, answered from its
+   conflict sets, and an FO one (a negation), answered by memoized delta
+   verdicts.  Both read only RQ and Bad. *)
+let cq_compat = "Qc() := exists a, s. RQ(a, s) & Bad(a)"
+let fo_compat = "Qc() := exists a, s. RQ(a, s) & Bad(a) & not (s = 0)"
+
+let churn_inst ?(compat = fo_compat) () =
   Instance.make ~db:churn_db
     ~select:(Query.Fo (q "Q(n, s) := R(n, s)"))
-    ~compat:
-      (Instance.Compat_query (Query.Fo (q "Qc() := exists a, s. RQ(a, s) & Bad(a)")))
+    ~compat:(Instance.Compat_query (Query.Fo (q compat)))
     ~cost:Rating.card_or_infinite
     ~value:(Rating.sum_col ~nonneg:true 1)
     ~budget:3. ()
+
+(* The CQ constraint's conflict sets, built by a first check, survive
+   [update]: the updated instance answers without a second build. *)
+let check_conflicts_kept ~update pk =
+  let inst = churn_inst ~compat:cq_compat () in
+  let builds () = counter_value "compat.conflict_builds" in
+  let checks () = counter_value "compat.conflict_checks" in
+  let verdict = Validity.compatible inst pk in
+  let b = builds () and c = checks () in
+  check "one conflict-set build" true (b = 1);
+  check "verdict unchanged" true (Validity.compatible (update inst) pk = verdict);
+  check "kept conflict sets answer without a rebuild" true
+    (builds () = b && checks () = c + 1)
 
 let test_netnoop_keeps_memo () =
   with_tracing @@ fun () ->
@@ -174,9 +192,8 @@ let test_netnoop_keeps_memo () =
   (* add-then-remove of one tuple restores every revision: the instance
      under the round-tripped database keeps the whole memo *)
   let tup = Tuple.of_ints [ 4; 4 ] in
-  let db2 =
-    Database.delete_tuple "R" tup (Database.insert_tuple "R" tup inst.Instance.db)
-  in
+  let round_trip db = Database.delete_tuple "R" tup (Database.insert_tuple "R" tup db) in
+  let db2 = round_trip inst.Instance.db in
   let inst2 = Instance.update_db inst db2 in
   let chits = counter_value "memo.candidates_hit" in
   ignore (Instance.candidates inst2);
@@ -190,7 +207,10 @@ let test_netnoop_keeps_memo () =
   let phits = counter_value "plan.cache_hit" in
   ignore (Query.eval db2 inst.Instance.select);
   check "net no-op hits the plan cache" true
-    (counter_value "plan.cache_hit" = phits + 1)
+    (counter_value "plan.cache_hit" = phits + 1);
+  check_conflicts_kept
+    ~update:(fun inst -> Instance.update_db inst (round_trip inst.Instance.db))
+    (pkg [ [ 1; 5 ] ])
 
 let test_unrelated_mutation_keeps_memo () =
   with_tracing @@ fun () ->
@@ -210,7 +230,10 @@ let test_unrelated_mutation_keeps_memo () =
   let vhits = counter_value "memo.compat_hit" in
   check "verdict unchanged" true (Validity.compatible inst2 pk);
   check "retained verdicts answer from the memo" true
-    (counter_value "memo.compat_hit" = vhits + 1)
+    (counter_value "memo.compat_hit" = vhits + 1);
+  check_conflicts_kept
+    ~update:(fun inst -> Instance.insert_tuple inst "U" (Tuple.of_ints [ 8 ]))
+    (pkg [ [ 1; 5 ]; [ 2; 8 ] ])
 
 (* The team selection negates only variables its [expert] atom binds: it
    plans as an anti-join, never reads the active domain, and so keeps its

@@ -202,14 +202,21 @@ let test_all_valid_counters_domain_independent () =
     let pkgs = Core.Exist_pack.all_valid (Core.Exist_pack.ctx ~domains inst) in
     (pkgs, work_counters (Observe.nonzero (Observe.snapshot ())))
   in
+  (* The plan cache is process-wide: a first run compiles plans that the
+     later runs find cached, whatever their domain count. *)
+  ignore (run 1);
   let pkgs1, snap1 = run 1 in
   let pkgs4, snap4 = run 4 in
   check "same packages" true (List.equal Core.Package.equal pkgs1 pkgs4);
   check "oracle/memo counters identical across domain counts" true
     (snap1 = snap4);
   check "oracle.nodes nonzero" true (count "oracle.nodes" snap1 > 0);
-  check "compat memo active" true
-    (count "memo.compat_hit" snap1 + count "memo.compat_miss" snap1 > 0)
+  (* The team constraint is a CQ: one conflict-set build before the walk
+     fans out, then every verdict is a subset test. *)
+  check_int "one conflict-set build" 1 (count "compat.conflict_builds" snap1);
+  check "conflict route answers" true (count "compat.conflict_checks" snap1 > 0);
+  check_int "no delta verdicts" 0
+    (count "memo.compat_hit" snap1 + count "memo.compat_miss" snap1)
 
 (* ---------- DPLL telemetry ---------- *)
 

@@ -878,9 +878,25 @@ let test_validity_uses_delta () =
   let cands = Relation.to_list (Core.Instance.candidates inst) in
   check "travel instance has candidates" true (cands <> []);
   let pkg = Core.Package.singleton (List.hd cands) in
+  (* The travel constraint is a UCQ: its conflict sets answer, and agree
+     with a delta evaluation of the same package. *)
+  let verdict = Core.Validity.compatible inst pkg in
+  check "UCQ compat check used the conflict sets" true
+    (counter_value "compat.conflict_checks" = 1
+    && counter_value "plan.delta_evals" = 0);
+  let rq = Core.Package.to_relation (Core.Instance.answer_schema inst) pkg in
+  check "conflict-set verdict = delta verdict" verdict
+    (Qlang.Engine.delta_is_empty (Option.get (Core.Instance.compat_delta inst)) rq);
+  (* A constraint with a negation takes the delta route. *)
+  let fo =
+    Parser.parse_query
+      "Qc() := exists f, p, n, k, t, m. RQ(f, p, n, k, t, m) & not (k = \"museum\")"
+  in
+  let inst = { inst with compat = Core.Instance.Compat_query (Query.Fo fo) } in
+  let before = counter_value "plan.delta_evals" in
   ignore (Core.Validity.compatible inst pkg);
   check "compat check went through delta evaluation" true
-    (counter_value "plan.delta_evals" >= 1)
+    (counter_value "plan.delta_evals" > before)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in

@@ -500,7 +500,24 @@ let test_fault_memo_candidates () =
   check "memo unpoisoned after exhaustion" true
     (Relation.equal (Instance.candidates inst2) (fresh_candidates inst2))
 
+(* Qc(D ⊕ N) = ∅ through the prepared delta plan, whatever the route
+   [Validity.compatible] takes. *)
+let delta_compatible inst p =
+  Qlang.Engine.delta_is_empty
+    (Option.get (Instance.compat_delta inst))
+    (Package.to_relation (Instance.answer_schema inst) p)
+
+let counter name =
+  match List.assoc_opt name (Observe.snapshot ()) with
+  | Some (Observe.Count n) -> n
+  | _ -> 0
+
 let test_fault_memo_compat () =
+  let was = Observe.enabled () in
+  Observe.set_enabled true;
+  Observe.reset ();
+  Fun.protect ~finally:(fun () -> Observe.set_enabled was) @@ fun () ->
+  (* A CQ: the fault fires while its conflict sets are built. *)
   let qc =
     Qlang.Parser.parse_query
       "Qc() := exists a, s, b, s2. RQ(a, s) & RQ(b, s2) & s = s2 & a != b"
@@ -508,8 +525,46 @@ let test_fault_memo_compat () =
   let inst = small_inst ~compat:(Instance.Compat_query (Qlang.Query.Fo qc)) () in
   let p = pkg [ [ 1; 5 ]; [ 3; 8 ] ] in
   expect_injected "memo.compat" (fun () -> Validity.compatible inst p);
+  check_int "the faulted build stored nothing" 0 (counter "compat.conflict_builds");
   check "verdict memo unpoisoned: retry computes the true verdict" true
-    (Validity.compatible inst p)
+    (Validity.compatible inst p);
+  check "the retry built the conflict sets and answered from them" true
+    (counter "compat.conflict_builds" = 1 && counter "compat.conflict_checks" = 1);
+  check "and agrees with the delta route" true (delta_compatible inst p);
+  (* An FO constraint: the fault fires at the verdict memo. *)
+  let fo =
+    Qlang.Parser.parse_query "Qc() := exists a, s. RQ(a, s) & not (s = 5)"
+  in
+  let inst = small_inst ~compat:(Instance.Compat_query (Qlang.Query.Fo fo)) () in
+  let p = pkg [ [ 1; 5 ] ] in
+  expect_injected "memo.compat" (fun () -> Validity.compatible inst p);
+  check "FO verdict memo unpoisoned" true (Validity.compatible inst p)
+
+(* Small fuel interrupts the conflict-set build or the walk after it;
+   every package a partial answer reports is still valid when its
+   compatibility is re-checked by the delta route, and an interrupted
+   build leaves the instance answering like a fresh one. *)
+let test_fuel_sweep_conflicts () =
+  let exact = Frp.enumerate (Workload.Teams.team_instance ~salary_budget:250. ()) ~k:3 in
+  let partials = ref 0 in
+  for fuel = 1 to 120 do
+    let inst = Workload.Teams.team_instance ~salary_budget:250. () in
+    (match Frp.enumerate_budgeted ~budget:(Budget.make ~fuel ()) inst ~k:3 with
+    | Budget.Partial { best_so_far = Some p; _ } ->
+        incr partials;
+        check
+          (Printf.sprintf "fuel %d: partial valid by the delta route" fuel)
+          true
+          (Package.subset_of_relation p (Instance.candidates inst)
+          && Validity.within_size inst p && Validity.within_budget inst p
+          && delta_compatible inst p)
+    | Budget.Partial { best_so_far = None; _ } | Budget.Exact _ -> ());
+    check
+      (Printf.sprintf "fuel %d: the instance still answers exactly" fuel)
+      true
+      (topk_equal (Frp.enumerate inst ~k:3) exact)
+  done;
+  check "some partial reported a package" true (!partials > 0)
 
 (* The valid-package index is stored only after its walk completed; a
    fault at the store leaves the instance without one. *)
@@ -947,6 +1002,8 @@ let full_suite =
         Alcotest.test_case "non-binding budget equivalence" `Quick
           test_nonbinding_budget_equivalence;
         Alcotest.test_case "SAT conflict cap" `Quick test_sat_conflict_cap;
+        Alcotest.test_case "fuel sweep over the conflict-set route" `Quick
+          test_fuel_sweep_conflicts;
       ] );
     ( "dispatch",
       [

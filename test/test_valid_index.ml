@@ -537,6 +537,156 @@ let test_compat_swap () =
     pairs;
   check "original answers after the swap" true (agree inst)
 
+(* ---------- conflict sets: the CQ/UCQ compatibility route ---------- *)
+
+(* The delta route, whatever the constraint's language: Qc(D ⊕ N) = ∅
+   through the prepared delta plan, bypassing the verdict memo. *)
+let delta_compatible inst pkg =
+  Qlang.Engine.delta_is_empty
+    (Option.get (Instance.compat_delta inst))
+    (Package.to_relation (Instance.answer_schema inst) pkg)
+
+(* The reference semantics: Qc evaluated from scratch over D ⊕ N. *)
+let oracle_compatible inst pkg qc =
+  let rq = Package.to_relation (Instance.answer_schema inst) pkg in
+  Relation.is_empty (Oracle.eval (Database.add rq inst.Instance.db) qc)
+
+let pair_schema name = Schema.make name [ "a"; "b" ]
+
+let random_pairs rng name =
+  Relation.of_list (pair_schema name)
+    (List.init (2 + Random.State.int rng 6) (fun _ ->
+         Tuple.of_ints [ Random.State.int rng 4; Random.State.int rng 4 ]))
+
+(* A random UCQ over RQ(a, b) — Q(D) is R — and the base relation S.
+   Terms are variables from a small pool (so RQ atoms repeat them) or
+   constants; comparisons read variables the disjunct's atoms bind, so
+   every disjunct is safe.  A disjunct may have no RQ atom. *)
+let random_ucq rng =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let term () =
+    if Random.State.int rng 5 = 0 then string_of_int (Random.State.int rng 4)
+    else pick [| "x"; "y"; "z" |]
+  in
+  let atom rel = Printf.sprintf "%s(%s, %s)" rel (term ()) (term ()) in
+  let disjunct () =
+    let nrq = Random.State.int rng 4 in
+    let ns = (if nrq = 0 then 1 else 0) + Random.State.int rng 2 in
+    let atoms = List.init nrq (fun _ -> atom "RQ") @ List.init ns (fun _ -> atom "S") in
+    let text = String.concat " & " atoms in
+    let bound =
+      List.filter (fun v -> String.contains text v.[0]) [ "x"; "y"; "z" ]
+    in
+    let cmps =
+      if bound = [] then []
+      else
+        List.init (Random.State.int rng 3) (fun _ ->
+            let v = pick (Array.of_list bound) in
+            let rhs =
+              if Random.State.bool rng then pick (Array.of_list bound)
+              else string_of_int (Random.State.int rng 4)
+            in
+            Printf.sprintf "%s %s %s" v (pick [| "="; "!="; "<"; "<=" |]) rhs)
+    in
+    let body = String.concat " & " (atoms @ cmps) in
+    if bound = [] then "(" ^ body ^ ")"
+    else Printf.sprintf "(exists %s. (%s))" (String.concat ", " bound) body
+  in
+  "Qc() := " ^ String.concat " | " (List.init (1 + Random.State.int rng 3) (fun _ -> disjunct ()))
+
+let prop_conflict_route_exact =
+  QCheck.Test.make
+    ~name:"conflict-set verdicts = delta verdicts = reference, random UCQ Qc"
+    ~count:300 (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let db = Database.of_relations [ random_pairs rng "R"; random_pairs rng "S" ] in
+      let text = random_ucq rng in
+      let qc = fo text in
+      let inst =
+        Instance.make ~db ~select:(fo "Q(a, b) := R(a, b)")
+          ~compat:(Instance.Compat_query qc) ~cost:Rating.count ~value:Rating.count
+          ~budget:10. ()
+      in
+      let cands = Relation.to_list (Instance.candidates inst) in
+      let routed =
+        match Qlang.Query.language qc with
+        | L_cq | L_ucq -> not (Qlang.Query.adom_sensitive db qc)
+        | _ -> false
+      in
+      let conflicts = Instance.compat_conflicts inst in
+      if routed <> Option.is_some conflicts then
+        QCheck.Test.fail_reportf "%s: route %b, conflict sets %b" text routed
+          (Option.is_some conflicts);
+      let inside () =
+        Package.of_tuples
+          (List.filter (fun _ -> Random.State.int rng 3 = 0) cands)
+      in
+      let outside () =
+        Package.add (Tuple.of_ints [ 4 + Random.State.int rng 2; 0 ]) (inside ())
+      in
+      List.for_all
+        (fun pkg ->
+          let verdict = Validity.compatible inst pkg in
+          let agree =
+            verdict = delta_compatible inst pkg
+            && verdict = oracle_compatible inst pkg qc
+            &&
+            match conflicts with
+            | Some cs -> (
+                match Conflicts.compatible cs pkg with
+                | Some v -> v = verdict
+                | None -> not (Package.subset_of_relation pkg (Instance.candidates inst)))
+            | None -> true
+          in
+          agree
+          || QCheck.Test.fail_reportf "%s: %s conflict route %b, delta %b, reference %b"
+               text (Package.to_string pkg) verdict (delta_compatible inst pkg)
+               (oracle_compatible inst pkg qc))
+        (Package.empty :: List.init 6 (fun i -> if i < 4 then inside () else outside ())))
+
+(* Constraints outside the route keep the memoized delta verdicts, and so
+   does a family past the cap. *)
+let test_fallbacks () =
+  let base = Teams.team_instance ~salary_budget:250. () in
+  let build cap =
+    Conflicts.build ~cap base.Instance.db Teams.no_conflicts ~answer:(fun () ->
+        Relation.rename (Instance.answer_schema base) (Instance.candidates base))
+  in
+  check "team conflicts fit a cap of 2" true (Option.is_some (build 2));
+  check "past a cap of 1: delta route" true (Option.is_none (build 1));
+  let routes compat ?(dist = Qlang.Dist.empty) () =
+    with_tracing @@ fun () ->
+    let inst = { base with Instance.compat; dist } in
+    let walked = Exist_pack.all_valid (Exist_pack.ctx (Instance.with_db inst inst.db)) in
+    ( List.equal Package.equal walked (brute_force inst),
+      counter "compat.conflict_checks",
+      counter "compat.conflict_fallbacks",
+      counter "memo.compat_hit" + counter "memo.compat_miss" )
+  in
+  let exact, checks, fallbacks, memo = routes (Instance.Compat_query Teams.no_conflicts) () in
+  check "CQ: exact walk" true exact;
+  check "CQ: conflict route" true (checks > 0 && fallbacks = 0 && memo = 0);
+  List.iter
+    (fun (name, compat, dist) ->
+      let exact, checks, fallbacks, memo = routes compat ~dist () in
+      check (name ^ ": exact walk") true exact;
+      check (name ^ ": delta route") true (checks = 0 && fallbacks >= 1 && memo > 0))
+    [
+      ( "FO",
+        Instance.Compat_query
+          (fo "Qc() := not (exists e, sk, sal, sc. RQ(e, sk, sal, sc) & sal > 100)"),
+        Qlang.Dist.empty );
+      ( "dist",
+        Instance.Compat_query
+          (fo
+             "Qc() := exists a, s1, c1, v1, b, s2, c2, v2. RQ(a, s1, c1, v1) & RQ(b, \
+              s2, c2, v2) & a != b & dist[gap](c1, c2) <= 2"),
+        Qlang.Dist.add "gap" Qlang.Dist.numeric Qlang.Dist.empty );
+      ( "adom-sensitive CQ",
+        Instance.Compat_query (fo "Qc(x) := exists e, sk, sal, sc. RQ(e, sk, sal, sc) & sal > 110"),
+        Qlang.Dist.empty );
+    ]
+
 let () =
   Alcotest.run "valid_index"
     [
@@ -560,4 +710,10 @@ let () =
           Alcotest.test_case "update_db keeps or drops" `Quick test_update_keeps_index;
         ] );
       ("compat", [ Alcotest.test_case "swapping Qc" `Quick test_compat_swap ]);
+      ( "conflict sets",
+        [
+          QCheck_alcotest.to_alcotest prop_conflict_route_exact;
+          Alcotest.test_case "other constraints take the delta route" `Quick
+            test_fallbacks;
+        ] );
     ]
