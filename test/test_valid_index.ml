@@ -710,7 +710,7 @@ let () =
           Alcotest.test_case "update_db keeps or drops" `Quick test_update_keeps_index;
         ] );
       ("compat", [ Alcotest.test_case "swapping Qc" `Quick test_compat_swap ]);
-      ( "conflict sets",
+      ( "conflicts",
         [
           QCheck_alcotest.to_alcotest prop_conflict_route_exact;
           Alcotest.test_case "other constraints take the delta route" `Quick
