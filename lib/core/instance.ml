@@ -287,14 +287,16 @@ let compat_conflicts inst =
 
 (* Warm every shared structure a served request would otherwise build on
    first touch: the candidate memo (which compiles and runs the selection
-   plan), the prepared compatibility delta, and each relation's count
-   tables (the planner's stats backing).  Everything forced here is
-   idempotent and concurrent-safe, so prewarming is an optimization only —
-   the daemon calls it once per loaded instance so the first request pays
+   plan), the compatibility route — the conflict sets of a CQ/UCQ
+   constraint, or else the prepared delta, which a constraint answered
+   from conflict sets never evaluates — and each relation's count tables
+   (the planner's stats backing).  Everything forced here is idempotent
+   and concurrent-safe, so prewarming is an optimization only — the
+   daemon calls it once per loaded instance so the first request pays
    warm-state latency, not cold-start latency. *)
 let prewarm inst =
   ignore (candidates inst);
-  ignore (compat_delta inst);
+  if Option.is_none (compat_conflicts inst) then ignore (compat_delta inst);
   List.iter
     (fun r -> ignore (Relation.col_counts r))
     (Database.relations inst.db)

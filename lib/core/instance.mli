@@ -119,7 +119,9 @@ val max_package_size : t -> int
 val prewarm : t -> unit
 (** Force the shared lazy state a request would otherwise build on first
     touch: the candidate memo (compiling and evaluating the selection
-    plan), the prepared compatibility delta, and the per-relation count
+    plan), the compatibility route — the {!compat_conflicts} of a CQ/UCQ
+    constraint, and the prepared {!compat_delta} only when the conflict
+    sets do not answer the constraint — and the per-relation count
     tables backing the planner's statistics.  Idempotent and safe to call
     concurrently; the serving daemon calls it once per loaded instance so
     the first request is answered from warm state. *)

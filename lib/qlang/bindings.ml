@@ -1,16 +1,9 @@
 module Tuple = Relational.Tuple
 module Value = Relational.Value
 
-module Tset = Set.Make (struct
-  type t = Tuple.t
-
-  let compare = Tuple.compare
-end)
-
-(* Join keys are hashed with {!Tuple.hash} (computed once per insertion or
-   probe by the functorial hash table) and compared with {!Tuple.equal} —
-   not with the polymorphic hash/equality on [Value.t array], which
-   re-traverses constructor blocks on every probe. *)
+(* Row sets and join keys are hashed with {!Tuple.hash} and compared with
+   {!Tuple.equal} — not with the polymorphic hash/equality on
+   [Value.t array], which re-traverses constructor blocks on every probe. *)
 module Ttbl = Hashtbl.Make (struct
   type t = Tuple.t
 
@@ -18,12 +11,106 @@ module Ttbl = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
+(* Open addressing with linear probing over a power-of-two table, at most
+   half full.  Each slot keeps its row's hash, so a probe compares rows
+   only on equal hashes and growing never rehashes a row. *)
+module Rowset = struct
+  type t = {
+    mutable hashes : int array;  (* -1 marks an empty slot *)
+    mutable keys : Tuple.t array;
+    mutable size : int;
+  }
+
+  let create n =
+    let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
+    let cap = pow2 16 in
+    { hashes = Array.make cap (-1); keys = Array.make cap [||]; size = 0 }
+
+  let hash row =
+    let h = Tuple.hash row in
+    (h lxor (h lsr 17)) land max_int
+
+  (* The slot holding [row], or the empty slot where it would go. *)
+  let slot s h row =
+    let mask = Array.length s.hashes - 1 in
+    let rec go i =
+      let hi = s.hashes.(i) in
+      if hi < 0 || (hi = h && Tuple.equal s.keys.(i) row) then i
+      else go ((i + 1) land mask)
+    in
+    go (h land mask)
+
+  let grow s =
+    let hashes = s.hashes and keys = s.keys in
+    s.hashes <- Array.make (2 * Array.length hashes) (-1);
+    s.keys <- Array.make (2 * Array.length keys) [||];
+    Array.iteri
+      (fun i h ->
+        if h >= 0 then begin
+          let j = slot s h keys.(i) in
+          s.hashes.(j) <- h;
+          s.keys.(j) <- keys.(i)
+        end)
+      hashes
+
+  let add s row =
+    let h = hash row in
+    let i = slot s h row in
+    if s.hashes.(i) >= 0 then false
+    else begin
+      s.hashes.(i) <- h;
+      s.keys.(i) <- row;
+      s.size <- s.size + 1;
+      if 2 * s.size > Array.length s.hashes then grow s;
+      true
+    end
+
+  let mem s row =
+    let h = hash row in
+    s.hashes.(slot s h row) >= 0
+end
+
 type t = {
   vars : string array;  (* strictly increasing *)
-  rows : Tset.t;
+  rows : Tuple.t array;  (* columns in [vars] order; no row twice *)
 }
 
 let vars b = b.vars
+
+(* The [n] rows of a list accumulated newest-first, oldest first. *)
+let array_of_rev n l =
+  match l with
+  | [] -> [||]
+  | r :: _ ->
+      let a = Array.make n r in
+      List.iteri (fun i r -> a.(n - 1 - i) <- r) l;
+      a
+
+(* The rows that pass [keep], in their order. *)
+let filter_rows keep rows =
+  let n = ref 0 and out = ref [] in
+  Array.iter
+    (fun r ->
+      if keep r then begin
+        incr n;
+        out := r :: !out
+      end)
+    rows;
+  if !n = Array.length rows then rows else array_of_rev !n !out
+
+(* First occurrences only, in order. *)
+let dedup rows =
+  if Array.length rows <= 1 then rows
+  else
+    let seen = Rowset.create (Array.length rows) in
+    filter_rows (Rowset.add seen) rows
+
+let strictly_increasing vars =
+  let ok = ref true in
+  for i = 1 to Array.length vars - 1 do
+    if String.compare vars.(i - 1) vars.(i) >= 0 then ok := false
+  done;
+  !ok
 
 let make var_list rows_list =
   let n = List.length var_list in
@@ -35,37 +122,47 @@ let make var_list rows_list =
   in
   if dup sorted then invalid_arg "Bindings.make: duplicate variable";
   let perm = Array.of_list (List.map snd sorted) in
+  let identity = Array.for_all Fun.id (Array.mapi (fun i j -> i = j) perm) in
   let reorder row =
     if Tuple.arity row <> n then invalid_arg "Bindings.make: arity mismatch";
-    Array.map (fun i -> row.(i)) perm
+    if identity then row else Array.map (fun i -> row.(i)) perm
   in
   {
     vars = Array.of_list (List.map fst sorted);
-    rows = Tset.of_list (List.map reorder rows_list);
+    rows = dedup (Array.of_list (List.map reorder rows_list));
   }
 
-let tt = { vars = [||]; rows = Tset.singleton [||] }
-let ff = { vars = [||]; rows = Tset.empty }
-let is_satisfiable b = not (Tset.is_empty b.rows)
-let cardinal b = Tset.cardinal b.rows
-let rows b = Tset.elements b.rows
+let of_distinct var_list rows =
+  let vars = Array.of_list var_list in
+  if not (strictly_increasing vars) then
+    invalid_arg "Bindings.of_distinct: variables not strictly increasing";
+  { vars; rows }
+
+let tt = { vars = [||]; rows = [| [||] |] }
+let ff = { vars = [||]; rows = [||] }
+let is_satisfiable b = Array.length b.rows > 0
+let cardinal b = Array.length b.rows
+let rows b = Array.to_list b.rows
+let iter f b = Array.iter f b.rows
 
 let assignments b =
   List.map
     (fun row -> Array.to_list (Array.mapi (fun i v -> (b.vars.(i), v)) row))
     (rows b)
 
+let index_of arr v =
+  let rec go i =
+    if i = Array.length arr then None
+    else if arr.(i) = v then Some i
+    else go (i + 1)
+  in
+  go 0
+
 (* Positions of [sub] inside [sup]; both sorted.  Raises Not_found if a
    variable of [sub] is missing from [sup]. *)
 let positions sup sub =
   Array.map
-    (fun v ->
-      let rec go i =
-        if i = Array.length sup then raise Not_found
-        else if sup.(i) = v then i
-        else go (i + 1)
-      in
-      go 0)
+    (fun v -> match index_of sup v with Some i -> i | None -> raise Not_found)
     sub
 
 let merge_vars a b =
@@ -81,6 +178,8 @@ let merge_vars a b =
   in
   Array.of_list (go 0 0 [])
 
+(* Distinct inputs join to distinct outputs: an output row restricts to
+   exactly one row of each side. *)
 let join a b =
   let shared =
     Array.to_list a.vars |> List.filter (fun v -> Array.exists (( = ) v) b.vars)
@@ -93,34 +192,28 @@ let join a b =
   let out_src =
     Array.map
       (fun v ->
-        let rec find arr i =
-          if i = Array.length arr then None
-          else if arr.(i) = v then Some i
-          else find arr (i + 1)
-        in
-        match find a.vars 0 with
+        match index_of a.vars v with
         | Some i -> `A i
         | None -> (
-            match find b.vars 0 with
-            | Some j -> `B j
-            | None -> assert false))
+            match index_of b.vars v with Some j -> `B j | None -> assert false))
       out_vars
   in
   let key pos row = Array.map (fun i -> row.(i)) pos in
   (* Index the smaller side. *)
   let small, small_pos, big, big_pos, small_is_a =
-    if Tset.cardinal a.rows <= Tset.cardinal b.rows then
+    if Array.length a.rows <= Array.length b.rows then
       (a.rows, pos_a_shared, b.rows, pos_b_shared, true)
     else (b.rows, pos_b_shared, a.rows, pos_a_shared, false)
   in
-  let index = Ttbl.create (max 16 (Tset.cardinal small)) in
-  Tset.iter
-    (fun row ->
-      let k = key small_pos row in
-      Ttbl.replace index k (row :: (try Ttbl.find index k with Not_found -> [])))
-    small;
-  let out = ref Tset.empty in
-  Tset.iter
+  let index = Ttbl.create (max 16 (Array.length small)) in
+  (* Walked backwards so each bucket lists its rows in input order. *)
+  for i = Array.length small - 1 downto 0 do
+    let row = small.(i) in
+    let k = key small_pos row in
+    Ttbl.replace index k (row :: (try Ttbl.find index k with Not_found -> []))
+  done;
+  let n = ref 0 and out = ref [] in
+  Array.iter
     (fun big_row ->
       Robust.Budget.check ();
       let k = key big_pos big_row in
@@ -132,20 +225,21 @@ let join a b =
               let ra, rb =
                 if small_is_a then (small_row, big_row) else (big_row, small_row)
               in
-              let combined =
+              incr n;
+              out :=
                 Array.map
                   (fun src -> match src with `A i -> ra.(i) | `B j -> rb.(j))
                   out_src
-              in
-              out := Tset.add combined !out)
+                :: !out)
             small_rows)
     big;
-  { vars = out_vars; rows = !out }
+  { vars = out_vars; rows = array_of_rev !n !out }
 
 (* Pad with all the missing variables in one pass: enumerate adom^k for the
    k missing columns and merge each combination into each existing row,
    instead of materializing k-1 intermediate binding sets through repeated
-   singleton joins. *)
+   singleton joins.  Distinct rows times a duplicate-free domain stay
+   distinct, so the output size is known up front. *)
 let extend ~adom extra b =
   let missing =
     List.sort_uniq String.compare extra
@@ -161,32 +255,29 @@ let extend ~adom extra b =
       let src =
         Array.map
           (fun v ->
-            let rec find arr i =
-              if i = Array.length arr then None
-              else if arr.(i) = v then Some i
-              else find arr (i + 1)
-            in
-            match find b.vars 0 with
+            match index_of b.vars v with
             | Some i -> `Old i
             | None -> (
-                match find missing 0 with
+                match index_of missing v with
                 | Some j -> `Fresh j
                 | None -> assert false))
           out_vars
       in
       let adom_arr = Array.of_list (Lazy.force adom) in
-      let out = ref Tset.empty in
+      let rec power acc j = if j = 0 then acc else power (acc * Array.length adom_arr) (j - 1) in
+      let total = power (Array.length b.rows) k in
+      let out = Array.make total [||] in
+      let next = ref 0 in
       let fresh = Array.make k (Value.Int 0) in
       let emit row =
         Robust.Budget.check ();
-        let merged =
+        out.(!next) <-
           Array.map
             (fun s -> match s with `Old i -> row.(i) | `Fresh j -> fresh.(j))
-            src
-        in
-        out := Tset.add merged !out
+            src;
+        incr next
       in
-      Tset.iter
+      Array.iter
         (fun row ->
           let rec fill j =
             if j = k then emit row
@@ -199,33 +290,46 @@ let extend ~adom extra b =
           in
           fill 0)
         b.rows;
-      { vars = out_vars; rows = !out }
+      { vars = out_vars; rows = out }
 
+(* The left side's rows, then the right side's rows the left lacks. *)
 let union ~adom a b =
   let all = Array.to_list a.vars @ Array.to_list b.vars in
   let a' = extend ~adom all a and b' = extend ~adom all b in
-  { vars = a'.vars; rows = Tset.union a'.rows b'.rows }
+  if Array.length a'.rows = 0 then b'
+  else if Array.length b'.rows = 0 then a'
+  else begin
+    let seen = Rowset.create (Array.length a'.rows + Array.length b'.rows) in
+    Array.iter (fun r -> ignore (Rowset.add seen r)) a'.rows;
+    { a' with rows = Array.append a'.rows (filter_rows (Rowset.add seen) b'.rows) }
+  end
 
 let complement ~adom b =
   let n = Array.length b.vars in
-  let full = ref Tset.empty in
-  let row = Array.make n (Value.Int 0) in
-  let rec fill adom_arr i =
-    if i = n then begin
-      Robust.Budget.check ();
-      full := Tset.add (Array.copy row) !full
-    end
-    else
-      Array.iter
-        (fun v ->
-          row.(i) <- v;
-          fill adom_arr (i + 1))
-        adom_arr
-  in
-  if n = 0 then { b with rows = (if Tset.is_empty b.rows then tt.rows else Tset.empty) }
+  if n = 0 then { b with rows = (if is_satisfiable b then [||] else tt.rows) }
   else begin
-    fill (Array.of_list (Lazy.force adom)) 0;
-    { b with rows = Tset.diff !full b.rows }
+    let present = Rowset.create (Array.length b.rows) in
+    Array.iter (fun r -> ignore (Rowset.add present r)) b.rows;
+    let adom_arr = Array.of_list (Lazy.force adom) in
+    let row = Array.make n (Value.Int 0) in
+    let k = ref 0 and out = ref [] in
+    let rec fill i =
+      if i = n then begin
+        Robust.Budget.check ();
+        if not (Rowset.mem present row) then begin
+          incr k;
+          out := Array.copy row :: !out
+        end
+      end
+      else
+        Array.iter
+          (fun v ->
+            row.(i) <- v;
+            fill (i + 1))
+          adom_arr
+    in
+    fill 0;
+    { b with rows = array_of_rev !k !out }
   end
 
 (* The left rows whose restriction to the right's variables is absent from
@@ -237,15 +341,15 @@ let anti_join a b =
     with Not_found ->
       invalid_arg "Bindings.anti_join: right side binds a variable the left does not"
   in
-  let index = Ttbl.create (max 16 (Tset.cardinal b.rows)) in
-  Tset.iter (fun row -> Ttbl.replace index row ()) b.rows;
+  let index = Rowset.create (Array.length b.rows) in
+  Array.iter (fun r -> ignore (Rowset.add index r)) b.rows;
   {
     a with
     rows =
-      Tset.filter
+      filter_rows
         (fun row ->
           Robust.Budget.check ();
-          not (Ttbl.mem index (Array.map (fun i -> row.(i)) pos)))
+          not (Rowset.mem index (Array.map (fun i -> row.(i)) pos)))
         a.rows;
   }
 
@@ -255,43 +359,45 @@ let project keep b =
     |> List.filter (fun v -> Array.exists (( = ) v) b.vars)
   in
   let keep_arr = Array.of_list keep in
-  let pos = positions b.vars keep_arr in
-  let rows =
-    Tset.fold
-      (fun row acc -> Tset.add (Array.map (fun i -> row.(i)) pos) acc)
-      b.rows Tset.empty
-  in
-  { vars = keep_arr; rows }
+  if Array.length keep_arr = Array.length b.vars then b
+  else
+    let pos = positions b.vars keep_arr in
+    let narrow row = Array.map (fun i -> row.(i)) pos in
+    { vars = keep_arr; rows = dedup (Array.map narrow b.rows) }
 
 let filter pred b =
   let lookup row v =
-    let rec go i =
-      if i = Array.length b.vars then raise Not_found
-      else if b.vars.(i) = v then row.(i)
-      else go (i + 1)
-    in
-    go 0
+    match index_of b.vars v with Some i -> row.(i) | None -> raise Not_found
   in
-  { b with rows = Tset.filter (fun row -> pred (lookup row)) b.rows }
+  { b with rows = filter_rows (fun row -> pred (lookup row)) b.rows }
 
-let to_relation ~adom sch ~head b =
+let head_rows ~adom ~head b =
   let head_vars =
     List.concat_map (function Ast.Var v -> [ v ] | Ast.Const _ -> []) head
   in
   let b = extend ~adom head_vars b in
-  let extract row =
+  let src =
     Array.of_list
       (List.map
          (function
-           | Ast.Const v -> v
-           | Ast.Var v ->
-               let rec go i =
-                 if i = Array.length b.vars then
-                   invalid_arg ("Bindings.to_relation: unbound head variable " ^ v)
-                 else if b.vars.(i) = v then row.(i)
-                 else go (i + 1)
-               in
-               go 0)
+           | Ast.Const v -> `Const v
+           | Ast.Var v -> (
+               match index_of b.vars v with
+               | Some i -> `Col i
+               | None ->
+                   invalid_arg ("Bindings.to_relation: unbound head variable " ^ v)))
          head)
   in
-  Relational.Relation.of_list sch (List.map extract (rows b))
+  let passthrough =
+    Array.length src = Array.length b.vars
+    && Array.for_all Fun.id
+         (Array.mapi (fun i s -> match s with `Col j -> i = j | `Const _ -> false) src)
+  in
+  if passthrough then rows b
+  else
+    List.map
+      (fun row -> Array.map (function `Const v -> v | `Col i -> row.(i)) src)
+      (rows b)
+
+let to_relation ~adom sch ~head b =
+  Relational.Relation.of_list sch (head_rows ~adom ~head b)

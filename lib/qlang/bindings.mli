@@ -1,10 +1,20 @@
-(** Sets of variable assignments ("binding relations").
+(** Sets of variable assignments ("binding relations"), the values the
+    plan interpreter ({!Plan}) passes between operators.
 
-    The first-order evaluator works bottom-up, mapping every subformula to
-    the set of assignments of its free variables that satisfy it (with
-    quantifiers ranging over the active domain).  A value of type {!t} is
-    such a set: a sorted array of variable names together with a set of
-    tuples, one column per variable. *)
+    A value of type {!t} is a sorted array of variable names together with
+    a row array: one tuple per assignment, one column per variable, and
+    never the same row twice.  Rows come in first-derivation order — the
+    order in which the operator that built the set met them, which is
+    fixed by its inputs' order, never by hash-table iteration — so every
+    result is deterministic, but no operator promises sorted rows.
+    {!to_relation} sorts when it builds the answer relation.
+
+    Duplicate rows can only arise where columns are dropped or two sets
+    meet, so only {!make}, {!project} and {!union} deduplicate, with a
+    hash set of rows ({!Rowset}).  {!join}, {!filter}, {!anti_join},
+    {!extend} and {!complement} produce distinct rows from distinct inputs
+    without checking; for {!extend} and {!complement} that needs an
+    active domain listed without repeats, which is their precondition. *)
 
 type t
 
@@ -13,8 +23,16 @@ val vars : t -> string array
 
 val make : string list -> Relational.Tuple.t list -> t
 (** [make vars rows]: columns of [rows] correspond to [vars] positionally
-    ([vars] need not be sorted; columns are reordered internally).  Raises
+    ([vars] need not be sorted; columns are reordered internally).
+    Repeated rows are kept once, at their first occurrence.  Raises
     [Invalid_argument] on duplicate variables or arity mismatch. *)
+
+val of_distinct : string list -> Relational.Tuple.t array -> t
+(** [of_distinct vars rows] adopts [rows] as they are, without copying
+    and without deduplicating: the caller guarantees that no row occurs
+    twice and that every row lists its values in the order of [vars].
+    The rows must not be mutated afterwards.  Raises [Invalid_argument]
+    when [vars] is not strictly increasing. *)
 
 val tt : t
 (** The nullary binding set containing the empty assignment ("true"). *)
@@ -26,9 +44,13 @@ val is_satisfiable : t -> bool
 (** Whether at least one assignment is present. *)
 
 val cardinal : t -> int
+(** The number of rows (all distinct). *)
 
 val rows : t -> Relational.Tuple.t list
-(** Rows in column order {!vars}. *)
+(** Rows in column order {!vars}, in first-derivation order. *)
+
+val iter : (Relational.Tuple.t -> unit) -> t -> unit
+(** [iter f b] applies [f] to the rows in the order of {!rows}. *)
 
 val assignments : t -> (string * Relational.Value.t) list list
 (** Rows as association lists, for debugging and tests. *)
@@ -40,14 +62,16 @@ val extend : adom:Relational.Value.t list Lazy.t -> string list -> t -> t
 (** Pads the binding set so that its variable set includes the given
     variables, missing variables ranging over the active domain.  [adom]
     is forced only when padding actually happens, so fully-bound plans
-    never pay for active-domain construction. *)
+    never pay for active-domain construction.  [adom] must not list a
+    value twice. *)
 
 val union : adom:Relational.Value.t list Lazy.t -> t -> t -> t
-(** Set union after {!extend}ing both sides to the common variable set. *)
+(** Set union after {!extend}ing both sides to the common variable set:
+    the left side's rows, then the right side's rows the left lacks. *)
 
 val complement : adom:Relational.Value.t list Lazy.t -> t -> t
 (** [adom^vars] minus the rows: the semantics of negation under the
-    active-domain interpretation. *)
+    active-domain interpretation.  [adom] must not list a value twice. *)
 
 val anti_join : t -> t -> t
 (** [anti_join a b]: the rows of [a] whose restriction to the variables of
@@ -63,12 +87,36 @@ val filter : ((string -> Relational.Value.t) -> bool) -> t -> t
 (** Keeps the rows on which the predicate holds; the predicate receives a
     lookup function for the row (raising [Not_found] on unknown variables). *)
 
+val head_rows :
+  adom:Relational.Value.t list Lazy.t ->
+  head:Ast.term list ->
+  t ->
+  Relational.Tuple.t list
+(** The tuples of a query or rule head, one per row, in row order: each
+    head position is either a variable of the binding set, a free
+    variable not occurring in it (padded over the active domain), or a
+    constant.  Two rows can give the same tuple when the head drops a
+    variable, so the list may repeat tuples. *)
+
 val to_relation :
   adom:Relational.Value.t list Lazy.t ->
   Relational.Schema.t ->
   head:Ast.term list ->
   t ->
   Relational.Relation.t
-(** Builds the answer relation for a query head: each head position is
-    either a variable of the binding set, a free variable not occurring in
-    it (padded over the active domain), or a constant. *)
+(** The answer relation of a query head: {!head_rows} as a relation. *)
+
+(** {1 Row hash sets} *)
+
+module Rowset : sig
+  type t
+  (** A mutable set of tuples, hashed with {!Relational.Tuple.hash}. *)
+
+  val create : int -> t
+  (** An empty set sized for about the given number of rows. *)
+
+  val add : t -> Relational.Tuple.t -> bool
+  (** Adds the row; [true] when it was absent. *)
+
+  val mem : t -> Relational.Tuple.t -> bool
+end

@@ -409,14 +409,54 @@ let rec cond_holds st c =
       let h1 = cond_holds st c1 and h2 = cond_holds st c2 in
       fun lookup -> h1 lookup || h2 lookup
 
+(* The [n] rows of a list accumulated newest-first, oldest first: the
+   interpreter's operators collect rows in derivation order this way. *)
+let array_of_rev n l =
+  match l with
+  | [] -> [||]
+  | r :: _ ->
+      let a = Array.make n r in
+      List.iteri (fun i r -> a.(n - 1 - i) <- r) l;
+      a
+
+(* A condition as a predicate over a stored tuple, its variables resolved
+   to columns once ([col_of]) rather than looked up by name per row. *)
+let rec cond_on_tuple st col_of c =
+  let term = function
+    | Var v ->
+        let i = col_of v in
+        fun (tup : Relational.Tuple.t) -> tup.(i)
+    | Const x -> fun _ -> x
+  in
+  match c with
+  | Cond_cmp (op, t1, t2) ->
+      let holds2 = eval_cmp op and f1 = term t1 and f2 = term t2 in
+      fun tup -> holds2 (f1 tup) (f2 tup)
+  | Cond_dist (name, t1, t2, d) ->
+      let fn =
+        match Dist.find_opt st.dist name with
+        | Some fn -> fn
+        | None -> failwith ("Plan: unknown distance function " ^ name)
+      in
+      let f1 = term t1 and f2 = term t2 in
+      fun tup -> fn (f1 tup) (f2 tup) <= d
+  | Cond_or (c1, c2) ->
+      let h1 = cond_on_tuple st col_of c1 and h2 = cond_on_tuple st col_of c2 in
+      fun tup -> h1 tup || h2 tup
+
 (* Satisfying assignments of an atom, restricted to [out_vars].  The
    per-position spec is built once: a constant, the first occurrence of a
    variable, or a repeat that must equal an earlier column.  Rows come through the relation's
    maintained by-column index when a position holds a constant, and from
    one pass over the tuple set otherwise.  [keep], when given, is a filter
-   fused into the scan and tested on each matched row before the row is
-   materialized; the result pairs the kept bindings with the number of
-   rows the atom pattern matched (what the leaf alone would emit). *)
+   condition fused into the scan and tested on each matched stored tuple
+   before the row is materialized; the result pairs the kept bindings with the number of
+   rows the atom pattern matched (what the leaf alone would emit).
+
+   Distinct stored tuples give distinct rows unless the scan drops a
+   variable the atom binds, so only such a narrowed scan deduplicates.  A
+   scan whose atom is exactly its variables in sorted order emits the
+   stored tuples themselves, uncopied. *)
 let exec_scan st ?keep a out_vars =
   Observe.bump c_scans;
   let r = lookup_relation st.env a in
@@ -446,7 +486,16 @@ let exec_scan st ?keep a out_vars =
   in
   let out_vars = List.sort_uniq String.compare out_vars in
   let out = Array.of_list (List.map col_of out_vars) in
-  let matched = ref 0 and kept = ref 0 and rows = ref [] in
+  let keep = Option.map (cond_on_tuple st col_of) keep in
+  let whole =
+    Array.length out = Array.length spec
+    && Array.for_all Fun.id (Array.mapi (fun i c -> i = c) out)
+  in
+  let seen =
+    if Array.length out < Hashtbl.length first then Some (Bindings.Rowset.create 64)
+    else None
+  in
+  let matched = ref 0 and kept = ref 0 and n = ref 0 and rows = ref [] in
   let visit tup =
     let ok = ref true and i = ref 0 in
     while !ok && !i < Array.length spec do
@@ -459,10 +508,15 @@ let exec_scan st ?keep a out_vars =
     if !ok then begin
       incr matched;
       match keep with
-      | Some p when not (p (fun v -> tup.(col_of v))) -> ()
-      | _ ->
+      | Some p when not (p tup) -> ()
+      | _ -> (
           incr kept;
-          rows := Array.map (fun c -> tup.(c)) out :: !rows
+          let row = if whole then tup else Array.map (fun c -> tup.(c)) out in
+          match seen with
+          | Some s when not (Bindings.Rowset.add s row) -> ()
+          | _ ->
+              incr n;
+              rows := row :: !rows)
     end
   in
   let rec const_col i = function
@@ -470,15 +524,24 @@ let exec_scan st ?keep a out_vars =
     | Const c :: _ -> Some (i, c)
     | Var _ :: rest -> const_col (i + 1) rest
   in
-  (match const_col 0 a.args with
-  | Some (col, c) ->
-      Observe.bump c_selects;
-      List.iter visit (Relation.select_eq r col c)
-  | None ->
-      Observe.bump c_full_scans;
-      Relation.iter visit r);
+  let rows =
+    match const_col 0 a.args with
+    | Some (col, c) ->
+        Observe.bump c_selects;
+        List.iter visit (Relation.select_eq r col c);
+        array_of_rev !n !rows
+    | None when whole && Option.is_none keep ->
+        Observe.bump c_full_scans;
+        matched := Relation.cardinal r;
+        kept := !matched;
+        Relation.to_array r
+    | None ->
+        Observe.bump c_full_scans;
+        Relation.iter visit r;
+        array_of_rev !n !rows
+  in
   Observe.add c_rows !kept;
-  (Bindings.make out_vars !rows, !matched)
+  (Bindings.of_distinct out_vars rows, !matched)
 
 (* Index nested-loop join: join the child binding set against the atom's
    relation, probing the relation's cached by-column index on a shared
@@ -524,28 +587,57 @@ let exec_probe st b a =
       args
   in
   let nfresh = Array.length fresh in
-  let out = ref [] in
+  (* The output row in sorted variable order, built in one pass: column
+     [i] reads the child row's column [j] when [layout.(i) = j >= 0] and
+     fresh slot [k] when [layout.(i) = -1 - k].  Without fresh variables
+     the child row itself is the output row.  A child row and a matching
+     tuple determine each other's output, so the rows are distinct. *)
+  let out_vars =
+    List.sort String.compare (Array.to_list b_vars @ Array.to_list fresh)
+  in
+  let layout =
+    Array.of_list
+      (List.map
+         (fun v ->
+           match pos_in b_vars v with
+           | Some j -> j
+           | None -> -1 - Option.get (pos_in fresh v))
+         out_vars)
+  in
+  let width = Array.length layout in
+  let n = ref 0 and out = ref [] in
   let slots = Array.make (max nfresh 1) (Value.Int 0) in
   let filled = Array.make (max nfresh 1) false in
   let try_match row tup =
     Array.fill filled 0 nfresh false;
-    let ok = ref true in
-    Array.iteri
-      (fun i s ->
-        if !ok then
-          match s with
-          | `Const c -> if not (Value.equal c tup.(i)) then ok := false
-          | `Bound j -> if not (Value.equal row.(j) tup.(i)) then ok := false
-          | `Fresh k ->
-              if filled.(k) then begin
-                if not (Value.equal slots.(k) tup.(i)) then ok := false
-              end
-              else begin
-                slots.(k) <- tup.(i);
-                filled.(k) <- true
-              end)
-      spec;
-    if !ok then out := Array.append row (Array.sub slots 0 nfresh) :: !out
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < arity do
+      (match spec.(!i) with
+      | `Const c -> ok := Value.equal c tup.(!i)
+      | `Bound j -> ok := Value.equal row.(j) tup.(!i)
+      | `Fresh k ->
+          if filled.(k) then ok := Value.equal slots.(k) tup.(!i)
+          else begin
+            slots.(k) <- tup.(!i);
+            filled.(k) <- true
+          end);
+      incr i
+    done;
+    if !ok then begin
+      let o =
+        if nfresh = 0 then row
+        else begin
+          let o = Array.make width (Value.Int 0) in
+          for i = 0 to width - 1 do
+            let s = layout.(i) in
+            o.(i) <- (if s >= 0 then row.(s) else slots.(-1 - s))
+          done;
+          o
+        end
+      in
+      incr n;
+      out := o :: !out
+    end
   in
   let shared_col =
     let rec go i =
@@ -564,32 +656,32 @@ let exec_probe st b a =
   (match shared_col with
   | Some (col, j) ->
       let ix = Relation.index_on r col in
-      List.iter
+      Bindings.iter
         (fun row ->
           Robust.Budget.check ();
           Observe.bump c_probes;
           List.iter (try_match row) (Relation.probe ix row.(j)))
-        (Bindings.rows b)
+        b
   | None -> (
       match const_col with
       | Some (col, c) ->
           Observe.bump c_selects;
           let tups = Relation.select_eq r col c in
-          List.iter
+          Bindings.iter
             (fun row ->
               Robust.Budget.check ();
               List.iter (try_match row) tups)
-            (Bindings.rows b)
+            b
       | None ->
           Observe.bump c_full_scans;
           let tups = Relation.to_array r in
-          List.iter
+          Bindings.iter
             (fun row ->
               Robust.Budget.check ();
               Array.iter (try_match row) tups)
-            (Bindings.rows b)));
-  if Observe.enabled () then Observe.add c_rows (List.length !out);
-  Bindings.make (Array.to_list b_vars @ Array.to_list fresh) !out
+            b));
+  Observe.add c_rows !n;
+  Bindings.of_distinct out_vars (array_of_rev !n !out)
 
 (* A built-in leaf: the assignments of the condition's variables over the
    active domain that satisfy it.  A variable-free condition is [tt] or
@@ -606,10 +698,13 @@ let exec_builtin st c =
         let rec go i = if vars.(i) = v then row.(i) else go (i + 1) in
         go 0
       in
-      let out = ref [] in
+      let n = ref 0 and out = ref [] in
       let rec fill i =
         if i = Array.length vars then begin
-          if holds lookup then out := Array.copy row :: !out
+          if holds lookup then begin
+            incr n;
+            out := Array.copy row :: !out
+          end
         end
         else
           List.iter
@@ -619,7 +714,8 @@ let exec_builtin st c =
             adom
       in
       fill 0;
-      Bindings.make vs !out
+      (* a duplicate-free domain enumerates distinct rows *)
+      Bindings.of_distinct vs (array_of_rev !n !out)
 
 (* A leaf scan, with [keep] a filter fused into it.  The leaf records the
    rows its atom matched, so [explain] still shows what the scan read; the
@@ -644,7 +740,7 @@ let rec run_node st n =
     | Filter (c, ({ op = Scan (a, out_vars); _ } as x)) ->
         (* the leaf's own budget tick, as if it ran as a node *)
         Robust.Budget.check ();
-        run_scan st ~keep:(cond_holds st c) x a out_vars
+        run_scan st ~keep:c x a out_vars
     | Filter (c, x) -> Bindings.filter (cond_holds st c) (run_node st x)
     | Builtin c -> exec_builtin st c
     | Extend (vs, x) -> Bindings.extend ~adom:st.adom vs (run_node st x)
@@ -708,75 +804,124 @@ let answer_is_empty ~env ~dist ~vset fp =
    renaming is needed for the ["@delta"] views). *)
 let delta_name n = n ^ "@delta"
 
+(* An IDB of a recursive stratum while its fixpoint runs: the rows derived
+   so far (newest first) and a hash set of them, plus — only when a delta
+   variant reads the whole IDB — its relation as of the last round. *)
+type idb_acc = {
+  ia_name : string;
+  ia_schema : Schema.t;
+  ia_seen : Bindings.Rowset.t;
+  mutable ia_rows : Relational.Tuple.t list;
+  mutable ia_full : Relation.t option;
+}
+
 (* One stratum of the semi-naive fixpoint: evaluates [stp]'s IDBs to a
    fixpoint over [env] extended with [acc_overlay] (the IDBs of earlier
    strata) and returns them prepended to [acc_overlay].  Standalone so the
-   differential Datalog preparation can pre-evaluate frozen strata. *)
+   differential Datalog preparation can pre-evaluate frozen strata.
+
+   A non-recursive stratum (no rule has a delta variant) fires its rules
+   once and builds each IDB from their head rows.  A recursive one tests
+   each round's head rows against the IDB's row hash set; the fresh rows
+   become the next ["@delta"] relation, and the whole IDB is built as a
+   relation only for delta variants that read it, and once at the end.
+   Every stratum passes at least one round guard (budget tick and the
+   ["plan.round"] fault site). *)
 let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
-  let eval_rule_node overlay_extra node head arity =
-    let st =
-      { env = { env with overlay = overlay_extra @ env.overlay }; adom; dist; record }
-    in
-    let b = run_node st node in
-    Bindings.to_relation ~adom (Datalog.idb_schema head.rel arity) ~head:head.args b
+  let head_rows overlay node head =
+    let st = { env = { env with overlay = overlay @ env.overlay }; adom; dist; record } in
+    Bindings.head_rows ~adom ~head:head.args (run_node st node)
   in
-  let arity name = List.assoc name stp.st_idbs in
-  let empty_idb =
-    List.map (fun (n, k) -> (n, Relation.empty (Datalog.idb_schema n k))) stp.st_idbs
+  let round () =
+    Robust.Budget.check ();
+    Robust.Fault.hit "plan.round";
+    Observe.bump c_rounds
   in
+  let schema (name, k) = Datalog.idb_schema name k in
+  let rules_of name = List.filter (fun rp -> rp.rp_head.rel = name) stp.st_rules in
   (* Round 0 skips every rule that reads an IDB of this stratum: that IDB
      is still empty, and stratification makes the read positive, so the
      rule derives nothing. *)
   let reads_own rp =
     List.exists (fun (n, _) -> mentions_rel n rp.rp_full) stp.st_idbs
   in
-  let derive_initial (name, k) =
-    List.fold_left
-      (fun acc rp ->
-        if rp.rp_head.rel = name && not (reads_own rp) then
-          Relation.union acc
-            (eval_rule_node (empty_idb @ acc_overlay) rp.rp_full rp.rp_head k)
-        else acc)
-      (Relation.empty (Datalog.idb_schema name k))
-      stp.st_rules
+  let initial name =
+    List.concat_map
+      (fun rp -> if reads_own rp then [] else head_rows acc_overlay rp.rp_full rp.rp_head)
+      (rules_of name)
   in
-  let full0 = List.map (fun nk -> (fst nk, derive_initial nk)) stp.st_idbs in
-  let rec iterate full delta =
-    Robust.Budget.check ();
-    Robust.Fault.hit "plan.round";
-    Observe.bump c_rounds;
-    if List.for_all (fun (_, r) -> Relation.is_empty r) delta then full
-    else begin
-      let overlay =
-        List.map (fun (n, r) -> (delta_name n, r)) delta @ full @ acc_overlay
+  if List.for_all (fun rp -> rp.rp_deltas = []) stp.st_rules then begin
+    let idbs =
+      List.map (fun ((name, _) as nk) -> (name, Relation.of_list (schema nk) (initial name)))
+        stp.st_idbs
+    in
+    round ();
+    idbs @ acc_overlay
+  end
+  else begin
+    let read_whole name =
+      List.exists (fun rp -> List.exists (mentions_rel name) rp.rp_deltas) stp.st_rules
+    in
+    let accs =
+      List.map
+        (fun ((name, _) as nk) ->
+          let sch = schema nk in
+          {
+            ia_name = name;
+            ia_schema = sch;
+            ia_seen = Bindings.Rowset.create 64;
+            ia_rows = [];
+            ia_full = (if read_whole name then Some (Relation.empty sch) else None);
+          })
+        stp.st_idbs
+    in
+    (* Keeps the rows the IDB lacks and returns them as its next delta. *)
+    let absorb acc rows =
+      let fresh =
+        List.filter
+          (fun row ->
+            Bindings.Rowset.add acc.ia_seen row
+            && begin
+                 acc.ia_rows <- row :: acc.ia_rows;
+                 true
+               end)
+          rows
       in
-      let new_full_delta =
-        List.map
-          (fun (name, full_rel) ->
-            let k = arity name in
-            let derived =
-              List.concat_map
-                (fun rp ->
-                  if rp.rp_head.rel <> name then []
-                  else
-                    List.map
-                      (fun dn -> eval_rule_node overlay dn rp.rp_head k)
-                      rp.rp_deltas)
-                stp.st_rules
-            in
-            let all_new =
-              List.fold_left Relation.union
-                (Relation.empty (Datalog.idb_schema name k))
-                derived
-            in
-            let fresh = Relation.diff all_new full_rel in
-            ((name, Relation.union full_rel fresh), (name, fresh)))
-          full
-      in
-      iterate (List.map fst new_full_delta) (List.map snd new_full_delta)
-    end
-  in
-  iterate full0 full0 @ acc_overlay
+      let delta = Relation.of_list acc.ia_schema fresh in
+      Option.iter (fun full -> acc.ia_full <- Some (Relation.union full delta)) acc.ia_full;
+      (acc, delta)
+    in
+    let rec iterate deltas =
+      round ();
+      if List.exists (fun (_, d) -> not (Relation.is_empty d)) deltas then begin
+        let overlay =
+          List.map (fun (acc, d) -> (delta_name acc.ia_name, d)) deltas
+          @ List.filter_map (fun acc -> Option.map (fun f -> (acc.ia_name, f)) acc.ia_full) accs
+          @ acc_overlay
+        in
+        let derived =
+          List.map
+            (fun acc ->
+              ( acc,
+                List.concat_map
+                  (fun rp ->
+                    List.concat_map (fun dn -> head_rows overlay dn rp.rp_head) rp.rp_deltas)
+                  (rules_of acc.ia_name) ))
+            accs
+        in
+        iterate (List.map (fun (acc, rows) -> absorb acc rows) derived)
+      end
+    in
+    iterate (List.map (fun acc -> absorb acc (initial acc.ia_name)) accs);
+    List.map
+      (fun acc ->
+        ( acc.ia_name,
+          match acc.ia_full with
+          | Some full -> full
+          | None -> Relation.of_list acc.ia_schema acc.ia_rows ))
+      accs
+    @ acc_overlay
+  end
 
 let run_fixpoint ~env ~dist ~record ~vset dp =
   let adom = disjunct_adom vset dp.dp_consts in

@@ -1,5 +1,6 @@
 open Qlang
 open Ast
+module Bindings = Oracle_bindings
 module Value = Relational.Value
 module Relation = Relational.Relation
 module Database = Relational.Database

@@ -4,12 +4,13 @@
     A naive bottom-up evaluator under active-domain semantics, written for
     obviousness rather than speed.  FO formulas (SP, CQ, UCQ, ∃FO⁺, FO and
     the [Dist] atoms of query relaxation) are evaluated by structural
-    recursion over {!Qlang.Bindings}, with quantifiers and complements
-    ranging over [adom(Q, D)]: the constants of the database and of the
-    formula.  Datalog programs are evaluated stratum by stratum as a naive
+    recursion over the oracle's own binding sets ({!Oracle_bindings}),
+    with quantifiers and complements ranging over [adom(Q, D)]: the
+    constants of the database and of the formula.  Datalog programs are evaluated stratum by stratum as a naive
     least fixpoint, re-firing every rule of the stratum through the FO
     evaluator each round until no IDB grows.  It shares no code with
-    {!Qlang.Plan}: no plan compilation, no plan cache. *)
+    {!Qlang.Plan} or {!Qlang.Bindings}: no plan compilation, no plan cache,
+    no row arrays. *)
 
 val active_domain :
   Relational.Database.t -> Qlang.Ast.formula -> Relational.Value.t list
@@ -19,7 +20,7 @@ val eval_formula :
   ?dist:Qlang.Dist.env ->
   Relational.Database.t ->
   Qlang.Ast.formula ->
-  Qlang.Bindings.t
+  Oracle_bindings.t
 (** Satisfying assignments of the free variables.  Raises [Failure] when the
     formula mentions a relation absent from the database or a distance
     function absent from [dist]. *)

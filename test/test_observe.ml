@@ -218,6 +218,15 @@ let test_all_valid_counters_domain_independent () =
   check_int "no delta verdicts" 0
     (count "memo.compat_hit" snap1 + count "memo.compat_miss" snap1)
 
+(* Prewarming the team instance resolves its CQ constraint to conflict
+   sets and so never prepares the delta plan those sets make redundant. *)
+let test_prewarm_skips_delta () =
+  let inst = Workload.Teams.team_instance () in
+  Core.Instance.prewarm inst;
+  let snap = Observe.snapshot () in
+  check_int "one conflict-set build" 1 (count "compat.conflict_builds" snap);
+  check_int "no delta preparation" 0 (count "plan.delta_prepares" snap)
+
 (* ---------- DPLL telemetry ---------- *)
 
 (* PHP(3,2): three pigeons, two holes — a fixed UNSAT instance that forces
@@ -306,6 +315,8 @@ let () =
         [
           Alcotest.test_case "all_valid counters domain-independent" `Quick
             (traced test_all_valid_counters_domain_independent);
+          Alcotest.test_case "prewarm skips the delta" `Quick
+            (traced test_prewarm_skips_delta);
           Alcotest.test_case "DPLL event counts" `Quick (traced test_sat_counters);
         ] );
       ( "config",
