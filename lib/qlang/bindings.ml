@@ -239,7 +239,7 @@ let join a b =
    k missing columns and merge each combination into each existing row,
    instead of materializing k-1 intermediate binding sets through repeated
    singleton joins.  Distinct rows times a duplicate-free domain stay
-   distinct, so the output size is known up front. *)
+   distinct. *)
 let extend ~adom extra b =
   let missing =
     List.sort_uniq String.compare extra
@@ -264,18 +264,16 @@ let extend ~adom extra b =
           out_vars
       in
       let adom_arr = Array.of_list (Lazy.force adom) in
-      let rec power acc j = if j = 0 then acc else power (acc * Array.length adom_arr) (j - 1) in
-      let total = power (Array.length b.rows) k in
-      let out = Array.make total [||] in
-      let next = ref 0 in
+      let n = ref 0 and out = ref [] in
       let fresh = Array.make k (Value.Int 0) in
       let emit row =
         Robust.Budget.check ();
-        out.(!next) <-
+        incr n;
+        out :=
           Array.map
             (fun s -> match s with `Old i -> row.(i) | `Fresh j -> fresh.(j))
-            src;
-        incr next
+            src
+          :: !out
       in
       Array.iter
         (fun row ->
@@ -290,7 +288,7 @@ let extend ~adom extra b =
           in
           fill 0)
         b.rows;
-      { vars = out_vars; rows = out }
+      { vars = out_vars; rows = array_of_rev !n !out }
 
 (* The left side's rows, then the right side's rows the left lacks. *)
 let union ~adom a b =

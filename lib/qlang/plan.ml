@@ -450,8 +450,9 @@ let rec cond_on_tuple st col_of c =
    maintained by-column index when a position holds a constant, and from
    one pass over the tuple set otherwise.  [keep], when given, is a filter
    condition fused into the scan and tested on each matched stored tuple
-   before the row is materialized; the result pairs the kept bindings with the number of
-   rows the atom pattern matched (what the leaf alone would emit).
+   before the row is materialized; the result pairs the kept bindings with
+   the number of rows the atom pattern matched (what the leaf alone would
+   emit).
 
    Distinct stored tuples give distinct rows unless the scan drops a
    variable the atom binds, so only such a narrowed scan deduplicates.  A
@@ -492,7 +493,8 @@ let exec_scan st ?keep a out_vars =
     && Array.for_all Fun.id (Array.mapi (fun i c -> i = c) out)
   in
   let seen =
-    if Array.length out < Hashtbl.length first then Some (Bindings.Rowset.create 64)
+    if Array.length out < Hashtbl.length first then
+      Some (Bindings.Rowset.create 64)
     else None
   in
   let matched = ref 0 and kept = ref 0 and n = ref 0 and rows = ref [] in
@@ -829,8 +831,8 @@ type idb_acc = {
    ["plan.round"] fault site). *)
 let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
   let head_rows overlay node head =
-    let st = { env = { env with overlay = overlay @ env.overlay }; adom; dist; record } in
-    Bindings.head_rows ~adom ~head:head.args (run_node st node)
+    let env = { env with overlay = overlay @ env.overlay } in
+    Bindings.head_rows ~adom ~head:head.args (run_node { env; adom; dist; record } node)
   in
   let round () =
     Robust.Budget.check ();
@@ -847,12 +849,14 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
   in
   let initial name =
     List.concat_map
-      (fun rp -> if reads_own rp then [] else head_rows acc_overlay rp.rp_full rp.rp_head)
+      (fun rp ->
+        if reads_own rp then [] else head_rows acc_overlay rp.rp_full rp.rp_head)
       (rules_of name)
   in
   if List.for_all (fun rp -> rp.rp_deltas = []) stp.st_rules then begin
     let idbs =
-      List.map (fun ((name, _) as nk) -> (name, Relation.of_list (schema nk) (initial name)))
+      List.map
+        (fun ((name, _) as nk) -> (name, Relation.of_list (schema nk) (initial name)))
         stp.st_idbs
     in
     round ();
@@ -860,7 +864,9 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
   end
   else begin
     let read_whole name =
-      List.exists (fun rp -> List.exists (mentions_rel name) rp.rp_deltas) stp.st_rules
+      List.exists
+        (fun rp -> List.exists (mentions_rel name) rp.rp_deltas)
+        stp.st_rules
     in
     let accs =
       List.map
@@ -877,18 +883,10 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
     in
     (* Keeps the rows the IDB lacks and returns them as its next delta. *)
     let absorb acc rows =
-      let fresh =
-        List.filter
-          (fun row ->
-            Bindings.Rowset.add acc.ia_seen row
-            && begin
-                 acc.ia_rows <- row :: acc.ia_rows;
-                 true
-               end)
-          rows
-      in
+      let fresh = List.filter (Bindings.Rowset.add acc.ia_seen) rows in
+      acc.ia_rows <- List.rev_append fresh acc.ia_rows;
       let delta = Relation.of_list acc.ia_schema fresh in
-      Option.iter (fun full -> acc.ia_full <- Some (Relation.union full delta)) acc.ia_full;
+      acc.ia_full <- Option.map (fun full -> Relation.union full delta) acc.ia_full;
       (acc, delta)
     in
     let rec iterate deltas =
@@ -896,18 +894,16 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
       if List.exists (fun (_, d) -> not (Relation.is_empty d)) deltas then begin
         let overlay =
           List.map (fun (acc, d) -> (delta_name acc.ia_name, d)) deltas
-          @ List.filter_map (fun acc -> Option.map (fun f -> (acc.ia_name, f)) acc.ia_full) accs
+          @ List.filter_map
+              (fun acc -> Option.map (fun f -> (acc.ia_name, f)) acc.ia_full)
+              accs
           @ acc_overlay
         in
+        let derive rp =
+          List.concat_map (fun dn -> head_rows overlay dn rp.rp_head) rp.rp_deltas
+        in
         let derived =
-          List.map
-            (fun acc ->
-              ( acc,
-                List.concat_map
-                  (fun rp ->
-                    List.concat_map (fun dn -> head_rows overlay dn rp.rp_head) rp.rp_deltas)
-                  (rules_of acc.ia_name) ))
-            accs
+          List.map (fun acc -> (acc, List.concat_map derive (rules_of acc.ia_name))) accs
         in
         iterate (List.map (fun (acc, rows) -> absorb acc rows) derived)
       end
