@@ -363,11 +363,7 @@ let project keep b =
     let narrow row = Array.map (fun i -> row.(i)) pos in
     { vars = keep_arr; rows = dedup (Array.map narrow b.rows) }
 
-let filter pred b =
-  let lookup row v =
-    match index_of b.vars v with Some i -> row.(i) | None -> raise Not_found
-  in
-  { b with rows = filter_rows (fun row -> pred (lookup row)) b.rows }
+let filter keep b = { b with rows = filter_rows keep b.rows }
 
 let head_rows ~adom ~head b =
   let head_vars =

@@ -83,9 +83,9 @@ val project : string list -> t -> t
 (** Keeps only the given variables (others are projected out, i.e.
     existentially quantified).  Variables not present are ignored. *)
 
-val filter : ((string -> Relational.Value.t) -> bool) -> t -> t
-(** Keeps the rows on which the predicate holds; the predicate receives a
-    lookup function for the row (raising [Not_found] on unknown variables). *)
+val filter : (Relational.Tuple.t -> bool) -> t -> t
+(** Keeps the rows on which the predicate holds; it receives each row with
+    its values in the order of {!vars}. *)
 
 val head_rows :
   adom:Relational.Value.t list Lazy.t ->

@@ -391,24 +391,6 @@ let check_arity a r =
       (Printf.sprintf "Plan: atom %s has arity %d but relation has arity %d"
          a.rel arity (Relation.arity r))
 
-(* A condition as a predicate over a row's variable lookup. *)
-let rec cond_holds st c =
-  let value lookup = function Var v -> lookup v | Const x -> x in
-  match c with
-  | Cond_cmp (op, t1, t2) ->
-      let holds2 = eval_cmp op in
-      fun lookup -> holds2 (value lookup t1) (value lookup t2)
-  | Cond_dist (name, t1, t2, d) ->
-      let fn =
-        match Dist.find_opt st.dist name with
-        | Some fn -> fn
-        | None -> failwith ("Plan: unknown distance function " ^ name)
-      in
-      fun lookup -> fn (value lookup t1) (value lookup t2) <= d
-  | Cond_or (c1, c2) ->
-      let h1 = cond_holds st c1 and h2 = cond_holds st c2 in
-      fun lookup -> h1 lookup || h2 lookup
-
 (* The [n] rows of a list accumulated newest-first, oldest first: the
    interpreter's operators collect rows in derivation order this way. *)
 let array_of_rev n l =
@@ -419,19 +401,21 @@ let array_of_rev n l =
       List.iteri (fun i r -> a.(n - 1 - i) <- r) l;
       a
 
-(* A condition as a predicate over a stored tuple, its variables resolved
-   to columns once ([col_of]) rather than looked up by name per row. *)
-let rec cond_on_tuple st col_of c =
+(* A condition as a predicate over a row, its variables resolved to
+   columns once by [col_of] rather than looked up by name per row.  A
+   variable [col_of] cannot place raises [Not_found] when it is read. *)
+let rec cond_holds st col_of c =
   let term = function
-    | Var v ->
-        let i = col_of v in
-        fun (tup : Relational.Tuple.t) -> tup.(i)
+    | Var v -> (
+        match col_of v with
+        | Some i -> fun (row : Relational.Tuple.t) -> row.(i)
+        | None -> fun _ -> raise Not_found)
     | Const x -> fun _ -> x
   in
   match c with
   | Cond_cmp (op, t1, t2) ->
       let holds2 = eval_cmp op and f1 = term t1 and f2 = term t2 in
-      fun tup -> holds2 (f1 tup) (f2 tup)
+      fun row -> holds2 (f1 row) (f2 row)
   | Cond_dist (name, t1, t2, d) ->
       let fn =
         match Dist.find_opt st.dist name with
@@ -439,10 +423,17 @@ let rec cond_on_tuple st col_of c =
         | None -> failwith ("Plan: unknown distance function " ^ name)
       in
       let f1 = term t1 and f2 = term t2 in
-      fun tup -> fn (f1 tup) (f2 tup) <= d
+      fun row -> fn (f1 row) (f2 row) <= d
   | Cond_or (c1, c2) ->
-      let h1 = cond_on_tuple st col_of c1 and h2 = cond_on_tuple st col_of c2 in
-      fun tup -> h1 tup || h2 tup
+      let h1 = cond_holds st col_of c1 and h2 = cond_holds st col_of c2 in
+      fun row -> h1 row || h2 row
+
+(* The column of a variable in a sorted variable array. *)
+let column vars v =
+  let rec go i =
+    if i = Array.length vars then None else if vars.(i) = v then Some i else go (i + 1)
+  in
+  go 0
 
 (* Satisfying assignments of an atom, restricted to [out_vars].  The
    per-position spec is built once: a constant, the first occurrence of a
@@ -487,7 +478,7 @@ let exec_scan st ?keep a out_vars =
   in
   let out_vars = List.sort_uniq String.compare out_vars in
   let out = Array.of_list (List.map col_of out_vars) in
-  let keep = Option.map (cond_on_tuple st col_of) keep in
+  let keep = Option.map (cond_holds st (Hashtbl.find_opt first)) keep in
   let whole =
     Array.length out = Array.length spec
     && Array.for_all Fun.id (Array.mapi (fun i c -> i = c) out)
@@ -689,21 +680,17 @@ let exec_probe st b a =
    active domain that satisfy it.  A variable-free condition is [tt] or
    [ff] and never builds the domain. *)
 let exec_builtin st c =
-  let holds = cond_holds st c in
   match cond_vars c with
-  | [] -> if holds (fun _ -> raise Not_found) then Bindings.tt else Bindings.ff
+  | [] -> if cond_holds st (fun _ -> None) c [||] then Bindings.tt else Bindings.ff
   | vs ->
       let adom = Lazy.force st.adom in
       let vars = Array.of_list vs in
+      let holds = cond_holds st (column vars) c in
       let row = Array.make (Array.length vars) (Value.Int 0) in
-      let lookup v =
-        let rec go i = if vars.(i) = v then row.(i) else go (i + 1) in
-        go 0
-      in
       let n = ref 0 and out = ref [] in
       let rec fill i =
         if i = Array.length vars then begin
-          if holds lookup then begin
+          if holds row then begin
             incr n;
             out := Array.copy row :: !out
           end
@@ -743,7 +730,9 @@ let rec run_node st n =
         (* the leaf's own budget tick, as if it ran as a node *)
         Robust.Budget.check ();
         run_scan st ~keep:c x a out_vars
-    | Filter (c, x) -> Bindings.filter (cond_holds st c) (run_node st x)
+    | Filter (c, x) ->
+        let b = run_node st x in
+        Bindings.filter (cond_holds st (column (Bindings.vars b)) c) b
     | Builtin c -> exec_builtin st c
     | Extend (vs, x) -> Bindings.extend ~adom:st.adom vs (run_node st x)
     | Project (vs, x) -> Bindings.project vs (run_node st x)

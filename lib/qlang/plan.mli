@@ -19,7 +19,11 @@
     active domain (a complement or a built-in leaf), so a safe-range query
     never builds the domain.  Datalog programs become a {!Fixpoint} plan
     whose strata carry semi-naive rule-body plans; round 0 of a stratum
-    skips the rules that read the stratum's own (still empty) IDBs.
+    skips the rules that read the stratum's own (still empty) IDBs.  A
+    non-recursive stratum fires its rules once; a recursive one tests each
+    round's derived rows against a row hash set per IDB and builds an
+    IDB's relation only for the delta variants that read it whole, and at
+    the end.
 
     Every atom leaf is one {!Scan} over the row store: a constant position
     reads through the relation's by-column index, which writes maintain,
