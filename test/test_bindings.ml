@@ -156,7 +156,8 @@ let random_write rng db =
     Database.insert_tuple "E" (Tuple.of_list [ v (); v () ]) db
   else
     let edges = Relation.to_list e in
-    Database.delete_tuple "E" (List.nth edges (Random.State.int rng (List.length edges))) db
+    let victim = List.nth edges (Random.State.int rng (List.length edges)) in
+    Database.delete_tuple "E" victim db
 
 let prop_fixpoint_matches_oracle =
   QCheck.Test.make ~name:"semi-naive fixpoint = Oracle.eval under writes"
@@ -220,7 +221,8 @@ let test_example_rows_pinned () =
   let db = Database.of_string (read "db.txt") in
   let shipped =
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".q" || Filename.check_suffix f ".dl")
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".q" || Filename.check_suffix f ".dl")
     |> List.sort compare
   in
   Alcotest.(check (list string))
@@ -236,7 +238,8 @@ let test_example_rows_pinned () =
       Observe.reset ();
       let r = Query.eval db q in
       check_int (f ^ ": plan.rows") rows (counter_value "plan.rows");
-      check_int (f ^ ": plan.fixpoint_rounds") rounds (counter_value "plan.fixpoint_rounds");
+      check_int (f ^ ": plan.fixpoint_rounds") rounds
+        (counter_value "plan.fixpoint_rounds");
       check_int (f ^ ": answers") answers (Relation.cardinal r))
     example_rows
 
@@ -246,11 +249,15 @@ let () =
     [
       ( "bindings",
         qsuite [ prop_bindings_match_oracle ]
-        @ [ Alcotest.test_case "nullary sets, empty domain" `Quick test_nullary_and_empty_adom ] );
+        @ [
+            Alcotest.test_case "nullary sets, empty domain" `Quick
+              test_nullary_and_empty_adom;
+          ] );
       ( "fixpoint",
         qsuite [ prop_fixpoint_matches_oracle ]
         @ [
             Alcotest.test_case "whole-IDB reads" `Quick test_whole_idb_reads;
-            Alcotest.test_case "plan.rows of the examples" `Quick test_example_rows_pinned;
+            Alcotest.test_case "plan.rows of the examples" `Quick
+              test_example_rows_pinned;
           ] );
     ]
