@@ -29,7 +29,7 @@ let rec check_node env diags n =
   let add d = diags := d :: !diags in
   let err code msg = add (Diagnostic.error ~context:(node_ctx n) code msg) in
   (match n.Plan.op with
-  | Plan.Scan (a, _) | Plan.Index_join (_, a) -> (
+  | Plan.Scan (a, _) | Plan.Index_join (_, a, _) -> (
       match Smap.find_opt a.Ast.rel env with
       | None ->
           err "P001"
@@ -54,6 +54,15 @@ let rec check_node env diags n =
       if missing <> [] then
         err "P009"
           (sprintf "scan keeps variable(s) %s that atom %s never binds"
+             (vars_str missing) a.Ast.rel)
+  | Plan.Index_join (c, a, keep) ->
+      let jv = Plan.join_vars c a in
+      let missing = List.filter (fun v -> not (List.mem v jv)) keep in
+      if missing <> [] then
+        err "P009"
+          (sprintf
+             "index-join keeps variable(s) %s that neither its input nor atom \
+              %s binds"
              (vars_str missing) a.Ast.rel)
   | Plan.Cached (b, _) ->
       let bv = Array.to_list (Bindings.vars b) in
@@ -192,7 +201,7 @@ let rec formula_conds f =
 let rec node_atoms n =
   let own =
     match n.Plan.op with
-    | Plan.Scan (a, _) | Plan.Index_join (_, a) ->
+    | Plan.Scan (a, _) | Plan.Index_join (_, a, _) ->
         [ (a.Ast.rel, List.length a.Ast.args) ]
     | _ -> []
   in

@@ -16,7 +16,8 @@
     - [P006] (error) malformed fixpoint: rule head not an IDB of its
       stratum, head arity mismatch, or undeclared answer predicate
     - [P007] (info) cartesian join: hash-join inputs share no variables
-    - [P009] (error) scan keeps a variable its atom never binds (the
+    - [P009] (error) scan keeps a variable its atom never binds, or
+      index join keeps one neither its input nor its atom binds (the
       covering projection would raise at run time)
     - [P015] (error) anti-join whose right input binds a variable its left
       input does not (the row restriction would raise at run time)

@@ -145,7 +145,8 @@ let parse_cond ln s =
   fold (String.split_on_char '|' s)
 
 (* Split "TEXT KW [..]" at the first " KW [" into the text before it and
-   the bracketed list ("scan R(x) vars [a]", "scan R(x, y) keep [x]"). *)
+   the bracketed list ("scan R(x) vars [a]", "scan R(x, y) keep [x]",
+   "index-join E(x, y) keep [y]"). *)
 let split_suffix kw s =
   let marker = " " ^ kw ^ " [" in
   let ml = String.length marker and sl = String.length s in
@@ -205,8 +206,15 @@ let rec parse_node depth lines =
             in
             (Plan.Scan (a, keep), rest)
         | "index-join" ->
+            let atom_text, keep = split_suffix "keep" arg in
+            let a = parse_atom l.ln atom_text in
             let c, rest = child1 rest in
-            (Plan.Index_join (c, parse_atom l.ln arg), rest)
+            let keep =
+              match keep with
+              | Some s -> parse_var_list l.ln s
+              | None -> Plan.join_vars c a
+            in
+            (Plan.Index_join (c, a, keep), rest)
         | "hash-join" ->
             let a, b, rest = child2 rest in
             (Plan.Hash_join (a, b), rest)

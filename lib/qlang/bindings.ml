@@ -365,33 +365,36 @@ let project keep b =
 
 let filter keep b = { b with rows = filter_rows keep b.rows }
 
-let head_rows ~adom ~head b =
-  let head_vars =
-    List.concat_map (function Ast.Var v -> [ v ] | Ast.Const _ -> []) head
-  in
-  let b = extend ~adom head_vars b in
+let head_tuples ~head vars rows =
   let src =
     Array.of_list
       (List.map
          (function
            | Ast.Const v -> `Const v
            | Ast.Var v -> (
-               match index_of b.vars v with
+               match index_of vars v with
                | Some i -> `Col i
                | None ->
                    invalid_arg ("Bindings.to_relation: unbound head variable " ^ v)))
          head)
   in
   let passthrough =
-    Array.length src = Array.length b.vars
+    Array.length src = Array.length vars
     && Array.for_all Fun.id
          (Array.mapi (fun i s -> match s with `Col j -> i = j | `Const _ -> false) src)
   in
-  if passthrough then rows b
+  if passthrough then Array.to_list rows
   else
-    List.map
-      (fun row -> Array.map (function `Const v -> v | `Col i -> row.(i)) src)
-      (rows b)
+    Array.fold_right
+      (fun row acc -> Array.map (function `Const v -> v | `Col i -> row.(i)) src :: acc)
+      rows []
+
+let head_rows ~adom ~head b =
+  let head_vars =
+    List.concat_map (function Ast.Var v -> [ v ] | Ast.Const _ -> []) head
+  in
+  let b = extend ~adom head_vars b in
+  head_tuples ~head b.vars b.rows
 
 let to_relation ~adom sch ~head b =
   Relational.Relation.of_list sch (head_rows ~adom ~head b)

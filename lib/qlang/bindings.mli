@@ -98,6 +98,16 @@ val head_rows :
     constant.  Two rows can give the same tuple when the head drops a
     variable, so the list may repeat tuples. *)
 
+val head_tuples :
+  head:Ast.term list ->
+  string array ->
+  Relational.Tuple.t array ->
+  Relational.Tuple.t list
+(** [head_tuples ~head vars rows]: the head tuple of each row, in row
+    order, for rows whose columns are named by [vars] — which need not be
+    a binding set: the rows may repeat, and so may the tuples.  Every head
+    variable must be among [vars]; raises [Invalid_argument] otherwise. *)
+
 val to_relation :
   adom:Relational.Value.t list Lazy.t ->
   Relational.Schema.t ->

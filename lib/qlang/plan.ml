@@ -45,9 +45,11 @@ type op =
       (** match the atom pattern against its relation, emitting the listed
           variables: all of the atom's, unless the covering rewrite
           narrowed them to the ones consumed above *)
-  | Index_join of node * atom
+  | Index_join of node * atom * string list
       (** index nested-loop join: each child row probes the atom
-          relation's cached by-column index *)
+          relation's cached by-column index, emitting the listed
+          variables: all of the child's and the atom's, unless the
+          covering rewrite narrowed them to the ones consumed above *)
   | Hash_join of node * node
   | Anti_join of node * node
       (** the left rows whose restriction to the right's variables is
@@ -145,6 +147,9 @@ let atom_var_list a =
 let atom_vars_sorted a = List.sort_uniq String.compare (atom_var_list a)
 let atom_vars_set a = Sset.of_list (atom_var_list a)
 
+(* The variables an index join of [n] against [a] binds, sorted. *)
+let join_vars n a = List.sort_uniq String.compare (n.nvars @ atom_vars_sorted a)
+
 let rec cond_terms = function
   | Cond_cmp (_, t1, t2) -> [ t1; t2 ]
   | Cond_dist (_, t1, t2, _) -> [ t1; t2 ]
@@ -227,12 +232,13 @@ let mk cx op =
       let est, dst = scan_est cx a in
       let nv = List.filter (fun v -> List.mem v keep) (atom_vars_sorted a) in
       mk_node op nv est (List.filter (fun (v, _) -> List.mem v nv) dst)
-  | Index_join (n, a) ->
+  | Index_join (n, a, keep) ->
       let s_est, s_dst = scan_est cx a in
       let vars, est, dst =
         join_est (n.nvars, n.est, n.dst) (atom_vars_sorted a, s_est, s_dst)
       in
-      mk_node op vars est dst
+      let nv = List.filter (fun v -> List.mem v keep) vars in
+      mk_node op nv est (List.filter (fun (v, _) -> List.mem v nv) dst)
   | Hash_join (x, y) ->
       let vars, est, dst = join_est (x.nvars, x.est, x.dst) (y.nvars, y.est, y.dst) in
       mk_node op vars est dst
@@ -285,7 +291,7 @@ let mk cx op =
 let children n =
   match n.op with
   | Tt | Ff | Scan _ | Builtin _ -> []
-  | Index_join (c, _)
+  | Index_join (c, _, _)
   | Filter (_, c)
   | Extend (_, c)
   | Project (_, c)
@@ -325,8 +331,7 @@ let plan_fault_sites = [ "plan.join"; "plan.round" ]
 let op_vars = function
   | Tt | Ff -> []
   | Scan (a, keep) -> List.filter (fun v -> List.mem v keep) (atom_vars_sorted a)
-  | Index_join (n, a) ->
-      List.sort_uniq String.compare (n.nvars @ atom_vars_sorted a)
+  | Index_join (n, a, keep) -> List.filter (fun v -> List.mem v keep) (join_vars n a)
   | Hash_join (x, y) | Union (x, y) ->
       List.sort_uniq String.compare (x.nvars @ y.nvars)
   | Filter (_, n) | Anti_join (n, _) | Complement n | Cached (_, n) -> n.nvars
@@ -343,7 +348,7 @@ let raw_node op nvars = mk_node op nvars nan []
 let rec mentions_rel rel n =
   match n.op with
   | Scan (a, _) -> a.rel = rel
-  | Index_join (c, a) -> a.rel = rel || mentions_rel rel c
+  | Index_join (c, a, _) -> a.rel = rel || mentions_rel rel c
   | Tt | Ff | Builtin _ | Cached _ -> false
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
       mentions_rel rel c
@@ -358,12 +363,28 @@ let rec mentions_rel rel n =
    relations keyed by name (fixpoint IDB state and ["@delta"] relations, or
    the candidate-package relation of a delta evaluation).  The overlay is
    consulted first, so a delta relation shadows its base (empty) version. *)
-type env = { base : Database.t; overlay : (string * Relation.t) list }
+type env = {
+  base : Database.t;
+  overlay : (string * Relation.t) list;
+  deltas : (string * delta_rows) list;
+      (** the ["@delta"] views of a running fixpoint round *)
+}
+
+(* The rows a semi-naive round added to an IDB, distinct, read by the next
+   round's ["@delta"] scans as they are.  Their relation is built only
+   when a plan probes the delta (or reads the whole IDB, which grows by
+   it). *)
+and delta_rows = { dr_rows : Relational.Tuple.t array; dr_rel : Relation.t Lazy.t }
+
+let base_env db = { base = db; overlay = []; deltas = [] }
 
 let find_rel env name =
   match List.assoc_opt name env.overlay with
   | Some r -> Some r
-  | None -> Database.find_opt env.base name
+  | None -> (
+      match List.assoc_opt name env.deltas with
+      | Some d -> Some (Lazy.force d.dr_rel)
+      | None -> Database.find_opt env.base name)
 
 type st = {
   env : env;
@@ -384,12 +405,14 @@ let lookup_relation env a =
   | Some r -> r
   | None -> failwith ("Plan: unknown relation " ^ a.rel)
 
-let check_arity a r =
+let check_arity_n a k =
   let arity = List.length a.args in
-  if Relation.arity r <> arity then
+  if k <> arity then
     failwith
       (Printf.sprintf "Plan: atom %s has arity %d but relation has arity %d"
-         a.rel arity (Relation.arity r))
+         a.rel arity k)
+
+let check_arity a r = check_arity_n a (Relation.arity r)
 
 (* The [n] rows of a list accumulated newest-first, oldest first: the
    interpreter's operators collect rows in derivation order this way. *)
@@ -439,7 +462,8 @@ let column vars v =
    per-position spec is built once: a constant, the first occurrence of a
    variable, or a repeat that must equal an earlier column.  Rows come through the relation's
    maintained by-column index when a position holds a constant, and from
-   one pass over the tuple set otherwise.  [keep], when given, is a filter
+   one pass over the tuple set otherwise; a fixpoint's ["@delta"] view is
+   read from its row array.  [keep], when given, is a filter
    condition fused into the scan and tested on each matched stored tuple
    before the row is materialized; the result pairs the kept bindings with
    the number of rows the atom pattern matched (what the leaf alone would
@@ -451,8 +475,17 @@ let column vars v =
    stored tuples themselves, uncopied. *)
 let exec_scan st ?keep a out_vars =
   Observe.bump c_scans;
-  let r = lookup_relation st.env a in
-  check_arity a r;
+  let src =
+    match List.assoc_opt a.rel st.env.deltas with
+    | Some d ->
+        if Array.length d.dr_rows > 0 then
+          check_arity_n a (Array.length d.dr_rows.(0));
+        `Rows d.dr_rows
+    | None ->
+        let r = lookup_relation st.env a in
+        check_arity a r;
+        `Rel r
+  in
   let first = Hashtbl.create 8 in
   let spec =
     Array.of_list
@@ -518,19 +551,22 @@ let exec_scan st ?keep a out_vars =
     | Var _ :: rest -> const_col (i + 1) rest
   in
   let rows =
-    match const_col 0 a.args with
-    | Some (col, c) ->
+    match (const_col 0 a.args, src) with
+    | Some (col, c), `Rel r ->
         Observe.bump c_selects;
         List.iter visit (Relation.select_eq r col c);
         array_of_rev !n !rows
-    | None when whole && Option.is_none keep ->
+    | None, _ when whole && Option.is_none keep ->
         Observe.bump c_full_scans;
-        matched := Relation.cardinal r;
+        let all = match src with `Rel r -> Relation.to_array r | `Rows a -> a in
+        matched := Array.length all;
         kept := !matched;
-        Relation.to_array r
-    | None ->
+        all
+    | _ ->
         Observe.bump c_full_scans;
-        Relation.iter visit r;
+        (match src with
+        | `Rel r -> Relation.iter visit r
+        | `Rows a -> Array.iter visit a);
         array_of_rev !n !rows
   in
   Observe.add c_rows !kept;
@@ -541,8 +577,12 @@ let exec_scan st ?keep a out_vars =
    (already bound) variable, or an index selection on a constant column,
    falling back to a full scan.  The index is cached on the relation and
    maintained across writes by [Relation.add]/[remove], so a stored
-   relation's index is built once, not once per execution. *)
-let exec_probe st b a =
+   relation's index is built once, not once per execution.  The rows carry
+   the [keep] variables only: a join narrowed by the covering rewrite
+   never materializes the columns it drops.  Returns the output variables
+   and rows; with [~dedup:false] a narrowed join skips deduplicating, so
+   its rows may repeat. *)
+let exec_probe ~dedup st b a keep =
   Robust.Fault.hit "plan.join";
   let r = lookup_relation st.env a in
   check_arity a r;
@@ -582,26 +622,48 @@ let exec_probe st b a =
   let nfresh = Array.length fresh in
   (* The output row in sorted variable order, built in one pass: column
      [i] reads the child row's column [j] when [layout.(i) = j >= 0] and
-     fresh slot [k] when [layout.(i) = -1 - k].  Without fresh variables
-     the child row itself is the output row.  A child row and a matching
-     tuple determine each other's output, so the rows are distinct. *)
-  let out_vars =
-    List.sort String.compare (Array.to_list b_vars @ Array.to_list fresh)
-  in
+     fresh slot [k] when [layout.(i) = -1 - k]. *)
+  let out_vars = List.sort_uniq String.compare keep in
   let layout =
     Array.of_list
       (List.map
          (fun v ->
-           match pos_in b_vars v with
-           | Some j -> j
-           | None -> -1 - Option.get (pos_in fresh v))
+           match (pos_in b_vars v, pos_in fresh v) with
+           | Some j, _ -> j
+           | None, Some k -> -1 - k
+           | None, None ->
+               failwith
+                 (Printf.sprintf
+                    "Plan: index-join keeps variable %s that neither its input \
+                     nor atom %s binds"
+                    v a.rel))
          out_vars)
   in
   let width = Array.length layout in
+  (* When the output row is the child row itself, each child row is
+     emitted at most once (a semi-join when the atom adds variables that
+     are dropped).  Otherwise a child row and a matching tuple determine
+     the output, so the rows are distinct unless [keep] drops a variable;
+     only such a narrowed join deduplicates. *)
+  let passthrough =
+    width = Array.length b_vars && Array.for_all Fun.id (Array.mapi ( = ) layout)
+  in
+  let seen =
+    if dedup && (not passthrough) && width < Array.length b_vars + nfresh then
+      Some (Bindings.Rowset.create 64)
+    else None
+  in
   let n = ref 0 and out = ref [] in
+  let emit o =
+    match seen with
+    | Some s when not (Bindings.Rowset.add s o) -> ()
+    | _ ->
+        incr n;
+        out := o :: !out
+  in
   let slots = Array.make (max nfresh 1) (Value.Int 0) in
   let filled = Array.make (max nfresh 1) false in
-  let try_match row tup =
+  let matches row tup =
     Array.fill filled 0 nfresh false;
     let ok = ref true and i = ref 0 in
     while !ok && !i < arity do
@@ -616,21 +678,25 @@ let exec_probe st b a =
           end);
       incr i
     done;
-    if !ok then begin
-      let o =
-        if nfresh = 0 then row
-        else begin
-          let o = Array.make width (Value.Int 0) in
-          for i = 0 to width - 1 do
-            let s = layout.(i) in
-            o.(i) <- (if s >= 0 then row.(s) else slots.(-1 - s))
-          done;
-          o
-        end
-      in
-      incr n;
-      out := o :: !out
+    !ok
+  in
+  let join_row row tups =
+    Robust.Budget.check ();
+    if passthrough then begin
+      if List.exists (matches row) tups then emit row
     end
+    else
+      List.iter
+        (fun tup ->
+          if matches row tup then begin
+            let o = Array.make width (Value.Int 0) in
+            for i = 0 to width - 1 do
+              let s = layout.(i) in
+              o.(i) <- (if s >= 0 then row.(s) else slots.(-1 - s))
+            done;
+            emit o
+          end)
+        tups
   in
   let shared_col =
     let rec go i =
@@ -651,30 +717,21 @@ let exec_probe st b a =
       let ix = Relation.index_on r col in
       Bindings.iter
         (fun row ->
-          Robust.Budget.check ();
           Observe.bump c_probes;
-          List.iter (try_match row) (Relation.probe ix row.(j)))
+          join_row row (Relation.probe ix row.(j)))
         b
   | None -> (
       match const_col with
       | Some (col, c) ->
           Observe.bump c_selects;
           let tups = Relation.select_eq r col c in
-          Bindings.iter
-            (fun row ->
-              Robust.Budget.check ();
-              List.iter (try_match row) tups)
-            b
+          Bindings.iter (fun row -> join_row row tups) b
       | None ->
           Observe.bump c_full_scans;
-          let tups = Relation.to_array r in
-          Bindings.iter
-            (fun row ->
-              Robust.Budget.check ();
-              Array.iter (try_match row) tups)
-            b));
+          let tups = Relation.to_list r in
+          Bindings.iter (fun row -> join_row row tups) b));
   Observe.add c_rows !n;
-  Bindings.of_distinct out_vars (array_of_rev !n !out)
+  (out_vars, array_of_rev !n !out)
 
 (* A built-in leaf: the assignments of the condition's variables over the
    active domain that satisfy it.  A variable-free condition is [tt] or
@@ -721,7 +778,9 @@ let rec run_node st n =
     | Tt -> Bindings.tt
     | Ff -> Bindings.ff
     | Scan (a, out_vars) -> run_scan st n a out_vars
-    | Index_join (c, a) -> exec_probe st (run_node st c) a
+    | Index_join (c, a, keep) ->
+        let vars, rows = exec_probe ~dedup:true st (run_node st c) a keep in
+        Bindings.of_distinct vars rows
     | Hash_join (x, y) ->
         Observe.bump c_hash_joins;
         Bindings.join (run_node st x) (run_node st y)
@@ -745,6 +804,21 @@ let rec run_node st n =
   record_rows st n (Bindings.cardinal b);
   b
 
+(* The head tuples of a query or rule body.  Every caller deduplicates
+   them — an answer through [Relation.of_list], the fixpoint through its
+   row hash sets — so a narrowed index join at the root of the body that
+   binds every head variable emits its rows without deduplicating them
+   itself (and [explain] shows those rows, repeats included). *)
+let body_head_rows st n head =
+  match n.op with
+  | Index_join (c, a, keep)
+    when List.for_all (function Var v -> List.mem v keep | Const _ -> true) head ->
+      Robust.Budget.check ();
+      let vars, rows = exec_probe ~dedup:false st (run_node st c) a keep in
+      record_rows st n (Array.length rows);
+      Bindings.head_tuples ~head (Array.of_list vars) rows
+  | _ -> Bindings.head_rows ~adom:st.adom ~head (run_node st n)
+
 (* A disjunct's active domain: the caller's value set (base database, plus
    any delta relation) extended with the query's constants — the
    [adom(Q, D)] the reference evaluator computes. *)
@@ -757,8 +831,7 @@ let run_answer ~env ~dist ~record ~vset fp =
   let eval_d d =
     let adom = disjunct_adom vset d.d_consts in
     let st = { env; adom; dist; record } in
-    let b = run_node st d.d_node in
-    Bindings.to_relation ~adom fp.fp_schema ~head:fp.fp_head b
+    Relation.of_list fp.fp_schema (body_head_rows st d.d_node fp.fp_head)
   in
   match fp.fp_disjuncts with
   | [] -> Relation.empty fp.fp_schema
@@ -812,16 +885,17 @@ type idb_acc = {
    differential Datalog preparation can pre-evaluate frozen strata.
 
    A non-recursive stratum (no rule has a delta variant) fires its rules
-   once and builds each IDB from their head rows.  A recursive one tests
-   each round's head rows against the IDB's row hash set; the fresh rows
-   become the next ["@delta"] relation, and the whole IDB is built as a
+   once and builds each IDB from their head rows, deduplicated through a
+   row hash set first.  A recursive one tests each round's head rows
+   against the IDB's row hash set; the fresh rows are the next round's
+   ["@delta"] view as a row array, and the whole IDB is built as a
    relation only for delta variants that read it, and once at the end.
    Every stratum passes at least one round guard (budget tick and the
    ["plan.round"] fault site). *)
 let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
-  let head_rows overlay node head =
-    let env = { env with overlay = overlay @ env.overlay } in
-    Bindings.head_rows ~adom ~head:head.args (run_node { env; adom; dist; record } node)
+  let head_rows ?(deltas = []) overlay node head =
+    let env = { env with overlay = overlay @ env.overlay; deltas } in
+    body_head_rows { env; adom; dist; record } node head.args
   in
   let round () =
     Robust.Budget.check ();
@@ -845,7 +919,10 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
   if List.for_all (fun rp -> rp.rp_deltas = []) stp.st_rules then begin
     let idbs =
       List.map
-        (fun ((name, _) as nk) -> (name, Relation.of_list (schema nk) (initial name)))
+        (fun ((name, _) as nk) ->
+          let seen = Bindings.Rowset.create 64 in
+          let rows = List.filter (Bindings.Rowset.add seen) (initial name) in
+          (name, Relation.of_list (schema nk) rows))
         stp.st_idbs
     in
     round ();
@@ -874,22 +951,22 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
     let absorb acc rows =
       let fresh = List.filter (Bindings.Rowset.add acc.ia_seen) rows in
       acc.ia_rows <- List.rev_append fresh acc.ia_rows;
-      let delta = Relation.of_list acc.ia_schema fresh in
-      acc.ia_full <- Option.map (fun full -> Relation.union full delta) acc.ia_full;
-      (acc, delta)
+      let rel = lazy (Relation.of_list acc.ia_schema fresh) in
+      acc.ia_full <-
+        Option.map (fun full -> Relation.union full (Lazy.force rel)) acc.ia_full;
+      (delta_name acc.ia_name, { dr_rows = Array.of_list fresh; dr_rel = rel })
     in
     let rec iterate deltas =
       round ();
-      if List.exists (fun (_, d) -> not (Relation.is_empty d)) deltas then begin
+      if List.exists (fun (_, d) -> Array.length d.dr_rows > 0) deltas then begin
         let overlay =
-          List.map (fun (acc, d) -> (delta_name acc.ia_name, d)) deltas
-          @ List.filter_map
-              (fun acc -> Option.map (fun f -> (acc.ia_name, f)) acc.ia_full)
-              accs
+          List.filter_map
+            (fun acc -> Option.map (fun f -> (acc.ia_name, f)) acc.ia_full)
+            accs
           @ acc_overlay
         in
         let derive rp =
-          List.concat_map (fun dn -> head_rows overlay dn rp.rp_head) rp.rp_deltas
+          List.concat_map (fun dn -> head_rows ~deltas overlay dn rp.rp_head) rp.rp_deltas
         in
         let derived =
           List.map (fun acc -> (acc, List.concat_map derive (rules_of acc.ia_name))) accs
@@ -948,7 +1025,7 @@ let base_vset env =
 let run ?(dist = Dist.empty) db t =
   Observe.span t_run @@ fun () ->
   Observe.bump c_execs;
-  let env = { base = db; overlay = [] } in
+  let env = base_env db in
   run_t ~record:None ~dist env (base_vset env) t
 
 (* ------------------------------------------------------------------ *)
@@ -1075,6 +1152,10 @@ let order_stats cx atoms =
    rewrite may narrow the list afterwards. *)
 let mk_scan cx a = mk cx (Scan (a, atom_vars_sorted a))
 
+(* Likewise every index join emits all the variables of its child and
+   atom until the covering rewrite narrows it. *)
+let mk_index_join cx n a = mk cx (Index_join (n, a, join_vars n a))
+
 let build_stats cx atoms builtins =
   match atoms with
   | [] -> apply_trailing cx (mk cx Tt) builtins
@@ -1090,7 +1171,7 @@ let build_stats cx atoms builtins =
             let node, pending = apply_ready cx (mk_scan cx a) pending in
             List.fold_left
               (fun (n, pending) a ->
-                apply_ready cx (mk cx (Index_join (n, a))) pending)
+                apply_ready cx (mk_index_join cx n a) pending)
               (node, pending) rest
       in
       let node, pending =
@@ -1196,8 +1277,8 @@ let rec ucq_disjuncts f =
     | _ -> invalid_arg "Plan: body is not a UCQ"
 
 (* Covering rewrite: push the set of variables needed above each node down
-   the probe chains, and narrow a [Scan] whose output is only partly
-   consumed to the consumed subset.  A child must
+   the probe chains, and narrow a [Scan] or an [Index_join] whose output
+   is only partly consumed to the consumed subset.  A child must
    still provide the variables it shares with the atom joined against it
    (the join keys), plus its contribution to what the parent emits.  Nodes
    whose semantics depend on their exact variable set (extend, complement,
@@ -1208,13 +1289,15 @@ let rec prune_covering cx needed n =
   | Scan (a, out_vars) ->
       let keep = List.filter (fun v -> Sset.mem v needed) out_vars in
       if List.compare_lengths keep out_vars < 0 then mk cx (Scan (a, keep)) else n
-  | Index_join (c, a) ->
+  | Index_join (c, a, keep) ->
       let cv = Sset.of_list c.nvars in
       let cneed =
         Sset.union (Sset.inter needed cv) (Sset.inter (atom_vars_set a) cv)
       in
       let c' = prune_covering cx cneed c in
-      if c' == c then n else mk cx (Index_join (c', a))
+      let keep' = List.filter (fun v -> Sset.mem v needed) keep in
+      if c' == c && List.compare_lengths keep' keep = 0 then n
+      else mk cx (Index_join (c', a, keep'))
   | Filter (f, c) ->
       let c' = prune_covering cx (Sset.union needed (cond_vars_set f)) c in
       if c' == c then n else mk cx (Filter (f, c'))
@@ -1302,7 +1385,10 @@ let compile_datalog db p =
   let arity n = Option.get (Datalog.predicate_arity p n) in
   let cx = make_cx db in
   let compile_rule stratum_idbs r =
-    let rp_full = compile_body cx r.Datalog.body in
+    (* the head's variables are all a rule body's plan must emit *)
+    let needed = atom_vars_set r.Datalog.head in
+    let compile_body body = prune_covering cx needed (compile_body cx body) in
+    let rp_full = compile_body r.Datalog.body in
     let rp_deltas =
       List.concat
         (List.mapi
@@ -1316,7 +1402,7 @@ let compile_datalog db p =
                        else l')
                      r.Datalog.body
                  in
-                 [ compile_body cx body' ]
+                 [ compile_body body' ]
              | Datalog.Rel _ | Datalog.Neg _ | Datalog.Builtin _ -> [])
            r.Datalog.body)
     in
@@ -1475,7 +1561,7 @@ let rec uses_adom n =
       List.exists (fun v -> not (List.mem v c.nvars)) vs || uses_adom c
   | Union (a, b) -> a.nvars <> b.nvars || uses_adom a || uses_adom b
   | Tt | Ff | Scan _ | Cached _ -> false
-  | Index_join (c, _) | Filter (_, c) | Project (_, c) -> uses_adom c
+  | Index_join (c, _, _) | Filter (_, c) | Project (_, c) -> uses_adom c
   | Hash_join (a, b) | Anti_join (a, b) -> uses_adom a || uses_adom b
 
 let rec count_cached n =
@@ -1489,7 +1575,7 @@ let rec count_cached n =
 let rec node_rels acc n =
   match n.op with
   | Scan (a, _) -> a.rel :: acc
-  | Index_join (c, a) -> node_rels (a.rel :: acc) c
+  | Index_join (c, a, _) -> node_rels (a.rel :: acc) c
   | Tt | Ff | Builtin _ -> acc
   | Cached (_, c) -> node_rels acc c
   | Filter (_, c) | Extend (_, c) | Project (_, c) | Complement c ->
@@ -1548,7 +1634,7 @@ let rec rewrite_delta st rel n =
   else
     let op' =
       match n.op with
-      | Index_join (c, a) -> Index_join (rewrite_delta st rel c, a)
+      | Index_join (c, a, keep) -> Index_join (rewrite_delta st rel c, a, keep)
       | Filter (f, c) -> Filter (f, rewrite_delta st rel c)
       | Extend (vs, c) -> Extend (vs, rewrite_delta st rel c)
       | Project (vs, c) -> Project (vs, rewrite_delta st rel c)
@@ -1569,7 +1655,7 @@ let delta_prepare ?(dist = Dist.empty) db ~rel ~schema q =
     match t with
     | Answer fp ->
         let count = ref 0 in
-        let env = { base; overlay = [] } in
+        let env = base_env base in
         let disjuncts =
           List.map
             (fun d ->
@@ -1612,7 +1698,7 @@ let delta_prepare_datalog ?(dist = Dist.empty) db ~rel ~schema p =
         let stratum_nodes stp =
           List.concat_map (fun rp -> rp.rp_full :: rp.rp_deltas) stp.st_rules
         in
-        let env = { base; overlay = [] } in
+        let env = base_env base in
         let adom = disjunct_adom vset dp.dp_consts in
         let tainted = ref [ rel ] in
         let frozen, live_rev =
@@ -1656,7 +1742,8 @@ let rq_values rq =
     (fun tup acc -> Array.fold_left (fun acc v -> Vset.add v acc) acc tup)
     rq Vset.empty
 
-let delta_env d rq = { base = d.d_base; overlay = (d.d_rel, rq) :: d.d_overlay }
+let delta_env d rq =
+  { (base_env d.d_base) with overlay = (d.d_rel, rq) :: d.d_overlay }
 
 let delta_eval d rq =
   Observe.bump c_delta_evals;
@@ -1785,7 +1872,10 @@ let node_label ppf n =
       Format.fprintf ppf "scan %a" pp_atom a;
       if out_vars <> atom_vars_sorted a then
         Format.fprintf ppf " keep [%s]" (String.concat ", " out_vars)
-  | Index_join (_, a) -> Format.fprintf ppf "index-join %a" pp_atom a
+  | Index_join (c, a, keep) ->
+      Format.fprintf ppf "index-join %a" pp_atom a;
+      if keep <> join_vars c a then
+        Format.fprintf ppf " keep [%s]" (String.concat ", " keep)
   | Hash_join _ -> Format.pp_print_string ppf "hash-join"
   | Anti_join _ -> Format.pp_print_string ppf "anti-join"
   | Filter (c, _) -> Format.fprintf ppf "filter %a" pp_cond c
@@ -1867,7 +1957,7 @@ let pp ppf t = pp_with None ppf t
 
 let explain ?(dist = Dist.empty) db t =
   let record = Hashtbl.create 64 in
-  let env = { base = db; overlay = [] } in
+  let env = base_env db in
   Observe.bump c_execs;
   let result = run_t ~record:(Some record) ~dist env (base_vset env) t in
   Format.asprintf "%a%s" (pp_with (Some record)) t

@@ -26,10 +26,11 @@
     the end.
 
     Every atom leaf is one {!Scan} over the row store: a constant position
-    reads through the relation's by-column index, which writes maintain,
-    and a covering rewrite narrows a scan to the variables consumed above.
+    reads through the relation's by-column index, which writes maintain.
     Joins become {!Index_join}, an index nested-loop probe into the same
-    maintained index.  A filter directly over a scan is tested on each
+    maintained index.  A covering rewrite narrows scans and index joins —
+    of a query and of every Datalog rule body — to the variables consumed
+    above, so a join never materializes a column its consumers drop.  A filter directly over a scan is tested on each
     stored row before the row is materialized.
 
     The interpreter carries the existing observability conventions: it
@@ -58,9 +59,11 @@ type op =
       (** match the atom pattern against its relation, emitting the listed
           variables: all of the atom's, unless the covering rewrite
           narrowed them to the ones consumed above *)
-  | Index_join of node * Ast.atom
+  | Index_join of node * Ast.atom * string list
       (** index nested-loop join: each child row probes the atom
-          relation's cached by-column index *)
+          relation's cached by-column index, emitting the listed
+          variables: all of the child's and the atom's, unless the
+          covering rewrite narrowed them to the ones consumed above *)
   | Hash_join of node * node
   | Anti_join of node * node
       (** the rows of the left input whose restriction to the right
@@ -130,6 +133,10 @@ type t =
 val children : node -> node list
 
 val atom_vars_sorted : Ast.atom -> string list
+
+val join_vars : node -> Ast.atom -> string list
+(** The variables an {!Index_join} of the node against the atom binds,
+    sorted: what it emits unless narrowed. *)
 
 val cond_vars : cond -> string list
 (** Variables of a condition, sorted, without duplicates. *)

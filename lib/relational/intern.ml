@@ -1,5 +1,3 @@
-module Vmap = Map.Make (Value)
-
 (* The pool state is an immutable snapshot published through an [Atomic]:
    readers never lock, writers re-publish under [lock].  [rev] is grown by
    doubling; entries below [n] are never mutated after publication, so a

@@ -13,9 +13,9 @@ let c_degraded = Observe.counter "rel.maintain_degraded"
    tuple set: every operation that derives a relation with a different
    tuple set attaches a fresh (empty) cache, which is what invalidates the
    indexes on update — except [add]/[remove], which derive the by-column
-   indexes and the counts their parent has already built by copying them
-   and applying the one-tuple delta (see [derive_caches]).  [rename] keeps
-   the cache — the structures depend only on the tuples.
+   indexes and the counts their parent has already built by applying the
+   one-tuple delta to the parent's persistent maps (see [derive_caches]).
+   [rename] keeps the cache — the structures depend only on the tuples.
 
    Forcing discipline (the serving daemon forces these from many domains
    at once): fields are fetched under [lock], but {e built outside it} —
@@ -27,16 +27,15 @@ let c_degraded = Observe.counter "rel.maintain_degraded"
    fully built before any other domain can obtain it, and the mutex
    acquisition gives the happens-before edge — and never a serialization
    point: a domain building a large index does not block readers of the
-   already-published structures, which the old build-under-lock code
-   did. *)
+   already-published structures. *)
 type cache = {
   lock : Mutex.t;
   mutable arr : Tuple.t array option;
       (* elements, ascending; never derived by [add]/[remove] *)
-  mutable by_col : (int * (int, Tuple.t list) Hashtbl.t) list;
-      (* column -> (interned value id -> tuples with that value) *)
-  mutable counts : (int, int) Hashtbl.t array option;
-      (* per-column occurrence counts (value id -> #rows) backing Stats *)
+  mutable by_col : (int * Tuple.t list Vmap.t) list;
+      (* column -> (value -> tuples with that value, ascending) *)
+  mutable counts : int Vmap.t array option;
+      (* per-column occurrence counts (value -> #rows) backing Stats *)
 }
 
 let fresh_cache () =
@@ -87,24 +86,6 @@ let cardinal r = Tset.cardinal r.tuples
 let is_empty r = Tset.is_empty r.tuples
 let mem tup r = Tset.mem tup r.tuples
 
-(* Count-table maintenance for [add]/[remove]: when the parent's counts
-   are already built, the derived relation's counts are computed by
-   copying the tables and applying the one-tuple delta — O(distinct per
-   column) instead of a full O(rows) rebuild on next Stats demand.  The
-   parent's tables are never mutated (they are published).  A count
-   reaching zero deletes its key: a lingering [0] entry would inflate the
-   [Hashtbl.length]-based distinct counts {!Stats} reads and skew the
-   planner's join-order estimates under churn. *)
-let bump_counts delta counts tup =
-  Array.mapi
-    (fun i tbl ->
-      let tbl = Hashtbl.copy tbl in
-      let id = Intern.id tup.(i) in
-      let n = delta + Option.value (Hashtbl.find_opt tbl id) ~default:0 in
-      if n <= 0 then Hashtbl.remove tbl id else Hashtbl.replace tbl id n;
-      tbl)
-    counts
-
 let peek_counts r = Mutex.protect r.cache.lock (fun () -> r.cache.counts)
 
 (* ---- one-tuple derivation of the write-maintained structures ------- *)
@@ -114,17 +95,30 @@ let rec bucket_insert tup = function
   | t :: rest as l ->
       if Tuple.compare tup t < 0 then tup :: l else t :: bucket_insert tup rest
 
-let counts_have cts v =
-  match Intern.find v with
-  | None -> false
-  | Some id -> Array.exists (fun tbl -> Hashtbl.mem tbl id) cts
+(* The one-tuple delta on a count map and on an index bucket.  A count
+   reaching zero deletes its key: a lingering [0] entry would inflate the
+   distinct counts {!Stats} reads and skew the planner's join-order
+   estimates under churn.  An emptied bucket deletes its key likewise. *)
+let bump_count delta = function
+  | None -> if delta > 0 then Some delta else None
+  | Some n -> if n + delta > 0 then Some (n + delta) else None
+
+let patch_bucket delta tup = function
+  | None -> if delta > 0 then Some [ tup ] else None
+  | Some b -> (
+      if delta > 0 then Some (bucket_insert tup b)
+      else
+        match List.filter (fun t -> not (Tuple.equal t tup)) b with
+        | [] -> None
+        | b -> Some b)
 
 (* Derive the by-column indexes and the counts the parent has already
    built — the structures plans and {!Stats} read after a write — by
-   copying them and applying the one-tuple delta: never a from-scratch
-   rebuild, and never a mutation of the parent's (published) structures.
-   The sorted array is left to its lazy rebuild.  [child] is freshly
-   built and unpublished, so its cache needs no lock yet.
+   applying the one-tuple delta to the parent's persistent maps: O(log n)
+   per structure, never a from-scratch rebuild, and the parent's
+   (published) maps are shared, not mutated.  The sorted array is left to
+   its lazy rebuild.  [child] is freshly built and unpublished, so its
+   cache needs no lock yet.
 
    An injected ["rel.maintain"] fault degrades cleanly: the partially
    derived structures are dropped and the child falls back to the lazy
@@ -138,21 +132,13 @@ let derive_caches parent delta tup child =
     let cc = child.cache in
     try
       Robust.Fault.hit "rel.maintain";
-      cc.counts <- Option.map (fun cts -> bump_counts delta cts tup) counts;
+      cc.counts <-
+        Option.map
+          (Array.mapi (fun i m -> Vmap.update tup.(i) (bump_count delta) m))
+          counts;
       cc.by_col <-
         List.map
-          (fun (col, ix) ->
-            let ix' = Hashtbl.copy ix in
-            let k = Intern.id tup.(col) in
-            let bucket = Option.value (Hashtbl.find_opt ix' k) ~default:[] in
-            (if delta > 0 then Hashtbl.replace ix' k (bucket_insert tup bucket)
-             else
-               match List.filter (fun t -> not (Tuple.equal t tup)) bucket with
-               | [] -> Hashtbl.remove ix' k
-                   (* the index analogue of the zero-count key: an empty
-                      bucket must delete its key *)
-               | b -> Hashtbl.replace ix' k b);
-            (col, ix'))
+          (fun (col, ix) -> (col, Vmap.update tup.(col) (patch_bucket delta tup) ix))
           by_col;
       Observe.bump c_maintained
     with Robust.Fault.Injected _ ->
@@ -293,7 +279,17 @@ let to_array r =
         r.tuples;
       a)
 
-type index = (int, Tuple.t list) Hashtbl.t
+module Vtbl = Hashtbl.Make (Value)
+
+(* The bindings of a value-keyed hash table as a key-sorted array, ready
+   for {!Vmap.of_sorted_array}: grouping in a hash table first and
+   building the balanced map in one pass leaves no path-copy garbage. *)
+let sorted_bindings tbl f =
+  let a = Array.of_list (Vtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []) in
+  Array.sort (fun (a, _) (b, _) -> Value.compare a b) a;
+  a
+
+type index = Tuple.t list Vmap.t
 
 let index_on r col =
   if col < 0 || col >= arity r then invalid_arg "Relation.index_on: column out of range";
@@ -302,23 +298,18 @@ let index_on r col =
     (fun () -> List.assoc_opt col c.by_col)
     (fun ix -> c.by_col <- (col, ix) :: c.by_col)
     (fun () ->
-      let ix = Hashtbl.create (max 16 (Tset.cardinal r.tuples)) in
-      (* Tuples are consed in ascending order, so each bucket ends up
-         descending; reverse for a deterministic ascending order. *)
-      Tset.iter
+      let tbl = Vtbl.create 64 in
+      (* Consing in descending tuple order leaves each bucket ascending. *)
+      Seq.iter
         (fun t ->
-          let k = Intern.id t.(col) in
-          Hashtbl.replace ix k
-            (t :: Option.value (Hashtbl.find_opt ix k) ~default:[]))
-        r.tuples;
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) ix [] in
-      List.iter (fun k -> Hashtbl.replace ix k (List.rev (Hashtbl.find ix k))) keys;
-      ix)
+          let k = t.(col) in
+          match Vtbl.find tbl k with
+          | b -> b := t :: !b
+          | exception Not_found -> Vtbl.add tbl k (ref [ t ]))
+        (Tset.to_rev_seq r.tuples);
+      Vmap.of_sorted_array (sorted_bindings tbl ( ! )))
 
-let probe ix v =
-  match Intern.find v with
-  | None -> []
-  | Some k -> Option.value (Hashtbl.find_opt ix k) ~default:[]
+let probe ix v = Vmap.find_or ~default:[] v ix
 
 let select_eq r col v = probe (index_on r col) v
 
@@ -343,17 +334,16 @@ let col_counts r =
     (fun counts -> c.counts <- Some counts)
     (fun () ->
       let n = arity r in
-      let counts = Array.init n (fun _ -> Hashtbl.create 16) in
+      let tbls = Array.init n (fun _ -> Vtbl.create 64) in
       Tset.iter
         (fun t ->
           for i = 0 to n - 1 do
-            let id = Intern.id t.(i) in
-            let tbl = counts.(i) in
-            Hashtbl.replace tbl id
-              (1 + Option.value (Hashtbl.find_opt tbl id) ~default:0)
+            match Vtbl.find tbls.(i) t.(i) with
+            | k -> incr k
+            | exception Not_found -> Vtbl.add tbls.(i) t.(i) (ref 1)
           done)
         r.tuples;
-      counts)
+      Array.map (fun tbl -> Vmap.of_sorted_array (sorted_bindings tbl ( ! ))) tbls)
 
 let has_counts r = Mutex.protect r.cache.lock (fun () -> r.cache.counts <> None)
 
@@ -361,9 +351,7 @@ let has_index_on r col =
   Mutex.protect r.cache.lock (fun () -> List.mem_assoc col r.cache.by_col)
 
 let counts_mem r v =
-  match peek_counts r with
-  | None -> None
-  | Some cts -> Some (counts_have cts v)
+  Option.map (Array.exists (Vmap.mem v)) (peek_counts r)
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%a@,%a@]" Schema.pp r.schema

@@ -26,8 +26,9 @@ val add : Tuple.t -> t -> t
     caches, same revision).  Otherwise the by-column indexes and the
     per-column counts backing {!Stats} that the parent has already built —
     the structures plans read after a write — are maintained
-    incrementally: copied and patched with the one-tuple delta instead of
-    rebuilt from scratch on next demand.  Structures the parent never
+    incrementally: the one-tuple delta is applied to the parent's
+    persistent maps in O(log n) each (the parent's are shared, not
+    copied), instead of a rebuild from scratch on next demand.  Structures the parent never
     built stay lazy, and so does the sorted array ({!to_array}), which
     writes never derive.  Maintenance probes the [Robust.Fault] site
     ["rel.maintain"]; an injected fault degrades to the lazy from-scratch
@@ -96,8 +97,9 @@ val values : t -> Value.t list
     with a different tuple set ([filter], set operations, ...) starts from
     an empty cache, so a stale index can never be observed; [add]/[remove]
     instead derive the indexes and counts their parent already built by
-    copying them and applying the one-tuple delta (same visible answers,
-    no stale state — the copies belong to the new relation alone).  Fetching and
+    applying the one-tuple delta to the parent's persistent maps (same
+    visible answers, no stale state — the parent's maps are never
+    mutated).  Fetching and
     publication synchronise on a per-relation mutex, but the build itself
     runs outside it: concurrent forcing from several domains is an
     idempotent double-force (each domain computes the same pure function
@@ -113,7 +115,8 @@ val to_array : t -> Tuple.t array
     shared: callers must not mutate it. *)
 
 type index
-(** A by-column hash index: interned value id of the column -> tuples. *)
+(** A by-column index: a persistent map from a value of the column to the
+    tuples holding it, in increasing tuple order. *)
 
 val index_on : t -> int -> index
 (** The index for a column (0-based), built on first request.  Raises
@@ -121,7 +124,8 @@ val index_on : t -> int -> index
 
 val probe : index -> Value.t -> Tuple.t list
 (** The tuples whose indexed column equals the value, in increasing tuple
-    order; [[]] for values not present (including values never interned). *)
+    order; [[]] for values not present.  One map lookup comparing values,
+    no allocation. *)
 
 val select_eq : t -> int -> Value.t -> Tuple.t list
 (** [probe (index_on r col) v]. *)
@@ -135,11 +139,12 @@ val columns : t -> Column.t
     call and not cached: no plan operator reads it (leaf scans read the
     tuple set and the by-column indexes). *)
 
-val col_counts : t -> (int, int) Hashtbl.t array
-(** Per-column occurrence counts (interned value id -> number of rows),
-    the backing store for {!Stats}.  Derived incrementally by
-    {!add}/{!remove} when the parent has them, computed in one pass
-    otherwise.  Shared and immutable after publication. *)
+val col_counts : t -> int Vmap.t array
+(** Per-column occurrence counts (value -> number of rows, never [0]), the
+    backing store for {!Stats}: distinct, min and max are the map's size
+    and extreme keys.  Derived incrementally by {!add}/{!remove} when the
+    parent has them, computed in one pass otherwise (counted in a hash
+    table, then built balanced from the sorted counts).  Immutable. *)
 
 val has_counts : t -> bool
 (** Whether the count tables are already present (built or incrementally

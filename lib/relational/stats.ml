@@ -10,29 +10,12 @@ type relation_stats = {
   columns : column_stats array;
 }
 
-(* Statistics read the relation's cached per-column count tables (built
-   in one pass, or derived incrementally by [Relation.add]/[remove]):
-   distinct is a table size, min/max a fold over the distinct
-   values — O(distinct) per column instead of a fresh O(rows) sweep. *)
-let column_of_counts tbl =
-  let distinct = Hashtbl.length tbl in
-  let min_v, max_v =
-    Hashtbl.fold
-      (fun id _ (mn, mx) ->
-        let v = Intern.value id in
-        let mn =
-          match mn with
-          | Some m when Value.compare m v <= 0 -> mn
-          | _ -> Some v
-        and mx =
-          match mx with
-          | Some m when Value.compare m v >= 0 -> mx
-          | _ -> Some v
-        in
-        (mn, mx))
-      tbl (None, None)
-  in
-  { distinct; min_v; max_v }
+(* Statistics read the relation's cached per-column count maps (built in
+   one pass, or derived incrementally by [Relation.add]/[remove]):
+   distinct is the map's size and min/max its extreme keys — O(log
+   distinct) per column instead of a fresh O(rows) sweep. *)
+let column_of_counts m =
+  { distinct = Vmap.cardinal m; min_v = Vmap.min_key m; max_v = Vmap.max_key m }
 
 let of_relation rel =
   {

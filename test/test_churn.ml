@@ -63,9 +63,9 @@ let force_db_caches db =
 let counts_agree a b =
   Array.length a = Array.length b
   && Array.for_all2
-       (fun ta tb ->
-         Hashtbl.length ta = Hashtbl.length tb
-         && Hashtbl.fold (fun k n acc -> acc && Hashtbl.find_opt tb k = Some n) ta true)
+       (fun ma mb ->
+         Relational.Vmap.cardinal ma = Relational.Vmap.cardinal mb
+         && Relational.Vmap.bindings ma = Relational.Vmap.bindings mb)
        a b
 
 (* ---------- regression: zero-count keys are deleted ---------- *)
@@ -83,10 +83,10 @@ let test_zero_count_key_deleted () =
   check "counts match a from-scratch rebuild" true
     (counts_agree (Relation.col_counts r1) (Relation.col_counts fresh));
   Array.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun _ n -> check "no zero-count key survives" true (n > 0))
-        tbl)
+    (fun m ->
+      List.iter
+        (fun (_, n) -> check "no zero-count key survives" true (n > 0))
+        (Relational.Vmap.bindings m))
     (Relation.col_counts r1);
   (* Path 2: the counts are the only structure built. *)
   let r0' = Relation.of_int_rows sch rows in

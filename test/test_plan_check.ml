@@ -385,8 +385,8 @@ let test_certify_negatives () =
       let op =
         match n.Plan.op with
         | Plan.Scan (a, keep) -> Plan.Scan ({ a with Ast.rel = "T" }, keep)
-        | Plan.Index_join (c, a) ->
-            Plan.Index_join (go c, { a with Ast.rel = "T" })
+        | Plan.Index_join (c, a, keep) ->
+            Plan.Index_join (go c, { a with Ast.rel = "T" }, keep)
         | op -> op
       in
       Plan.raw_node op n.Plan.nvars
@@ -591,7 +591,8 @@ let test_budget_fault () =
   check "index join declares the join fault site" true
     (List.mem (Plan.Fault_site "plan.join")
        (Plan.op_guards
-          (Plan.Index_join (Plan.raw_node Plan.Tt [], atom "R" [ "x"; "y" ]))))
+          (Plan.Index_join
+             (Plan.raw_node Plan.Tt [], atom "R" [ "x"; "y" ], [ "x"; "y" ]))))
 
 (* ---------- effect analysis ---------- *)
 

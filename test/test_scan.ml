@@ -14,6 +14,7 @@ module Schema = Relational.Schema
 module Database = Relational.Database
 module Column = Relational.Column
 module Intern = Relational.Intern
+module Vmap = Relational.Vmap
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -104,11 +105,11 @@ let prop_incremental_counts =
       Relation.has_counts r
       &&
       let fresh = Relation.of_list sch (Relation.to_list r) in
-      let dump tbls =
-        Array.to_list tbls
-        |> List.map (fun tbl ->
-               Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-               |> List.sort compare)
+      (* each column's size (kept apart from the tree) and its
+         bindings, in key order *)
+      let dump maps =
+        Array.to_list maps
+        |> List.map (fun m -> (Vmap.cardinal m, Vmap.bindings m))
       in
       dump (Relation.col_counts r) = dump (Relation.col_counts fresh))
 
@@ -234,7 +235,7 @@ let test_index_join_probes () =
   let probed plan =
     let rec go n =
       match n.Plan.op with
-      | Plan.Index_join (c, a) -> Some (c, a)
+      | Plan.Index_join (c, a, _) -> Some (c, a)
       | _ -> List.find_map go (Plan.children n)
     in
     match plan with
