@@ -31,14 +31,14 @@ module Rowset = struct
     (h lxor (h lsr 17)) land max_int
 
   (* The slot holding [row], or the empty slot where it would go. *)
+  let rec probe hashes keys mask h row i =
+    let hi = hashes.(i) in
+    if hi < 0 || (hi = h && Tuple.equal keys.(i) row) then i
+    else probe hashes keys mask h row ((i + 1) land mask)
+
   let slot s h row =
     let mask = Array.length s.hashes - 1 in
-    let rec go i =
-      let hi = s.hashes.(i) in
-      if hi < 0 || (hi = h && Tuple.equal s.keys.(i) row) then i
-      else go ((i + 1) land mask)
-    in
-    go (h land mask)
+    probe s.hashes s.keys mask h row (h land mask)
 
   let grow s =
     let hashes = s.hashes and keys = s.keys in
@@ -383,18 +383,15 @@ let head_tuples ~head vars rows =
     && Array.for_all Fun.id
          (Array.mapi (fun i s -> match s with `Col j -> i = j | `Const _ -> false) src)
   in
-  if passthrough then Array.to_list rows
-  else
-    Array.fold_right
-      (fun row acc -> Array.map (function `Const v -> v | `Col i -> row.(i)) src :: acc)
-      rows []
+  if passthrough then rows
+  else List.map (fun row -> Array.map (function `Const v -> v | `Col i -> row.(i)) src) rows
 
 let head_rows ~adom ~head b =
   let head_vars =
     List.concat_map (function Ast.Var v -> [ v ] | Ast.Const _ -> []) head
   in
   let b = extend ~adom head_vars b in
-  head_tuples ~head b.vars b.rows
+  head_tuples ~head b.vars (rows b)
 
 let to_relation ~adom sch ~head b =
   Relational.Relation.of_list sch (head_rows ~adom ~head b)

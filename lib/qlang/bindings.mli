@@ -101,7 +101,7 @@ val head_rows :
 val head_tuples :
   head:Ast.term list ->
   string array ->
-  Relational.Tuple.t array ->
+  Relational.Tuple.t list ->
   Relational.Tuple.t list
 (** [head_tuples ~head vars rows]: the head tuple of each row, in row
     order, for rows whose columns are named by [vars] — which need not be

@@ -579,9 +579,9 @@ let exec_scan st ?keep a out_vars =
    maintained across writes by [Relation.add]/[remove], so a stored
    relation's index is built once, not once per execution.  The rows carry
    the [keep] variables only: a join narrowed by the covering rewrite
-   never materializes the columns it drops.  Returns the output variables
-   and rows; with [~dedup:false] a narrowed join skips deduplicating, so
-   its rows may repeat. *)
+   never materializes the columns it drops.  Returns the output variables,
+   the number of rows and the rows newest first; with [~dedup:false] a
+   narrowed join skips deduplicating, so its rows may repeat. *)
 let exec_probe ~dedup st b a keep =
   Robust.Fault.hit "plan.join";
   let r = lookup_relation st.env a in
@@ -731,7 +731,7 @@ let exec_probe ~dedup st b a keep =
           let tups = Relation.to_list r in
           Bindings.iter (fun row -> join_row row tups) b));
   Observe.add c_rows !n;
-  (out_vars, array_of_rev !n !out)
+  (out_vars, !n, !out)
 
 (* A built-in leaf: the assignments of the condition's variables over the
    active domain that satisfy it.  A variable-free condition is [tt] or
@@ -779,8 +779,8 @@ let rec run_node st n =
     | Ff -> Bindings.ff
     | Scan (a, out_vars) -> run_scan st n a out_vars
     | Index_join (c, a, keep) ->
-        let vars, rows = exec_probe ~dedup:true st (run_node st c) a keep in
-        Bindings.of_distinct vars rows
+        let vars, n, rows = exec_probe ~dedup:true st (run_node st c) a keep in
+        Bindings.of_distinct vars (array_of_rev n rows)
     | Hash_join (x, y) ->
         Observe.bump c_hash_joins;
         Bindings.join (run_node st x) (run_node st y)
@@ -814,8 +814,8 @@ let body_head_rows st n head =
   | Index_join (c, a, keep)
     when List.for_all (function Var v -> List.mem v keep | Const _ -> true) head ->
       Robust.Budget.check ();
-      let vars, rows = exec_probe ~dedup:false st (run_node st c) a keep in
-      record_rows st n (Array.length rows);
+      let vars, k, rows = exec_probe ~dedup:false st (run_node st c) a keep in
+      record_rows st n k;
       Bindings.head_tuples ~head (Array.of_list vars) rows
   | _ -> Bindings.head_rows ~adom:st.adom ~head (run_node st n)
 
@@ -920,8 +920,9 @@ let run_stratum ~env ~dist ~record ~adom acc_overlay stp =
     let idbs =
       List.map
         (fun ((name, _) as nk) ->
-          let seen = Bindings.Rowset.create 64 in
-          let rows = List.filter (Bindings.Rowset.add seen) (initial name) in
+          let rows = initial name in
+          let seen = Bindings.Rowset.create (List.length rows) in
+          let rows = List.filter (Bindings.Rowset.add seen) rows in
           (name, Relation.of_list (schema nk) rows))
         stp.st_idbs
     in

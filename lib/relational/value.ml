@@ -16,7 +16,9 @@ let equal a b = compare a b = 0
 
 let hash = function
   | Bool b -> if b then 1 else 0
-  | Int i -> Hashtbl.hash i
+  | Int i ->
+      let h = i * 0x2545F4914F6CDD1D in
+      h lxor (h lsr 29)
   | Str s -> Hashtbl.hash s
 
 let pp ppf = function

@@ -74,23 +74,22 @@ let empty = { tree = Empty; size = 0 }
 let is_empty m = m.size = 0
 let cardinal m = m.size
 
-let find_or ~default k m =
-  let rec go = function
-    | Empty -> default
-    | Node n ->
-        let c = Value.compare k n.k in
-        if c = 0 then n.v else go (if c < 0 then n.l else n.r)
-  in
-  go m.tree
+(* Lookups recurse through top-level functions, not local closures, so a
+   probe allocates nothing. *)
+let rec find_tree default k = function
+  | Empty -> default
+  | Node n ->
+      let c = Value.compare k n.k in
+      if c = 0 then n.v else find_tree default k (if c < 0 then n.l else n.r)
 
-let find_opt k m =
-  let rec go = function
-    | Empty -> None
-    | Node n ->
-        let c = Value.compare k n.k in
-        if c = 0 then Some n.v else go (if c < 0 then n.l else n.r)
-  in
-  go m.tree
+let rec find_opt_tree k = function
+  | Empty -> None
+  | Node n ->
+      let c = Value.compare k n.k in
+      if c = 0 then Some n.v else find_opt_tree k (if c < 0 then n.l else n.r)
+
+let find_or ~default k m = find_tree default k m.tree
+let find_opt k m = find_opt_tree k m.tree
 
 let mem k m = Option.is_some (find_opt k m)
 
