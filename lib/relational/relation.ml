@@ -279,15 +279,41 @@ let to_array r =
         r.tuples;
       a)
 
-module Vtbl = Hashtbl.Make (Value)
-
-(* The bindings of a value-keyed hash table as a key-sorted array, ready
-   for {!Vmap.of_sorted_array}: grouping in a hash table first and
-   building the balanced map in one pass leaves no path-copy garbage. *)
-let sorted_bindings tbl f =
-  let a = Array.of_list (Vtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []) in
-  Array.sort (fun (a, _) (b, _) -> Value.compare a b) a;
+(* From-scratch builds of the value-keyed structures sort instead of
+   hashing: a column's values (or the tuples, by the column's value) are
+   sorted in a transient array and the map is built from its runs of
+   equal values in one pass.  Nothing but that array and the final map is
+   allocated — building in a hash table first left enough garbage to
+   raise a loaded daemon's peak RSS.  The tuple set iterates in
+   increasing order, so column 0 arrives sorted; a stable sort keeps each
+   run of tuples in increasing order. *)
+let column_array r col =
+  let a = Array.make (Tset.cardinal r.tuples) [||] in
+  let i = ref 0 in
+  Tset.iter
+    (fun t ->
+      a.(!i) <- t;
+      incr i)
+    r.tuples;
+  if col > 0 then
+    Array.stable_sort (fun t u -> Value.compare t.(col) u.(col)) a;
   a
+
+(* The start of each run of equal [key i] over [0, n), then [n]. *)
+let run_starts n key =
+  let runs = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || not (Value.equal (key (i - 1)) (key i)) then incr runs
+  done;
+  let starts = Array.make (!runs + 1) n in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || not (Value.equal (key (i - 1)) (key i)) then begin
+      starts.(!j) <- i;
+      incr j
+    end
+  done;
+  starts
 
 type index = Tuple.t list Vmap.t
 
@@ -298,16 +324,13 @@ let index_on r col =
     (fun () -> List.assoc_opt col c.by_col)
     (fun ix -> c.by_col <- (col, ix) :: c.by_col)
     (fun () ->
-      let tbl = Vtbl.create 64 in
-      (* Consing in descending tuple order leaves each bucket ascending. *)
-      Seq.iter
-        (fun t ->
-          let k = t.(col) in
-          match Vtbl.find tbl k with
-          | b -> b := t :: !b
-          | exception Not_found -> Vtbl.add tbl k (ref [ t ]))
-        (Tset.to_rev_seq r.tuples);
-      Vmap.of_sorted_array (sorted_bindings tbl ( ! )))
+      let a = column_array r col in
+      let starts = run_starts (Array.length a) (fun i -> a.(i).(col)) in
+      let bucket i =
+        let rec go j acc = if j < starts.(i) then acc else go (j - 1) (a.(j) :: acc) in
+        go (starts.(i + 1) - 1) []
+      in
+      Vmap.init_sorted (Array.length starts - 1) (fun i -> a.(starts.(i)).(col)) bucket)
 
 let probe ix v = Vmap.find_or ~default:[] v ix
 
@@ -333,17 +356,12 @@ let col_counts r =
     (fun () -> c.counts)
     (fun counts -> c.counts <- Some counts)
     (fun () ->
-      let n = arity r in
-      let tbls = Array.init n (fun _ -> Vtbl.create 64) in
-      Tset.iter
-        (fun t ->
-          for i = 0 to n - 1 do
-            match Vtbl.find tbls.(i) t.(i) with
-            | k -> incr k
-            | exception Not_found -> Vtbl.add tbls.(i) t.(i) (ref 1)
-          done)
-        r.tuples;
-      Array.map (fun tbl -> Vmap.of_sorted_array (sorted_bindings tbl ( ! ))) tbls)
+      Array.init (arity r) (fun col ->
+          let a = column_array r col in
+          let starts = run_starts (Array.length a) (fun i -> a.(i).(col)) in
+          Vmap.init_sorted (Array.length starts - 1)
+            (fun i -> a.(starts.(i)).(col))
+            (fun i -> starts.(i + 1) - starts.(i))))
 
 let has_counts r = Mutex.protect r.cache.lock (fun () -> r.cache.counts <> None)
 

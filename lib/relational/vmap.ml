@@ -108,10 +108,10 @@ let update k f m =
   | None, Some v -> { tree = add_tree k v m.tree; size = m.size + 1 }
   | Some _, Some v -> { tree = add_tree k v m.tree; size = m.size }
 
-let of_sorted_array a =
-  for i = 1 to Array.length a - 1 do
-    if Value.compare (fst a.(i - 1)) (fst a.(i)) >= 0 then
-      invalid_arg "Vmap.of_sorted_array: keys not strictly increasing"
+let init_sorted n key value =
+  for i = 1 to n - 1 do
+    if Value.compare (key (i - 1)) (key i) >= 0 then
+      invalid_arg "Vmap.init_sorted: keys not strictly increasing"
   done;
   (* [lo, hi): the middle binding over the two halves, so sibling heights
      differ by at most one *)
@@ -119,10 +119,10 @@ let of_sorted_array a =
     if lo >= hi then Empty
     else
       let mid = (lo + hi) / 2 in
-      let k, v = a.(mid) in
-      create (build lo mid) k v (build (mid + 1) hi)
+      let l = build lo mid in
+      create l (key mid) (value mid) (build (mid + 1) hi)
   in
-  { tree = build 0 (Array.length a); size = Array.length a }
+  { tree = build 0 n; size = max n 0 }
 
 let min_key m = Option.map fst (min_node m.tree)
 

@@ -5,7 +5,7 @@
     maps: a write derives the child's map from the parent's in O(log n)
     by path copying, never touching the parent's, and a lookup compares
     values directly (no interning).  Unlike [Map.Make], a map can be built
-    from sorted bindings in one linear pass that allocates only the final
+    from sorted keys in one linear pass that allocates only the final
     tree, and knows its size in O(1). *)
 
 type 'a t
@@ -33,10 +33,12 @@ val update : Value.t -> ('a option -> 'a option) -> 'a t -> 'a t
 (** [update k f m] binds [k] to [f (find_opt k m)], or removes it when
     that is [None]. *)
 
-val of_sorted_array : (Value.t * 'a) array -> 'a t
-(** The map of bindings listed in strictly increasing key order, built
-    balanced in one pass.  Raises [Invalid_argument] when the keys are
-    not strictly increasing. *)
+val init_sorted : int -> (int -> Value.t) -> (int -> 'a) -> 'a t
+(** [init_sorted n key value]: the map binding [key i] to [value i] for
+    [0 <= i < n], whose keys must strictly increase with [i].  Built
+    balanced in one pass that allocates only the tree (each [value i] is
+    computed once).  Raises [Invalid_argument] when the keys do not
+    strictly increase. *)
 
 val min_key : 'a t -> Value.t option
 
