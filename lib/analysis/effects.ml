@@ -13,23 +13,20 @@ let level_to_string = function
 
 type resource =
   | Relation_caches
-  | Intern_pool
   | Plan_cache
   | Compat_memo
 
 let resource_to_string = function
   | Relation_caches -> "relation-caches"
-  | Intern_pool -> "intern-pool"
   | Plan_cache -> "plan-cache"
   | Compat_memo -> "compat-memo"
 
 (* Each structure guards its own mutation: relation caches are built under
-   a per-relation mutex and published immutably, the interning pool takes
-   atomic snapshots under a writer lock, the plan LRU and the compatibility
-   memo serialize behind mutexes.  This table is the single place that
+   a per-relation mutex and published immutably, the plan LRU and the
+   compatibility memo serialize behind mutexes.  This table is the single place that
    claim is recorded; the effect verdict is only as good as it. *)
 let resource_synchronized = function
-  | Relation_caches | Intern_pool | Plan_cache | Compat_memo -> true
+  | Relation_caches | Plan_cache | Compat_memo -> true
 
 type access = {
   resource : resource;
@@ -55,13 +52,14 @@ let acc resource level =
   { resource; level; synchronized = resource_synchronized resource }
 
 (* A scan with a constant position builds the by-column index it reads on
-   first touch (a synchronized lazy write) and interns the column's
-   values; the index join likewise builds the index it probes.  Everything
-   else works on binding sets already in hand.  [Cached] leaves replay
-   frozen bindings — pure by construction. *)
+   first touch (a synchronized lazy write); the index join likewise builds
+   the index it probes, narrowed or not (a narrowed join deduplicates its
+   rows in a hash set of its own).  Indexes are keyed by values, so no
+   operator touches the interning pool.  Everything else works on binding
+   sets already in hand.  [Cached] leaves replay frozen bindings — pure by
+   construction. *)
 let op_accesses = function
-  | Plan.Scan _ | Plan.Index_join _ ->
-      [ acc Relation_caches Writes_shared; acc Intern_pool Writes_shared ]
+  | Plan.Scan _ | Plan.Index_join _ -> [ acc Relation_caches Writes_shared ]
   | Plan.Tt | Plan.Ff | Plan.Hash_join _ | Plan.Anti_join _ | Plan.Filter _
   | Plan.Builtin _ | Plan.Extend _ | Plan.Project _ | Plan.Union _
   | Plan.Complement _ | Plan.Cached _ ->

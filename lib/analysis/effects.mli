@@ -3,17 +3,15 @@
 
     Evaluating a plan looks pure — it maps a database to a relation — but
     the engine leans on shared mutable acceleration state: lazily-built
-    relation caches (arrays, membership tables, by-column indexes), the
-    global value-interning pool, the compiled-plan LRU cache and the
-    per-instance compatibility memo.  Each access is classified on the
+    relation caches (arrays, by-column indexes, column counts), the
+    compiled-plan LRU cache and the per-instance compatibility memo.  Each access is classified on the
     lattice
 
     {v pure ⊑ reads-shared ⊑ writes-shared v}
 
     together with whether the underlying structure synchronizes its own
     mutation (every structure above does today: mutex-guarded lazy caches
-    published immutably, an atomic-snapshot interning pool, mutex-guarded
-    LRU and memo).  A plan whose shared writes are all synchronized is
+    published immutably, mutex-guarded LRU and memo).  A plan whose shared writes are all synchronized is
     {!Concurrency_safe} — the precondition a future [recommend serve]
     daemon needs to evaluate cached plans from several domains at once.
     Any unsynchronized shared write marks the plan
@@ -31,8 +29,7 @@ val level_to_string : level -> string
 (** The shared mutable structures of the engine. *)
 type resource =
   | Relation_caches
-      (** per-relation lazy arrays / membership tables / by-column indexes *)
-  | Intern_pool  (** the global value-interning pool *)
+      (** per-relation lazy arrays / by-column indexes / column counts *)
   | Plan_cache  (** the compiled-plan LRU *)
   | Compat_memo  (** the per-instance compatibility memo *)
 
@@ -40,9 +37,8 @@ val resource_to_string : resource -> string
 
 val resource_synchronized : resource -> bool
 (** Whether the engine's implementation of the resource guards its own
-    mutation (all four do: see [Relational.Relation]'s mutex-guarded lazy
-    caches, [Relational.Intern]'s atomic snapshots, [Qlang.Plan]'s cache
-    lock and [Core.Instance]'s memo lock). *)
+    mutation (all three do: see [Relational.Relation]'s mutex-guarded lazy
+    caches, [Qlang.Plan]'s cache lock and [Core.Instance]'s memo lock). *)
 
 type access = {
   resource : resource;
@@ -68,8 +64,8 @@ type summary = {
 
 val op_accesses : Qlang.Plan.op -> access list
 (** Shared-state accesses of evaluating one node of this kind.  Atom
-    leaves and [Index_join] build (write) relation caches and intern
-    values; everything else computes over already-materialized bindings.
+    leaves and [Index_join] (narrowed or not) build (write) relation
+    caches; everything else computes over already-materialized bindings.
     Total over [op]. *)
 
 val compile_accesses : access list

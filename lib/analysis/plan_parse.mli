@@ -19,7 +19,9 @@
 
     Nodes: [true], [false], [scan R(t, ...)] (emitting every variable of
     the atom) or [scan R(t, ...) keep [v, ...]] (emitting the listed ones),
-    [index-join R(t, ...)] (one child), [hash-join] and [anti-join] (two
+    [index-join R(t, ...)] or [index-join R(t, ...) keep [v, ...]] (one
+    child; emitting every variable of the child and the atom, or the
+    listed ones), [hash-join] and [anti-join] (two
     children), [filter C], [builtin C] where the condition [C] is
     [t OP t] (OP one of [= != < <= > >=]), a distance bound
     [dist[NAME](t, t) <= K], or a disjunction of these

@@ -376,6 +376,105 @@ let prop_incremental_structures =
       done;
       !ok)
 
+(* ---------- property: value-keyed indexes and counts under churn ---------- *)
+
+(* Int and string values from a small domain, so that chains revisit
+   values and [Value.compare] crosses domain tags. *)
+let random_value rng domain =
+  let k = Random.State.int rng domain in
+  if Random.State.bool rng then Value.Int k else Value.Str (string_of_int k)
+
+let domain_values domain =
+  List.concat_map
+    (fun k -> [ Value.Int k; Value.Str (string_of_int k) ])
+    (List.init domain Fun.id)
+
+(* Every column's index answers every domain value — and a value that
+   never occurs — like a from-scratch rebuild, and the counts agree. *)
+let caches_agree r ~domain =
+  let fresh = rebuild r in
+  let probes = Value.Str "never-seen" :: domain_values domain in
+  counts_agree (Relation.col_counts r) (Relation.col_counts fresh)
+  && List.for_all
+       (fun col ->
+         let ix = Relation.index_on r col and ix' = Relation.index_on fresh col in
+         List.for_all (fun v -> Relation.probe ix v = Relation.probe ix' v) probes)
+       (List.init (Relation.arity r) Fun.id)
+
+let force_all r =
+  ignore (Relation.col_counts r);
+  List.iter (fun col -> ignore (Relation.index_on r col)) (List.init (Relation.arity r) Fun.id)
+
+let prop_index_counts_chain =
+  QCheck.Test.make
+    ~name:"indexes and counts: random add/remove chain = rebuild, every column and value"
+    ~count:150 ~long_factor:20 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let arity = 1 + Random.State.int rng 3 in
+      let domain = 2 + Random.State.int rng 4 in
+      let sch = Schema.make "R" (List.init arity (Printf.sprintf "c%d")) in
+      let tup () = Tuple.of_list (List.init arity (fun _ -> random_value rng domain)) in
+      let r = ref (Relation.of_list sch (List.init (Random.State.int rng 12) (fun _ -> tup ()))) in
+      force_all !r;
+      let steps = 1 + Random.State.int rng 30 in
+      let fault_step = Random.State.int rng steps in
+      let ok = ref true in
+      for step = 0 to steps - 1 do
+        let t =
+          (* removals mostly hit a present tuple *)
+          match Relation.to_list !r with
+          | _ :: _ as l when Random.State.int rng 3 = 0 ->
+              List.nth l (Random.State.int rng (List.length l))
+          | _ -> tup ()
+        in
+        let write = if Random.State.bool rng then Relation.add t else Relation.remove t in
+        if step = fault_step then begin
+          (* an injected fault drops the derived structures; the lazy
+             rebuild must agree too, and later writes maintain it again *)
+          Robust.Fault.arm ~site:"rel.maintain" ~nth:1 ~kind:Robust.Fault.Exn;
+          r := Fun.protect ~finally:Robust.Fault.disarm (fun () -> write !r);
+          ok := !ok && caches_agree !r ~domain
+        end
+        else begin
+          let parent = !r in
+          r := write parent;
+          (* a write maintains every structure (a no-op write returns the
+             parent itself) *)
+          ok :=
+            !ok
+            && Relation.has_counts !r
+            && List.for_all (Relation.has_index_on !r) (List.init arity Fun.id)
+            && caches_agree !r ~domain
+        end
+      done;
+      !ok)
+
+(* ---------- regression: the write path interns nothing ---------- *)
+
+let test_writes_leave_intern_pool () =
+  (* Indexes and counts are keyed by values: inserting a stream of values
+     no relation has held — churn-teams' fresh expert ids — and reading
+     them back through a plan must not grow the process-wide interning
+     pool, which never shrinks. *)
+  let sch = Schema.make "E" [ "a"; "b" ] in
+  let db =
+    ref (Database.of_relations [ force_caches (Relation.of_int_rows sch [ [ 1; 2 ]; [ 2; 3 ] ]) ])
+  in
+  let q = Plan.compile_fo !db (q "Q(y) := exists x. E(x, y) & x = \"fresh-3\"") in
+  let before = Relational.Intern.size () in
+  for i = 0 to 199 do
+    let v = Value.Str (Printf.sprintf "fresh-%d" i) in
+    db := Database.insert_tuple "E" (Tuple.of_list [ v; Value.Int i ]) !db;
+    if i mod 50 = 0 then ignore (Stats.of_database !db)
+  done;
+  db := Database.delete_tuple "E" (Tuple.of_list [ Value.Str "fresh-7"; Value.Int 7 ]) !db;
+  check "the plan reads the fresh value back" true
+    (Relation.to_list (Plan.run !db q) = [ Tuple.of_ints [ 3 ] ]);
+  check "every write maintained the index and counts" true
+    (Relation.has_counts (Database.find !db "E")
+    && Relation.has_index_on (Database.find !db "E") 0);
+  check_int "interning pool unchanged" before (Relational.Intern.size ())
+
 (* ---------- property: churn agreement, six languages, cached and fresh plans ---------- *)
 
 let lang_queries =
@@ -473,11 +572,14 @@ let () =
             `Quick test_real_mutation_flips_verdict;
           Alcotest.test_case "guarded selection keeps memo across domain growth"
             `Quick test_guarded_selection_keeps_memo;
+          Alcotest.test_case "writes leave the interning pool unchanged" `Quick
+            test_writes_leave_intern_pool;
         ] );
       ( "differential",
         [
           Alcotest.test_case "datalog frozen/live strata" `Quick
             test_differential_datalog;
         ]
-        @ qsuite [ prop_incremental_structures; prop_churn_all_languages ] );
+        @ qsuite
+            [ prop_incremental_structures; prop_index_counts_chain; prop_churn_all_languages ] );
     ]
