@@ -1,11 +1,12 @@
 (** A global value-interning pool (hash-consing).
 
     Every distinct {!Value.t} that passes through the pool is assigned a
-    dense integer id, stable for the lifetime of the process.  Dense ids
-    turn value-keyed index structures into int-keyed hash tables (no
-    polymorphic hashing, O(1) equality) and give packed tuple
-    representations ([int array]) whose comparisons never re-inspect
-    string contents.
+    dense integer id, stable for the lifetime of the process: the pool is
+    append-only, so every value ever interned stays reachable.  Its one
+    reader is the column view ({!Column}, built by [Relation.columns]),
+    whose packed [int array] columns compare without re-inspecting string
+    contents.  Relation indexes and counts are keyed by values ({!Vmap}),
+    so no write, probe or plan interns anything.
 
     The pool is shared by all domains.  Reads ({!find}, {!value}) are
     lock-free against an immutable snapshot; only the slow path of {!id}
@@ -18,9 +19,8 @@ val id : Value.t -> int
     [id a = id b] iff [Value.equal a b]. *)
 
 val find : Value.t -> int option
-(** The id of a value if it has already been interned, without interning.
-    Index probes use this: a value never interned cannot occur in any
-    interned structure. *)
+(** The id of a value if it has already been interned, without interning:
+    a value never interned cannot occur in any interned structure. *)
 
 val value : int -> Value.t
 (** The value behind an id.  Raises [Invalid_argument] on an id never

@@ -143,11 +143,11 @@ val col_counts : t -> int Vmap.t array
 (** Per-column occurrence counts (value -> number of rows, never [0]), the
     backing store for {!Stats}: distinct, min and max are the map's size
     and extreme keys.  Derived incrementally by {!add}/{!remove} when the
-    parent has them, computed in one pass otherwise (counted in a hash
-    table, then built balanced from the sorted counts).  Immutable. *)
+    parent has them, built otherwise from the column's values sorted in a
+    transient array.  Immutable. *)
 
 val has_counts : t -> bool
-(** Whether the count tables are already present (built or incrementally
+(** Whether the count maps are already present (built or incrementally
     derived) — for tests asserting incremental maintenance. *)
 
 val has_index_on : t -> int -> bool
@@ -156,7 +156,7 @@ val has_index_on : t -> int -> bool
 
 val counts_mem : t -> Value.t -> bool option
 (** [counts_mem r v]: whether [v] occurs in [r], answered from the count
-    tables without building anything — [None] when they are not present.
+    maps without building anything — [None] when they are not present.
     Cheap active-domain membership for the mutation protocol. *)
 
 val pp : Format.formatter -> t -> unit

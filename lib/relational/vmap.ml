@@ -71,7 +71,6 @@ let rec remove_tree k = function
       else bal l k' v (remove_tree k r)
 
 let empty = { tree = Empty; size = 0 }
-let is_empty m = m.size = 0
 let cardinal m = m.size
 
 (* Lookups recurse through top-level functions, not local closures, so a
@@ -96,9 +95,6 @@ let mem k m = Option.is_some (find_opt k m)
 let add k v m =
   let size = if mem k m then m.size else m.size + 1 in
   { tree = add_tree k v m.tree; size }
-
-let remove k m =
-  if mem k m then { tree = remove_tree k m.tree; size = m.size - 1 } else m
 
 let update k f m =
   let old = find_opt k m in
@@ -134,11 +130,9 @@ let max_key m =
   in
   go m.tree
 
-let fold f m acc =
+let bindings m =
   let rec go acc = function
     | Empty -> acc
-    | Node { l; k; v; r; _ } -> go (f k v (go acc l)) r
+    | Node { l; k; v; r; _ } -> go ((k, v) :: go acc r) l
   in
-  go acc m.tree
-
-let bindings m = List.rev (fold (fun k v acc -> (k, v) :: acc) m [])
+  go [] m.tree

@@ -12,8 +12,6 @@ type 'a t
 
 val empty : 'a t
 
-val is_empty : 'a t -> bool
-
 val cardinal : 'a t -> int
 (** The number of keys, in O(1). *)
 
@@ -26,8 +24,6 @@ val mem : Value.t -> 'a t -> bool
 
 val add : Value.t -> 'a -> 'a t -> 'a t
 (** Binds the key, replacing any previous binding. *)
-
-val remove : Value.t -> 'a t -> 'a t
 
 val update : Value.t -> ('a option -> 'a option) -> 'a t -> 'a t
 (** [update k f m] binds [k] to [f (find_opt k m)], or removes it when
@@ -43,9 +39,6 @@ val init_sorted : int -> (int -> Value.t) -> (int -> 'a) -> 'a t
 val min_key : 'a t -> Value.t option
 
 val max_key : 'a t -> Value.t option
-
-val fold : (Value.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-(** In increasing key order. *)
 
 val bindings : 'a t -> (Value.t * 'a) list
 (** In increasing key order. *)

@@ -410,6 +410,52 @@ let prop_value_round_trip_hostile =
       let v = Value.Str s in
       Value.equal v (Value.of_string (Value.to_string v)))
 
+(* The value-keyed map against the standard library's, along random
+   chains of [update] (inserting, replacing and removing), from a map
+   built by [init_sorted]: same bindings in key order, the separately
+   kept size, and the extreme keys. *)
+module Smap = Map.Make (Value)
+module Vmap = Relational.Vmap
+
+let prop_vmap_model =
+  QCheck.Test.make ~name:"Vmap: init_sorted + update chains = Map.Make" ~count:300
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let value () =
+        let k = Random.State.int rng 40 in
+        match Random.State.int rng 3 with
+        | 0 -> Value.Int k
+        | 1 -> Value.Str (string_of_int k)
+        | _ -> Value.Bool (k mod 2 = 0)
+      in
+      let init =
+        Smap.of_seq (Seq.init (Random.State.int rng 30) (fun _ -> (value (), Random.State.int rng 5)))
+      in
+      let keys = Array.of_list (Smap.bindings init) in
+      let v0 = Vmap.init_sorted (Array.length keys) (fun i -> fst keys.(i)) (fun i -> snd keys.(i)) in
+      let agree v s =
+        Vmap.bindings v = Smap.bindings s
+        && Vmap.cardinal v = Smap.cardinal s
+        && Vmap.min_key v = Option.map fst (Smap.min_binding_opt s)
+        && Vmap.max_key v = Option.map fst (Smap.max_binding_opt s)
+      in
+      let rec go v s n =
+        n = 0
+        ||
+        let k = value () in
+        let f = function
+          | Some x when Random.State.int rng 3 = 0 -> if x > 0 then Some (x - 1) else None
+          | _ -> if Random.State.bool rng then Some (Random.State.int rng 5) else None
+        in
+        let fk = f (Vmap.find_opt k v) in
+        let v = Vmap.update k (fun _ -> fk) v and s = Smap.update k (fun _ -> fk) s in
+        agree v s
+        && Vmap.find_or ~default:(-1) k v = Option.value ~default:(-1) (Smap.find_opt k s)
+        && go v s (n - 1)
+      in
+      agree v0 init && go v0 init 60)
+
 let () =
   ignore tuple_gen;
   Alcotest.run "relational"
@@ -475,5 +521,6 @@ let () =
             prop_db_round_trip;
             prop_db_round_trip_hostile;
             prop_value_round_trip_hostile;
+            prop_vmap_model;
           ] );
     ]
