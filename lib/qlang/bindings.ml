@@ -375,7 +375,7 @@ let head_tuples ~head vars rows =
                match index_of vars v with
                | Some i -> `Col i
                | None ->
-                   invalid_arg ("Bindings.to_relation: unbound head variable " ^ v)))
+                   invalid_arg ("Bindings.head_tuples: unbound head variable " ^ v)))
          head)
   in
   let passthrough =
@@ -392,6 +392,3 @@ let head_rows ~adom ~head b =
   in
   let b = extend ~adom head_vars b in
   head_tuples ~head b.vars (rows b)
-
-let to_relation ~adom sch ~head b =
-  Relational.Relation.of_list sch (head_rows ~adom ~head b)

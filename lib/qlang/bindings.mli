@@ -6,8 +6,8 @@
     never the same row twice.  Rows come in first-derivation order — the
     order in which the operator that built the set met them, which is
     fixed by its inputs' order, never by hash-table iteration — so every
-    result is deterministic, but no operator promises sorted rows.
-    {!to_relation} sorts when it builds the answer relation.
+    result is deterministic, but no operator promises sorted rows: the
+    answer relation built from {!head_rows} sorts them.
 
     Duplicate rows can only arise where columns are dropped or two sets
     meet, so only {!make}, {!project} and {!union} deduplicate, with a
@@ -107,14 +107,6 @@ val head_tuples :
     order, for rows whose columns are named by [vars] — which need not be
     a binding set: the rows may repeat, and so may the tuples.  Every head
     variable must be among [vars]; raises [Invalid_argument] otherwise. *)
-
-val to_relation :
-  adom:Relational.Value.t list Lazy.t ->
-  Relational.Schema.t ->
-  head:Ast.term list ->
-  t ->
-  Relational.Relation.t
-(** The answer relation of a query head: {!head_rows} as a relation. *)
 
 (** {1 Row hash sets} *)
 

@@ -280,14 +280,14 @@ let to_array r =
       a)
 
 (* From-scratch builds of the value-keyed structures sort instead of
-   hashing: a column's values (or the tuples, by the column's value) are
-   sorted in a transient array and the map is built from its runs of
-   equal values in one pass.  Nothing but that array and the final map is
-   allocated — building in a hash table first left enough garbage to
-   raise a loaded daemon's peak RSS.  The tuple set iterates in
-   increasing order, so column 0 arrives sorted; a stable sort keeps each
-   run of tuples in increasing order. *)
-let column_array r col =
+   hashing: the tuples are sorted by the column's value in a transient
+   array, and the map is built from the runs of equal values in one pass,
+   [value a lo hi] giving the binding of the run [a.(lo .. hi - 1)].
+   Nothing but that array and the final map is allocated — building in a
+   hash table first left enough garbage to raise a loaded daemon's peak
+   RSS.  The tuple set iterates in increasing order, so column 0 arrives
+   sorted, and a stable sort keeps each run in increasing order. *)
+let by_runs r col value =
   let a = Array.make (Tset.cardinal r.tuples) [||] in
   let i = ref 0 in
   Tset.iter
@@ -295,25 +295,25 @@ let column_array r col =
       a.(!i) <- t;
       incr i)
     r.tuples;
-  if col > 0 then
-    Array.stable_sort (fun t u -> Value.compare t.(col) u.(col)) a;
-  a
-
-(* The start of each run of equal [key i] over [0, n), then [n]. *)
-let run_starts n key =
+  if col > 0 then Array.stable_sort (fun t u -> Value.compare t.(col) u.(col)) a;
+  let n = Array.length a in
+  let run_start i = i = 0 || not (Value.equal a.(i - 1).(col) a.(i).(col)) in
   let runs = ref 0 in
   for i = 0 to n - 1 do
-    if i = 0 || not (Value.equal (key (i - 1)) (key i)) then incr runs
+    if run_start i then incr runs
   done;
+  (* the start of each run, then [n] *)
   let starts = Array.make (!runs + 1) n in
   let j = ref 0 in
   for i = 0 to n - 1 do
-    if i = 0 || not (Value.equal (key (i - 1)) (key i)) then begin
+    if run_start i then begin
       starts.(!j) <- i;
       incr j
     end
   done;
-  starts
+  Vmap.init_sorted !runs
+    (fun k -> a.(starts.(k)).(col))
+    (fun k -> value a starts.(k) starts.(k + 1))
 
 type index = Tuple.t list Vmap.t
 
@@ -323,14 +323,7 @@ let index_on r col =
   force c.lock
     (fun () -> List.assoc_opt col c.by_col)
     (fun ix -> c.by_col <- (col, ix) :: c.by_col)
-    (fun () ->
-      let a = column_array r col in
-      let starts = run_starts (Array.length a) (fun i -> a.(i).(col)) in
-      let bucket i =
-        let rec go j acc = if j < starts.(i) then acc else go (j - 1) (a.(j) :: acc) in
-        go (starts.(i + 1) - 1) []
-      in
-      Vmap.init_sorted (Array.length starts - 1) (fun i -> a.(starts.(i)).(col)) bucket)
+    (fun () -> by_runs r col (fun a lo hi -> List.init (hi - lo) (fun j -> a.(lo + j))))
 
 let probe ix v = Vmap.find_or ~default:[] v ix
 
@@ -356,12 +349,7 @@ let col_counts r =
     (fun () -> c.counts)
     (fun counts -> c.counts <- Some counts)
     (fun () ->
-      Array.init (arity r) (fun col ->
-          let a = column_array r col in
-          let starts = run_starts (Array.length a) (fun i -> a.(i).(col)) in
-          Vmap.init_sorted (Array.length starts - 1)
-            (fun i -> a.(starts.(i)).(col))
-            (fun i -> starts.(i + 1) - starts.(i))))
+      Array.init (arity r) (fun col -> by_runs r col (fun _ lo hi -> hi - lo)))
 
 let has_counts r = Mutex.protect r.cache.lock (fun () -> r.cache.counts <> None)
 

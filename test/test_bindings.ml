@@ -105,7 +105,7 @@ let prop_bindings_match_oracle =
       && same (L.project keep la) (O.project keep oa)
       && same (L.filter lpred la) (O.filter opred oa)
       && Relation.equal
-           (L.to_relation ~adom:ladom sch ~head la)
+           (Relation.of_list sch (L.head_rows ~adom:ladom ~head la))
            (O.to_relation ~adom:ladom sch ~head oa))
 
 (* The nullary sets by name, and the empty domain, on both sides. *)
