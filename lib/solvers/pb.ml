@@ -119,27 +119,68 @@ let solve ?(on_improve = fun _ _ -> ()) p =
           idx;
         idx
   in
+  (* The ratio order as a doubly linked list over variable indices, with
+     the sentinel [n], holding exactly the positive-objective variables at
+     index [synced] and above.  [sync i] unlinks the variables the path
+     has decided, in increasing index order, and on backtrack relinks
+     them in decreasing order — the reverse of their unlinking, so each
+     relink restores the exact order.  A bound then walks only undecided
+     variables, and the upkeep is O(1) amortized per node of the
+     depth-first search. *)
+  let next = Array.make (n + 1) n and prev = Array.make (n + 1) n in
+  let last =
+    Array.fold_left
+      (fun pj j ->
+        prev.(j) <- pj;
+        next.(pj) <- j;
+        j)
+      n by_ratio
+  in
+  next.(last) <- n;
+  prev.(n) <- last;
+  let synced = ref 0 in
+  let sync i =
+    while !synced < i do
+      let j = !synced in
+      if p.objective.(j) > 0.0 then begin
+        next.(prev.(j)) <- next.(j);
+        prev.(next.(j)) <- prev.(j)
+      end;
+      incr synced
+    done;
+    while !synced > i do
+      decr synced;
+      let j = !synced in
+      if p.objective.(j) > 0.0 then begin
+        next.(prev.(j)) <- j;
+        prev.(next.(j)) <- j
+      end
+    done
+  in
+  (* The walk starts from a clamped capacity: a budget row full up to
+     rounding leaves a capacity like -5.6e-17, which would stop the walk
+     before zero-cost variables and cut a feasible optimum.  Clamping only
+     raises the bound, so it stays sound. *)
   let greedy_bound i capacity =
     match budget_row with
     | None -> infinity
     | Some { c; _ } ->
-        let cap = ref capacity and acc = ref 0.0 in
-        (try
-           Array.iter
-             (fun j ->
-               if j >= i then begin
-                 if c.(j) <= !cap then begin
-                   acc := !acc +. p.objective.(j);
-                   cap := !cap -. c.(j)
-                 end
-                 else begin
-                   if c.(j) > 0.0 then
-                     acc := !acc +. (p.objective.(j) *. !cap /. c.(j));
-                   raise Exit
-                 end
-               end)
-             by_ratio
-         with Exit -> ());
+        sync i;
+        let cap = ref (Float.max capacity 0.0) and acc = ref 0.0 in
+        let at = ref next.(n) in
+        while !at <> n do
+          let j = !at in
+          if c.(j) <= !cap then begin
+            acc := !acc +. p.objective.(j);
+            cap := !cap -. c.(j);
+            at := next.(j)
+          end
+          else begin
+            if c.(j) > 0.0 then
+              acc := !acc +. (p.objective.(j) *. !cap /. c.(j));
+            at := n
+          end
+        done;
         !acc
   in
   (* Which internal row is the budget row (for its running lhs)?  Track

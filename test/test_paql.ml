@@ -109,12 +109,15 @@ let brute_pb (p : Pb.program) =
   done;
   !best
 
-let random_pb rng =
-  let n = 2 + Random.State.int rng 9 in
+(* Every coefficient, right-hand side and objective is a random integer
+   divided by [denominator]: [1.0] gives whole numbers, [10.0] tenths (each
+   number [k /. 10.], as a decimal literal would read), which exercise the
+   solver's 1e-9 tolerances. *)
+let random_pb ?(denominator = 1.0) ?(max_vars = 10) rng =
+  let num k = float_of_int k /. denominator in
+  let n = 2 + Random.State.int rng (max_vars - 1) in
   let nc = 1 + Random.State.int rng 4 in
-  let coeffs () =
-    Array.init n (fun _ -> float_of_int (Random.State.int rng 13 - 3))
-  in
+  let coeffs () = Array.init n (fun _ -> num (Random.State.int rng 13 - 3)) in
   let constr () =
     let cmp =
       match Random.State.int rng 4 with
@@ -122,29 +125,250 @@ let random_pb rng =
       | 1 -> Pb.Eq
       | _ -> Pb.Le
     in
-    { Pb.coeffs = coeffs (); cmp; rhs = float_of_int (Random.State.int rng 25) }
+    { Pb.coeffs = coeffs (); cmp; rhs = num (Random.State.int rng 25) }
   in
   {
     Pb.nvars = n;
-    objective = Array.init n (fun _ -> float_of_int (Random.State.int rng 19 - 4));
+    objective = Array.init n (fun _ -> num (Random.State.int rng 19 - 4));
     constraints = List.init nc (fun _ -> constr ());
   }
 
+let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
+
+let matches_brute p =
+  match (Pb.solve p, brute_pb p) with
+  | None, None -> true
+  | Some (v, x), Some (bv, _) ->
+      Float.abs (v -. bv) <= 1e-6 && Pb.feasible p x
+      && Float.abs (Pb.objective_value p x -. v) <= 1e-6
+  | Some _, None | None, Some _ -> false
+
 let prop_pb_matches_brute =
-  QCheck.Test.make ~count:200 ~name:"PB: branch-and-bound = brute force"
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"PB: branch-and-bound = brute force" seed_gen (fun seed ->
+      matches_brute (random_pb (Random.State.make [| seed |])))
+
+let prop_pb_matches_brute_tenths =
+  QCheck.Test.make ~count:1000 ~long_factor:20
+    ~name:"PB: branch-and-bound = brute force, coefficients in tenths"
+    seed_gen (fun seed ->
+      matches_brute (random_pb ~denominator:10.0 (Random.State.make [| seed |])))
+
+(* A budget row full up to rounding: 0.1 + 0.2 > 0.3 by 5.6e-17, so after
+   taking b and c the remaining capacity is slightly negative.  The bound
+   must still count the zero-cost z; the optimum is b + c + z = 3. *)
+let test_pb_rounding_full_budget_row () =
+  let p =
+    {
+      Pb.nvars = 4;
+      objective = [| 0.5; 1.0; 1.0; 1.0 |];
+      constraints =
+        [
+          { Pb.coeffs = [| 0.0; 0.1; 0.2; 0.0 |]; cmp = Pb.Le; rhs = 0.3 };
+          { Pb.coeffs = [| 1.0; 0.0; 0.0; 1.0 |]; cmp = Pb.Le; rhs = 1.0 };
+        ];
+    }
+  in
+  (match brute_pb p with
+  | Some (v, _) -> checkf "brute force" 3.0 v
+  | None -> Alcotest.fail "brute force: infeasible");
+  match Pb.solve p with
+  | Some (v, x) ->
+      checkf "optimum" 3.0 v;
+      check "witness feasible" true (Pb.feasible p x);
+      check "witness takes z" true x.(3)
+  | None -> Alcotest.fail "Pb.solve: infeasible"
+
+(* The search before the linked walk, kept as the reference for it: the
+   same [Bnb.Make] space over immutable states, whose greedy bound scans
+   the whole ratio order from the start at every node, skipping decided
+   variables (with the same capacity clamp).  The library must visit the
+   same nodes in the same order, so every budgeted run agrees with it. *)
+module Pb_reference = struct
+  let eps = 1e-9
+
+  type row = { c : float array; b : float }
+
+  let rows_of (p : Pb.program) =
+    List.concat_map
+      (fun { Pb.coeffs; cmp; rhs } ->
+        let neg () = { c = Array.map (fun v -> -.v) coeffs; b = -.rhs } in
+        match cmp with
+        | Pb.Le -> [ { c = coeffs; b = rhs } ]
+        | Pb.Ge -> [ neg () ]
+        | Pb.Eq -> [ { c = coeffs; b = rhs }; neg () ])
+      p.Pb.constraints
+
+  let solve ~on_improve (p : Pb.program) =
+    let n = p.Pb.nvars in
+    let rows = Array.of_list (rows_of p) in
+    let nrows = Array.length rows in
+    let suffix_min =
+      Array.map
+        (fun { c; _ } ->
+          let s = Array.make (n + 1) 0.0 in
+          for j = n - 1 downto 0 do
+            s.(j) <- s.(j + 1) +. Float.min c.(j) 0.0
+          done;
+          s)
+        rows
+    in
+    let suffix_pos =
+      let s = Array.make (n + 1) 0.0 in
+      for j = n - 1 downto 0 do
+        s.(j) <- s.(j + 1) +. Float.max p.Pb.objective.(j) 0.0
+      done;
+      s
+    in
+    let budget_row_index =
+      let rec find k =
+        if k = nrows then -1
+        else if Array.for_all (fun v -> v >= 0.0) rows.(k).c then k
+        else find (k + 1)
+      in
+      find 0
+    in
+    let by_ratio =
+      if budget_row_index < 0 then [||]
+      else
+        let c = rows.(budget_row_index).c in
+        let idx =
+          Array.of_seq
+            (Seq.filter (fun j -> p.Pb.objective.(j) > 0.0) (Seq.init n Fun.id))
+        in
+        Array.sort
+          (fun a b ->
+            let r j = p.Pb.objective.(j) /. Float.max c.(j) eps in
+            compare (r b) (r a))
+          idx;
+        idx
+    in
+    let greedy_bound i capacity =
+      let c = rows.(budget_row_index).c in
+      let cap = ref (Float.max capacity 0.0) and acc = ref 0.0 in
+      (try
+         Array.iter
+           (fun j ->
+             if j >= i then
+               if c.(j) <= !cap then begin
+                 acc := !acc +. p.Pb.objective.(j);
+                 cap := !cap -. c.(j)
+               end
+               else begin
+                 if c.(j) > 0.0 then
+                   acc := !acc +. (p.Pb.objective.(j) *. !cap /. c.(j));
+                 raise Exit
+               end)
+           by_ratio
+       with Exit -> ());
+      !acc
+    in
+    let module Space = struct
+      type state = { i : int; chosen : int list; obj : float; lhs : float array }
+
+      let tick = Solvers.Bnb.Tick.make ~site:"pb.node" ()
+
+      let viable st =
+        let ok = ref true in
+        for r = 0 to nrows - 1 do
+          if st.lhs.(r) +. suffix_min.(r).(st.i) > rows.(r).b +. eps then
+            ok := false
+        done;
+        !ok
+
+      let branches st =
+        if st.i = n then []
+        else
+          let lhs = Array.copy st.lhs in
+          for r = 0 to nrows - 1 do
+            lhs.(r) <- lhs.(r) +. rows.(r).c.(st.i)
+          done;
+          let take =
+            {
+              i = st.i + 1;
+              chosen = st.i :: st.chosen;
+              obj = st.obj +. p.Pb.objective.(st.i);
+              lhs;
+            }
+          in
+          List.filter viable [ take; { st with i = st.i + 1 } ]
+
+      let solution st =
+        if st.i < n then None
+        else
+          let ok = ref true in
+          for r = 0 to nrows - 1 do
+            if st.lhs.(r) > rows.(r).b +. eps then ok := false
+          done;
+          if !ok then Some st.obj else None
+
+      let bound st =
+        let crude = st.obj +. suffix_pos.(st.i) in
+        if budget_row_index < 0 then crude
+        else
+          let capacity = rows.(budget_row_index).b -. st.lhs.(budget_row_index) in
+          Float.min crude (st.obj +. greedy_bound st.i capacity)
+    end in
+    let module Search = Solvers.Bnb.Make (Space) in
+    let to_selection chosen =
+      let x = Array.make n false in
+      List.iter (fun j -> x.(j) <- true) chosen;
+      x
+    in
+    let incumbent =
+      Solvers.Bnb.Incumbent.create
+        ~on_improve:(fun v st -> on_improve v (to_selection st.Space.chosen))
+        ()
+    in
+    let root =
+      { Space.i = 0; chosen = []; obj = 0.0; lhs = Array.make nrows 0.0 }
+    in
+    let result =
+      if n = 0 || Space.viable root then Search.maximize ~incumbent root
+      else None
+    in
+    Option.map (fun (v, st) -> (v, to_selection st.Space.chosen)) result
+
+  let solve_budgeted ~budget p =
+    let best = ref None in
+    Budget.run ~budget
+      ~partial:(fun _ -> !best)
+      (fun () -> solve ~on_improve:(fun v x -> best := Some (v, x)) p)
+end
+
+(* Same outcome kind, value and selection, and the same number of budget
+   ticks (nodes visited) at every fuel from 1 to 60. *)
+let prop_pb_same_search =
+  QCheck.Test.make ~count:100 ~long_factor:20
+    ~name:"PB: linked walk = full-scan reference, fuel 1..60" seed_gen
     (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let p = random_pb rng in
-      match (Pb.solve p, brute_pb p) with
-      | None, None -> true
-      | Some (v, x), Some (bv, _) ->
-          Float.abs (v -. bv) <= 1e-6 && Pb.feasible p x
-          && Float.abs (Pb.objective_value p x -. v) <= 1e-6
-      | Some _, None | None, Some _ -> false)
+      let denominator = if Random.State.bool rng then 1.0 else 10.0 in
+      let p = random_pb ~denominator ~max_vars:16 rng in
+      let run solve fuel =
+        let budget = Budget.make ~fuel () in
+        let outcome = solve ~budget p in
+        (outcome, Budget.ticks budget)
+      in
+      let agree fuel =
+        let lib, lib_ticks =
+          run (fun ~budget p -> Pb.solve_budgeted ~budget p) fuel
+        and ref_, ref_ticks = run Pb_reference.solve_budgeted fuel in
+        lib_ticks = ref_ticks
+        &&
+        match (lib, ref_) with
+        | Budget.Exact a, Budget.Exact b -> a = b
+        | Budget.Partial a, Budget.Partial b ->
+            a.best_so_far = b.best_so_far && a.reason = b.reason
+        | Budget.Exact _, Budget.Partial _ | Budget.Partial _, Budget.Exact _
+          ->
+            false
+      in
+      List.for_all agree (List.init 60 (fun k -> k + 1)))
 
 let prop_pb_budgeted_sound =
-  QCheck.Test.make ~count:100 ~name:"PB: budgeted partial is feasible, ≤ optimum"
+  QCheck.Test.make ~count:100 ~long_factor:20
+    ~name:"PB: budgeted partial is feasible, ≤ optimum"
     (QCheck.make QCheck.Gen.(pair (int_bound 1_000_000) (int_range 5 400)))
     (fun (seed, fuel) ->
       let rng = Random.State.make [| seed |] in
@@ -332,7 +556,15 @@ let () =
           Alcotest.test_case "syntax errors" `Quick test_parse_errors;
         ] );
       ( "pb",
-        qsuite [ prop_pb_matches_brute; prop_pb_budgeted_sound ] );
+        Alcotest.test_case "rounding-full budget row" `Quick
+          test_pb_rounding_full_budget_row
+        :: qsuite
+             [
+               prop_pb_matches_brute;
+               prop_pb_matches_brute_tenths;
+               prop_pb_same_search;
+               prop_pb_budgeted_sound;
+             ] );
       ( "compile",
         [
           Alcotest.test_case "compile errors" `Quick test_compile_errors;
