@@ -14,6 +14,13 @@
       ratio) knapsack bound over a nonnegative ≤-row when the program has
       one, intersected with the sum of remaining positive objective
       coefficients — both sound upper bounds, so their minimum is too.
+      The ratio order is kept as a doubly linked list from which the
+      search path's decided variables are unlinked (and relinked, in
+      reverse, on backtrack), so a node's bound walks only undecided
+      variables, up to the first that does not fit: O(n) memory per
+      solve and O(1) amortized upkeep per node.  The walk starts from the
+      row's remaining capacity clamped at 0, so a row full up to rounding
+      (0.3 − (0.1 + 0.2) < 0) still packs zero-cost variables.
 
     Ties keep the first solution in visit order, making answers
     deterministic. *)
