@@ -268,6 +268,15 @@ let surface_objective t v = if t.linear.minimize then -.v else v
 let answer_of_selection t v x =
   { package = package_of_selection t x; objective = surface_objective t v }
 
+let answer_of_chosen t v chosen =
+  {
+    package =
+      List.fold_left
+        (fun pkg j -> Package.add t.linear.cands.(j) pkg)
+        Package.empty chosen;
+    objective = surface_objective t v;
+  }
+
 let satisfies t pkg =
   match t.inst.Instance.compat with
   | Instance.Compat_fn (_, f) -> f pkg t.inst.Instance.db

@@ -65,6 +65,10 @@ val package_of_selection : t -> bool array -> Package.t
 
 val answer_of_selection : t -> float -> bool array -> answer
 
+val answer_of_chosen : t -> float -> int list -> answer
+(** {!answer_of_selection} for the selection given by its candidate
+    indices. *)
+
 val satisfies : t -> Package.t -> bool
 (** The surface SUCH THAT semantics, checked directly on a package via the
     desugared instance's [Compat_fn] — the certificate used by the tests

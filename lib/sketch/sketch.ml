@@ -130,18 +130,22 @@ let partition_candidates (c : Paql_compile.t) ~npartitions =
 (* Feasibility helpers on the linear form                              *)
 (* ------------------------------------------------------------------ *)
 
-let selection_of (c : Paql_compile.t) chosen =
-  let x = Array.make (Array.length c.Paql_compile.linear.cands) false in
-  List.iter (fun j -> x.(j) <- true) chosen;
-  x
-
 let objective_of (c : Paql_compile.t) chosen =
   List.fold_left
     (fun acc j -> acc +. c.Paql_compile.linear.objective.(j))
     0.0 chosen
 
+(* Answers and feasibility checks work on the chosen candidate indices:
+   a candidate-sized array per check would be allocated straight into the
+   major heap.  Each row is summed over the chosen indices in increasing
+   order, the same float sums as [Pb.feasible] on the selection. *)
 let feasible_chosen (c : Paql_compile.t) chosen =
-  Pb.feasible (Paql_compile.program c) (selection_of c chosen)
+  let chosen = List.sort compare chosen in
+  List.for_all
+    (fun row ->
+      Pb.holds row
+        (List.fold_left (fun s j -> s +. row.Pb.coeffs.(j)) 0.0 chosen))
+    c.Paql_compile.linear.constraints
 
 (* ------------------------------------------------------------------ *)
 (* Fallback candidates                                                 *)
@@ -205,16 +209,7 @@ let best_singleton (c : Paql_compile.t) =
   in
   let n = Array.length cands in
   let rows = Array.of_list constraints in
-  let single_ok j =
-    Array.for_all
-      (fun { Pb.coeffs; cmp; rhs } ->
-        let v = coeffs.(j) in
-        match cmp with
-        | Pb.Le -> v <= rhs +. eps
-        | Pb.Ge -> v >= rhs -. eps
-        | Pb.Eq -> Float.abs (v -. rhs) <= eps)
-      rows
-  in
+  let single_ok j = Array.for_all (fun row -> Pb.holds row row.Pb.coeffs.(j)) rows in
   let best = ref None in
   for j = 0 to n - 1 do
     if single_ok j then
@@ -449,7 +444,7 @@ let solve ?npartitions ?(shortlist = 48) (c : Paql_compile.t) =
     match winner with
     | None -> (None, "none")
     | Some (name, v, sel) ->
-        ( Some (Paql_compile.answer_of_selection c v (selection_of c sel)),
+        ( Some (Paql_compile.answer_of_chosen c v sel),
           name )
   in
   {
@@ -481,7 +476,7 @@ let solve_budgeted ?budget ?npartitions ?shortlist c =
     ~partial:(fun _ ->
       Option.map
         (fun (_, v, sel) ->
-          Paql_compile.answer_of_selection c v (selection_of c sel))
+          Paql_compile.answer_of_chosen c v sel)
         !best)
     (fun () ->
       note (best_singleton c) "singleton";

@@ -44,6 +44,12 @@ let check_program p =
         invalid_arg "Pb: constraint length differs from nvars")
     p.constraints
 
+let holds { cmp; rhs; _ } v =
+  match cmp with
+  | Le -> v <= rhs +. eps
+  | Ge -> v >= rhs -. eps
+  | Eq -> Float.abs (v -. rhs) <= eps
+
 let feasible p x =
   check_program p;
   let lhs c =
@@ -51,19 +57,115 @@ let feasible p x =
     Array.iteri (fun j cj -> if x.(j) then s := !s +. cj) c;
     !s
   in
-  List.for_all
-    (fun { coeffs; cmp; rhs } ->
-      let v = lhs coeffs in
-      match cmp with
-      | Le -> v <= rhs +. eps
-      | Ge -> v >= rhs -. eps
-      | Eq -> Float.abs (v -. rhs) <= eps)
-    p.constraints
+  List.for_all (fun row -> holds row (lhs row.coeffs)) p.constraints
 
 let objective_value p x =
   let s = ref 0.0 in
   Array.iteri (fun j oj -> if x.(j) then s := !s +. oj) p.objective;
   !s
+
+(* The Lagrangian dual of the LP relaxation over the internal rows, each
+   loosened by the tolerance [eps] the search accepts a row with:
+     L(λ) = Σ_r λ_r·(b_r + eps) + Σ_j max(0, obj_j − Σ_r λ_r·c_rj),
+   an upper bound on the optimum for every λ ≥ 0.  Coordinate descent
+   from λ = 0 (where L is the crude bound): each step minimises L exactly
+   in one λ_r.  With the others fixed, L is convex and piecewise linear
+   in t = λ_r, with slope (b_r + eps) − Σ c_rj over the variables whose
+   term is positive; the term of variable j switches at t = d_j / c_rj
+   (d_j its reduced cost without row r), and the slope grows by |c_rj|
+   there.  Walking the positive breakpoints in increasing order finds the
+   first point where the slope turns nonnegative: O(n log n) a step. *)
+type dual = { bound : float; multipliers : float array }
+
+let max_sweeps = 20
+
+(* Reduced costs obj_j − Σ_r λ_r·c_rj, each summed in row order. *)
+let reduced_costs objective rows lambda =
+  Array.mapi
+    (fun j o ->
+      let s = ref o in
+      Array.iteri (fun r { c; _ } -> s := !s -. (lambda.(r) *. c.(j))) rows;
+      !s)
+    objective
+
+(* L(λ) and the total magnitude of its terms. *)
+let dual_value rows lambda red =
+  let s = ref 0.0 and mag = ref 0.0 in
+  Array.iteri
+    (fun r { b; _ } ->
+      let v = lambda.(r) *. (b +. eps) in
+      s := !s +. v;
+      mag := !mag +. Float.abs v)
+    rows;
+  Array.iter
+    (fun v ->
+      let v = Float.max v 0.0 in
+      s := !s +. v;
+      mag := !mag +. v)
+    red;
+  (!s, !mag)
+
+(* A bound [acc] summed from terms of total magnitude [mag], raised by a
+   relative slack so that rounding in the sum never cuts a strictly
+   better completion. *)
+let with_slack acc mag = acc +. (1e-9 *. (1.0 +. mag))
+
+let root_dual objective rows =
+  let n = Array.length objective in
+  let lambda = Array.make (Array.length rows) 0.0 in
+  let red = Array.copy objective in
+  let minimize_row r =
+    let { c; b } = rows.(r) in
+    let d = Array.init n (fun j -> red.(j) +. (lambda.(r) *. c.(j))) in
+    (* Slope just right of t = 0, and the breakpoints beyond 0 with the
+       slope change each brings. *)
+    let slope = ref (b +. eps) and breaks = ref [] in
+    for j = 0 to n - 1 do
+      let a = c.(j) in
+      if a <> 0.0 then begin
+        let t = d.(j) /. a in
+        if t > 0.0 then begin
+          if a > 0.0 then slope := !slope -. a;
+          breaks := (t, Float.abs a) :: !breaks
+        end
+        else if a < 0.0 then slope := !slope -. a
+      end
+    done;
+    let t =
+      if !slope >= 0.0 then 0.0
+      else begin
+        let breaks = Array.of_list !breaks in
+        Array.sort (fun (t, _) (t', _) -> Float.compare t t') breaks;
+        (* A slope still negative past the last breakpoint means the
+           relaxation is infeasible; any λ ≥ 0 stays sound, so stop there. *)
+        let k = ref 0 and t = ref lambda.(r) in
+        while !k < Array.length breaks && !slope < 0.0 do
+          let tk, w = breaks.(!k) in
+          slope := !slope +. w;
+          t := tk;
+          incr k
+        done;
+        !t
+      end
+    in
+    lambda.(r) <- t;
+    Array.iteri (fun j dj -> red.(j) <- dj -. (t *. c.(j))) d
+  in
+  let rec sweep k prev =
+    if k < max_sweeps then begin
+      Array.iteri (fun r _ -> minimize_row r) rows;
+      let v = fst (dual_value rows lambda red) in
+      if v < prev -. (1e-9 *. (1.0 +. Float.abs prev)) then sweep (k + 1) v
+    end
+  in
+  sweep 0 (fst (dual_value rows lambda red));
+  let red = reduced_costs objective rows lambda in
+  let v, mag = dual_value rows lambda red in
+  ({ bound = with_slack v mag; multipliers = lambda }, red)
+
+let dual_bound p =
+  check_program p;
+  fst (root_dual p.objective (Array.of_list (rows_of p)))
 
 let solve ?(on_improve = fun _ _ -> ()) p =
   check_program p;
@@ -193,6 +295,52 @@ let solve ?(on_improve = fun _ _ -> ()) p =
         let rec find k = if rows.(k) == br then k else find (k + 1) in
         find 0
   in
+  (* The Lagrangian node bound under the root multipliers: for any
+     completion x meeting every row within [eps],
+       obj + Σ_{j≥i} obj_j·x_j
+         ≤ obj + Σ_{j≥i} red_j·x_j + Σ_r λ_r·(b_r + eps − lhs_r)
+         ≤ obj + suffix_red.(i) + Σ_r λ_r·(b_r + eps − lhs_r),
+     since each λ_r ≥ 0 multiplies the row's remaining slack.  O(rows
+     with λ_r > 0) per node. *)
+  let lag_rows, suffix_red =
+    let { multipliers; _ }, red = root_dual p.objective rows in
+    let s = Array.make (n + 1) 0.0 in
+    for j = n - 1 downto 0 do
+      s.(j) <- s.(j + 1) +. Float.max red.(j) 0.0
+    done;
+    ( Array.to_seqi multipliers
+      |> Seq.filter (fun (_, l) -> l > 0.0)
+      |> Seq.map (fun (r, l) -> (r, l, rows.(r).b +. eps))
+      |> Array.of_seq,
+      s )
+  in
+  let lagrangian_bound obj i lhs =
+    let acc = ref (obj +. suffix_red.(i))
+    and mag = ref (Float.abs obj +. suffix_red.(i)) in
+    Array.iter
+      (fun (r, l, b) ->
+        let v = l *. (b -. lhs.(r)) in
+        acc := !acc +. v;
+        mag := !mag +. Float.abs v)
+      lag_rows;
+    with_slack !acc !mag
+  in
+  (* run_end.(j): the first index past the run of adjacent variables equal
+     to [j] in objective and in every row.  The skip child jumps there, so
+     a run is only ever taken as a prefix: its selections are
+     interchangeable, and their row sums bit-identical (the same values
+     added in the same order). *)
+  let run_end =
+    let same j k =
+      p.objective.(j) = p.objective.(k)
+      && Array.for_all (fun { c; _ } -> c.(j) = c.(k)) rows
+    in
+    let e = Array.make (n + 1) n in
+    for j = n - 2 downto 0 do
+      e.(j) <- (if same j (j + 1) then e.(j + 1) else j + 1)
+    done;
+    e
+  in
   let module Space = struct
     type state = { i : int; chosen : int list; obj : float; lhs : float array }
 
@@ -223,7 +371,7 @@ let solve ?(on_improve = fun _ _ -> ()) p =
             lhs;
           }
         in
-        let skip = { st with i = st.i + 1 } in
+        let skip = { st with i = run_end.(st.i) } in
         List.filter viable [ take; skip ]
       end
 
@@ -238,11 +386,15 @@ let solve ?(on_improve = fun _ _ -> ()) p =
       else None
 
     let bound st =
-      let crude = st.obj +. suffix_pos.(st.i) in
-      if budget_row_index < 0 then crude
+      let cheap =
+        Float.min
+          (st.obj +. suffix_pos.(st.i))
+          (lagrangian_bound st.obj st.i st.lhs)
+      in
+      if budget_row_index < 0 then cheap
       else
         let capacity = rows.(budget_row_index).b -. st.lhs.(budget_row_index) in
-        Float.min crude (st.obj +. greedy_bound st.i capacity)
+        Float.min cheap (st.obj +. greedy_bound st.i capacity)
   end in
   let module Search = Bnb.Make (Space) in
   let to_selection chosen =

@@ -20,10 +20,33 @@
       variables, up to the first that does not fit: O(n) memory per
       solve and O(1) amortized upkeep per node.  The walk starts from the
       row's remaining capacity clamped at 0, so a row full up to rounding
-      (0.3 − (0.1 + 0.2) < 0) still packs zero-cost variables.
+      (0.3 − (0.1 + 0.2) < 0) still packs zero-cost variables;
+    - {e a Lagrangian node bound}, intersected with both: once per solve,
+      multipliers [λ_r ≥ 0], one per internal [≤]-row, are fitted by
+      coordinate descent on the Lagrangian dual of the LP relaxation
+      (see {!dual_bound}).  With reduced costs
+      [red_j = obj_j − Σ_r λ_r·c_rj], a node's bound is
+      [obj + Σ_r λ_r·(b_r + 1e-9 − lhs_r) + Σ_{j≥i} max(red_j, 0)]: every
+      completion meeting the rows leaves [λ_r·(b_r + 1e-9 − lhs_r −
+      Σ_{j≥i} c_rj·x_j) ≥ 0], so the bound is sound for any [λ ≥ 0].
+      The last sum is a precomputed suffix, so a node pays O(rows), and
+      a relative slack of 1e-9·(1 + the terms' magnitude) keeps rounding
+      from cutting a strictly better completion.  It sees every row at
+      once, so a binding [COUNT ≤ k] or [SUM ≥] row bounds the search,
+      MINIMIZE programs included;
+    - {e one branch per run of identical columns}: adjacent variables
+      equal in objective and in every row form a run, and the skip child
+      jumps past the rest of the run, so a run is only taken as a prefix
+      (a sketch program's copies of one representative are such a run).
+      The selections within a run are interchangeable and give
+      bit-identical row sums (the same values added in the same order).
 
     Ties keep the first solution in visit order, making answers
-    deterministic. *)
+    deterministic.  The take-before-skip order reaches the prefix form of
+    an optimum before any other form of it, so the run skip and the
+    Lagrangian bound leave unbudgeted answers, value and selection,
+    unchanged; they only cut nodes, which is what lets a fuel-capped
+    solve finish. *)
 
 type cmp = Le | Ge | Eq
 
@@ -39,10 +62,32 @@ type program = {
   constraints : constr list;
 }
 
+val holds : constr -> float -> bool
+(** [holds row v]: the row holds when its left-hand side sums to [v]
+    (within a 1e-9 tolerance). *)
+
 val feasible : program -> bool array -> bool
-(** Every constraint holds (within a 1e-9 tolerance). *)
+(** Every constraint {!holds}, each left-hand side summed in index
+    order. *)
 
 val objective_value : program -> bool array -> float
+
+type dual = {
+  bound : float;
+      (** [L(λ)]: an upper bound on the optimum over selections that meet
+          every row within the 1e-9 tolerance; finite even when no
+          selection is feasible *)
+  multipliers : float array;
+      (** [λ ≥ 0], one per internal [≤]-row: the constraints in order, a
+          [Ge] row as its negation, an [Eq] row as its [≤] half followed by
+          its negated [≥] half *)
+}
+
+val dual_bound : program -> dual
+(** The root Lagrangian multipliers {!solve} bounds its nodes with, and
+    their dual value: coordinate descent on the Lagrangian dual of the LP
+    relaxation, each step an exact one-dimensional minimisation, for at
+    most 20 sweeps and until a sweep no longer improves the bound. *)
 
 val solve :
   ?on_improve:(float -> bool array -> unit) ->

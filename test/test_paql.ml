@@ -133,14 +133,35 @@ let random_pb ?(denominator = 1.0) ?(max_vars = 10) rng =
     constraints = List.init nc (fun _ -> constr ());
   }
 
+(* Each column of [p] repeated 1–3 times adjacently: runs of identical
+   variables, the shape of a sketch program's partition copies. *)
+let with_runs rng (p : Pb.program) =
+  let column =
+    Array.concat
+      (List.init p.Pb.nvars (fun j -> Array.make (1 + Random.State.int rng 3) j))
+  in
+  let spread a = Array.map (fun j -> a.(j)) column in
+  {
+    Pb.nvars = Array.length column;
+    objective = spread p.Pb.objective;
+    constraints =
+      List.map (fun r -> { r with Pb.coeffs = spread r.Pb.coeffs }) p.Pb.constraints;
+  }
+
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
 
+(* The solver's optimum is brute force's, with a feasible witness, and
+   the root dual bound is at or above it, under nonnegative multipliers. *)
 let matches_brute p =
+  let dual = Pb.dual_bound p in
+  Array.for_all (fun l -> l >= 0.0) dual.Pb.multipliers
+  &&
   match (Pb.solve p, brute_pb p) with
   | None, None -> true
   | Some (v, x), Some (bv, _) ->
       Float.abs (v -. bv) <= 1e-6 && Pb.feasible p x
       && Float.abs (Pb.objective_value p x -. v) <= 1e-6
+      && bv <= dual.Pb.bound
   | Some _, None | None, Some _ -> false
 
 let prop_pb_matches_brute =
@@ -153,6 +174,14 @@ let prop_pb_matches_brute_tenths =
     ~name:"PB: branch-and-bound = brute force, coefficients in tenths"
     seed_gen (fun seed ->
       matches_brute (random_pb ~denominator:10.0 (Random.State.make [| seed |])))
+
+let prop_pb_matches_brute_runs =
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"PB: runs of identical columns, branch-and-bound = brute force"
+    seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let denominator = if Random.State.bool rng then 1.0 else 10.0 in
+      matches_brute (with_runs rng (random_pb ~denominator ~max_vars:5 rng)))
 
 (* A budget row full up to rounding: 0.1 + 0.2 > 0.3 by 5.6e-17, so after
    taking b and c the remaining capacity is slightly negative.  The bound
@@ -179,11 +208,44 @@ let test_pb_rounding_full_budget_row () =
       check "witness takes z" true x.(3)
   | None -> Alcotest.fail "Pb.solve: infeasible"
 
+(* Numbers in thirds of a million: the best selection beats the next by
+   one ulp (0x1.087c555555556p+24 against ...555p+24).  At magnitudes
+   like these, rounding in the Lagrangian bound's sum can land below the
+   better value, and only the bound's relative slack keeps that
+   selection from being cut. *)
+let test_pb_ulp_near_tie () =
+  let third k = float_of_int k *. 1e6 /. 3.0 in
+  let p =
+    {
+      Pb.nvars = 9;
+      objective = Array.map third [| -1; 8; -3; 10; 9; 10; 13; 8; 12 |];
+      constraints =
+        [
+          {
+            Pb.coeffs = Array.map third [| -2; -1; 9; -2; 4; 8; -2; 9; -2 |];
+            cmp = Pb.Eq;
+            rhs = third 7;
+          };
+        ];
+    }
+  in
+  match (Pb.solve p, brute_pb p) with
+  | Some (v, x), Some (bv, bx) ->
+      check "the brute-force optimum, to the ulp" true (v = bv);
+      check "the brute-force selection" true (x = bx)
+  | _ -> Alcotest.fail "Pb.solve or brute force: infeasible"
+
 (* The search before the linked walk, kept as the reference for it: the
    same [Bnb.Make] space over immutable states, whose greedy bound scans
    the whole ratio order from the start at every node, skipping decided
-   variables (with the same capacity clamp).  The library must visit the
-   same nodes in the same order, so every budgeted run agrees with it. *)
+   variables (with the same capacity clamp).  [~pruned:false] is the
+   search before the Lagrangian bound and the run skip.  [~pruned:true]
+   adds both: the Lagrangian node bound under the library's root
+   multipliers (read through [Pb.dual_bound]), computed with the same
+   float operations in the same order, and the skip child's jump past a
+   run of identical columns.  With [~pruned:true] the library must visit
+   the same nodes in the same order, so every budgeted run agrees with
+   it. *)
 module Pb_reference = struct
   let eps = 1e-9
 
@@ -199,10 +261,49 @@ module Pb_reference = struct
         | Pb.Eq -> [ { c = coeffs; b = rhs }; neg () ])
       p.Pb.constraints
 
-  let solve ~on_improve (p : Pb.program) =
+  let solve ~pruned ~on_improve (p : Pb.program) =
     let n = p.Pb.nvars in
     let rows = Array.of_list (rows_of p) in
     let nrows = Array.length rows in
+    let lambda =
+      if pruned then (Pb.dual_bound p).Pb.multipliers
+      else Array.make nrows 0.0
+    in
+    let suffix_red =
+      let red j =
+        let s = ref p.Pb.objective.(j) in
+        for r = 0 to nrows - 1 do
+          s := !s -. (lambda.(r) *. rows.(r).c.(j))
+        done;
+        !s
+      in
+      let s = Array.make (n + 1) 0.0 in
+      for j = n - 1 downto 0 do
+        s.(j) <- s.(j + 1) +. Float.max (red j) 0.0
+      done;
+      s
+    in
+    let lagrangian_bound obj i lhs =
+      let acc = ref (obj +. suffix_red.(i))
+      and mag = ref (Float.abs obj +. suffix_red.(i)) in
+      for r = 0 to nrows - 1 do
+        if lambda.(r) > 0.0 then begin
+          let v = lambda.(r) *. (rows.(r).b +. eps -. lhs.(r)) in
+          acc := !acc +. v;
+          mag := !mag +. Float.abs v
+        end
+      done;
+      !acc +. (1e-9 *. (1.0 +. !mag))
+    in
+    let next_skip i =
+      let same j k =
+        p.Pb.objective.(j) = p.Pb.objective.(k)
+        && Array.for_all (fun { c; _ } -> c.(j) = c.(k)) rows
+      in
+      let k = ref (i + 1) in
+      if pruned then while !k < n && same i !k do incr k done;
+      !k
+    in
     let suffix_min =
       Array.map
         (fun { c; _ } ->
@@ -291,7 +392,7 @@ module Pb_reference = struct
               lhs;
             }
           in
-          List.filter viable [ take; { st with i = st.i + 1 } ]
+          List.filter viable [ take; { st with i = next_skip st.i } ]
 
       let solution st =
         if st.i < n then None
@@ -303,7 +404,10 @@ module Pb_reference = struct
           if !ok then Some st.obj else None
 
       let bound st =
-        let crude = st.obj +. suffix_pos.(st.i) in
+        let crude =
+          let c = st.obj +. suffix_pos.(st.i) in
+          if pruned then Float.min c (lagrangian_bound st.obj st.i st.lhs) else c
+        in
         if budget_row_index < 0 then crude
         else
           let capacity = rows.(budget_row_index).b -. st.lhs.(budget_row_index) in
@@ -329,11 +433,11 @@ module Pb_reference = struct
     in
     Option.map (fun (v, st) -> (v, to_selection st.Space.chosen)) result
 
-  let solve_budgeted ~budget p =
+  let solve_budgeted ~pruned ~budget p =
     let best = ref None in
     Budget.run ~budget
       ~partial:(fun _ -> !best)
-      (fun () -> solve ~on_improve:(fun v x -> best := Some (v, x)) p)
+      (fun () -> solve ~pruned ~on_improve:(fun v x -> best := Some (v, x)) p)
 end
 
 (* Same outcome kind, value and selection, and the same number of budget
@@ -353,7 +457,9 @@ let prop_pb_same_search =
       let agree fuel =
         let lib, lib_ticks =
           run (fun ~budget p -> Pb.solve_budgeted ~budget p) fuel
-        and ref_, ref_ticks = run Pb_reference.solve_budgeted fuel in
+        and ref_, ref_ticks =
+          run (Pb_reference.solve_budgeted ~pruned:true) fuel
+        in
         lib_ticks = ref_ticks
         &&
         match (lib, ref_) with
@@ -365,6 +471,69 @@ let prop_pb_same_search =
             false
       in
       List.for_all agree (List.init 60 (fun k -> k + 1)))
+
+(* The Lagrangian bound and the run skip only cut subtrees without a
+   better answer, and the take-first order reaches the prefix form of an
+   optimum first: unbudgeted, the library returns the same value and
+   selection as the search without them, in no more nodes. *)
+let prop_pb_same_answer_as_parent =
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"PB: same exact answer as without the new pruning, no more ticks"
+    seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let denominator = if Random.State.bool rng then 1.0 else 10.0 in
+      let p =
+        if Random.State.bool rng then random_pb ~denominator ~max_vars:14 rng
+        else with_runs rng (random_pb ~denominator ~max_vars:7 rng)
+      in
+      let run solve =
+        let budget = Budget.make () in
+        let outcome = solve ~budget p in
+        (outcome, Budget.ticks budget)
+      in
+      match
+        ( run (fun ~budget p -> Pb.solve_budgeted ~budget p),
+          run (Pb_reference.solve_budgeted ~pruned:false) )
+      with
+      | (Budget.Exact a, ticks), (Budget.Exact b, parent_ticks) ->
+          a = b && ticks <= parent_ticks
+      | _ -> false)
+
+(* A sketch-shaped program: 23 partitions, each as 8 identical copies of
+   its representative, under COUNT ≤ 6 and a cost budget.  Without the
+   new pruning the search tries every subset of equivalent copies and
+   runs out of the sketch's 150,000-node fuel; with it, it finishes. *)
+let test_pb_sketch_shaped_exact () =
+  let parts = 23 and copies = 8 in
+  let value p = float_of_int (10 + ((p * 37) mod 53))
+  and cost p = float_of_int (5 + ((p * 29) mod 31)) in
+  let per_var f = Array.init (parts * copies) (fun v -> f (v / copies)) in
+  let p =
+    {
+      Pb.nvars = parts * copies;
+      objective = per_var value;
+      constraints =
+        [
+          { Pb.coeffs = per_var (fun _ -> 1.0); cmp = Pb.Le; rhs = 6.0 };
+          { Pb.coeffs = per_var cost; cmp = Pb.Le; rhs = 60.0 };
+        ];
+    }
+  in
+  let run solve =
+    let budget = Budget.make ~fuel:150_000 () in
+    solve ~budget p
+  in
+  (match run (Pb_reference.solve_budgeted ~pruned:false) with
+  | Budget.Partial _ -> ()
+  | Budget.Exact _ -> Alcotest.fail "the parent search finished");
+  match run (fun ~budget p -> Pb.solve_budgeted ~budget p) with
+  | Budget.Exact (Some (v, x)) ->
+      check "witness feasible" true (Pb.feasible p x);
+      checkf "witness value" v (Pb.objective_value p x);
+      check "dual bound at or above the optimum" true
+        (v <= (Pb.dual_bound p).Pb.bound)
+  | Budget.Exact None -> Alcotest.fail "Pb: infeasible"
+  | Budget.Partial _ -> Alcotest.fail "Pb: fuel ran out"
 
 let prop_pb_budgeted_sound =
   QCheck.Test.make ~count:100 ~long_factor:20
@@ -558,11 +727,17 @@ let () =
       ( "pb",
         Alcotest.test_case "rounding-full budget row" `Quick
           test_pb_rounding_full_budget_row
+        :: Alcotest.test_case "sketch-shaped program finishes" `Quick
+             test_pb_sketch_shaped_exact
+        :: Alcotest.test_case "near-tie one ulp apart" `Quick
+             test_pb_ulp_near_tie
         :: qsuite
              [
                prop_pb_matches_brute;
                prop_pb_matches_brute_tenths;
+               prop_pb_matches_brute_runs;
                prop_pb_same_search;
+               prop_pb_same_answer_as_parent;
                prop_pb_budgeted_sound;
              ] );
       ( "compile",
