@@ -408,23 +408,10 @@ let paql_cmd =
       Format.printf "candidates: %d, constraint rows: %d@."
         (Array.length c.Core.Paql_compile.linear.Core.Paql_compile.cands)
         (List.length c.Core.Paql_compile.linear.Core.Paql_compile.constraints);
-      explain_instance c.Core.Paql_compile.inst;
-      if approx then
-        let stats =
-          {
-            Core.Dispatch.from_cands =
-              Array.length c.Core.Paql_compile.linear.Core.Paql_compile.cands;
-            to_cands =
-              Array.length c.Core.Paql_compile.linear.Core.Paql_compile.cands;
-            partitions = Option.value npartitions ~default:0;
-          }
-        in
-        Format.printf "%a@." Analysis.Advisor.pp_report
-          (Core.Dispatch.report_approx c.Core.Paql_compile.inst ~stats)
+      explain_instance c.Core.Paql_compile.inst
     end;
     let b = make_budget timeout fuel in
     if approx then begin
-      Sketch.install ();
       match
         stage tr "sketch-refine" (fun () ->
             Sketch.solve_budgeted ?budget:b ?npartitions c)
@@ -1042,7 +1029,6 @@ let serve_cmd =
       trace_json =
     if socket = None && port = None then
       failwith "serve: need --socket PATH or --port N";
-    Sketch.install ();
     let reg = List.map parse_load loads in
     if reg = [] then failwith "serve: need at least one --load NAME=FILE";
     let trace =

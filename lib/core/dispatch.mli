@@ -1,23 +1,13 @@
-(** Advisor-driven dispatch to the cheapest sound procedure.
+(** Dispatch to the exact solvers, with plan verification and
+    degradation under a constant size bound.
 
     The entry points here are drop-in equivalents of {!Frp.enumerate},
-    {!Mbp.max_bound} and {!Cpp.count}: they consult the complexity advisor
-    over the instance's inferred language and flags and route to a cheaper
-    special-case procedure when one is sound — single-item packages
-    ([|N| ≤ 1], no compatibility constraints) are ranked by a direct scan
-    of the candidates instead of the exponential package search; anything
-    else falls back to the generic solver.  The chosen route is exposed so
-    callers (and tests) can observe the decision. *)
-
-type route =
-  | Items_path
-      (** [|N| ≤ 1] and no compatibility constraints: candidates are
-          ranked directly — linear in |Q(D)| after candidate generation *)
-  | Const_bound_path of int
-      (** constant bound Bp: polynomial enumeration (Corollary 6.1) *)
-  | Generic_path  (** the general solvers *)
-
-val route : Instance.t -> route
+    {!Mbp.max_bound} and {!Cpp.count}, which they call.  There are two
+    routes, and the budgeted variants choose between them: an instance
+    with a constant size bound (Corollary 6.1, items instances with
+    [|N| ≤ 1] included) is polynomial and degrades to an exact answer on
+    exhaustion; any other instance is the general, possibly hard case and
+    surfaces [Partial]. *)
 
 val advisor_flags : Instance.t -> Analysis.Advisor.flags
 (** The instance's flags as seen by the advisor. *)
@@ -28,64 +18,13 @@ val report : Instance.t -> problem:Analysis.Advisor.problem
     instance. *)
 
 val topk : Instance.t -> k:int -> Package.t list option
-(** FRP.  Agrees with {!Frp.enumerate} (same packages, same order). *)
+(** FRP: {!Frp.enumerate}. *)
 
 val max_bound : Instance.t -> k:int -> float option
-(** MBP.  Agrees with {!Mbp.max_bound}. *)
+(** MBP: {!Mbp.max_bound}. *)
 
 val count : Instance.t -> bound:float -> int
-(** CPP.  Agrees with {!Cpp.count}. *)
-
-(** {2 Approximate route (SketchRefine)}
-
-    A registered {e shrinker} (see {!Sketch.install}) reduces an
-    oversized candidate pool; the dispatcher re-exposes the reduced pool
-    as an [Identity] selection over a fresh relation and runs the exact
-    machinery on it.  Soundness is structural — every answer is a package
-    of real Q(D) candidates passing the instance's own cost and
-    compatibility checks — while optimality is traded for scale.  Exact
-    solving remains the default: the route only engages through
-    {!approx_instance}/{!topk_approx}, and only when a shrinker is
-    registered and the pool exceeds [max_cands]. *)
-
-type approx_stats = {
-  from_cands : int;  (** |Q(D)| before shrinking *)
-  to_cands : int;  (** candidates handed to the exact solver *)
-  partitions : int;  (** partitions the shrinker sampled *)
-}
-
-val set_approx_shrinker :
-  (Instance.t -> max_cands:int -> (Relational.Relation.t * int) option) ->
-  unit
-(** Register the shrinker: returns the reduced candidate relation and the
-    partition count, or [None] when the pool is already small enough. *)
-
-val approx_available : unit -> bool
-
-val approx_threshold : int
-(** Default [max_cands] (candidate pools at or below it stay exact); from
-    [PKG_APPROX_THRESHOLD], default 512. *)
-
-val approx_instance :
-  ?max_cands:int -> Instance.t -> (Instance.t * approx_stats) option
-(** The instance rewritten onto the shrunken pool, or [None] when no
-    shrinker is registered or the pool is within bounds (the caller then
-    solves exactly). *)
-
-val report_approx :
-  Instance.t -> stats:approx_stats -> Analysis.Advisor.report
-(** The advisor's FRP report with the approx-route certification appended
-    to its notes: what was shrunk, and why answers remain sound. *)
-
-val topk_approx :
-  ?budget:Robust.Budget.t ->
-  ?max_cands:int ->
-  Instance.t ->
-  k:int ->
-  (Package.t list option, Package.t) Robust.Budget.outcome
-  * approx_stats option
-(** {!topk_b} through the approx route; [None] stats mean the exact path
-    answered. *)
+(** CPP: {!Cpp.count}. *)
 
 (** {2 Plan verification mode} *)
 
@@ -103,13 +42,13 @@ val verify_mode : bool
 
 (** {2 Budgeted dispatch}
 
-    The [_b] variants run the routed procedure under a {!Robust.Budget}.
-    On exhaustion, when the analyzer certifies a tractable special case
-    ({!Items_path}, or {!Const_bound_path} — polynomial by Corollary 6.1),
-    the dispatcher {e degrades}: it re-runs that exact polynomial algorithm
-    with the budget masked ([Robust.Budget.unbudgeted]) and still returns
-    [Exact], bumping the [robust.degraded] counter.  Only {!Generic_path}
-    instances surface [Partial]. *)
+    The [_b] variants run the solver under a {!Robust.Budget}.  On
+    exhaustion, when the size bound is a constant — polynomial by
+    Corollary 6.1 — the dispatcher {e degrades}: it re-runs that exact
+    polynomial algorithm with the budget masked
+    ([Robust.Budget.unbudgeted]) and still returns [Exact], bumping the
+    [robust.degraded] counter.  Only instances with a polynomial size
+    bound surface [Partial]. *)
 
 val topk_b :
   ?budget:Robust.Budget.t ->

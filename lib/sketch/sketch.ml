@@ -1,10 +1,6 @@
 module Paql = Qlang.Paql
 module Paql_compile = Core.Paql_compile
-module Instance = Core.Instance
-module Package = Core.Package
-module Rating = Core.Rating
 module Pb = Solvers.Pb
-module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value
@@ -13,7 +9,6 @@ let c_solves = Observe.counter "sketch.solves"
 let c_partitions = Observe.counter "sketch.partitions"
 let c_refines = Observe.counter "sketch.refines"
 let c_backtracks = Observe.counter "sketch.backtracks"
-let c_shrinks = Observe.counter "sketch.shrinks"
 let t_sketch = Observe.timer "sketch.sketch"
 let t_refine = Observe.timer "sketch.refine"
 
@@ -36,6 +31,9 @@ let eps = 1e-9
    (incumbent) answer instead of a hang.  The ambient budget is checked
    between subproblems, so outer deadlines stay live. *)
 let inner_fuel = 150_000
+
+(* Tuples per refine subproblem, before an infeasible step widens it. *)
+let shortlist = 48
 
 (* Best incumbent of a fuel-capped exact solve: the exact answer when the
    cap was not binding, the best feasible selection found otherwise. *)
@@ -299,7 +297,7 @@ let row_contrib rows j = Array.map (fun r -> r.Pb.coeffs.(j)) rows
 (* One full sketch-then-refine pass under the given multiplicity caps.
    Returns the chosen candidate indices (feasibility NOT yet checked) or
    the index of the partition whose refine step failed. *)
-let refine_pass (c : Paql_compile.t) parts caps ~shortlist ~touched =
+let refine_pass (c : Paql_compile.t) parts caps ~touched =
   let rows = Array.of_list c.Paql_compile.linear.constraints in
   let nrows = Array.length rows in
   let vars, sk_prog = sketch_program c parts caps in
@@ -382,8 +380,31 @@ let refine_pass (c : Paql_compile.t) parts caps ~shortlist ~touched =
 
 let max_backtracks = 4
 
-let solve ?npartitions ?(shortlist = 48) (c : Paql_compile.t) =
+(* The best candidate answer so far, in precedence order sketch-refine,
+   greedy, singleton, empty: a higher objective wins, and on equal
+   objectives the earlier candidate.  [solve_budgeted]'s partial reads it,
+   so a deadline that lands mid-refine still reports a feasible package. *)
+type best = (int * string * float * int list) option ref
+
+let note (c : Paql_compile.t) (best : best) rank name = function
+  | None -> ()
+  | Some sel -> (
+      let v = objective_of c sel in
+      match !best with
+      | Some (br, _, bv, _) when bv > v || (bv = v && br < rank) -> ()
+      | _ -> best := Some (rank, name, v, sel))
+
+let answer_of (c : Paql_compile.t) (best : best) =
+  Option.map (fun (_, _, v, sel) -> Paql_compile.answer_of_chosen c v sel) !best
+
+let solve_into (best : best) ?npartitions (c : Paql_compile.t) =
   Observe.bump c_solves;
+  (* the cheap sound fallbacks first: they do not recurse into the
+     budgeted pipeline, and each is checked against the full row
+     semantics *)
+  note c best 1 "greedy" (greedy_pack c);
+  note c best 2 "singleton" (best_singleton c);
+  note c best 3 "empty" (if feasible_chosen c [] then Some [] else None);
   let n = Array.length c.Paql_compile.linear.cands in
   let npartitions =
     match npartitions with Some p -> max 1 p | None -> default_npartitions n
@@ -400,7 +421,7 @@ let solve ?npartitions ?(shortlist = 48) (c : Paql_compile.t) =
   let rec drive attempts =
     if attempts > max_backtracks then None
     else
-      match refine_pass c parts caps ~shortlist ~touched with
+      match refine_pass c parts caps ~touched with
       | Ok chosen -> Some chosen
       | Error None -> None
       | Error (Some p) ->
@@ -412,139 +433,31 @@ let solve ?npartitions ?(shortlist = 48) (c : Paql_compile.t) =
             drive (attempts + 1)
           end
   in
-  let sketch_refine =
-    if Array.length parts = 0 then None
-    else
-      match drive 0 with
+  if Array.length parts > 0 then
+    note c best 0 "sketch-refine"
+      (match drive 0 with
       | Some chosen when feasible_chosen c chosen -> Some chosen
-      | _ -> None
-  in
-  (* fallbacks — all checked against the full row semantics *)
-  let empty_ok = feasible_chosen c [] in
-  let candidates =
-    List.filter_map
-      (fun (name, sel) -> Option.map (fun s -> (name, s)) sel)
-      [
-        ("sketch-refine", sketch_refine);
-        ("greedy", greedy_pack c);
-        ("singleton", best_singleton c);
-        ("empty", if empty_ok then Some [] else None);
-      ]
-  in
-  let winner =
-    List.fold_left
-      (fun acc (name, sel) ->
-        let v = objective_of c sel in
-        match acc with
-        | Some (_, bv, _) when bv >= v -> acc
-        | _ -> Some (name, v, sel))
-      None candidates
-  in
-  let answer, winner_name =
-    match winner with
-    | None -> (None, "none")
-    | Some (name, v, sel) ->
-        ( Some (Paql_compile.answer_of_chosen c v sel),
-          name )
-  in
+      | _ -> None);
   {
-    answer;
+    answer = answer_of c best;
     stats =
       {
         npartitions = Array.length parts;
         partitions_touched = !touched;
         backtracks = !backtracks;
-        winner = winner_name;
+        winner =
+          (match !best with Some (_, name, _, _) -> name | None -> "none");
       };
   }
 
-let solve_budgeted ?budget ?npartitions ?shortlist c =
-  (* The sound mid-pipeline payload: the cheap fallbacks are computed
-     up front (they do not recurse into the budgeted pipeline), so a
-     deadline that lands mid-refine still reports a feasible package. *)
+let solve ?npartitions c = solve_into (ref None) ?npartitions c
+
+let solve_budgeted ?budget ?npartitions c =
   let best = ref None in
-  let note sel name =
-    match sel with
-    | Some s ->
-        let v = objective_of c s in
-        (match !best with
-        | Some (_, bv, _) when bv >= v -> ()
-        | _ -> best := Some (name, v, s))
-    | None -> ()
-  in
   Robust.Budget.run ?budget
-    ~partial:(fun _ ->
-      Option.map
-        (fun (_, v, sel) ->
-          Paql_compile.answer_of_chosen c v sel)
-        !best)
-    (fun () ->
-      note (best_singleton c) "singleton";
-      note (if feasible_chosen c [] then Some [] else None) "empty";
-      note (greedy_pack c) "greedy";
-      solve ?npartitions ?shortlist c)
+    ~partial:(fun _ -> answer_of c best)
+    (fun () -> solve_into best ?npartitions c)
 
-(* ------------------------------------------------------------------ *)
-(* Instance-level shrinking (the Dispatch approx route)                *)
-(* ------------------------------------------------------------------ *)
-
-let shrink_candidates (inst : Instance.t) ~max_cands =
-  let cands = Relation.to_array (Instance.candidates inst) in
-  let n = Array.length cands in
-  if n <= max_cands || max_cands <= 0 then None
-  else begin
-    Observe.bump c_shrinks;
-    let cost = Rating.eval inst.Instance.cost in
-    let value = Rating.eval inst.Instance.value in
-    (* per-tuple cost/value probed on singletons: exact for additive
-       ratings, a usable proxy otherwise (the final answers are checked
-       by the instance's own constraints either way) *)
-    let ratio j =
-      let s = Package.singleton cands.(j) in
-      let cst = cost s in
-      let v = value s in
-      if Float.is_finite cst && cst > 0.0 then v /. cst
-      else if Float.is_finite cst then v /. eps
-      else neg_infinity
-    in
-    let scores = Array.init n ratio in
-    let order = Array.init n Fun.id in
-    Array.sort (fun a b -> Float.compare scores.(b) scores.(a)) order;
-    (* ratio leaders + a stratified sample across the tail: partitions of
-       the remaining candidates each contribute their best member, so
-       compatibility-constrained instances keep diverse material *)
-    let top = max_cands / 2 in
-    let keep = Array.make n false in
-    for r = 0 to min top n - 1 do
-      keep.(order.(r)) <- true
-    done;
-    let tail = Array.sub order (min top n) (n - min top n) in
-    let remaining = max_cands - min top n in
-    let nparts = max 1 remaining in
-    let size = (Array.length tail + nparts - 1) / nparts in
-    let partitions = ref 0 in
-    if size > 0 then
-      for p = 0 to nparts - 1 do
-        let lo = p * size in
-        if lo < Array.length tail then begin
-          incr partitions;
-          Robust.Budget.check ();
-          Robust.Fault.hit "sketch.partition";
-          keep.(tail.(lo)) <- true
-        end
-      done;
-    let schema = Relation.schema (Instance.candidates inst) in
-    let kept = ref [] in
-    for j = n - 1 downto 0 do
-      if keep.(j) then kept := cands.(j) :: !kept
-    done;
-    Some (Relation.of_list schema !kept, !partitions)
-  end
-
-let installed = ref false
-
-let install () =
-  if not !installed then begin
-    installed := true;
-    Core.Dispatch.set_approx_shrinker shrink_candidates
-  end
+(* Kept for callers written against the retired instance-level shrinker:
+   there is nothing left to register. *)
+let install () = ()

@@ -29,8 +29,10 @@
       one.
 
     Alongside the pipeline, two cheap sound fallbacks (greedy
-    ratio packing and the best feasible singleton) are always computed;
-    the best feasible candidate wins.  On knapsack-shaped queries
+    ratio packing and the best feasible singleton) are always computed,
+    once, before the pipeline; the best feasible candidate wins, and on
+    equal objectives the earlier of sketch-refine, greedy, singleton and
+    the empty package.  On knapsack-shaped queries
     (nonnegative SUM budget + SUM objective) [max(greedy, singleton)] is
     the classical 1/2-approximation, which is the floor the test corpus
     asserts.
@@ -54,18 +56,14 @@ type outcome = {
   stats : stats;
 }
 
-val solve :
-  ?npartitions:int ->
-  ?shortlist:int ->
-  Core.Paql_compile.t ->
-  outcome
-(** Defaults: [npartitions] adapts to the candidate count (clamped to
-    [2..24]); [shortlist] is 48 tuples per refine subproblem. *)
+val solve : ?npartitions:int -> Core.Paql_compile.t -> outcome
+(** [npartitions] defaults to a count that adapts to the candidates
+    (clamped to [2..24]); each refine subproblem starts from a shortlist
+    of 48 tuples. *)
 
 val solve_budgeted :
   ?budget:Robust.Budget.t ->
   ?npartitions:int ->
-  ?shortlist:int ->
   Core.Paql_compile.t ->
   (outcome, Core.Paql_compile.answer) Robust.Budget.outcome
 (** {!solve} under a budget.  Exhaustion mid-pipeline (including
@@ -73,27 +71,7 @@ val solve_budgeted :
     feasibility is checked before a candidate is recorded, so a deadline
     can truncate quality but never soundness. *)
 
-(** {2 Instance-level shrinking (the [Dispatch] approx route)}
-
-    Plain instances carry opaque rating closures, so the linear pipeline
-    above does not apply; instead the same partition/representative
-    machinery shrinks the candidate pool: per-tuple cost/value are probed
-    on singleton packages, candidates are ranked by value-per-cost, and
-    the pool is reduced to the ratio leaders plus a stratified sample
-    across the remaining partitions (diversity for compatibility
-    constraints).  The exact solver then runs on the reduced pool — every
-    answer is a package of real candidates validated by the instance's
-    own constraints, hence sound; optimality is what is traded. *)
-
-val shrink_candidates :
-  Core.Instance.t ->
-  max_cands:int ->
-  (Relational.Relation.t * int) option
-(** [shrink_candidates inst ~max_cands] is [None] when the pool is already
-    within [max_cands]; otherwise the reduced candidate relation (schema
-    preserved) and the number of partitions sampled. *)
-
 val install : unit -> unit
-(** Register {!shrink_candidates} as {!Core.Dispatch}'s approx shrinker.
-    Idempotent.  Called by the CLI, the server and the benchmarks; library
-    users who never call it keep the exact-only dispatcher. *)
+(** A no-op, kept for callers written when this module registered an
+    instance-level candidate shrinker with {!Core.Dispatch}; the
+    dispatcher now always solves exactly. *)

@@ -108,7 +108,16 @@ let dual_value rows lambda red =
 (* A bound [acc] summed from terms of total magnitude [mag], raised by a
    relative slack so that rounding in the sum never cuts a strictly
    better completion. *)
-let with_slack acc mag = acc +. (1e-9 *. (1.0 +. mag))
+let slack rel acc mag = acc +. (rel *. (1.0 +. mag))
+let with_slack = slack 1e-9
+
+(* The relative slack a search comparison over [values] needs: none when
+   they are integers whose magnitudes sum below 2^53, since every sum of
+   them is then exact in any order, else [with_slack]'s. *)
+let slack_for values =
+  let total = Array.fold_left (fun acc v -> acc +. Float.abs v) 0.0 values in
+  if Array.for_all Float.is_integer values && total < 0x1p53 then 0.0
+  else 1e-9
 
 let root_dual objective rows =
   let n = Array.length objective in
@@ -182,6 +191,24 @@ let solve ?(on_improve = fun _ _ -> ()) p =
         let s = Array.make (n + 1) 0.0 in
         for j = n - 1 downto 0 do
           s.(j) <- s.(j + 1) +. Float.min c.(j) 0.0
+        done;
+        s)
+      rows
+  in
+  (* suffix_abs.(r).(i) = sum of |c_rj| over [i..n-1]: with the running
+     lhs it bounds every partial sum a completion adds to row [r], hence
+     the rounding by which a leaf's sum, taken in index order, can differ
+     from the suffix sums taken from the end.  [row_rel.(r)] is the
+     relative slack the row's comparisons get for it, [obj_rel] the
+     objective's. *)
+  let row_rel = Array.map (fun { c; b } -> slack_for (Array.append c [| b |])) rows in
+  let obj_rel = slack_for p.objective in
+  let suffix_abs =
+    Array.map
+      (fun { c; _ } ->
+        let s = Array.make (n + 1) 0.0 in
+        for j = n - 1 downto 0 do
+          s.(j) <- s.(j + 1) +. Float.abs c.(j)
         done;
         s)
       rows
@@ -347,12 +374,19 @@ let solve ?(on_improve = fun _ _ -> ()) p =
     let tick = tick
 
     (* A child is emitted only when every row can still be satisfied by
-       some completion — the feasibility pruning. *)
+       some completion — the feasibility pruning.  The row's bound is
+       raised by the relative slack, so that rounding never cuts a
+       completion the leaf check accepts. *)
     let viable st =
       let ok = ref true in
       for r = 0 to nrows - 1 do
-        if st.lhs.(r) +. suffix_min.(r).(st.i) > rows.(r).b +. eps then
-          ok := false
+        let lhs = st.lhs.(r) and rel = row_rel.(r) in
+        let limit = rows.(r).b +. eps in
+        let limit =
+          if rel = 0.0 then limit
+          else slack rel limit (Float.abs lhs +. suffix_abs.(r).(st.i))
+        in
+        if lhs +. suffix_min.(r).(st.i) > limit then ok := false
       done;
       !ok
 
@@ -385,16 +419,30 @@ let solve ?(on_improve = fun _ _ -> ()) p =
       end
       else None
 
+    (* The crude and knapsack bounds are raised by the objective's slack,
+       and the knapsack's capacity by its row's: all three are sums taken
+       in another order than the leaf's.  An exact row keeps its exact
+       capacity, without the tolerance, so that a tie with the incumbent
+       on integer data is still cut. *)
     let bound st =
+      let mag = Float.abs st.obj +. suffix_pos.(st.i) in
       let cheap =
         Float.min
-          (st.obj +. suffix_pos.(st.i))
+          (slack obj_rel (st.obj +. suffix_pos.(st.i)) mag)
           (lagrangian_bound st.obj st.i st.lhs)
       in
       if budget_row_index < 0 then cheap
       else
-        let capacity = rows.(budget_row_index).b -. st.lhs.(budget_row_index) in
-        Float.min cheap (st.obj +. greedy_bound st.i capacity)
+        let r = budget_row_index in
+        let lhs = st.lhs.(r) in
+        let capacity =
+          if row_rel.(r) = 0.0 then rows.(r).b -. lhs
+          else
+            slack row_rel.(r) (rows.(r).b +. eps -. lhs)
+              (Float.abs lhs +. suffix_abs.(r).(st.i))
+        in
+        Float.min cheap
+          (slack obj_rel (st.obj +. greedy_bound st.i capacity) mag)
   end in
   let module Search = Bnb.Make (Space) in
   let to_selection chosen =

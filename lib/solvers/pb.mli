@@ -41,6 +41,17 @@
       The selections within a run are interchangeable and give
       bit-identical row sums (the same values added in the same order).
 
+    The suffix sums of the feasibility test and of the crude and
+    knapsack bounds are taken from the end, while a leaf sums its row and
+    objective in index order; at magnitudes of 1e8 and more the two round
+    apart by more than the 1e-9 tolerance.  So each of those comparisons
+    is raised by the same relative slack as the Lagrangian bound,
+    1e-9·(1 + the magnitude of its terms), over precomputed suffix sums of
+    |c| (still O(rows) a node); the knapsack's capacity gets its row's
+    slack.  A row, or the objective, whose numbers are integers summing
+    below 2^53 gets none: every sum of them is exact.  The leaf check
+    stays absolute, so feasibility means what {!feasible} says.
+
     Ties keep the first solution in visit order, making answers
     deterministic.  The take-before-skip order reaches the prefix form of
     an optimum before any other form of it, so the run skip and the

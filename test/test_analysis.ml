@@ -1,7 +1,7 @@
 (* Tests for the static-analysis pass: one seeded defect per diagnostic
    code, the complexity advisor's Table 8.1/8.2 cells, and the
-   advisor-driven dispatch (SP single-scan candidates, single-item
-   fast path). *)
+   dispatcher (SP single-scan candidates, degradation under a constant
+   size bound, agreement with the PTIME item algorithms). *)
 
 module Value = Relational.Value
 module Tuple = Relational.Tuple
@@ -229,7 +229,7 @@ let test_sp_scan_agrees_with_generic () =
   check "CQ join selection" true (agree (fo "Q(x, z) := exists y. R(x, y) & S(y, z)"));
   check "identity" true (agree (Qlang.Query.Identity "R"))
 
-(* ---------- dispatch: the single-item fast path ---------- *)
+(* ---------- dispatch: degradation under a constant size bound ---------- *)
 
 let items_db =
   Database.of_relations
@@ -243,88 +243,107 @@ let items_inst ?compat ?(cost = Rating.count) ?(budget = 1.) () =
     ~value:(Rating.sum_col ~nonneg:true 1) ~budget
     ~size_bound:(Size_bound.Const 1) ()
 
+(* Both budgets exhaust at once: a constant size bound degrades to
+   [Exact] (counted in robust.degraded), a polynomial one surfaces
+   [Partial]. *)
+let exhausted_budgets () =
+  [ Robust.Budget.make ~deadline:(-1.) (); Robust.Budget.make ~fuel:1 () ]
+
+let degraded () =
+  match List.assoc_opt "robust.degraded" (Observe.snapshot ()) with
+  | Some (Observe.Count n) -> n
+  | Some (Observe.Span _) | None -> 0
+
+let degrades inst =
+  List.for_all
+    (fun budget ->
+      let before = degraded () in
+      match Dispatch.topk_b ~budget inst ~k:2 with
+      | Robust.Budget.Exact r ->
+          r = Dispatch.topk inst ~k:2 && degraded () > before
+      | Robust.Budget.Partial _ -> false)
+    (exhausted_budgets ())
+
 let test_dispatch_route () =
-  check "items path" true (Dispatch.route (items_inst ()) = Dispatch.Items_path);
+  let was = Observe.enabled () in
+  Observe.set_enabled true;
+  Fun.protect ~finally:(fun () -> Observe.set_enabled was) @@ fun () ->
+  check "items instance degrades to Exact" true (degrades (items_inst ()));
   let with_compat =
     items_inst
       ~compat:(Instance.Compat_fn ("always", fun _ _ -> true))
       ()
   in
-  check "compat forces const-bound path" true
-    (Dispatch.route with_compat = Dispatch.Const_bound_path 1);
+  check "constant bound with compat degrades to Exact" true
+    (degrades with_compat);
   let generic =
     Instance.make ~db:items_db ~select:(Qlang.Query.Identity "R")
       ~cost:Rating.count ~value:(Rating.sum_col ~nonneg:true 1) ~budget:2. ()
   in
-  check "linear bound is generic" true (Dispatch.route generic = Dispatch.Generic_path);
+  List.iter
+    (fun budget ->
+      check "linear bound surfaces Partial" true
+        (match Dispatch.topk_b ~budget generic ~k:2 with
+        | Robust.Budget.Partial _ -> true
+        | Robust.Budget.Exact _ -> false))
+    (exhausted_budgets ());
   (* the advisor report reflects the instance flags *)
   let rep = Dispatch.report (items_inst ()) ~problem:Advisor.Frp in
   check "items flag" true rep.Advisor.flags.Advisor.items;
   check_str "FP via constant bound" "FP" rep.Advisor.data.Advisor.cls
 
-let test_dispatch_agrees () =
-  (* cost = |N|: the empty package is free, so it is a valid package too *)
-  let inst = items_inst () in
-  let vals pkgs = List.map (Rating.eval inst.Instance.value) pkgs in
-  List.iter
-    (fun k ->
-      let fast = Dispatch.topk inst ~k and slow = Frp.enumerate inst ~k in
-      check
-        (Printf.sprintf "topk k=%d" k)
-        true
-        (match fast, slow with
-        | None, None -> true
-        | Some a, Some b -> vals a = vals b
-        | _ -> false);
-      check
-        (Printf.sprintf "max_bound k=%d" k)
-        true
-        (Dispatch.max_bound inst ~k = Mbp.max_bound inst ~k))
-    [ 1; 2; 3; 4; 5; 6 ];
-  List.iter
-    (fun bound ->
-      check_int
-        (Printf.sprintf "count bound=%g" bound)
-        (Cpp.count inst ~bound)
-        (Dispatch.count inst ~bound))
-    [ 0.; 1.; 3.; 5.; 8.; 100. ];
-  (* cost card_or_infinite excludes the empty package *)
-  let inst2 = items_inst ~cost:Rating.card_or_infinite () in
-  check "topk without empty" true
-    (Dispatch.topk inst2 ~k:4 = Frp.enumerate inst2 ~k:4);
-  check "k exceeding valid count" true
-    (Dispatch.topk inst2 ~k:5 = None && Frp.enumerate inst2 ~k:5 = None);
-  check_int "count without empty" (Cpp.count inst2 ~bound:0.)
-    (Dispatch.count inst2 ~bound:0.)
-
-let prop_dispatch_matches_solvers =
-  QCheck.Test.make ~name:"items dispatch = generic solvers" ~count:60
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000)) (fun seed ->
+(* Dispatch on the paper's Section 2 encoding of item recommendations
+   against the PTIME item algorithms (Corollary 6.1), which share no
+   code with the package solvers: the same ratings in the same order,
+   the same k-th value and the same count, unbudgeted and at fuel 1. *)
+let prop_dispatch_matches_items =
+  QCheck.Test.make ~name:"items dispatch = Items (PTIME)" ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let rows = 2 + Random.State.int rng 5 in
+      let rows = 1 + Random.State.int rng 7 in
       let rel =
         Relation.of_list (Schema.make "R" [ "id"; "w" ])
           (List.init rows (fun i ->
                Tuple.of_ints [ i; Random.State.int rng 6 ]))
       in
-      let cost =
-        if Random.State.bool rng then Rating.count else Rating.card_or_infinite
-      in
-      let inst =
-        Instance.make
+      let it =
+        Items.make
           ~db:(Database.of_relations [ rel ])
-          ~select:(Qlang.Query.Identity "R") ~cost
-          ~value:(Rating.sum_col ~nonneg:true 1)
-          ~budget:(float_of_int (Random.State.int rng 3))
-          ~size_bound:(Size_bound.Const 1) ()
+          ~select:(Qlang.Query.Identity "R")
+          ~utility:
+            {
+              Items.u_name = "w";
+              u_eval =
+                (fun t ->
+                  match Tuple.get t 1 with
+                  | Value.Int n -> float_of_int n
+                  | _ -> nan);
+            }
+          ()
       in
-      let k = 1 + Random.State.int rng 4 in
+      let inst = Items.to_package_instance it in
+      let k = 1 + Random.State.int rng (rows + 1) in
       let bound = float_of_int (Random.State.int rng 7) in
-      let vals = Option.map (List.map (Rating.eval inst.Instance.value)) in
-      Dispatch.route inst = Dispatch.Items_path
-      && vals (Dispatch.topk inst ~k) = vals (Frp.enumerate inst ~k)
-      && Dispatch.max_bound inst ~k = Mbp.max_bound inst ~k
-      && Dispatch.count inst ~bound = Cpp.count inst ~bound)
+      let ratings =
+        Option.map (List.map (Rating.eval inst.Instance.value))
+      in
+      let exact = function
+        | Robust.Budget.Exact v -> Some v
+        | Robust.Budget.Partial _ -> None
+      in
+      List.for_all
+        (fun budget ->
+          exact (Dispatch.topk_b ?budget inst ~k)
+          |> Option.map ratings
+          = Some
+              (Option.map (List.map it.Items.utility.Items.u_eval)
+                 (Items.topk it ~k))
+          && exact (Dispatch.max_bound_b ?budget inst ~k)
+             = Some (Items.max_bound it ~k)
+          && exact (Dispatch.count_b ?budget inst ~bound)
+             = Some (Items.count_ge it ~bound))
+        [ None; Some (Robust.Budget.make ~fuel:1 ()) ])
 
 let () =
   Alcotest.run "analysis"
@@ -351,7 +370,6 @@ let () =
           Alcotest.test_case "SP scan = generic eval" `Quick
             test_sp_scan_agrees_with_generic;
           Alcotest.test_case "route selection" `Quick test_dispatch_route;
-          Alcotest.test_case "fast path agreement" `Quick test_dispatch_agrees;
-          QCheck_alcotest.to_alcotest prop_dispatch_matches_solvers;
+          QCheck_alcotest.to_alcotest prop_dispatch_matches_items;
         ] );
     ]

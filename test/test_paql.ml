@@ -235,12 +235,109 @@ let test_pb_ulp_near_tie () =
       check "the brute-force selection" true (x = bx)
   | _ -> Alcotest.fail "Pb.solve or brute force: infeasible"
 
+(* Every number is k·scale plus m/10, at scale 1e8 or 1e9: sums of such
+   numbers taken in different orders round apart by more than the
+   solver's absolute 1e-9 tolerance.  Half the right-hand sides are the
+   row sum of a random selection, so that [Eq] rows can be met. *)
+let random_pb_large rng =
+  let scale = if Random.State.bool rng then 1e8 else 1e9 in
+  let num () =
+    (float_of_int (Random.State.int rng 13 - 3) *. scale)
+    +. (float_of_int (Random.State.int rng 10) /. 10.0)
+  in
+  let n = 2 + Random.State.int rng 8 in
+  let constr () =
+    let cmp =
+      match Random.State.int rng 4 with
+      | 0 -> Pb.Ge
+      | 1 -> Pb.Eq
+      | _ -> Pb.Le
+    in
+    let coeffs = Array.init n (fun _ -> num ()) in
+    let rhs =
+      if Random.State.bool rng then
+        Array.fold_left
+          (fun acc c -> if Random.State.bool rng then acc +. c else acc)
+          0.0 coeffs
+      else num ()
+    in
+    { Pb.coeffs; cmp; rhs }
+  in
+  {
+    Pb.nvars = n;
+    objective = Array.init n (fun _ -> num ());
+    constraints = List.init (1 + Random.State.int rng 3) (fun _ -> constr ());
+  }
+
+(* Brute force's optimum to the ulp: the leaf and [Pb.objective_value]
+   both sum the objective in index order. *)
+let matches_brute_to_the_ulp p =
+  match (Pb.solve p, brute_pb p) with
+  | None, None -> true
+  | Some (v, x), Some (bv, _) ->
+      v = bv && Pb.feasible p x && Pb.objective_value p x = v
+  | Some _, None | None, Some _ -> false
+
+let prop_pb_matches_brute_large =
+  QCheck.Test.make ~count:2000 ~long_factor:20
+    ~name:"PB: 1e8-1e10 magnitudes = brute force" seed_gen (fun seed ->
+      matches_brute_to_the_ulp (random_pb_large (Random.State.make [| seed |])))
+
+(* Two programs the search without rounding slack got wrong.  In the
+   first, the feasibility test's suffix sum, taken from the end, cuts the
+   only feasible selection (all three variables), so the search reported
+   the program infeasible.  In the second, the knapsack bound's capacity
+   rounds below the last variable's coefficient and cuts the optimum,
+   15000000001.2, so the search returned 9000000000.7. *)
+let test_pb_large_magnitudes () =
+  let programs =
+    [
+      {
+        Pb.nvars = 3;
+        objective = [| -299999999.19999999; -199999999.59999999; 100000000.8 |];
+        constraints =
+          [
+            {
+              Pb.coeffs = [| 200000000.69999999; 500000000.5; 800000000.60000002 |];
+              cmp = Pb.Ge;
+              rhs = 1500000001.8000002;
+            };
+          ];
+      };
+      {
+        Pb.nvars = 3;
+        objective = [| 6000000000.5; 5000000000.6000004; 4000000000.0999999 |];
+        constraints =
+          [
+            {
+              Pb.coeffs = [| 8000000000.3000002; 0.80000000000000004; -3000000000. |];
+              cmp = Pb.Le;
+              rhs = 8000000001.1000004;
+            };
+            {
+              Pb.coeffs = [| 4000000000.5999999; -1999999999.7; -1999999999.5 |];
+              cmp = Pb.Le;
+              rhs = 1.3999998569488525;
+            };
+          ];
+      };
+    ]
+  in
+  List.iteri
+    (fun i p ->
+      check (Printf.sprintf "brute force finds a selection, program %d" i) true
+        (brute_pb p <> None);
+      check (Printf.sprintf "brute-force optimum, program %d" i) true
+        (matches_brute_to_the_ulp p))
+    programs
+
 (* The search before the linked walk, kept as the reference for it: the
    same [Bnb.Make] space over immutable states, whose greedy bound scans
    the whole ratio order from the start at every node, skipping decided
-   variables (with the same capacity clamp).  [~pruned:false] is the
-   search before the Lagrangian bound and the run skip.  [~pruned:true]
-   adds both: the Lagrangian node bound under the library's root
+   variables (with the same capacity clamp, and the same rounding slack
+   in the feasibility test and in the crude and knapsack bounds).
+   [~pruned:false] is the search before the Lagrangian bound and the run
+   skip.  [~pruned:true] adds both: the Lagrangian node bound under the library's root
    multipliers (read through [Pb.dual_bound]), computed with the same
    float operations in the same order, and the skip child's jump past a
    run of identical columns.  With [~pruned:true] the library must visit
@@ -314,6 +411,27 @@ module Pb_reference = struct
           s)
         rows
     in
+    (* The rounding slack of the feasibility test and of the crude and
+       knapsack bounds: relative 1e-9 over the magnitude of the terms,
+       none for integer data summing below 2^53. *)
+    let slack_for values =
+      let total = Array.fold_left (fun a v -> a +. Float.abs v) 0.0 values in
+      if Array.for_all Float.is_integer values && total < 0x1p53 then 0.0
+      else 1e-9
+    in
+    let slack rel acc mag = acc +. (rel *. (1.0 +. mag)) in
+    let row_rel = Array.map (fun { c; b } -> slack_for (Array.append c [| b |])) rows in
+    let obj_rel = slack_for p.Pb.objective in
+    let suffix_abs =
+      Array.map
+        (fun { c; _ } ->
+          let s = Array.make (n + 1) 0.0 in
+          for j = n - 1 downto 0 do
+            s.(j) <- s.(j + 1) +. Float.abs c.(j)
+          done;
+          s)
+        rows
+    in
     let suffix_pos =
       let s = Array.make (n + 1) 0.0 in
       for j = n - 1 downto 0 do
@@ -372,8 +490,12 @@ module Pb_reference = struct
       let viable st =
         let ok = ref true in
         for r = 0 to nrows - 1 do
-          if st.lhs.(r) +. suffix_min.(r).(st.i) > rows.(r).b +. eps then
-            ok := false
+          let lhs = st.lhs.(r) in
+          if
+            lhs +. suffix_min.(r).(st.i)
+            > slack row_rel.(r) (rows.(r).b +. eps)
+                (Float.abs lhs +. suffix_abs.(r).(st.i))
+          then ok := false
         done;
         !ok
 
@@ -404,14 +526,23 @@ module Pb_reference = struct
           if !ok then Some st.obj else None
 
       let bound st =
+        let mag = Float.abs st.obj +. suffix_pos.(st.i) in
         let crude =
-          let c = st.obj +. suffix_pos.(st.i) in
+          let c = slack obj_rel (st.obj +. suffix_pos.(st.i)) mag in
           if pruned then Float.min c (lagrangian_bound st.obj st.i st.lhs) else c
         in
         if budget_row_index < 0 then crude
         else
-          let capacity = rows.(budget_row_index).b -. st.lhs.(budget_row_index) in
-          Float.min crude (st.obj +. greedy_bound st.i capacity)
+          let r = budget_row_index in
+          let lhs = st.lhs.(r) in
+          let capacity =
+            if row_rel.(r) = 0.0 then rows.(r).b -. lhs
+            else
+              slack row_rel.(r) (rows.(r).b +. eps -. lhs)
+                (Float.abs lhs +. suffix_abs.(r).(st.i))
+          in
+          Float.min crude
+            (slack obj_rel (st.obj +. greedy_bound st.i capacity) mag)
     end in
     let module Search = Solvers.Bnb.Make (Space) in
     let to_selection chosen =
@@ -731,10 +862,13 @@ let () =
              test_pb_sketch_shaped_exact
         :: Alcotest.test_case "near-tie one ulp apart" `Quick
              test_pb_ulp_near_tie
+        :: Alcotest.test_case "magnitudes 1e8 and 1e9" `Quick
+             test_pb_large_magnitudes
         :: qsuite
              [
                prop_pb_matches_brute;
                prop_pb_matches_brute_tenths;
+               prop_pb_matches_brute_large;
                prop_pb_matches_brute_runs;
                prop_pb_same_search;
                prop_pb_same_answer_as_parent;

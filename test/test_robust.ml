@@ -287,8 +287,6 @@ let counter_of name snap =
 let test_degrade_const_bound () =
   with_tracing @@ fun () ->
   let inst = small_inst ~size_bound:(Size_bound.Const 2) () in
-  check "routes to the constant-bound path" true
-    (Dispatch.route inst = Dispatch.Const_bound_path 2);
   let exact = Dispatch.topk inst ~k:2 in
   (match Dispatch.topk_b ~budget:(Budget.make ~fuel:1 ()) inst ~k:2 with
   | Budget.Exact r -> check "degraded answer is exact" true (topk_equal r exact)
@@ -300,8 +298,10 @@ let test_degrade_const_bound () =
 let test_degrade_items () =
   with_tracing @@ fun () ->
   (* A joining CQ selection so candidate generation passes budget checks;
-     Const 1 and no Qc make the analyzer certify the items special case. *)
-  let inst =
+     Const 1 and no Qc make an items instance, whose constant size bound
+     is the degradable case.  A fresh instance per budget, so that each
+     run generates its candidates. *)
+  let inst () =
     Instance.make ~db:small_db
       ~select:
         (Qlang.Query.Fo
@@ -309,21 +309,27 @@ let test_degrade_items () =
       ~cost:Rating.card_or_infinite ~value:(Rating.sum_col ~nonneg:true 1)
       ~budget:2. ~size_bound:(Size_bound.Const 1) ()
   in
-  check "routes to the items path" true (Dispatch.route inst = Dispatch.Items_path);
-  (match Dispatch.topk_b ~budget:(Budget.make ~deadline:(-1.) ()) inst ~k:1 with
-  | Budget.Exact (Some [ p ]) ->
-      check "degraded top-1 is the best singleton" true
-        (Package.equal p (pkg [ [ 3; 8 ] ]))
-  | _ -> Alcotest.fail "items route must degrade to Exact");
-  check "degradation counted" true
-    (counter_of "robust.degraded" (counters (Observe.snapshot ())) > 0)
+  List.iter
+    (fun (what, budget) ->
+      let before = counter_of "robust.degraded" (counters (Observe.snapshot ())) in
+      (match Dispatch.topk_b ~budget (inst ()) ~k:1 with
+      | Budget.Exact (Some [ p ]) ->
+          check ("degraded top-1 is the best singleton, " ^ what) true
+            (Package.equal p (pkg [ [ 3; 8 ] ]))
+      | _ -> Alcotest.fail ("items instance must degrade to Exact, " ^ what));
+      check ("degradation counted, " ^ what) true
+        (counter_of "robust.degraded" (counters (Observe.snapshot ())) > before))
+    [
+      ("deadline", Budget.make ~deadline:(-1.) ());
+      ("fuel 1", Budget.make ~fuel:1 ());
+    ]
 
 let test_generic_stays_partial () =
   let inst = small_inst () in
-  (* linear size bound → Generic_path: exhaustion surfaces as Partial. *)
+  (* a linear size bound is not degradable: exhaustion surfaces as Partial. *)
   match Dispatch.topk_b ~budget:(Budget.make ~fuel:1 ()) inst ~k:1 with
   | Budget.Partial { reason = Budget.Fuel; _ } -> ()
-  | _ -> Alcotest.fail "generic route must surface Partial"
+  | _ -> Alcotest.fail "a linear size bound must surface Partial"
 
 (* ---------- SAT conflict cap (sat.conflicts telemetry events) ---------- *)
 

@@ -1,18 +1,14 @@
 (* SketchRefine tests: soundness of every approximate answer (checked via
    the instance's Validity view), the approximation-ratio floor against
-   the exact oracle, mid-refine budget exhaustion, and the Dispatch approx
-   route over shrunken candidate pools. *)
+   the exact oracle, mid-refine budget exhaustion, and agreement of an
+   unexhausted budgeted solve with the plain one. *)
 
 module Value = Relational.Value
 module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Database = Relational.Database
 module Paql_compile = Core.Paql_compile
-module Package = Core.Package
-module Instance = Core.Instance
 module Validity = Core.Validity
-module Rating = Core.Rating
-module Dispatch = Core.Dispatch
 module Budget = Robust.Budget
 
 let check = Alcotest.(check bool)
@@ -147,62 +143,22 @@ let test_budget_mid_refine_sound () =
     [ 1; 5; 20; 100; 500; 2_000; 10_000 ];
   check "some fuel level actually exhausted" true !saw_partial
 
-(* ---------- instance-level shrinking + Dispatch approx route ---------- *)
+(* ---------- budgeted solve = solve when the budget holds ---------- *)
 
-let big_instance n =
-  let rows = List.init n (fun i -> [ i; (i mod 9) + 1; i mod 11 ]) in
-  Instance.make ~db:(db_of rows)
-    ~select:(Qlang.Query.Identity "R")
-    ~cost:(Rating.sum_col ~nonneg:true 1)
-    ~value:(Rating.sum_col 2) ~budget:12.
-    ~size_bound:(Core.Size_bound.Const 3) ()
-
-let test_shrink_candidates () =
-  let inst = big_instance 400 in
-  (match Sketch.shrink_candidates inst ~max_cands:64 with
-  | Some (rel, partitions) ->
-      check "reduced to the cap" true (Relation.cardinal rel <= 64);
-      check "kept some candidates" true (Relation.cardinal rel > 0);
-      check "sampled partitions" true (partitions > 0);
-      check "schema preserved" true
-        ((Relation.schema rel).Schema.attrs
-        = (Relation.schema (Instance.candidates inst)).Schema.attrs)
-  | None -> Alcotest.fail "expected a shrink on 400 candidates");
-  check "small pools stay exact" true
-    (Sketch.shrink_candidates (big_instance 10) ~max_cands:64 = None)
-
-let test_dispatch_approx_route () =
-  Sketch.install ();
-  check "shrinker registered" true (Dispatch.approx_available ());
-  let inst = big_instance 300 in
-  match Dispatch.topk_approx ~max_cands:50 inst ~k:3 with
-  | Budget.Exact (Some pkgs), Some stats ->
-      check_int "stats.from" 300 stats.Dispatch.from_cands;
-      check "stats.to within cap" true (stats.Dispatch.to_cands <= 50);
-      check_int "k packages" 3 (List.length pkgs);
-      (* soundness: every package is valid against the ORIGINAL instance *)
-      List.iter
-        (fun p -> check "approx package valid on original" true
-            (Validity.valid inst p))
-        pkgs;
-      let report = Dispatch.report_approx inst ~stats in
-      check "report certifies the route" true
-        (List.exists
-           (fun note ->
-             String.length note >= 12 && String.sub note 0 12 = "approx route")
-           report.Analysis.Advisor.notes)
-  | (Budget.Exact _ | Budget.Partial _), _ ->
-      Alcotest.fail "expected Exact answers with stats"
-
-let test_dispatch_exact_below_threshold () =
-  Sketch.install ();
-  let inst = big_instance 20 in
-  match Dispatch.topk_approx ~max_cands:50 inst ~k:2 with
-  | outcome, None ->
-      (* no shrink: identical to the exact budgeted route *)
-      check "exact path answers" true
-        (match outcome with Budget.Exact (Some _) -> true | _ -> false)
-  | _, Some _ -> Alcotest.fail "pool of 20 must not be shrunk"
+(* The fallbacks are noted once, into the cell the partial payload reads;
+   a budget that never runs out must leave the answer and every stat
+   exactly as [solve] reports them. *)
+let prop_budgeted_unexhausted_is_solve =
+  QCheck.Test.make ~count:60 ~name:"unexhausted budgeted = solve"
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "seed %d, n %d" seed n)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_range 0 150)))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed |] in
+      let c = compile_str (random_db rng ~n) (random_query rng) in
+      match Sketch.solve_budgeted ~budget:(Budget.make ()) c with
+      | Budget.Exact o -> o = Sketch.solve c
+      | Budget.Partial _ -> false)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -222,13 +178,6 @@ let () =
         [
           Alcotest.test_case "mid-refine exhaustion sound" `Quick
             test_budget_mid_refine_sound;
-        ] );
-      ( "dispatch",
-        [
-          Alcotest.test_case "shrink_candidates" `Quick test_shrink_candidates;
-          Alcotest.test_case "approx route sound" `Quick
-            test_dispatch_approx_route;
-          Alcotest.test_case "below threshold stays exact" `Quick
-            test_dispatch_exact_below_threshold;
-        ] );
+        ]
+        @ qsuite [ prop_budgeted_unexhausted_is_solve ] );
     ]
