@@ -155,9 +155,18 @@ let finish_trace tr =
     end
   end
 
+(* A fault armed by PKG_FAULT that escapes a command as an exception is
+   reported on one stderr line and exits 3: neither a partial (124) nor a
+   crash (125). *)
+let fault_exit = ref false
+
 let traced trace json stages_f =
   let tr = make_tracer trace json in
-  Fun.protect ~finally:(fun () -> finish_trace tr) (fun () -> stages_f tr)
+  Fun.protect ~finally:(fun () -> finish_trace tr) (fun () ->
+      try stages_f tr
+      with Robust.Fault.Injected site ->
+        fault_exit := true;
+        Printf.eprintf "recommend: injected fault at %s\n%!" site)
 
 (* ---- budgets ---- *)
 
@@ -1260,5 +1269,8 @@ let () =
   let code = Cmd.eval main in
   (* 124 (the timeout(1) convention) distinguishes "budget exhausted" from
      both success ("no package exists" is a definite answer, exit 0) and
-     real errors. *)
-  exit (if code = 0 && !partial_exit then 124 else code)
+     real errors; 3 marks an injected fault. *)
+  exit
+    (if !fault_exit then 3
+     else if code = 0 && !partial_exit then 124
+     else code)

@@ -1,6 +1,4 @@
 open Qlang
-module Database = Relational.Database
-module Relation = Relational.Relation
 
 type problem = Rpp | Frp | Mbp | Cpp | Qrpp | Arpp
 
@@ -160,12 +158,6 @@ let pp_report ppf r =
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation routing (Corollary 6.2)                                  *)
-(* ------------------------------------------------------------------ *)
-
-type route = Sp_scan of Ast.fo_query | Generic_eval
-
-(* ------------------------------------------------------------------ *)
 (* Plan-shape certification                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -291,42 +283,3 @@ let certify_plan q plan =
                   complement(s), %d built-in node(s))"
                  s.Plan.anti_joins s.Plan.complements s.Plan.builtins)
           else Violation "FO query compiled to a fixpoint plan")
-
-let candidate_route ~db ?(has_dist = fun _ -> false) q =
-  match q with
-  | Query.Identity _ | Query.Empty_query | Query.Dl _ -> Generic_eval
-  | Query.Fo fq -> (
-      if Fragment.classify fq.Ast.body <> Fragment.Sp then Generic_eval
-      else
-        let rec strip = function
-          | Ast.Exists (_, f) -> strip f
-          | f -> f
-        in
-        let cs = Ast.conjuncts (strip fq.Ast.body) in
-        match List.filter_map (function Ast.Atom a -> Some a | _ -> None) cs with
-        | [ atom ] -> (
-            match Database.find_opt db atom.Ast.rel with
-            | Some rel when Relation.arity rel = List.length atom.Ast.args ->
-                let atom_vars =
-                  List.filter_map
-                    (function Ast.Var v -> Some v | Ast.Const _ -> None)
-                    atom.Ast.args
-                in
-                let bound v = List.mem v atom_vars in
-                let term_ok = function
-                  | Ast.Var v -> bound v
-                  | Ast.Const _ -> true
-                in
-                let builtin_ok = function
-                  | Ast.Atom _ -> true
-                  | Ast.Cmp (_, t1, t2) -> term_ok t1 && term_ok t2
-                  | Ast.Dist (name, t1, t2, _) ->
-                      has_dist name && term_ok t1 && term_ok t2
-                  | Ast.True -> true
-                  | _ -> false
-                in
-                if List.for_all bound fq.Ast.head && List.for_all builtin_ok cs
-                then Sp_scan fq
-                else Generic_eval
-            | _ -> Generic_eval)
-        | _ -> Generic_eval)

@@ -5,8 +5,10 @@
     constant package-size bound, single-item packages, PTIME compatibility
     predicate), the advisor returns the exact complexity cell — combined
     complexity from Table 8.1, data complexity from Table 8.2 — together
-    with the theorem establishing it, and the evaluation route the solver
-    stack should take.
+    with the theorem establishing it.  It also certifies compiled plan
+    shapes against those promises (an SP query is one scan, Corollary
+    6.2); the plan engine is the only evaluator, so nothing routes around
+    it.
 
     The class strings are byte-identical to the annotations carried by the
     benchmark harness ([bench/main.ml]'s [~paper] arguments), which
@@ -57,17 +59,6 @@ val advise : problem -> lang:Qlang.Query.lang -> flags:flags -> report
 
 val pp_report : Format.formatter -> report -> unit
 
-(** {2 Evaluation routing}
-
-    [candidate_route] decides, purely statically, whether the selection
-    query admits the Corollary 6.2 single-scan evaluation: the query is SP
-    — [∃ȳ (R(x̄, ȳ) ∧ ψ)] with ψ built-ins over one atom — the relation
-    exists at the right arity, and every head/built-in variable is bound
-    by the atom (so the scan can never get stuck).  [Generic_eval]
-    otherwise. *)
-
-type route = Sp_scan of Qlang.Ast.fo_query | Generic_eval
-
 (** {2 Plan-shape certification}
 
     The complexity analysis makes promises about physical plan shapes:
@@ -84,12 +75,3 @@ val certificate_ok : certificate -> bool
 val certificate_to_string : certificate -> string
 
 val certify_plan : Qlang.Query.t -> Qlang.Plan.t -> certificate
-
-val candidate_route :
-  db:Relational.Database.t ->
-  ?has_dist:(string -> bool) ->
-  Qlang.Query.t ->
-  route
-(** [has_dist] tells whether a distance function name is available
-    (defaults to [fun _ -> false], so queries with [Dist] atoms route to
-    the generic evaluator unless the caller vouches for the names). *)

@@ -111,11 +111,12 @@ let use_domains c =
    sequential path at [domains <= 1]. *)
 let kernel_domains c = if use_domains c then c.domains else 1
 
-(* Build the constraint's conflict sets, if it has any, before a search
-   fans out: the domains then share one built family, and the work
-   counters do not depend on the domain count.  Only searches that check
-   compatibility call this; replaying the valid index never does. *)
-let resolve_compat c = ignore (Instance.compat_conflicts c.inst)
+(* Resolve the constraint's route (its conflict sets, or its prepared
+   delta) before a search fans out: the domains then share one
+   resolution, and the work counters do not depend on the domain count.
+   Only searches that check compatibility call this; replaying the valid
+   index never does. *)
+let resolve_compat c = ignore (Instance.compat_route c.inst)
 
 (* First accepted package in canonical (size-lexicographic DFS) order.
    The parallel driver searches the branches concurrently but returns the

@@ -22,9 +22,9 @@ type compat =
 
 module Pmap = Map.Make (Package)
 
-(* The compat memos belong to one constraint; a record update that swaps
-   [compat] must not read the old one's verdicts.  Queries compare by
-   physical identity, functions too. *)
+(* The compatibility slot belongs to one constraint; a record update that
+   swaps [compat] must not read the old one's route or verdicts.  Queries
+   compare by physical identity, functions too. *)
 let same_compat a b =
   a == b
   || match (a, b) with Compat_query q, Compat_query q' -> q == q' | _ -> false
@@ -42,41 +42,42 @@ type valid_key = {
   v_max_size : int;
 }
 
-(* How [Validity.compatible] answers under the memo's constraint: not yet
-   decided, by the conflict sets of a CQ/UCQ constraint (tagged with the
-   constraint they belong to, for the read without the lock), or by
-   evaluating Qc (memoized verdicts over the prepared delta). *)
-type conflict_route = Unresolved | Delta_route | Sets of compat * Conflicts.t
+(* How [Validity.compatible] answers a query constraint: by the conflict
+   sets of a CQ/UCQ constraint, or by evaluating Qc as a delta over a
+   prepared plan. *)
+type route = Sets of Conflicts.t | Delta of Qlang.Engine.delta
 
-(* Per-instance memo: Q(D), the per-package compatibility verdicts, the
-   conflict sets and the valid-package index.  Attached as a fresh value by every
-   constructor ([make], [with_db], [with_select]), which is what
-   invalidates it when the database or the query changes.  Guarded by a
-   mutex — the package search fans out over domains and they all share
-   the instance.  Computation happens outside the lock (a duplicated
-   first computation is harmless; holding the lock through a query
-   evaluation would serialize the domains). *)
+(* The compatibility slot: unresolved, or the route resolved for [owner]
+   together with the per-package verdicts computed under it. *)
+type resolved = {
+  owner : compat;
+  route : route;
+  verdicts : bool Pmap.t;
+  n : int;
+}
+
+type slot = Unresolved | Resolved of resolved
+
+(* Per-instance memo: Q(D), the compatibility slot and the valid-package
+   index.  Attached as a fresh value by every constructor ([make],
+   [with_db], [with_select]), which is what invalidates it when the
+   database or the query changes.  Guarded by a mutex — the package
+   search fans out over domains and they all share the instance.
+   Computation happens outside the lock (a duplicated first computation is
+   harmless; holding the lock through a query evaluation would serialize
+   the domains). *)
 type memo = {
   lock : Mutex.t;
   mutable cands : Relational.Relation.t option;
-  mutable compat_owner : compat;  (* whose verdicts and delta these are *)
-  mutable compat_memo : bool Pmap.t;
-  mutable compat_n : int;
-  mutable compat_delta : Qlang.Engine.delta option;
-  compat_conflicts : conflict_route Atomic.t;
-      (* written under the lock, read also without it *)
+  compat : slot Atomic.t;  (* written under the lock, read also without it *)
   mutable valid : (valid_key * Valid_index.t) option;
 }
 
-let fresh_memo compat_owner =
+let fresh_memo () =
   {
     lock = Mutex.create ();
     cands = None;
-    compat_owner;
-    compat_memo = Pmap.empty;
-    compat_n = 0;
-    compat_delta = None;
-    compat_conflicts = Atomic.make Unresolved;
+    compat = Atomic.make Unresolved;
     valid = None;
   }
 
@@ -112,7 +113,7 @@ let make ~db ~select ?(compat = No_constraint) ~cost ~value ~budget
     size_bound;
     dist;
     answer_rel;
-    memo = fresh_memo compat;
+    memo = fresh_memo ();
   }
 
 let language inst = Qlang.Query.language inst.select
@@ -129,10 +130,7 @@ let has_compat inst =
   | Compat_fn _ -> true
 
 (* Q(D) is asked for once per package check along the validity path; the
-   instance is immutable, so evaluate once and replay.  Candidate
-   generation consults the static analyzer: SP queries certified by the
-   advisor take the Corollary 6.2 single scan instead of the general
-   evaluator. *)
+   instance is immutable, so evaluate once and replay. *)
 let candidates inst =
   let m = inst.memo in
   match Mutex.protect m.lock (fun () -> m.cands) with
@@ -145,16 +143,7 @@ let candidates inst =
          on a completed value — an exception here (including an injected
          fault) leaves the memo exactly as it was. *)
       Robust.Fault.hit "memo.candidates";
-      let c =
-        match
-          Analysis.Advisor.candidate_route ~db:inst.db
-            ~has_dist:(fun n -> Option.is_some (Qlang.Dist.find_opt inst.dist n))
-            inst.select
-        with
-        | Analysis.Advisor.Sp_scan q -> Sp_scan.eval ~dist:inst.dist inst.db q
-        | Analysis.Advisor.Generic_eval ->
-            Qlang.Engine.eval ~dist:inst.dist inst.db inst.select
-      in
+      let c = Qlang.Engine.eval ~dist:inst.dist inst.db inst.select in
       Mutex.protect m.lock (fun () ->
           match m.cands with
           | Some c' -> c'
@@ -162,24 +151,67 @@ let candidates inst =
               m.cands <- Some c;
               c)
 
-(* Under the lock: hand the compat memos to [inst]'s constraint, dropping
-   another constraint's verdicts, prepared delta and conflict sets. *)
-let claim_compat m inst =
-  if not (same_compat m.compat_owner inst.compat) then begin
-    m.compat_owner <- inst.compat;
-    m.compat_memo <- Pmap.empty;
-    m.compat_n <- 0;
-    m.compat_delta <- None;
-    Atomic.set m.compat_conflicts Unresolved
-  end
+let answer_schema inst =
+  let sch = Qlang.Query.answer_schema inst.db inst.select in
+  Schema.make inst.answer_rel (Array.to_list sch.Schema.attrs)
+
+(* The slot's content when it was resolved for [inst]'s constraint.  The
+   slot belongs to one constraint; a record update that swaps [compat]
+   reads the old one's route as unresolved and, on resolving, replaces
+   it. *)
+let owned inst = function
+  | Resolved r when same_compat r.owner inst.compat -> Some r
+  | Resolved _ | Unresolved -> None
+
+(* Resolved once per constraint: the conflict sets when they apply,
+   otherwise Qc prepared for delta evaluation.  Both run outside the
+   lock, under the caller's budget ([Conflicts.build] visits the
+   [memo.compat] fault site), and the first completed resolution wins, so
+   a fault or an exhausted budget leaves the slot unresolved. *)
+let resolve inst qc =
+  let answer () = Relation.rename (answer_schema inst) (candidates inst) in
+  let route =
+    match Conflicts.build ~cap:compat_memo_cap inst.db ~answer qc with
+    | Some cs -> Sets cs
+    | None ->
+        Delta
+          (Qlang.Engine.delta_prepare ~dist:inst.dist inst.db
+             ~rel:inst.answer_rel ~schema:(answer_schema inst) qc)
+  in
+  let m = inst.memo in
+  Mutex.protect m.lock @@ fun () ->
+  match owned inst (Atomic.get m.compat) with
+  | Some r -> r.route
+  | None ->
+      Atomic.set m.compat
+        (Resolved { owner = inst.compat; route; verdicts = Pmap.empty; n = 0 });
+      route
+
+(* Every compatibility check asks, so a resolved route is read without
+   the lock: the atomic read orders it after the resolution, and the slot
+   names its constraint. *)
+let compat_route inst =
+  match inst.compat with
+  | No_constraint | Compat_fn _ -> None
+  | Compat_query qc when Qlang.Query.is_empty_query qc -> None
+  | Compat_query qc -> (
+      match owned inst (Atomic.get inst.memo.compat) with
+      | Some r -> Some r.route
+      | None -> Some (resolve inst qc))
+
+let compat_delta inst =
+  match compat_route inst with
+  | Some (Delta d) -> Some d
+  | Some (Sets _) | None -> None
 
 let memo_compat inst pkg compute =
   let m = inst.memo in
-  match
-    Mutex.protect m.lock (fun () ->
-        claim_compat m inst;
-        Pmap.find_opt pkg m.compat_memo)
-  with
+  let cached =
+    match owned inst (Atomic.get m.compat) with
+    | Some r -> Pmap.find_opt pkg r.verdicts
+    | None -> None
+  in
+  match cached with
   | Some verdict ->
       Observe.bump c_compat_hit;
       verdict
@@ -190,113 +222,33 @@ let memo_compat inst pkg compute =
       Robust.Fault.hit "memo.compat";
       let verdict = compute () in
       Mutex.protect m.lock (fun () ->
-          if
-            same_compat m.compat_owner inst.compat
-            && not (Pmap.mem pkg m.compat_memo)
-          then begin
-            if m.compat_n < compat_memo_cap then begin
-              m.compat_memo <- Pmap.add pkg verdict m.compat_memo;
-              m.compat_n <- m.compat_n + 1
-            end
-            else
-              (* The cap makes the memo stop absorbing verdicts; keep that
-                 visible instead of silent. *)
-              Observe.bump c_compat_capped
-          end);
+          match owned inst (Atomic.get m.compat) with
+          | Some r when not (Pmap.mem pkg r.verdicts) ->
+              if r.n < compat_memo_cap then
+                Atomic.set m.compat
+                  (Resolved
+                     {
+                       r with
+                       verdicts = Pmap.add pkg verdict r.verdicts;
+                       n = r.n + 1;
+                     })
+              else
+                (* The cap makes the memo stop absorbing verdicts; keep that
+                   visible instead of silent. *)
+                Observe.bump c_compat_capped
+          | Some _ | None -> ());
       verdict
-
-let answer_schema inst =
-  let sch = Qlang.Query.answer_schema inst.db inst.select in
-  Schema.make inst.answer_rel (Array.to_list sch.Schema.attrs)
-
-(* The prepared delta evaluation of the compatibility query: compiled once
-   per instance (lazily, since many instances carry no query constraint)
-   and shared by every [Validity.compatible] call.  Same locking
-   discipline as the other memo fields: preparation happens outside the
-   lock, the first completed preparation wins. *)
-let compat_delta inst =
-  match inst.compat with
-  | No_constraint | Compat_fn _ -> None
-  | Compat_query qc ->
-      if Qlang.Query.is_empty_query qc then None
-      else
-        let m = inst.memo in
-        (match
-           Mutex.protect m.lock (fun () ->
-               claim_compat m inst;
-               m.compat_delta)
-         with
-        | Some d -> Some d
-        | None ->
-            let d =
-              Qlang.Engine.delta_prepare ~dist:inst.dist inst.db
-                ~rel:inst.answer_rel ~schema:(answer_schema inst) qc
-            in
-            Some
-              (Mutex.protect m.lock (fun () ->
-                   match m.compat_delta with
-                   | Some d' -> d'
-                   | None ->
-                       if same_compat m.compat_owner inst.compat then
-                         m.compat_delta <- Some d;
-                       d)))
-
-(* The conflict sets of a CQ/UCQ constraint ([Conflicts]), resolved once
-   per constraint and memo; [None] sends [Validity.compatible] to the
-   delta route.  Same discipline as [compat_delta]: the build runs outside
-   the lock, under the caller's budget and after the [memo.compat] fault
-   site, and the first completed resolution wins, so a fault or an
-   exhausted budget leaves the slot unresolved. *)
-let resolve_conflicts inst qc =
-  let m = inst.memo in
-  match
-    Mutex.protect m.lock (fun () ->
-        claim_compat m inst;
-        Atomic.get m.compat_conflicts)
-  with
-  | (Sets _ | Delta_route) as r -> r
-  | Unresolved -> (
-      let answer () = Relation.rename (answer_schema inst) (candidates inst) in
-      let route =
-        match Conflicts.build ~cap:compat_memo_cap inst.db ~answer qc with
-        | Some cs -> Sets (inst.compat, cs)
-        | None -> Delta_route
-      in
-      Mutex.protect m.lock @@ fun () ->
-      match Atomic.get m.compat_conflicts with
-      | Unresolved ->
-          if same_compat m.compat_owner inst.compat then
-            Atomic.set m.compat_conflicts route;
-          route
-      | r -> r)
-
-(* Every compatibility check asks, so a published family is read without
-   the lock: the atomic read orders it after the build, and a [Sets]
-   value names its constraint. *)
-let compat_conflicts inst =
-  match inst.compat with
-  | No_constraint | Compat_fn _ -> None
-  | Compat_query qc when Qlang.Query.is_empty_query qc -> None
-  | Compat_query qc -> (
-      match Atomic.get inst.memo.compat_conflicts with
-      | Sets (owner, cs) when same_compat owner inst.compat -> Some cs
-      | _ -> (
-          match resolve_conflicts inst qc with
-          | Sets (_, cs) -> Some cs
-          | Delta_route | Unresolved -> None))
 
 (* Warm every shared structure a served request would otherwise build on
    first touch: the candidate memo (which compiles and runs the selection
-   plan), the compatibility route — the conflict sets of a CQ/UCQ
-   constraint, or else the prepared delta, which a constraint answered
-   from conflict sets never evaluates — and each relation's count tables
-   (the planner's stats backing).  Everything forced here is idempotent
-   and concurrent-safe, so prewarming is an optimization only — the
-   daemon calls it once per loaded instance so the first request pays
-   warm-state latency, not cold-start latency. *)
+   plan), the compatibility route and each relation's count tables (the
+   planner's stats backing).  Everything forced here is idempotent and
+   concurrent-safe, so prewarming is an optimization only — the daemon
+   calls it once per loaded instance so the first request pays warm-state
+   latency, not cold-start latency. *)
 let prewarm inst =
   ignore (candidates inst);
-  if Option.is_none (compat_conflicts inst) then ignore (compat_delta inst);
+  ignore (compat_route inst);
   List.iter
     (fun r -> ignore (Relation.col_counts r))
     (Database.relations inst.db)
@@ -304,10 +256,10 @@ let prewarm inst =
 let max_package_size inst =
   Size_bound.max_size inst.size_bound ~db_size:(Database.size inst.db)
 
-let with_db inst db = { inst with db; memo = fresh_memo inst.compat }
+let with_db inst db = { inst with db; memo = fresh_memo () }
 
 let with_select inst select =
-  { inst with select; memo = fresh_memo inst.compat }
+  { inst with select; memo = fresh_memo () }
 
 (* ------------------------------------------------------------------ *)
 (* The valid-package index                                             *)
@@ -368,7 +320,7 @@ let store_valid_index inst ~max_size ~count build =
    asserts domain preservation with [~adom_preserved]; when absent, adom
    sensitivity forces the flush.
 
-   The kept [compat_delta] still evaluates against its original base: that
+   A kept delta route still evaluates against its original base: that
    is sound precisely under the condition checked here (the delta's
    relations are revision-identical and the answer is either
    adom-insensitive or the domain is preserved). *)
@@ -393,27 +345,26 @@ let update_db ?(adom_preserved = false) inst db' =
       | Compat_fn _ -> false (* opaque: every relation is a dependency *)
     in
     let m = inst.memo in
-    let memo = fresh_memo inst.compat in
+    let memo = fresh_memo () in
     Mutex.protect m.lock (fun () ->
         if keep_cands && m.cands <> None then begin
           memo.cands <- m.cands;
           Observe.bump c_cands_kept
         end;
-        if keep_compat then begin
-          if m.compat_n > 0 || m.compat_delta <> None then
-            Observe.bump c_compat_kept;
-          memo.compat_owner <- m.compat_owner;
-          memo.compat_memo <- m.compat_memo;
-          memo.compat_n <- m.compat_n;
-          memo.compat_delta <- m.compat_delta
-        end;
-        (* The conflict sets are subsets of Q(D) computed from Qc's
-           relations; the valid packages depend on Q(D) and on the
-           verdicts.  Neither depends on anything else the update can
-           change (the index key re-checks the size bound, which may move
-           with |D|). *)
-        if keep_cands && keep_compat then
-          Atomic.set memo.compat_conflicts (Atomic.get m.compat_conflicts);
+        (* A delta route reads only Qc's relations.  Conflict sets are
+           subsets of Q(D) computed from Qc's relations, and the valid
+           packages depend on Q(D) and on the verdicts.  None depends on
+           anything else the update can change (the index key re-checks
+           the size bound, which may move with |D|). *)
+        let keep_route = function
+          | Delta _ -> keep_compat
+          | Sets _ -> keep_cands && keep_compat
+        in
+        (match owned inst (Atomic.get m.compat) with
+        | Some r when keep_route r.route ->
+            Atomic.set memo.compat (Resolved r);
+            Observe.bump c_compat_kept
+        | Some _ | None -> ());
         if keep_cands && keep_compat && m.valid <> None then begin
           memo.valid <- m.valid;
           Observe.bump c_valid_kept

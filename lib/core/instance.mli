@@ -1,6 +1,11 @@
 (** Package-recommendation instances: the tuple (Q, D, Qc, cost(), val(), C)
     of Section 2 of the paper, plus the package-size bound and the distance
-    environment needed by relaxed queries. *)
+    environment needed by relaxed queries.
+
+    Q(D) is evaluated by the plan engine alone (an SP selection compiles
+    to the single scan of Corollary 6.2), and a query constraint Qc is
+    answered by one route, resolved once per constraint: its conflict
+    sets, or a prepared delta with memoized verdicts ({!compat_route}). *)
 
 type compat =
   | No_constraint
@@ -14,13 +19,13 @@ type compat =
           compatible *)
 
 type memo
-(** Per-instance evaluation cache (Q(D), per-package compatibility
-    verdicts, the conflict sets of a CQ/UCQ constraint, the
-    valid-package index).  Opaque; a fresh one is attached
-    by every constructor, so [with_db] / [with_select] never observe
-    stale results.  Record updates ([{ inst with value; cost }]) share
-    it: the verdicts are keyed on the compatibility constraint and the
-    index on everything that decides validity, so sharing is safe. *)
+(** Per-instance evaluation cache: Q(D), the compatibility route with its
+    per-package verdicts, and the valid-package index.  Opaque; a fresh
+    one is attached by every constructor, so [with_db] / [with_select]
+    never observe stale results.  Record updates ([{ inst with value; cost }])
+    share it: the route is tagged with the compatibility constraint and
+    the index keyed on everything that decides validity, so sharing is
+    safe. *)
 
 type t = {
   db : Relational.Database.t;
@@ -62,18 +67,41 @@ val compat_language : t -> Qlang.Query.lang option
 val has_compat : t -> bool
 
 val candidates : t -> Relational.Relation.t
-(** [Q(D)] — the items available for packaging.  Evaluated once per
-    instance and memoized (the validity checks along every solver path ask
-    for it per package); safe to call from several domains. *)
+(** [Q(D)] — the items available for packaging, evaluated by the plan
+    engine ({!Qlang.Engine.eval}) once per instance and memoized (the
+    validity checks along every solver path ask for it per package); safe
+    to call from several domains. *)
+
+type route =
+  | Sets of Conflicts.t
+      (** a CQ/UCQ constraint: a package inside Q(D) is compatible iff it
+          contains none of the conflict sets ({!Conflicts}) *)
+  | Delta of Qlang.Engine.delta
+      (** any other constraint: Qc prepared for delta re-evaluation over
+          [D ⊕ one package], its verdicts memoized by {!memo_compat} *)
+
+val compat_route : t -> route option
+(** How {!Validity.compatible} answers a query constraint, resolved once
+    per constraint on first use and kept on the memo ([None] when the
+    instance has no query constraint).  The resolution ({!Conflicts.build},
+    else {!Qlang.Engine.delta_prepare}) runs under the caller's budget; a
+    fault or an exhausted budget leaves the route unresolved for the next
+    call.  A resolved route is read without the lock. *)
+
+val compat_delta : t -> Qlang.Engine.delta option
+(** The prepared delta when {!compat_route} is [Delta]; [None] for a
+    constraint the conflict sets answer (resolving them) and when the
+    instance has no query constraint. *)
 
 val memo_compat : t -> Package.t -> (unit -> bool) -> bool
 (** [memo_compat inst pkg compute] returns the cached compatibility
     verdict for [pkg], running [compute] (outside the memo lock) on a
-    miss.  Used by {!Validity.compatible}; the memo is bounded by
+    miss.  Verdicts are kept with the resolved {!compat_route} of the
+    instance's constraint (by the physical identity of its query); before
+    the route is resolved nothing is stored.  Used by
+    {!Validity.compatible} on the [Delta] route; the memo is bounded by
     {!compat_memo_cap}, so a cold miss beyond the cap simply recomputes
-    (and bumps the [memo.compat_capped] counter).  The verdicts belong to
-    one constraint (a [Compat_query] by the physical identity of its
-    query): asking under another constraint drops them first. *)
+    (and bumps the [memo.compat_capped] counter). *)
 
 val compat_memo_cap : int
 (** Size bound of the per-package verdict memo (2¹⁶ entries), and of the
@@ -93,22 +121,6 @@ val store_valid_index :
     completion.  Past {!compat_memo_cap} packages nothing is built or
     stored: [None], and [memo.valid_capped] is bumped. *)
 
-val compat_delta : t -> Qlang.Engine.delta option
-(** The compatibility query prepared for delta re-evaluation over
-    [D ⊕ one package]: compiled lazily once per instance and shared by
-    every oracle call.  [None] when the instance has no query
-    constraint. *)
-
-val compat_conflicts : t -> Conflicts.t option
-(** The conflict sets of a CQ/UCQ constraint ({!Conflicts}), built once
-    per constraint on first use and kept on the memo under the same
-    ownership as the verdicts; {!update_db} keeps them exactly when it
-    keeps both the candidates and the verdicts.  [None] when the
-    instance has no query constraint or the constraint takes the delta
-    route (see {!Conflicts.build}).  The build runs under the caller's
-    budget; a fault or an exhausted budget leaves the slot to the next
-    call. *)
-
 val answer_schema : t -> Relational.Schema.t
 (** Schema under which packages are exposed to Qc: the answer schema of Q
     renamed to {!answer_rel}. *)
@@ -119,12 +131,10 @@ val max_package_size : t -> int
 val prewarm : t -> unit
 (** Force the shared lazy state a request would otherwise build on first
     touch: the candidate memo (compiling and evaluating the selection
-    plan), the compatibility route — the {!compat_conflicts} of a CQ/UCQ
-    constraint, and the prepared {!compat_delta} only when the conflict
-    sets do not answer the constraint — and the per-relation count
-    tables backing the planner's statistics.  Idempotent and safe to call
-    concurrently; the serving daemon calls it once per loaded instance so
-    the first request is answered from warm state. *)
+    plan), the {!compat_route} and the per-relation count tables backing
+    the planner's statistics.  Idempotent and safe to call concurrently;
+    the serving daemon calls it once per loaded instance so the first
+    request is answered from warm state. *)
 
 val with_db : t -> Relational.Database.t -> t
 (** Same instance over an adjusted database (Section 8).  Flushes the memo
@@ -140,9 +150,10 @@ val update_db : ?adom_preserved:bool -> t -> Relational.Database.t -> t
     changed are diffed, and each memo entry survives iff its query mentions
     none of them and is either adom-insensitive ({!Qlang.Query.adom_sensitive})
     or covered by the caller's promise [~adom_preserved] (default [false])
-    that the update did not change the database's active domain.  The
-    valid-package index survives exactly when both the candidates and the
-    verdicts do.  A revision-identical database keeps the whole memo.
+    that the update did not change the database's active domain.  A
+    [Delta] route survives when Qc does; a [Sets] route and the
+    valid-package index survive exactly when both the candidates and Qc
+    do.  A revision-identical database keeps the whole memo.
     Retention is counted by [memo.candidates_kept] / [memo.compat_kept] /
     [memo.valid_kept]. *)
 

@@ -23,5 +23,3 @@ let is_max_bound inst ~k ~bound =
 let count inst ~bound =
   ignore (require_const_bound inst);
   Cpp.count inst ~bound
-
-let eval_sp = Sp_scan.eval

@@ -7,8 +7,9 @@
     polynomial running time) and run the enumeration-based solvers.
 
     Corollary 6.2: SP queries (selection + projection over a single atom)
-    admit single-scan evaluation; {!eval_sp} is that independent evaluator,
-    cross-checked against the general ones in the test suite. *)
+    admit single-scan evaluation.  That is a property of the plan engine,
+    not a separate evaluator: an SP query compiles to one scan under its
+    filters, which {!Analysis.Plan_check.certify} checks. *)
 
 val require_const_bound : Instance.t -> int
 (** The constant bound Bp; raises [Invalid_argument] if the instance uses a
@@ -27,13 +28,3 @@ val is_max_bound : Instance.t -> k:int -> bound:float -> bool
 
 val count : Instance.t -> bound:float -> int
 (** CPP under a constant bound (FP data complexity). *)
-
-val eval_sp :
-  ?dist:Qlang.Dist.env ->
-  Relational.Database.t ->
-  Qlang.Ast.fo_query ->
-  Relational.Relation.t
-(** Single-scan evaluation of an SP query [Q(x̄) = ∃ȳ (R(x̄, ȳ) ∧ ψ)]:
-    one pass over R, testing the built-in conjuncts per tuple and
-    projecting the head.  Raises [Invalid_argument] if the query is not SP
-    or if a built-in or head variable is not bound by the atom. *)

@@ -1,36 +1,32 @@
 module Database = Relational.Database
 module Relation = Relational.Relation
 
-(* Q(D ⊕ N) is evaluated as a delta over the prepared base plan, with the
-   from-scratch evaluation as fallback.  The oracle searches re-check the
-   same packages across calls (binary search over bounds, per-tuple
-   commitment probes); the verdict only depends on the package, so it is
-   memoized on the instance. *)
-let delta_compatible (inst : Instance.t) qc n =
-  Instance.memo_compat inst n (fun () ->
-      let rq = Package.to_relation (Instance.answer_schema inst) n in
-      match Instance.compat_delta inst with
-      | Some d -> Qlang.Engine.delta_is_empty d rq
-      | None ->
-          let db' = Database.add rq inst.db in
-          Relation.is_empty (Qlang.Query.eval ~dist:inst.dist db' qc))
+(* The package as the relation Qc reads it by. *)
+let rq (inst : Instance.t) n = Package.to_relation (Instance.answer_schema inst) n
 
 let compatible (inst : Instance.t) n =
   match inst.compat with
   | Instance.No_constraint -> true
   | Instance.Compat_fn (_, f) -> f n inst.db
-  | Instance.Compat_query qc when Qlang.Query.is_empty_query qc -> true
   | Instance.Compat_query qc -> (
-      (* A CQ/UCQ constraint answers a package inside Q(D) by a subset test
-         against its conflict sets, unmemoized: a lookup in the verdict
-         memo would cost more.  Everything else takes the delta route,
-         which also stays the differential oracle in the tests. *)
-      match
-        Option.bind (Instance.compat_conflicts inst) (fun cs ->
-            Conflicts.compatible cs n)
-      with
-      | Some verdict -> verdict
-      | None -> delta_compatible inst qc n)
+      match Instance.compat_route inst with
+      | None -> true
+      | Some (Instance.Delta d) ->
+          (* The oracle searches re-check the same packages across calls
+             (binary search over bounds, per-tuple commitment probes); the
+             verdict only depends on the package, so it is memoized. *)
+          Instance.memo_compat inst n (fun () ->
+              Qlang.Engine.delta_is_empty d (rq inst n))
+      | Some (Instance.Sets cs) -> (
+          (* A subset test, unmemoized: a lookup in the verdict memo would
+             cost more.  Every search starts inside Q(D); a package outside
+             it (only a direct caller passes one) is answered from
+             scratch. *)
+          match Conflicts.compatible cs n with
+          | Some verdict -> verdict
+          | None ->
+              let db' = Database.add (rq inst n) inst.db in
+              Relation.is_empty (Qlang.Query.eval ~dist:inst.dist db' qc)))
 
 let within_budget (inst : Instance.t) n =
   Rating.eval inst.cost n <= inst.budget

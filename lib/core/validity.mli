@@ -5,9 +5,10 @@
 val compatible : Instance.t -> Package.t -> bool
 (** [Qc(N, D) = ∅] — the database is extended with the package under the
     {!Instance.answer_rel} name before evaluating Qc.  Always true when
-    constraints are absent.  For a CQ/UCQ Qc and [N ⊆ Q(D)] the answer
-    is a subset test against {!Instance.compat_conflicts}; otherwise Qc
-    is evaluated as a delta over {!Instance.compat_delta}, memoized per
+    constraints are absent.  Answered by the {!Instance.compat_route}:
+    for a CQ/UCQ Qc and [N ⊆ Q(D)], a subset test against the conflict
+    sets (a package outside Q(D) evaluates Qc from scratch); otherwise
+    Qc is evaluated as a delta over the prepared plan, memoized per
     package. *)
 
 val within_budget : Instance.t -> Package.t -> bool

@@ -8,6 +8,7 @@ let sites =
   [
     "pool.task";
     "bnb.node";
+    "pb.node";
     "sat.conflict";
     "qbf.node";
     "count.node";

@@ -171,13 +171,24 @@ let parse_request line =
             fields;
           match !bad with Some e -> Error e | None -> Ok !req))
 
+(* Control characters (a newline would end the wire line) are quoted too:
+   [%S] escapes them. *)
 let needs_quotes s =
   s = ""
   || String.exists
-       (fun c -> c = ' ' || c = '\t' || c = '"' || c = '\\' || c = '=')
+       (fun c -> c <= ' ' || c = '"' || c = '\\' || c = '=' || c = '\127')
        s
 
 let quote_value s = if needs_quotes s then Printf.sprintf "%S" s else s
+
+(* The shortest [%g] rendering that parses back to the same float: plain
+   [%g] keeps six digits, so [1234567.] would come back as [1234570.]. *)
+let float_value x =
+  let rec go prec =
+    let s = Printf.sprintf "%.*g" prec x in
+    if prec >= 17 || float_of_string s = x then s else go (prec + 1)
+  in
+  go 6
 
 let request_to_line r =
   let b = Buffer.create 64 in
@@ -188,9 +199,9 @@ let request_to_line r =
   Option.iter (field "q") r.query;
   if r.datalog then field "datalog" "true";
   Option.iter (fun k -> field "k" (string_of_int k)) r.k;
-  Option.iter (fun x -> field "bound" (Printf.sprintf "%g" x)) r.bound;
+  Option.iter (fun x -> field "bound" (float_value x)) r.bound;
   Option.iter (fun m -> field "ms" (string_of_int m)) r.burn_ms;
-  Option.iter (fun t -> field "timeout" (Printf.sprintf "%g" t)) r.timeout;
+  Option.iter (fun t -> field "timeout" (float_value t)) r.timeout;
   if r.approx then field "approx" "true";
   Buffer.contents b
 

@@ -106,8 +106,9 @@ val parse_request : string -> (request, string) result
     dropping the connection. *)
 
 val request_to_line : request -> string
-(** Inverse of {!parse_request} (canonical field order, minimal
-    quoting). *)
+(** Inverse of {!parse_request}: canonical field order, minimal quoting
+    (control characters always quoted, so the line stays one line), and
+    finite floats printed so that they parse back exactly. *)
 
 val is_comment : string -> bool
 (** Blank or [#]-prefixed: skipped by servers and replay drivers. *)

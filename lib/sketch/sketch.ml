@@ -36,13 +36,17 @@ let inner_fuel = 150_000
 let shortlist = 48
 
 (* Best incumbent of a fuel-capped exact solve: the exact answer when the
-   cap was not binding, the best feasible selection found otherwise. *)
+   cap was not binding, the best feasible selection found otherwise.  Only
+   the cap is an anytime answer: the other way the inner budget trips, an
+   injected [Exhaust] fault, propagates to the caller's budget. *)
 let solve_capped program =
   match
     Pb.solve_budgeted ~budget:(Robust.Budget.make ~fuel:inner_fuel ()) program
   with
   | Robust.Budget.Exact r -> r
-  | Robust.Budget.Partial { best_so_far; _ } -> best_so_far
+  | Robust.Budget.Partial { best_so_far; reason = Robust.Budget.Fuel; _ } ->
+      best_so_far
+  | Robust.Budget.Partial { reason; _ } -> raise (Robust.Budget.Exhausted reason)
 
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                        *)

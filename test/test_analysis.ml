@@ -194,29 +194,9 @@ let test_problem_names () =
   check "case-insensitive" true (Advisor.problem_of_string "rpp" = Some Advisor.Rpp);
   check "unknown" true (Advisor.problem_of_string "nope" = None)
 
-(* ---------- candidate routing (Corollary 6.2 single scan) ---------- *)
-
-let test_candidate_route () =
-  let route ?has_dist qq = Advisor.candidate_route ~db ?has_dist qq in
-  let is_scan = function Advisor.Sp_scan _ -> true | Advisor.Generic_eval -> false in
-  check "SP query scans" true
-    (is_scan (route (fo "Q(x) := exists y. R(x, y) & x < 3")));
-  check "join does not" false (is_scan (route (fo "Q(x) := R(x, y) & S(y, z)")));
-  check "unknown relation does not" false (is_scan (route (fo "Q(x) := Zzz(x)")));
-  check "wrong arity does not" false (is_scan (route (fo "Q(x) := U(x, x)")));
-  check "head var outside atom does not" false
-    (is_scan (route (fo "Q(x, z) := exists y. R(x, y) & z = z")));
-  (* Dist atoms route generically unless the caller vouches for the name *)
-  let dq = fo "Q(x) := exists y. R(x, y) & dist[geo](x, y) <= 3" in
-  check "dist without env" false (is_scan (route dq));
-  check "dist with env" true
-    (is_scan (route ~has_dist:(fun n -> n = "geo") dq));
-  check "dist with wrong env" false
-    (is_scan (route ~has_dist:(fun n -> n = "other") dq))
-
 let test_sp_scan_agrees_with_generic () =
-  (* Instance.candidates dispatches through the advisor; it must agree with
-     the generic evaluator on SP and non-SP selections alike. *)
+  (* Instance.candidates evaluates through the plan engine; it must agree
+     with the oracle on SP and non-SP selections alike. *)
   let agree qq =
     let inst =
       Instance.make ~db ~select:qq ~cost:Rating.card_or_infinite
@@ -366,7 +346,6 @@ let () =
         ] );
       ( "dispatch",
         [
-          Alcotest.test_case "candidate routing" `Quick test_candidate_route;
           Alcotest.test_case "SP scan = generic eval" `Quick
             test_sp_scan_agrees_with_generic;
           Alcotest.test_case "route selection" `Quick test_dispatch_route;

@@ -147,7 +147,20 @@ let test_memo_reset_on_update () =
     (Relation.equal (Instance.candidates inst'') (fresh_candidates inst''))
 
 let test_memo_compat () =
-  let inst = Workload.Teams.team_instance () in
+  (* Verdicts are kept with the constraint's resolved route; a negation
+     sends this one to the delta route. *)
+  let base = Workload.Teams.team_instance () in
+  let inst =
+    {
+      base with
+      Instance.compat =
+        Instance.Compat_query
+          (Qlang.Query.Fo
+             (Qlang.Parser.parse_query
+                "Qc() := exists e, sk, sal, sc. RQ(e, sk, sal, sc) & not (sal > 0)"));
+    }
+  in
+  ignore (Instance.compat_route inst);
   let calls = ref 0 in
   let verdict () = incr calls; true in
   let p = Package.of_tuples [ tup 1 1 ] in

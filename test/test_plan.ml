@@ -895,13 +895,17 @@ let test_compat_memo_cap () =
       [ Relation.of_int_rows (Schema.make "R" [ "a" ]) [ [ 0 ] ] ]
   in
   let q = Parser.parse_query "Q(x) := R(x)" in
+  let qc = Parser.parse_query "Qc() := exists x. RQ(x) & not R(x)" in
   let inst =
     Core.Instance.make ~db ~select:(Query.Fo q)
-      ~compat:(Core.Instance.Compat_fn ("always", fun _ _ -> true))
+      ~compat:(Core.Instance.Compat_query (Query.Fo qc))
       ~cost:Core.Rating.card_or_infinite ~value:Core.Rating.count ~budget:10. ()
   in
-  (* Overfill the verdict memo: past the cap every fresh package recomputes
-     and bumps the counter instead of being stored. *)
+  (* The verdicts live with the constraint's resolved route (here the
+     delta route: Qc has a negation).  Overfill them: past the cap every
+     fresh package recomputes and bumps the counter instead of being
+     stored. *)
+  ignore (Core.Instance.compat_route inst);
   let over = 5 in
   for i = 0 to Core.Instance.compat_memo_cap + over - 1 do
     let pkg = Core.Package.singleton (Tuple.of_ints [ i ]) in
@@ -931,8 +935,18 @@ let test_validity_uses_delta () =
     (counter_value "compat.conflict_checks" = 1
     && counter_value "plan.delta_evals" = 0);
   let rq = Core.Package.to_relation (Core.Instance.answer_schema inst) pkg in
+  let qc =
+    match inst.Core.Instance.compat with
+    | Core.Instance.Compat_query qc -> qc
+    | _ -> Alcotest.fail "travel instance has a query constraint"
+  in
+  let delta =
+    Qlang.Engine.delta_prepare ~dist:inst.Core.Instance.dist inst.Core.Instance.db
+      ~rel:inst.Core.Instance.answer_rel
+      ~schema:(Core.Instance.answer_schema inst) qc
+  in
   check "conflict-set verdict = delta verdict" verdict
-    (Qlang.Engine.delta_is_empty (Option.get (Core.Instance.compat_delta inst)) rq);
+    (Qlang.Engine.delta_is_empty delta rq);
   (* A constraint with a negation takes the delta route. *)
   let fo =
     Parser.parse_query

@@ -620,7 +620,7 @@ let test_budget_fault () =
     (List.for_all
        (fun s -> List.mem s (Check.registry_sites ()))
        Plan.plan_fault_sites);
-  check_int "fault registry size" 20 (List.length (Check.registry_sites ()));
+  check_int "fault registry size" 21 (List.length (Check.registry_sites ()));
   (* every operator declares a budget tick — the compile-time exhaustive
      match in [Plan.op_guards] is what forces new operators to choose *)
   check "index join declares the join fault site" true

@@ -506,12 +506,16 @@ let test_fault_memo_candidates () =
   check "memo unpoisoned after exhaustion" true
     (Relation.equal (Instance.candidates inst2) (fresh_candidates inst2))
 
-(* Qc(D ⊕ N) = ∅ through the prepared delta plan, whatever the route
+(* Qc(D ⊕ N) = ∅ through a delta plan prepared here, whatever the route
    [Validity.compatible] takes. *)
-let delta_compatible inst p =
-  Qlang.Engine.delta_is_empty
-    (Option.get (Instance.compat_delta inst))
-    (Package.to_relation (Instance.answer_schema inst) p)
+let delta_compatible (inst : Instance.t) p =
+  match inst.compat with
+  | Instance.Compat_query qc ->
+      Qlang.Engine.delta_is_empty
+        (Qlang.Engine.delta_prepare inst.db ~rel:inst.answer_rel
+           ~schema:(Instance.answer_schema inst) qc)
+        (Package.to_relation (Instance.answer_schema inst) p)
+  | Instance.No_constraint | Instance.Compat_fn _ -> Alcotest.fail "no query constraint"
 
 let counter name =
   match List.assoc_opt name (Observe.snapshot ()) with
@@ -713,6 +717,52 @@ let test_fault_sketch_refine () =
   | Budget.Partial _ -> Alcotest.fail "wrong Partial reason");
   Fault.disarm ()
 
+(* The PB kernel behind PaQL.  An exception at a node reaches the serve
+   [paql] verb as a per-request error naming the site; an exhausted
+   budget at a node ends SketchRefine in a partial whose package still
+   satisfies the query. *)
+let test_fault_pb_node () =
+  let c = sketch_compiled () in
+  expect_injected "pb.node" (fun () -> Core.Paql_compile.solve_exact c);
+  check "retry answers" true (Option.is_some (Core.Paql_compile.solve_exact c));
+  List.iter
+    (fun nth ->
+      Fault.arm ~site:"pb.node" ~nth ~kind:Fault.Exhaust;
+      Fun.protect ~finally:Fault.disarm @@ fun () ->
+      match Sketch.solve_budgeted c with
+      | Budget.Partial { best_so_far; reason = Budget.Fault "pb.node"; _ } ->
+          Option.iter
+            (fun a ->
+              check "partial package satisfies the query" true
+                (Core.Paql_compile.satisfies c a.Core.Paql_compile.package))
+            best_so_far
+      | Budget.Exact _ | Budget.Partial _ ->
+          Alcotest.fail "expected Partial fault:pb.node")
+    [ 1; 3; 10 ];
+  let srv =
+    Serve.Server.create
+      ~config:{ Serve.Server.default_config with Serve.Server.domains = 1 }
+      [ ("team", Workload.Teams.team_instance ()) ]
+  in
+  let paql () =
+    Serve.Server.one_shot srv
+      "paql id=1 inst=team q=\"SELECT PACKAGE(P) FROM expert SUCH THAT \
+       SUM(salary) <= 300 AND COUNT(*) <= 3 MAXIMIZE SUM(score)\""
+  in
+  let faulted =
+    Fault.arm ~site:"pb.node" ~nth:1 ~kind:Fault.Exn;
+    Fun.protect ~finally:Fault.disarm paql
+  in
+  Alcotest.(check (option string))
+    "paql: error status" (Some "error")
+    (Serve.Proto.response_status faulted);
+  Alcotest.(check (option string))
+    "paql: reason names the site" (Some "fault:pb.node")
+    (Serve.Proto.response_reason faulted);
+  Alcotest.(check (option string))
+    "paql: the next request is answered" (Some "ok")
+    (Serve.Proto.response_status (paql ()))
+
 let test_fault_relax_step () =
   let dist = Qlang.Dist.add "num" Qlang.Dist.numeric Qlang.Dist.empty in
   let db =
@@ -884,6 +934,7 @@ let fault_cases =
     ("count.node", test_fault_count_node);
     ("maxsat.node", test_fault_maxsat_node);
     ("bnb.node", test_fault_bnb_node);
+    ("pb.node", test_fault_pb_node);
     ("memo.candidates", test_fault_memo_candidates);
     ("memo.compat", test_fault_memo_compat);
     ("memo.valid", test_fault_memo_valid);

@@ -85,6 +85,49 @@ let test_proto_round_trip () =
       | Error e -> Alcotest.failf "round trip failed: %s" e)
     reqs
 
+(* Random requests survive the wire: any verb, an absent or non-negative
+   id, finite floats of any magnitude (the shortest exact rendering is
+   needed past six digits), and strings mixing quotes, backslashes, tabs,
+   newlines, [=] and spaces with plain text. *)
+let arb_request =
+  let open QCheck.Gen in
+  let text =
+    string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\t'; '\n'; '\r'; '='; '#' ]) (int_range 0 8)
+  in
+  let finite =
+    oneof
+      [
+        float_range (-1e6) 1e6;
+        map float_of_int small_signed_int;
+        float_bound_inclusive 1e-3;
+        float_range (-1e300) 1e300;
+      ]
+  in
+  let verb =
+    oneofl
+      Proto.
+        [ Ping; Eval; Topk; Count; Maxbound; Rpp; Paql; Analyze; Burn; Metrics; Instances; Shutdown ]
+  in
+  QCheck.make ~print:Proto.request_to_line
+    (verb >>= fun verb ->
+     oneof [ return (-1); nat ] >>= fun id ->
+     opt text >>= fun inst ->
+     opt text >>= fun query ->
+     bool >>= fun datalog ->
+     opt small_signed_int >>= fun k ->
+     opt finite >>= fun bound ->
+     opt nat >>= fun burn_ms ->
+     opt finite >>= fun timeout ->
+     bool >|= fun approx ->
+     Proto.request ~id ?inst ?query ~datalog ?k ?bound ?burn_ms ?timeout ~approx verb)
+
+let prop_proto_round_trip =
+  QCheck.Test.make ~name:"random request: parse (to_line r) = r" ~count:2000
+    arb_request (fun r ->
+      let line = Proto.request_to_line r in
+      (not (String.contains line '\n'))
+      && Proto.parse_request line = Ok r)
+
 let test_proto_errors () =
   let bad l =
     match Proto.parse_request l with
@@ -484,6 +527,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_proto_errors;
           Alcotest.test_case "response extractors" `Quick
             test_response_extractors;
+          QCheck_alcotest.to_alcotest prop_proto_round_trip;
         ] );
       ( "end-to-end",
         [

@@ -511,6 +511,7 @@ let test_compat_swap () =
   (* warm every memo under the conflict constraint *)
   ignore (Frp.enumerate inst ~k:3);
   List.iter (fun p -> ignore (Validity.compatible inst p)) pairs;
+  let before = Instance.compat_route inst in
   let q2 = fo "Qc() := exists e, sk, sal, sc. RQ(e, sk, sal, sc) & sal > 100" in
   let swapped = { inst with Instance.compat = Instance.Compat_query q2 } in
   let fresh =
@@ -525,9 +526,12 @@ let test_compat_swap () =
     pairs;
   check "swapped top-3 equals a fresh instance's" true
     (show_pkgs (Frp.enumerate swapped ~k:3) = show_pkgs (Frp.enumerate fresh ~k:3));
-  check "the swapped instance does not reuse the old prepared delta" true
-    (Instance.compat_delta swapped != Instance.compat_delta inst
-    || Instance.compat_delta swapped == None);
+  check "the swapped instance does not reuse the old route" true
+    (match (Instance.compat_route swapped, before) with
+    | Some (Instance.Sets a), Some (Instance.Sets b) -> a != b
+    | Some (Instance.Delta a), Some (Instance.Delta b) -> a != b
+    | Some _, Some _ -> true
+    | None, _ | _, None -> false);
   (* and back: the original's verdicts are recomputed, not the swap's *)
   let original = Teams.team_instance () in
   List.iter
@@ -540,10 +544,12 @@ let test_compat_swap () =
 (* ---------- conflict sets: the CQ/UCQ compatibility route ---------- *)
 
 (* The delta route, whatever the constraint's language: Qc(D ⊕ N) = ∅
-   through the prepared delta plan, bypassing the verdict memo. *)
-let delta_compatible inst pkg =
+   through a delta plan prepared here, bypassing the instance's route and
+   verdict memo. *)
+let delta_compatible inst pkg qc =
   Qlang.Engine.delta_is_empty
-    (Option.get (Instance.compat_delta inst))
+    (Qlang.Engine.delta_prepare inst.Instance.db ~rel:inst.Instance.answer_rel
+       ~schema:(Instance.answer_schema inst) qc)
     (Package.to_relation (Instance.answer_schema inst) pkg)
 
 (* The reference semantics: Qc evaluated from scratch over D ⊕ N. *)
@@ -613,10 +619,16 @@ let prop_conflict_route_exact =
         | L_cq | L_ucq -> not (Qlang.Query.adom_sensitive db qc)
         | _ -> false
       in
-      let conflicts = Instance.compat_conflicts inst in
+      let conflicts =
+        match Instance.compat_route inst with
+        | Some (Instance.Sets cs) -> Some cs
+        | Some (Instance.Delta _) | None -> None
+      in
       if routed <> Option.is_some conflicts then
         QCheck.Test.fail_reportf "%s: route %b, conflict sets %b" text routed
           (Option.is_some conflicts);
+      if Option.is_some conflicts = Option.is_some (Instance.compat_delta inst) then
+        QCheck.Test.fail_reportf "%s: a prepared delta next to the conflict sets" text;
       let inside () =
         Package.of_tuples
           (List.filter (fun _ -> Random.State.int rng 3 = 0) cands)
@@ -628,7 +640,7 @@ let prop_conflict_route_exact =
         (fun pkg ->
           let verdict = Validity.compatible inst pkg in
           let agree =
-            verdict = delta_compatible inst pkg
+            verdict = delta_compatible inst pkg qc
             && verdict = oracle_compatible inst pkg qc
             &&
             match conflicts with
@@ -640,9 +652,30 @@ let prop_conflict_route_exact =
           in
           agree
           || QCheck.Test.fail_reportf "%s: %s conflict route %b, delta %b, reference %b"
-               text (Package.to_string pkg) verdict (delta_compatible inst pkg)
+               text (Package.to_string pkg) verdict (delta_compatible inst pkg qc)
                (oracle_compatible inst pkg qc))
         (Package.empty :: List.init 6 (fun i -> if i < 4 then inside () else outside ())))
+
+(* One route per constraint: a prepared delta exists exactly when the
+   conflict sets do not answer. *)
+let test_one_route () =
+  let base = Teams.team_instance () in
+  let route compat = { base with Instance.compat } in
+  let cq = route (Instance.Compat_query Teams.no_conflicts) in
+  check "CQ: conflict sets" true
+    (match Instance.compat_route cq with Some (Instance.Sets _) -> true | _ -> false);
+  check "CQ: no prepared delta" true (Instance.compat_delta cq = None);
+  let fo_inst =
+    route
+      (Instance.Compat_query
+         (fo "Qc() := not (exists e, sk, sal, sc. RQ(e, sk, sal, sc) & sal > 100)"))
+  in
+  check "FO: a prepared delta" true (Option.is_some (Instance.compat_delta fo_inst));
+  check "FO: the delta route" true
+    (match Instance.compat_route fo_inst with Some (Instance.Delta _) -> true | _ -> false);
+  check "no constraint: no route" true
+    (Instance.compat_route (route Instance.No_constraint) = None
+    && Instance.compat_delta (route Instance.No_constraint) = None)
 
 (* Constraints outside the route keep the memoized delta verdicts, and so
    does a family past the cap. *)
@@ -715,5 +748,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_conflict_route_exact;
           Alcotest.test_case "other constraints take the delta route" `Quick
             test_fallbacks;
+          Alcotest.test_case "a prepared delta only on the delta route" `Quick
+            test_one_route;
         ] );
     ]

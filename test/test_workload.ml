@@ -214,9 +214,12 @@ let test_team_topk_and_adjustment () =
 let test_team_sp_query () =
   let q = Teams.experts_with_skill "backend" in
   check "SP" true (Qlang.Fragment.classify_query q = Qlang.Fragment.Sp);
-  let a = Core.Special.eval_sp Teams.db q in
-  let b = Oracle.eval_query Teams.db q in
-  check "sp scan agrees" true (Relation.equal a b);
+  let fq = Qlang.Query.Fo q in
+  check "one certified scan" true
+    (Analysis.Advisor.certificate_ok
+       (Analysis.Plan_check.certify fq (Qlang.Query.plan Teams.db fq)));
+  let a = Qlang.Query.eval Teams.db fq in
+  check "agrees with the oracle" true (Relation.equal a (Oracle.eval_query Teams.db q));
   check_int "two backend experts" 2 (Relation.cardinal a)
 
 (* ---------- random generators ---------- *)
