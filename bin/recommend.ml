@@ -1059,7 +1059,12 @@ let serve_cmd =
         trace;
       }
     in
-    let srv = Serve.Server.create ~config reg in
+    let srv =
+      try Serve.Server.create ~config reg
+      with Invalid_argument msg ->
+        Printf.eprintf "recommend: serve: %s\n%!" msg;
+        exit 2
+    in
     (* Once loaded, a daemon's live heap barely moves: the package verbs
        allocate little once their instance stores its valid-package
        index, and a safe-range [eval] anti-joins without building the
@@ -1112,7 +1117,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains (default: PKG_DOMAINS or the core count).")
+          ~doc:
+            "Worker domains, each running one request at a time (default: \
+             the recommended domain count; at most 127).")
   in
   let queue_arg =
     Arg.(

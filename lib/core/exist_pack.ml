@@ -18,7 +18,6 @@ type ctx = {
       (* materialized once: [Frp] asks for the list repeatedly per search *)
   max_size : int;
   index_size : int;  (* [max_size] capped at |Q(D)|: the index's key *)
-  domains : int;
   space : (Package.t, Tuple.t) Subset.space;
       (* the {!Solvers.Bnb.Subset} instantiation: subsets of [cands] up to
          [max_size], certified pruning in [child] *)
@@ -54,7 +53,7 @@ let compat_prunes inst =
   | Instance.Compat_query q -> negation_free q
   | Instance.No_constraint | Instance.Compat_fn _ -> false
 
-let ctx ?domains inst =
+let ctx inst =
   let cands_rel = Instance.candidates inst in
   let cands = Relation.to_array cands_rel in
   let max_size = Instance.max_package_size inst in
@@ -91,44 +90,19 @@ let ctx ?domains inst =
     cands_list = Array.to_list cands;
     max_size;
     index_size = min max_size (Array.length cands);
-    domains = (match domains with Some d -> max 1 d | None -> Parallel.Pool.default_domains ());
     space;
   }
 
 let instance c = c.inst
 let candidates c = c.cands_list
 let candidate_count c = Array.length c.cands
-let domains c = c.domains
 
-(* Fan out only when the subset space is big enough to amortize spawning
-   domains (~tens of microseconds each); below the threshold the
-   sequential path is taken, which computes the exact same results in the
-   exact same canonical order. *)
-let use_domains c =
-  c.domains > 1 && Array.length c.cands >= 10 && c.max_size >= 2
-
-(* Domains to hand the kernel: the [Subset] drivers fall back to the
-   sequential path at [domains <= 1]. *)
-let kernel_domains c = if use_domains c then c.domains else 1
-
-(* Resolve the constraint's route (its conflict sets, or its prepared
-   delta) before a search fans out: the domains then share one
-   resolution, and the work counters do not depend on the domain count.
-   Only searches that check compatibility call this; replaying the valid
-   index never does. *)
-let resolve_compat c = ignore (Instance.compat_route c.inst)
-
-(* First accepted package in canonical (size-lexicographic DFS) order.
-   The parallel driver searches the branches concurrently but returns the
-   hit from the least branch, and within a branch the DFS is sequential —
-   so the witness coincides with the sequential search's. *)
+(* First accepted package in canonical (size-lexicographic DFS) order. *)
 let find_accepted c ~base accept =
   if Package.size base > c.max_size then None
   else begin
     Observe.bump c_searches;
-    resolve_compat c;
-    Observe.span t_search @@ fun () ->
-    Subset.find_first c.space ~base ~domains:(kernel_domains c) ~accept
+    Observe.span t_search @@ fun () -> Subset.find_first c.space ~base ~accept
   end
 
 (* ------------------------------------------------------------------ *)
@@ -161,18 +135,11 @@ let remember c ~count pkgs =
   Instance.store_valid_index c.inst ~max_size:c.index_size ~count (fun () ->
       build c (pkgs ()))
 
-(* Parallel materialization via the kernel: per-branch lists concatenated
-   in branch order reproduce the sequential visit order exactly.  With
-   [visit] the walk stays on one domain and calls it on each valid
-   package as it is found, in canonical order. *)
-let walk_all ?visit c =
-  let keep, domains =
-    match visit with
-    | None -> (valid c, kernel_domains c)
-    | Some f -> ((fun pkg -> valid c pkg && (f pkg; true)), 1)
-  in
-  resolve_compat c;
-  let pkgs = Subset.collect c.space ~base:Package.empty ~domains ~keep in
+(* Every valid package in canonical order; [visit] sees each one as it
+   is found. *)
+let walk_all ?(visit = ignore) c =
+  let keep pkg = valid c pkg && (visit pkg; true) in
+  let pkgs = Subset.collect c.space ~base:Package.empty ~keep in
   (pkgs, remember c ~count:(List.length pkgs) (fun () -> pkgs))
 
 let valid_index ?visit c =
@@ -257,7 +224,6 @@ let iter_valid c f =
   | None ->
       (* Keep what the walk finds, up to the cap, for the index. *)
       let found = ref [] and count = ref 0 in
-      resolve_compat c;
       Subset.enumerate c.space ~base:Package.empty (fun pkg ->
           if valid c pkg then begin
             incr count;

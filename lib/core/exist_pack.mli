@@ -26,18 +26,13 @@ type ctx
 (** A search context: the instance with [Q(D)] precomputed and the concrete
     package-size bound fixed. *)
 
-val ctx : ?domains:int -> Instance.t -> ctx
-(** [domains] caps the number of OCaml domains the searches below may fan
-    out over (default {!Parallel.Pool.default_domains}, i.e. the available
-    cores; clamped to at least 1).  Small search spaces stay sequential
-    regardless.  Results — including the exact witnesses returned and
-    their order — are identical for every [domains] setting: the parallel
-    driver decomposes the search by root branch and recombines in
-    canonical branch order. *)
+val ctx : Instance.t -> ctx
+(** The searches below run on the calling domain, in the canonical
+    size-lexicographic DFS order of {!Solvers.Bnb.Subset}: the witnesses
+    they return and the order they list packages in are fixed by the
+    instance alone. *)
 
 val instance : ctx -> Instance.t
-
-val domains : ctx -> int
 
 val candidates : ctx -> Relational.Tuple.t list
 (** The items [Q(D)], in increasing tuple order. *)
@@ -74,9 +69,8 @@ val iter_valid : ctx -> (Package.t -> unit) -> unit
     (including the empty package if it is valid), each exactly once. *)
 
 val all_valid : ctx -> Package.t list
-(** Materialized {!iter_valid}, in visit (size-lexicographic DFS) order;
-    computed on the context's domains when the search space is large
-    enough. *)
+(** Materialized {!iter_valid}, in visit (size-lexicographic DFS)
+    order. *)
 
 val index : ctx -> Valid_index.t option
 (** The stored index of this context's instance, if there is one whose
@@ -85,9 +79,9 @@ val index : ctx -> Valid_index.t option
 val valid_index : ?visit:(Package.t -> unit) -> ctx -> Valid_index.t
 (** The index: the stored one, or one built from a fresh walk over all
     valid packages (stored when it has at most {!Instance.compat_memo_cap}
-    packages).  A walk given [visit] runs on one domain and calls it on
-    each valid package as it is found, in canonical order — the hook of
-    the anytime (budgeted) entry points; a replay does not call it. *)
+    packages).  A walk given [visit] calls it on each valid package as it
+    is found, in canonical order — the hook of the anytime (budgeted)
+    entry points; a replay does not call it. *)
 
 val ranked : ctx -> Package.t Seq.t
 (** Every valid package, by val() descending, ties by

@@ -11,20 +11,13 @@ let enumerate_budgeted ?budget ?ctx inst ~k =
   Robust.Budget.run ?budget
     ~partial:(fun _ -> Option.map fst !best)
     (fun () ->
-      match Robust.Budget.current () with
-      | None ->
-          (* No budget anywhere: take the default (possibly parallel) path
-             so answers and telemetry are byte-identical to [enumerate]. *)
-          enumerate ?ctx inst ~k
-      | Some _ ->
-          (* Anytime path: a walk runs sequentially, recording the best
-             valid package seen so far; a stored index is read as
-             [enumerate] reads it. *)
-          Exist_pack.topk (get_ctx ctx inst) ~k ~visit:(fun pkg ->
-              let v = value pkg in
-              match !best with
-              | Some (_, bv) when bv >= v -> ()
-              | _ -> best := Some (pkg, v)))
+      (* A walk records the best valid package seen so far; a stored index
+         is read as [enumerate] reads it. *)
+      Exist_pack.topk (get_ctx ctx inst) ~k ~visit:(fun pkg ->
+          let v = value pkg in
+          match !best with
+          | Some (_, bv) when bv >= v -> ()
+          | _ -> best := Some (pkg, v)))
 
 (* ------------------------------------------------------------------ *)
 (* The paper's oracle-driven algorithm (Theorem 5.1).

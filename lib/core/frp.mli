@@ -31,11 +31,10 @@ val enumerate_budgeted :
   k:int ->
   (Package.t list option, Package.t) Robust.Budget.outcome
 (** Anytime {!enumerate}.  Without a budget (explicit or ambient) this is
-    exactly [Exact (enumerate inst ~k)] on the default code path.  Under a
-    budget the enumeration runs sequentially so that on exhaustion
-    [Partial] can report the best valid package found so far (always a
-    sound answer: valid, within budget, rated ≤ the true optimum), or
-    [None] when none was reached.  When the instance already stores its
+    exactly [Exact (enumerate inst ~k)].  On exhaustion [Partial] reports
+    the best valid package the walk found so far (always a sound answer:
+    valid, within budget, rated ≤ the true optimum), or [None] when none
+    was reached.  When the instance already stores its
     valid-package index the answer is read from it, and an exhaustion
     there reports [None]. *)
 

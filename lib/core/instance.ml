@@ -61,11 +61,11 @@ type slot = Unresolved | Resolved of resolved
 (* Per-instance memo: Q(D), the compatibility slot and the valid-package
    index.  Attached as a fresh value by every constructor ([make],
    [with_db], [with_select]), which is what invalidates it when the
-   database or the query changes.  Guarded by a mutex — the package
-   search fans out over domains and they all share the instance.
-   Computation happens outside the lock (a duplicated first computation is
-   harmless; holding the lock through a query evaluation would serialize
-   the domains). *)
+   database or the query changes.  Guarded by a mutex — the serving
+   daemon's worker domains all share a loaded instance.  Computation
+   happens outside the lock (a duplicated first computation is harmless;
+   holding the lock through a query evaluation would serialize the
+   domains). *)
 type memo = {
   lock : Mutex.t;
   mutable cands : Relational.Relation.t option;

@@ -10,12 +10,12 @@
     - {b Domain safety.}  Counter cells are [Atomic.t]; the registry is
       mutex-guarded; capture buffers are domain-local.  No lock is taken
       on the recording fast path.
-    - {b Determinism under parallelism.}  Totals from work that runs
-      exactly once per item (e.g. [Pool.map]) are order-independent and
-      need no special handling.  Speculative work (e.g. losing branches
-      of [Pool.find_first]) is recorded into a per-task {!capture}
-      buffer, and the caller {!absorb}s only the buffers that the
-      equivalent sequential run would have executed. *)
+    - {b Per-request accounting.}  The serving daemon runs many requests
+      at once, one per worker domain.  Under [serve --trace-json] each
+      request's events are recorded into a {!capture} buffer on its
+      worker domain, reported in that request's record, then
+      {!absorb}ed into the global cells, so one request's numbers never
+      mix with another's. *)
 
 type counter
 type timer
@@ -53,7 +53,7 @@ val span : timer -> (unit -> 'a) -> 'a
     tracing is enabled.  Spans nest freely (each records its own
     duration) and record even when the thunk raises. *)
 
-(** {1 Deterministic accounting for speculative work} *)
+(** {1 Per-request accounting} *)
 
 type delta
 (** A private buffer of recorded events, produced by {!capture}. *)

@@ -1,136 +1,14 @@
-let c_tasks = Observe.counter "pool.tasks"
-let c_skips = Observe.counter "pool.tasks_skipped"
 let c_spawns = Observe.counter "pool.domains_spawned"
-let c_cancels = Observe.counter "pool.cancels"
-
-(* Parse a PKG_DOMAINS-style value.  Unset or unparseable values fall back
-   to the recommended domain count — an operator typo ("auto", "4x") must
-   not silently serialize the search; [warn] receives a one-line message
-   in that case.  Parseable values are clamped to at least 1. *)
-let parse_domains ?(warn = fun _ -> ()) v =
-  match v with
-  | None -> Domain.recommended_domain_count ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> max 1 n
-      | None ->
-          warn
-            (Printf.sprintf
-               "PKG_DOMAINS=%S is not an integer; using the recommended \
-                domain count"
-               s);
-          Domain.recommended_domain_count ())
-
-let warned = Atomic.make false
-
-(* A process-wide override of the default domain count, installed by hosts
-   that own the process's parallelism budget: the serving daemon runs one
-   request per worker domain and sets the override to 1 so the solvers it
-   calls do not fan out a second level of domains per request. *)
-let override = Atomic.make (None : int option)
-
-let set_domains_override v = Atomic.set override (Option.map (max 1) v)
-
-let default_domains () =
-  match Atomic.get override with
-  | Some n -> n
-  | None ->
-      parse_domains
-        (Sys.getenv_opt "PKG_DOMAINS")
-        ~warn:(fun msg ->
-          if not (Atomic.exchange warned true) then
-            Printf.eprintf "pool: warning: %s\n%!" msg)
 
 type panic = { exn : exn; bt : Printexc.raw_backtrace }
 
-(* Spawn [d - 1] extra domains all running [work], run [work] in the
-   calling domain too, join.  [Domain.join] synchronises, so everything the
-   workers wrote is visible to the caller afterwards. *)
-let run_workers d work =
-  if d <= 1 then work ()
-  else begin
-    Observe.add c_spawns (d - 1);
-    let doms = List.init (d - 1) (fun _ -> Domain.spawn work) in
-    work ();
-    List.iter Domain.join doms
-  end
-
-(* A draining loop around an atomic task counter.  [step i] runs task [i]
-   and returns [true] to continue pulling tasks.  On an exception the pool
-   records it (first writer wins), cancels the shared budget token so tasks
-   already in flight on other domains stop at their next [Budget.check],
-   drops the remaining queued indexes, and the caller re-raises after the
-   join.
-
-   Every worker runs under a [Budget.subtoken] of the caller's budget (or a
-   fresh unlimited token when none is installed): fuel and deadline
-   accounting stay global, while cancelling the token only aborts this
-   pool's tasks, never the caller.  [Robust.Budget.Exhausted Cancelled]
-   raised by sibling tasks after a cancellation loses the first-writer race
-   by construction (the triggering task records its panic before
-   cancelling), so the original failure is what the caller sees. *)
-let drain ~domains ~n step =
-  let next = Atomic.make 0 in
-  let failed = Atomic.make (None : panic option) in
-  let tok =
-    match Robust.Budget.current () with
-    | Some b -> Robust.Budget.subtoken b
-    | None -> Robust.Budget.make ()
-  in
-  let work () =
-    Robust.Budget.with_budget tok @@ fun () ->
-    let rec loop () =
-      if Atomic.get failed = None && not (Robust.Budget.is_cancelled tok)
-      then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (match
-             Robust.Fault.hit "pool.task";
-             step i
-           with
-          | true -> ()
-          | false -> Atomic.set next n
-          | exception exn ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set failed None (Some { exn; bt }));
-              Observe.bump c_cancels;
-              Robust.Budget.cancel tok;
-              Atomic.set next n);
-          loop ()
-        end
-      end
-    in
-    loop ()
-  in
-  run_workers (max 1 (min domains n)) work;
-  match Atomic.get failed with
-  | Some { exn; bt } -> Printexc.raise_with_backtrace exn bt
-  | None -> ()
-
-let map ?(domains = default_domains ()) n f =
-  if n <= 0 then []
-  else if domains <= 1 || n = 1 then begin
-    Observe.add c_tasks n;
-    List.init n f
-  end
-  else begin
-    let results = Array.make n None in
-    drain ~domains ~n (fun i ->
-        Observe.bump c_tasks;
-        results.(i) <- Some (f i);
-        true);
-    Array.to_list
-      (Array.map (function Some x -> x | None -> assert false) results)
-  end
-
-(* Long-lived worker sets: unlike [map]/[find_first] (fork-join over a
-   fixed task count), a worker set runs [work i] on [domains] freshly
-   spawned domains until each returns — the calling domain is NOT one of
-   the workers, so it can keep doing its own work (the serving daemon's
-   accept/read loop) while the set runs.  A worker's uncaught exception is
-   latched and re-raised at [join_workers]; the other workers keep
-   running (each [work] is expected to catch its own per-item failures —
-   the latch is a programming-error backstop, not a control path). *)
+(* A worker set runs [work i] on [domains] freshly spawned domains until
+   each returns — the calling domain is NOT one of the workers, so it can
+   keep doing its own work (the serving daemon's accept/read loop) while
+   the set runs.  A worker's uncaught exception is latched and re-raised
+   at [join_workers]; the other workers keep running (each [work] is
+   expected to catch its own per-item failures — the latch is a
+   programming-error backstop, not a control path). *)
 type worker_set = {
   ws_domains : unit Domain.t list;
   ws_panic : panic option Atomic.t;
@@ -157,54 +35,4 @@ let join_workers ws =
   | Some { exn; bt } -> Printexc.raise_with_backtrace exn bt
   | None -> ()
 
-let rec atomic_min a i =
-  let cur = Atomic.get a in
-  if i < cur && not (Atomic.compare_and_set a cur i) then atomic_min a i
-
-let find_first ?(domains = default_domains ()) n f =
-  if n <= 0 then None
-  else if domains <= 1 || n = 1 then begin
-    let rec go i =
-      if i >= n then None
-      else begin
-        Observe.bump c_tasks;
-        match f i with Some r -> Some r | None -> go (i + 1)
-      end
-    in
-    go 0
-  end
-  else begin
-    let results = Array.make n None in
-    (* Losing tasks past the winning index are speculative: the
-       sequential search would never have run them.  Each task records
-       into a capture buffer, and only the buffers a sequential run
-       would have produced (indexes 0 .. best) are absorbed — so every
-       counter total matches the [domains = 1] path exactly. *)
-    let deltas = Array.make n None in
-    let best = Atomic.make max_int in
-    drain ~domains ~n (fun i ->
-        (* Anything past the best hit so far cannot win: skip it.  Indexes
-           below the best are always evaluated, so the least-index witness
-           is found regardless of scheduling. *)
-        if i <= Atomic.get best then begin
-          let r, d =
-            Observe.capture (fun () ->
-                Observe.bump c_tasks;
-                f i)
-          in
-          deltas.(i) <- Some d;
-          match r with
-          | Some r ->
-              results.(i) <- Some r;
-              atomic_min best i
-          | None -> ()
-        end
-        else Observe.bump c_skips;
-        true);
-    let b = Atomic.get best in
-    let last = if b = max_int then n - 1 else b in
-    for i = 0 to last do
-      match deltas.(i) with Some d -> Observe.absorb d | None -> ()
-    done;
-    if b = max_int then None else results.(b)
-  end
+let set_domains_override (_ : int option) = ()

@@ -1,54 +1,8 @@
-(** A minimal chunked work pool over OCaml 5 [Domain]s.
+(** Long-lived worker domains for the serving daemon.
 
-    Tasks are indexed [0 .. n-1] and pulled from a shared atomic counter by
-    [domains] workers (the calling domain is one of them), so no task is
-    run twice and load balances dynamically.  With [domains = 1] (or a
-    single task) everything runs inline in the calling domain — the
-    sequential and parallel modes execute the same code path, which is what
-    makes the results deterministic across [~domains] settings.
-
-    Exceptions raised by a task are captured, the pool drains, and the
-    first one (by completion) is re-raised in the caller with its
-    backtrace.  The failing task additionally cancels a shared
-    [Robust.Budget] token under which every worker runs: queued indexes are
-    dropped and sibling tasks already in flight stop at their next
-    cooperative [Budget.check] (raising [Exhausted Cancelled], which never
-    outranks the original failure).  The token is a [Budget.subtoken] of
-    the caller's installed budget when one exists, so pool workers consume
-    the caller's fuel and observe its deadline; cancelling the pool token
-    never trips the caller's own budget. *)
-
-val parse_domains : ?warn:(string -> unit) -> string option -> int
-(** Interpret a [PKG_DOMAINS]-style value: [None] (unset) and unparseable
-    strings (["auto"], ["4x"]) both give [Domain.recommended_domain_count
-    ()]; an unparseable string additionally passes a one-line message to
-    [warn] (default: ignore).  Parseable values are clamped to at least
-    1. *)
-
-val set_domains_override : int option -> unit
-(** Install (or clear, with [None]) a process-wide override of
-    {!default_domains}, clamped to at least 1.  The override outranks
-    [PKG_DOMAINS]: a host that owns the process's parallelism budget —
-    the serving daemon runs one request per worker domain — sets it to 1
-    so the solvers it calls do not fan out a second level of domains per
-    request. *)
-
-val default_domains : unit -> int
-(** The {!set_domains_override} value when one is installed, else
-    [parse_domains (Sys.getenv_opt "PKG_DOMAINS")], warning once per
-    process on stderr if the variable is set but unparseable.
-
-    Telemetry (see {!Observe}): the pool maintains [pool.tasks] (tasks
-    actually executed — deterministic across [~domains] settings, because
-    [find_first] runs speculative tasks under {!Observe.capture} and
-    absorbs only the ones a sequential search would have executed),
-    [pool.tasks_skipped] (tasks short-circuited by [find_first]'s bound;
-    scheduling-dependent by nature) and [pool.domains_spawned]. *)
-
-val map : ?domains:int -> int -> (int -> 'a) -> 'a list
-(** [map n f] is [[f 0; f 1; ...; f (n-1)]], computed on up to [domains]
-    domains.  The result order is the index order regardless of the
-    execution interleaving. *)
+    Package search runs on the calling domain; the only multicore surface
+    of the repository is [recommend serve], which runs one request per
+    worker domain over a shared queue. *)
 
 type worker_set
 (** A set of long-lived worker domains spawned by {!spawn_workers}. *)
@@ -56,20 +10,22 @@ type worker_set
 val spawn_workers : domains:int -> (int -> unit) -> worker_set
 (** [spawn_workers ~domains work] spawns [max 1 domains] fresh domains,
     each running [work i] to completion ([i] is the worker index).  The
-    calling domain is {e not} one of the workers — unlike {!map}, which
-    fork-joins over a fixed task count, a worker set serves an open-ended
-    stream (each [work] typically loops over a shared queue until it is
-    closed) while the caller keeps running its own loop.  A worker's
-    uncaught exception is latched (first writer wins) and re-raised by
-    {!join_workers}; the remaining workers keep running. *)
+    calling domain is {e not} one of the workers: a worker set serves an
+    open-ended stream (each [work] typically loops over a shared queue
+    until it is closed) while the caller keeps running its own loop.  A
+    worker's uncaught exception is latched (first writer wins) and
+    re-raised by {!join_workers}; the remaining workers keep running.
+    Past the runtime's domain limit [Domain.spawn] raises [Failure]; the
+    workers already spawned then run until their [work] returns, so
+    callers bound [domains] first.
+
+    Telemetry (see {!Observe}): [pool.domains_spawned]. *)
 
 val join_workers : worker_set -> unit
 (** Block until every worker returns, then re-raise the latched panic if
     any worker died of an uncaught exception. *)
 
-val find_first : ?domains:int -> int -> (int -> 'a option) -> 'a option
-(** [find_first n f] is [f i] for the least [i] with [f i <> None], or
-    [None].  Tasks with indexes above the best hit found so far are
-    skipped, so the search terminates early; the returned witness is the
-    least-index one whatever the interleaving, making the result identical
-    to the sequential left-to-right search. *)
+val set_domains_override : int option -> unit
+(** A no-op.  Package search no longer fans out over domains, so there is
+    no domain count to override; the function stays only because the
+    repository benchmark still calls it. *)

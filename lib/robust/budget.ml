@@ -1,13 +1,11 @@
 type reason =
   | Deadline
   | Fuel
-  | Cancelled
   | Fault of string
 
 let reason_to_string = function
   | Deadline -> "deadline"
   | Fuel -> "fuel"
-  | Cancelled -> "cancelled"
   | Fault site -> Printf.sprintf "fault:%s" site
 
 exception Exhausted of reason
@@ -15,10 +13,8 @@ exception Exhausted of reason
 type t = {
   deadline : float;  (* absolute epoch seconds; [infinity] = none *)
   fuel : int;  (* max ticks; [max_int] = unlimited *)
-  ticks : int Atomic.t;  (* shared with subtokens: global fuel accounting *)
-  cancelled : bool Atomic.t;
-  tripped : reason option Atomic.t;  (* per-token latch *)
-  parent : t option;
+  ticks : int Atomic.t;
+  tripped : reason option Atomic.t;  (* the first exhaustion reason *)
 }
 
 let c_exhausted = Observe.counter "robust.exhausted"
@@ -34,23 +30,7 @@ let make ?deadline ?fuel () =
     deadline;
     fuel;
     ticks = Atomic.make 0;
-    cancelled = Atomic.make false;
     tripped = Atomic.make None;
-    parent = None;
-  }
-
-let cancel b = Atomic.set b.cancelled true
-
-let rec is_cancelled b =
-  Atomic.get b.cancelled
-  || match b.parent with Some p -> is_cancelled p | None -> false
-
-let subtoken p =
-  {
-    p with
-    cancelled = Atomic.make false;
-    tripped = Atomic.make None;
-    parent = Some p;
   }
 
 let ticks b = Atomic.get b.ticks
@@ -84,7 +64,6 @@ let check_installed b =
   | None -> ());
   let n = Atomic.fetch_and_add b.ticks 1 in
   if n >= b.fuel then trip b Fuel;
-  if is_cancelled b then trip b Cancelled;
   if
     b.deadline < infinity
     && n land 0xff = 0

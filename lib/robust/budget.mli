@@ -1,5 +1,5 @@
-(** Cooperative execution budgets: wall-clock deadlines, fuel counters, and
-    cancellation tokens.
+(** Cooperative execution budgets: wall-clock deadlines and fuel
+    counters.
 
     A budget is installed for the current domain with {!with_budget} (or
     implicitly by {!run}); instrumented loops call {!check}, which is a no-op
@@ -11,7 +11,6 @@
 type reason =
   | Deadline  (** wall-clock deadline passed *)
   | Fuel  (** fuel (check count) exhausted *)
-  | Cancelled  (** cancellation token tripped, e.g. a sibling pool task failed *)
   | Fault of string  (** injected by [Robust.Fault] at the named site *)
 
 val reason_to_string : reason -> string
@@ -25,25 +24,10 @@ type t
 
 (** [make ?deadline ?fuel ()] creates a budget.  [deadline] is relative
     seconds from now; [fuel] is the number of {!check} calls allowed.
-    Omitted limits are unlimited.  The tick counter is shared by all
-    {!subtoken}s, so fuel is a global bound across domains. *)
+    Omitted limits are unlimited. *)
 val make : ?deadline:float -> ?fuel:int -> unit -> t
 
-(** Trip the cancellation flag.  Every domain running under this token (or a
-    {!subtoken} of it) exhausts with reason {!Cancelled} at its next check. *)
-val cancel : t -> unit
-
-val is_cancelled : t -> bool
-
-(** A child token sharing the parent's tick counter, deadline and fuel, but
-    with its own cancellation flag and exhaustion latch: cancelling the child
-    does not trip the parent, while a cancelled parent still cancels the
-    child.  Used by [Parallel.Pool] to abort sibling tasks without poisoning
-    the caller's budget. *)
-val subtoken : t -> t
-
-(** Number of checks performed so far against this budget (shared across
-    subtokens and domains). *)
+(** Number of checks performed so far against this budget. *)
 val ticks : t -> int
 
 (** The budget installed for the current domain, if any. *)

@@ -6,7 +6,6 @@ type kind =
 
 let sites =
   [
-    "pool.task";
     "bnb.node";
     "pb.node";
     "sat.conflict";

@@ -89,9 +89,13 @@ type config = {
   trace : (string -> unit) option;
 }
 
+(* The runtime's domain limit ([Max_domains], 128 by default) counts the
+   calling domain. *)
+let max_workers = 127
+
 let default_config =
   {
-    domains = Parallel.Pool.default_domains ();
+    domains = min max_workers (Domain.recommended_domain_count ());
     queue_cap = 64;
     deadline = None;
     max_deadline = None;
@@ -135,6 +139,10 @@ type t = {
 }
 
 let create ?(config = default_config) reg =
+  if config.domains > max_workers then
+    invalid_arg
+      (Printf.sprintf "Server.create: %d worker domains exceed the limit of %d"
+         config.domains max_workers);
   let names = List.map fst reg in
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Server.create: duplicate instance name";
@@ -485,7 +493,7 @@ let process t item =
   in
   (* Under --trace-json each request's Observe events are captured on
      this domain, reported in its trace record, then absorbed into the
-     global cells (satellite: per-request accounting). *)
+     global cells. *)
   let (status, reason, data), counters =
     if t.config.trace <> None && Observe.enabled () then begin
       let res, delta = Observe.capture work in
@@ -682,19 +690,16 @@ let bound_port fd =
 
 let run t lfd =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  (* Workers fan requests across domains; the solvers below them must
-     not nest their own domain fan-out under the server's. *)
-  Parallel.Pool.set_domains_override (Some 1);
-  let ws = Parallel.Pool.spawn_workers ~domains:t.config.domains (fun _ -> worker t) in
+  let ws = ref None in
   let conns = ref [] in
   let finally () =
     (try Unix.close lfd with _ -> ());
     Bq.close t.queue;
-    Parallel.Pool.join_workers ws;
-    List.iter (fun c -> try Unix.close c.fd with _ -> ()) !conns;
-    Parallel.Pool.set_domains_override None
+    Option.iter Parallel.Pool.join_workers !ws;
+    List.iter (fun c -> try Unix.close c.fd with _ -> ()) !conns
   in
   match
+    ws := Some (Parallel.Pool.spawn_workers ~domains:t.config.domains (fun _ -> worker t));
     while not (Atomic.get t.stopping) do
       (* Reap connections that are finished (EOF or dead) and drained. *)
       conns :=

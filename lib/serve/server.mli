@@ -21,8 +21,7 @@
     {b Shared state.}  Loaded instances are immutable and their lazy
     caches (plan LRU, candidate/compat memos, relation fast paths) are
     concurrent-safe, so worker domains share them without copying.
-    Each worker runs with the domain-count override pinned to 1 so the
-    inner solvers do not nest domain fan-out under the server's own. *)
+    Package search itself runs on the worker's own domain. *)
 
 type config = {
   domains : int;  (** worker domains executing data-plane requests *)
@@ -37,8 +36,8 @@ type config = {
 }
 
 val default_config : config
-(** [domains = Parallel.Pool.default_domains ()], [queue_cap = 64], no
-    deadlines, no fuel, no trace. *)
+(** [domains = Domain.recommended_domain_count ()] (at most 127),
+    [queue_cap = 64], no deadlines, no fuel, no trace. *)
 
 val max_line_bytes : int
 (** Longest request line the daemon reads (1 MiB, the newline
@@ -53,8 +52,11 @@ type t
 val create : ?config:config -> (string * Core.Instance.t) list -> t
 (** [create instances] — the registry maps wire names ([inst=NAME]) to
     loaded instances; each is {!Core.Instance.prewarm}ed so first
-    requests hit warm caches.  Raises [Invalid_argument] on duplicate
-    names. *)
+    requests hit warm caches.  [config.domains] and [config.queue_cap]
+    are raised to at least 1.  Raises [Invalid_argument] on duplicate
+    names, and when [config.domains] exceeds 127 (the runtime allows 128
+    domains, the calling one included); both are checked before any
+    instance is prewarmed or any domain started. *)
 
 val listen_unix : string -> Unix.file_descr
 (** Bind and listen on a unix-domain socket path (unlinking any stale

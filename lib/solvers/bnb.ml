@@ -106,96 +106,45 @@ module Subset = struct
     tick : Tick.t;
   }
 
-  (* Depth-first walk of the extensions of [st] using items at index [i]
-     and above, visiting [st] itself first — together with the index
-     threading this is precisely the size-lexicographic DFS order. *)
-  let rec go sp visit st i =
-    Tick.visit sp.tick;
-    visit st;
+  (* Depth-first walk of the strict extensions of [st] by items at index
+     [i] and above, each visited before its own extensions — together with
+     the index threading this is precisely the size-lexicographic DFS
+     order. *)
+  let rec extend sp visit st i =
     if sp.size st < sp.max_size then
       for j = i to Array.length sp.items - 1 do
         let it = sp.items.(j) in
         if not (sp.skip st it) then
           match sp.child st it with
           | None -> ()
-          | Some st' -> go sp visit st' (j + 1)
+          | Some st' ->
+              Tick.visit sp.tick;
+              visit st';
+              extend sp visit st' (j + 1)
       done
-
-  let visit_branch sp ~base j visit =
-    if sp.size base < sp.max_size then begin
-      let it = sp.items.(j) in
-      if not (sp.skip base it) then
-        match sp.child base it with
-        | None -> ()
-        | Some st' -> go sp visit st' (j + 1)
-    end
 
   let enumerate sp ~base visit =
     if sp.size base <= sp.max_size then begin
       Tick.visit_root sp.tick;
       visit base;
-      for j = 0 to Array.length sp.items - 1 do
-        visit_branch sp ~base j visit
-      done
+      extend sp visit base 0
     end
 
   exception Found
 
-  let find_first sp ~base ~domains ~accept =
-    if sp.size base > sp.max_size then None
-    else begin
-      Tick.visit_root sp.tick;
-      if accept base then Some base
-      else begin
-        (* The hit cell is per-branch-search: pool tasks run on distinct
-           domains and must not share one. *)
-        let search_branch j =
-          let hit = ref None in
-          try
-            visit_branch sp ~base j (fun st ->
-                if accept st then begin
-                  hit := Some st;
-                  raise Found
-                end);
-            None
-          with Found -> !hit
-        in
-        if domains <= 1 then begin
-          (* [base] was just tested above — walk the branches directly
-             rather than through [enumerate], which would test it twice. *)
-          let n = Array.length sp.items in
-          let rec loop j =
-            if j >= n then None
-            else match search_branch j with Some _ as r -> r | None -> loop (j + 1)
-          in
-          loop 0
-        end
-        else
-          Parallel.Pool.find_first ~domains (Array.length sp.items)
-            (fun j -> search_branch j)
-      end
-    end
+  let find_first sp ~base ~accept =
+    let hit = ref None in
+    try
+      enumerate sp ~base (fun st ->
+          if accept st then begin
+            hit := Some st;
+            raise Found
+          end);
+      None
+    with Found -> !hit
 
-  let collect sp ~base ~domains ~keep =
-    if sp.size base > sp.max_size then []
-    else if domains <= 1 then begin
-      let acc = ref [] in
-      enumerate sp ~base (fun st -> if keep st then acc := st :: !acc);
-      List.rev !acc
-    end
-    else begin
-      (* Per-branch lists concatenated in branch order reproduce the
-         sequential visit order exactly (see [visit_branch]); the root is
-         counted once, as [enumerate] does. *)
-      Tick.visit_root sp.tick;
-      let root = if keep base then [ base ] else [] in
-      let branches =
-        Parallel.Pool.map ~domains (Array.length sp.items) (fun j ->
-            let acc = ref [] in
-            visit_branch sp ~base j (fun st ->
-                if keep st then acc := st :: !acc);
-            List.rev !acc)
-      in
-      root @ List.concat branches
-    end
+  let collect sp ~base ~keep =
+    let acc = ref [] in
+    enumerate sp ~base (fun st -> if keep st then acc := st :: !acc);
+    List.rev !acc
 end

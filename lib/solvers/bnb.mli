@@ -16,13 +16,9 @@
       anytime payload a budget-exhausted run reports as a sound [Partial];
     - {!Make} is a generic depth-first branch-and-bound driver over
       immutable states (MaxSAT, pseudo-Boolean);
-    - {!Subset} is the indexed-subset enumeration shared by the package
-      oracle and the PB solver's selection space, with the [Parallel.Pool]
-      root decomposition: the subtree at root branch [j] covers exactly
-      the extensions whose least-index added item is [items.(j)], so
-      branches partition the space and concatenating per-branch results in
-      branch order reproduces the sequential (size-lexicographic) visit
-      order. *)
+    - {!Subset} is the indexed-subset enumeration of the package oracle:
+      one sequential walk in size-lexicographic order, so the first
+      accepted state and the order of collected states are canonical. *)
 
 module Tick : sig
   type t
@@ -123,33 +119,17 @@ module Subset : sig
     tick : Tick.t;
   }
 
-  val visit_branch : ('st, 'it) space -> base:'st -> int -> ('st -> unit) -> unit
-  (** Depth-first walk of root branch [j]: the strict extensions of
-      [base] whose least added index is [j], in size-lexicographic order.
-      Every visited state pays one {!Tick.visit}. *)
-
   val enumerate : ('st, 'it) space -> base:'st -> ('st -> unit) -> unit
   (** [base] itself (counted via {!Tick.visit_root}) followed by every
-      branch in index order — the full size-lexicographic enumeration. *)
+      strict extension of it in size-lexicographic DFS order; every
+      extension visited pays one {!Tick.visit}. *)
 
   val find_first :
-    ('st, 'it) space ->
-    base:'st ->
-    domains:int ->
-    accept:('st -> bool) ->
-    'st option
-  (** First accepted state in canonical order.  With [domains > 1] the
-      root branches are searched concurrently via
-      {!Parallel.Pool.find_first}, which still returns the least-branch
-      hit — the witness coincides with the sequential search's. *)
+    ('st, 'it) space -> base:'st -> accept:('st -> bool) -> 'st option
+  (** The first accepted state of {!enumerate}'s order; the walk stops
+      there. *)
 
   val collect :
-    ('st, 'it) space ->
-    base:'st ->
-    domains:int ->
-    keep:('st -> bool) ->
-    'st list
-  (** Every kept state, in canonical (sequential) order; with
-      [domains > 1] the branches are materialized concurrently and
-      concatenated in branch order, which reproduces it exactly. *)
+    ('st, 'it) space -> base:'st -> keep:('st -> bool) -> 'st list
+  (** Every kept state, in {!enumerate}'s order. *)
 end

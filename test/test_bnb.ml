@@ -238,18 +238,15 @@ let reference_valid inst =
 
 let prop_oracle_order_matches_reference =
   QCheck.Test.make
-    ~name:"Exist_pack (Bnb.Subset): all_valid = reference order, both domains"
+    ~name:"Exist_pack (Bnb.Subset): all_valid = reference order"
     ~count:60
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let inst = random_inst seed in
       let reference = reference_valid inst in
-      let seq = Exist_pack.all_valid (Exist_pack.ctx ~domains:1 inst) in
-      let par = Exist_pack.all_valid (Exist_pack.ctx ~domains:4 inst) in
-      let same a b =
-        List.length a = List.length b && List.for_all2 Package.equal a b
-      in
-      same seq reference && same par reference)
+      let got = Exist_pack.all_valid (Exist_pack.ctx inst) in
+      List.length got = List.length reference
+      && List.for_all2 Package.equal got reference)
 
 let prop_oracle_witness_matches_reference =
   QCheck.Test.make
@@ -264,7 +261,7 @@ let prop_oracle_witness_matches_reference =
       let reference =
         List.find_opt (fun p -> value p >= bound) (reference_valid inst)
       in
-      let got = Exist_pack.search (Exist_pack.ctx ~domains:1 inst) ~bound () in
+      let got = Exist_pack.search (Exist_pack.ctx inst) ~bound () in
       match (got, reference) with
       | None, None -> true
       | Some g, Some r -> Package.equal g r

@@ -1,6 +1,7 @@
 (* Tests for the relational fast paths: the interning pool, by-column
-   indexes and their invalidation, index-backed CQ joins, the per-instance candidate/compatibility memos, the one-pass Bindings.extend,
-   and the deterministic multicore package search. *)
+   indexes and their invalidation, index-backed CQ joins, the per-instance
+   candidate/compatibility memos, the one-pass Bindings.extend, the serving
+   daemon's worker set, and the SAT trail. *)
 
 open Core
 module Value = Relational.Value
@@ -203,62 +204,25 @@ let test_extend_values () =
     (List.sort compare (Qlang.Bindings.assignments b')
     = List.sort compare expected)
 
-(* ---------- domain pool ---------- *)
+(* ---------- serve's worker set ---------- *)
 
-let test_pool_map () =
-  check "default domains >= 1" true (Pool.default_domains () >= 1);
-  let sq = Pool.map ~domains:4 20 (fun i -> i * i) in
-  check "map preserves index order" true
-    (sq = List.init 20 (fun i -> i * i));
-  check "map with one domain" true
-    (Pool.map ~domains:1 5 (fun i -> i) = [ 0; 1; 2; 3; 4 ]);
-  check "map of zero items" true (Pool.map ~domains:4 0 (fun i -> i) = [])
+let test_worker_set () =
+  (* Each worker writes only its own cell; [join_workers] joins every
+     domain, so the writes are visible afterwards. *)
+  let seen = Array.make 3 false in
+  Pool.join_workers (Pool.spawn_workers ~domains:3 (fun i -> seen.(i) <- true));
+  check "every worker ran its index" true (Array.for_all Fun.id seen);
+  let ran = Atomic.make 0 in
+  Pool.join_workers (Pool.spawn_workers ~domains:0 (fun _ -> Atomic.incr ran));
+  check_int "domains below 1 start one worker" 1 (Atomic.get ran)
 
-let test_pool_find_first () =
-  (* Several hits: the least index must win regardless of scheduling. *)
-  let hits = [ 7; 3; 11 ] in
-  let f i = if List.mem i hits then Some (i * 100) else None in
-  check "least-index witness" true (Pool.find_first ~domains:4 16 f = Some 300);
-  check "sequential agrees" true (Pool.find_first ~domains:1 16 f = Some 300);
-  check "no hit" true (Pool.find_first ~domains:4 16 (fun _ -> None) = None)
-
-let test_pool_exception () =
-  match Pool.map ~domains:4 8 (fun i -> if i = 5 then failwith "boom" else i) with
-  | exception Failure m -> check "worker exception propagates" true (m = "boom")
-  | _ -> Alcotest.fail "expected Failure"
-
-(* ---------- deterministic multicore search ---------- *)
-
-let team_search_instance seed n =
-  let rng = Random.State.make [| seed |] in
-  let db = Workload.Teams.random_db rng ~nexperts:n ~nconflicts:(n / 2) in
-  Instance.make ~db
-    ~select:(Qlang.Query.Fo (Workload.Teams.experts_with_skill "backend"))
-    ~compat:(Instance.Compat_query Workload.Teams.no_conflicts)
-    ~cost:Workload.Teams.salary_cost ~value:Workload.Teams.score_value
-    ~budget:1e9 ()
-
-let prop_domains_deterministic =
-  QCheck.Test.make ~name:"all_valid/search: domains=1 = domains=4" ~count:20
-    seed_gen (fun seed ->
-      let inst = team_search_instance seed 24 in
-      let c1 = Exist_pack.ctx ~domains:1 inst in
-      let c4 = Exist_pack.ctx ~domains:4 inst in
-      let v1 = Exist_pack.all_valid c1 and v4 = Exist_pack.all_valid c4 in
-      let bound = 10. in
-      let s1 = Exist_pack.search c1 ~bound ()
-      and s4 = Exist_pack.search c4 ~bound () in
-      List.equal Package.equal v1 v4
-      && Option.equal Package.equal s1 s4
-      && Exist_pack.domains c4 = 4)
-
-let prop_frp_domains_deterministic =
-  QCheck.Test.make ~name:"Frp.enumerate: domains=1 = domains=4" ~count:10
-    seed_gen (fun seed ->
-      let inst = team_search_instance seed 20 in
-      let r1 = Frp.enumerate ~ctx:(Exist_pack.ctx ~domains:1 inst) inst ~k:2 in
-      let r4 = Frp.enumerate ~ctx:(Exist_pack.ctx ~domains:4 inst) inst ~k:2 in
-      Option.equal (List.equal Package.equal) r1 r4)
+let test_worker_exception () =
+  let ws =
+    Pool.spawn_workers ~domains:2 (fun i -> if i = 1 then failwith "boom")
+  in
+  match Pool.join_workers ws with
+  | exception Failure m -> check "worker exception re-raised at join" true (m = "boom")
+  | () -> Alcotest.fail "expected Failure"
 
 (* ---------- SAT trail ---------- *)
 
@@ -326,14 +290,8 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "map" `Quick test_pool_map;
-          Alcotest.test_case "find_first" `Quick test_pool_find_first;
-          Alcotest.test_case "exceptions" `Quick test_pool_exception;
-        ] );
-      ( "domains",
-        [
-          QCheck_alcotest.to_alcotest prop_domains_deterministic;
-          QCheck_alcotest.to_alcotest prop_frp_domains_deterministic;
+          Alcotest.test_case "worker set" `Quick test_worker_set;
+          Alcotest.test_case "exceptions" `Quick test_worker_exception;
         ] );
       ( "sat-trail",
         [

@@ -1,7 +1,6 @@
 (* Tests for the Observe telemetry library and its integration points:
-   counters, timers, spans, capture/absorb, deterministic accounting under
-   the parallel Pool, the DPLL solver's event counts, and PKG_DOMAINS
-   parsing. *)
+   counters, timers, spans, capture/absorb, reproducible oracle and memo
+   counters, and the DPLL solver's event counts. *)
 
 module Value = Relational.Value
 module Relation = Relational.Relation
@@ -117,56 +116,7 @@ let test_rendering () =
     && json.[String.length json - 1] = '}');
   check "json has the counter" true (contains json "\"test.basic\": 2")
 
-(* ---------- deterministic accounting under Pool ---------- *)
-
-let c_work = Observe.counter "test.work"
-
-let test_pool_map_deterministic () =
-  let totals =
-    List.map
-      (fun domains ->
-        Observe.reset ();
-        let r = Parallel.Pool.map ~domains 20 (fun i -> Observe.bump c_work; i) in
-        check "map result" true (r = List.init 20 Fun.id);
-        (count "test.work" (Observe.snapshot ()),
-         count "pool.tasks" (Observe.snapshot ())))
-      [ 1; 4 ]
-  in
-  List.iter
-    (fun (work, tasks) ->
-      check_int "every task counted once" 20 work;
-      check_int "pool.tasks matches" 20 tasks)
-    totals
-
-let test_pool_find_first_deterministic () =
-  (* the speculative losers of the parallel search must not leak into the
-     totals: whatever the interleaving, the counts equal the sequential
-     left-to-right search's *)
-  List.iter
-    (fun domains ->
-      Observe.reset ();
-      let r =
-        Parallel.Pool.find_first ~domains 32 (fun i ->
-            Observe.bump c_work;
-            if i = 7 then Some i else None)
-      in
-      check "hit found" true (r = Some 7);
-      check_int
-        (Printf.sprintf "tasks 0..7 counted (domains=%d)" domains)
-        8
-        (count "test.work" (Observe.snapshot ())))
-    [ 1; 4 ];
-  (* a miss executes every task, under either schedule *)
-  List.iter
-    (fun domains ->
-      Observe.reset ();
-      let r = Parallel.Pool.find_first ~domains 16 (fun i ->
-          Observe.bump c_work; ignore i; None) in
-      check "no hit" true (r = None);
-      check_int "all tasks counted" 16 (count "test.work" (Observe.snapshot ())))
-    [ 1; 4 ]
-
-(* ---------- oracle / memo counters across domain counts ---------- *)
+(* ---------- oracle / memo counters ---------- *)
 
 let team_instance () =
   let db =
@@ -186,33 +136,28 @@ let team_instance () =
     ~value:(Core.Rating.sum_col ~nonneg:true 1) ~budget:3. ()
 
 let work_counters snap =
-  (* the deterministic work counters; pool.* describes the execution
-     shape and legitimately varies with the domain count, and timers
-     carry wall-clock seconds *)
+  (* the deterministic work counters: timers carry wall-clock seconds *)
   List.filter
-    (fun (name, v) ->
-      (match v with Observe.Count _ -> true | Observe.Span _ -> false)
-      && not (String.length name >= 5 && String.sub name 0 5 = "pool."))
+    (fun (_, v) -> match v with Observe.Count _ -> true | Observe.Span _ -> false)
     snap
 
-let test_all_valid_counters_domain_independent () =
-  let run domains =
+let test_all_valid_counters_reproducible () =
+  let run () =
     Observe.reset ();
     let inst = team_instance () in
-    let pkgs = Core.Exist_pack.all_valid (Core.Exist_pack.ctx ~domains inst) in
+    let pkgs = Core.Exist_pack.all_valid (Core.Exist_pack.ctx inst) in
     (pkgs, work_counters (Observe.nonzero (Observe.snapshot ())))
   in
   (* The plan cache is process-wide: a first run compiles plans that the
-     later runs find cached, whatever their domain count. *)
-  ignore (run 1);
-  let pkgs1, snap1 = run 1 in
-  let pkgs4, snap4 = run 4 in
-  check "same packages" true (List.equal Core.Package.equal pkgs1 pkgs4);
-  check "oracle/memo counters identical across domain counts" true
-    (snap1 = snap4);
+     later runs find cached. *)
+  ignore (run ());
+  let pkgs1, snap1 = run () in
+  let pkgs2, snap2 = run () in
+  check "same packages" true (List.equal Core.Package.equal pkgs1 pkgs2);
+  check "oracle/memo counters identical across runs" true (snap1 = snap2);
   check "oracle.nodes nonzero" true (count "oracle.nodes" snap1 > 0);
-  (* The team constraint is a CQ: one conflict-set build before the walk
-     fans out, then every verdict is a subset test. *)
+  (* The team constraint is a CQ: one conflict-set build, then every
+     verdict is a subset test. *)
   check_int "one conflict-set build" 1 (count "compat.conflict_builds" snap1);
   check "conflict route answers" true (count "compat.conflict_checks" snap1 > 0);
   check_int "no delta verdicts" 0
@@ -257,34 +202,6 @@ let test_sat_counters () =
   check "reproducible" true
     (work_counters s1 = work_counters s2 && r1 = r2)
 
-(* ---------- PKG_DOMAINS parsing (config edge case) ---------- *)
-
-let test_parse_domains () =
-  let recommended = Domain.recommended_domain_count () in
-  check_int "unset uses recommended" recommended
-    (Parallel.Pool.parse_domains None);
-  check_int "plain integer" 4 (Parallel.Pool.parse_domains (Some "4"));
-  check_int "whitespace tolerated" 6 (Parallel.Pool.parse_domains (Some " 6 "));
-  check_int "zero clamps to 1" 1 (Parallel.Pool.parse_domains (Some "0"));
-  check_int "negative clamps to 1" 1 (Parallel.Pool.parse_domains (Some "-3"));
-  List.iter
-    (fun bad ->
-      let warned = ref None in
-      let n =
-        Parallel.Pool.parse_domains ~warn:(fun m -> warned := Some m) (Some bad)
-      in
-      check_int ("unparseable " ^ bad ^ " falls back") recommended n;
-      match !warned with
-      | None -> Alcotest.failf "no warning for %S" bad
-      | Some m ->
-          check "warning names the variable" true
-            (String.length m >= 11 && String.sub m 0 11 = "PKG_DOMAINS"))
-    [ "auto"; "4x"; ""; "many" ];
-  (* a parseable value must not warn *)
-  let warned = ref false in
-  ignore (Parallel.Pool.parse_domains ~warn:(fun _ -> warned := true) (Some "2"));
-  check "no warning on valid input" false !warned
-
 let () =
   Alcotest.run "observe"
     [
@@ -304,21 +221,12 @@ let () =
           Alcotest.test_case "text and json rendering" `Quick
             (traced test_rendering);
         ] );
-      ( "pool",
-        [
-          Alcotest.test_case "map totals domain-independent" `Quick
-            (traced test_pool_map_deterministic);
-          Alcotest.test_case "find_first totals domain-independent" `Quick
-            (traced test_pool_find_first_deterministic);
-        ] );
       ( "integration",
         [
-          Alcotest.test_case "all_valid counters domain-independent" `Quick
-            (traced test_all_valid_counters_domain_independent);
+          Alcotest.test_case "all_valid counters reproducible" `Quick
+            (traced test_all_valid_counters_reproducible);
           Alcotest.test_case "prewarm skips the delta" `Quick
             (traced test_prewarm_skips_delta);
           Alcotest.test_case "DPLL event counts" `Quick (traced test_sat_counters);
         ] );
-      ( "config",
-        [ Alcotest.test_case "PKG_DOMAINS parsing" `Quick test_parse_domains ] );
     ]

@@ -1,9 +1,8 @@
-(* Tests for the robustness layer: budgets (fuel, deadlines, cancellation
-   tokens, subtokens), the [Exact]/[Partial] outcome discipline of every
-   budgeted entry point, advisor-driven degradation, pool cancellation and
-   recovery, and deterministic fault injection at every [Robust.Fault]
-   site — including the unpoisoned-memo property (fault, then retry on the
-   same instance, equals a fresh run).
+(* Tests for the robustness layer: budgets (fuel, deadlines), the
+   [Exact]/[Partial] outcome discipline of every budgeted entry point,
+   advisor-driven degradation, and deterministic fault injection at every
+   [Robust.Fault] site — including the unpoisoned-memo property (fault,
+   then retry on the same instance, equals a fresh run).
 
    When [PKG_FAULT=<site>:<nth>[:exn|exhaust]] is set, only that site's
    scenario runs — the CI fault matrix executes this binary once per
@@ -22,7 +21,6 @@ module Qbf = Solvers.Qbf
 module Count = Solvers.Count
 module Maxsat = Solvers.Maxsat
 module Gen = Solvers.Gen
-module Pool = Parallel.Pool
 open Core
 
 let check = Alcotest.(check bool)
@@ -77,35 +75,6 @@ let test_deadline () =
     Budget.with_budget b Budget.check;
     Alcotest.fail "expired deadline must trip"
   with Budget.Exhausted Budget.Deadline -> ()
-
-let test_cancel_and_subtoken () =
-  let b = Budget.make () in
-  let sub = Budget.subtoken b in
-  Budget.cancel sub;
-  check "cancelling the child leaves the parent alone" false
-    (Budget.is_cancelled b);
-  check "child is cancelled" true (Budget.is_cancelled sub);
-  Budget.with_budget b Budget.check;
-  (* fine *)
-  let b2 = Budget.make () in
-  let sub2 = Budget.subtoken b2 in
-  Budget.cancel b2;
-  check "cancelling the parent cancels the child" true
-    (Budget.is_cancelled sub2);
-  (try
-     Budget.with_budget sub2 Budget.check;
-     Alcotest.fail "cancelled token must trip"
-   with Budget.Exhausted Budget.Cancelled -> ());
-  (* Fuel accounting is global across subtokens. *)
-  let p = Budget.make ~fuel:2 () in
-  let s = Budget.subtoken p in
-  Budget.with_budget p Budget.check;
-  Budget.with_budget s Budget.check;
-  (try
-     Budget.with_budget s Budget.check;
-     Alcotest.fail "shared fuel must exhaust"
-   with Budget.Exhausted Budget.Fuel -> ());
-  check_int "shared ticks" 3 (Budget.ticks p)
 
 let test_run_outcomes () =
   (match Budget.run ~partial:(fun _ -> None) (fun () -> 42) with
@@ -352,41 +321,6 @@ let test_sat_conflict_cap () =
   | Budget.Exact (Some a) -> check "model satisfies" true (Cnf.holds satf a)
   | _ -> Alcotest.fail "expected a model"
 
-(* ---------- pool cancellation and recovery ---------- *)
-
-let test_pool_cancellation () =
-  let started = Atomic.make false in
-  let saw_cancel = Atomic.make false in
-  let task i =
-    if i = 0 then begin
-      Atomic.set started true;
-      try
-        (* Bounded spin: terminates (slowly) even if cancellation is
-           broken, so the assertion below fails instead of hanging. *)
-        for _ = 1 to 50_000_000 do
-          Budget.check ()
-        done;
-        0
-      with Budget.Exhausted Budget.Cancelled as e ->
-        Atomic.set saw_cancel true;
-        raise e
-    end
-    else begin
-      while not (Atomic.get started) do
-        Domain.cpu_relax ()
-      done;
-      failwith "boom"
-    end
-  in
-  (try
-     ignore (Pool.map ~domains:2 2 task);
-     Alcotest.fail "expected the task failure to re-raise"
-   with Failure msg ->
-     Alcotest.(check string) "original failure wins over collateral" "boom" msg);
-  check "sibling aborted at its next check" true (Atomic.get saw_cancel);
-  check "pool drains clean and keeps working" true
-    (Pool.map ~domains:2 4 succ = [ 1; 2; 3; 4 ])
-
 (* ---------- fault injection, one scenario per site ---------- *)
 
 (* Arm [site:1:exn], run [f], expect [Injected site]; always disarm. *)
@@ -396,20 +330,6 @@ let expect_injected site f =
   match f () with
   | _ -> Alcotest.failf "fault %s did not fire" site
   | exception Fault.Injected s -> Alcotest.(check string) "site" site s
-
-let test_fault_pool_task () =
-  expect_injected "pool.task" (fun () -> Pool.map ~domains:2 6 succ);
-  check "pool recovers after an injected task failure" true
-    (Pool.map ~domains:2 6 succ = [ 1; 2; 3; 4; 5; 6 ]);
-  Fault.arm ~site:"pool.task" ~nth:1 ~kind:Fault.Exhaust;
-  (match
-     Budget.run ~partial:(fun _ -> None) (fun () -> Pool.map ~domains:2 6 succ)
-   with
-  | Budget.Partial { reason = Budget.Fault "pool.task"; _ } -> ()
-  | _ -> Alcotest.fail "expected Partial fault:pool.task");
-  Fault.disarm ();
-  check "pool recovers after an injected exhaustion" true
-    (Pool.map ~domains:2 6 succ = [ 1; 2; 3; 4; 5; 6 ])
 
 let test_fault_sat_conflict () =
   expect_injected "sat.conflict" (fun () -> Sat.solve forced_conflicts);
@@ -928,7 +848,6 @@ let test_fault_serve_respond () =
 
 let fault_cases =
   [
-    ("pool.task", test_fault_pool_task);
     ("sat.conflict", test_fault_sat_conflict);
     ("qbf.node", test_fault_qbf_node);
     ("count.node", test_fault_count_node);
@@ -1043,7 +962,6 @@ let full_suite =
       [
         Alcotest.test_case "fuel" `Quick test_fuel;
         Alcotest.test_case "deadline" `Quick test_deadline;
-        Alcotest.test_case "cancel and subtoken" `Quick test_cancel_and_subtoken;
         Alcotest.test_case "run outcomes" `Quick test_run_outcomes;
         Alcotest.test_case "reason strings" `Quick test_reason_strings;
         Alcotest.test_case "fault spec parsing" `Quick test_fault_parse;
@@ -1070,7 +988,6 @@ let full_suite =
         Alcotest.test_case "generic stays partial" `Quick
           test_generic_stays_partial;
       ] );
-    ("pool", [ Alcotest.test_case "cancellation" `Quick test_pool_cancellation ]);
     ( "fault",
       Alcotest.test_case "matrix covers all sites" `Quick
         test_every_site_has_a_scenario

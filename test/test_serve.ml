@@ -272,6 +272,16 @@ let test_queue_full_shed () =
       in
       check "burst shed with queue_full" true (shed >= 1))
 
+(* The runtime allows 128 domains, the calling one included.  [create]
+   starts no domain, so these configurations are checked without
+   spawning any. *)
+let test_domain_limit () =
+  let with_domains domains = { Server.default_config with domains } in
+  ignore (Server.create ~config:(with_domains 127) []);
+  match Server.create ~config:(with_domains 1000) [] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "1000 worker domains must be refused"
+
 let test_deadline_degradation () =
   (* a tight server deadline turns long burns into sound partial
      answers, and requests stuck behind them into deadline_in_queue
@@ -544,6 +554,8 @@ let () =
             test_queue_full_shed;
           Alcotest.test_case "deadlines degrade and shed" `Quick
             test_deadline_degradation;
+          Alcotest.test_case "worker domains past the runtime limit refused"
+            `Quick test_domain_limit;
         ] );
       ( "faults",
         [
